@@ -203,16 +203,16 @@ class CorpusStore:
         added = 0
         skipped = 0
         lines: list[str] = []
-        fresh: list[tuple[str, int]] = []
+        fresh: set[tuple[str, int]] = set()
         for page in pages:
             if not isinstance(page, PageRecord):
                 page = PageRecord.from_dict(page)
             key = (page.doc_id, page.page_number)
-            if key in self._page_index or key in set(fresh):
+            if key in self._page_index or key in fresh:
                 skipped += 1
                 continue
             lines.append(dumps_line(page.to_dict()))
-            fresh.append(key)
+            fresh.add(key)
             added += 1
         if lines:
             self._append(self.pages_path, lines)

@@ -3,9 +3,16 @@
 A gate scores a page in [0, 1]; pages at or above the threshold pass on to
 the (expensive) extraction stage. Implementations share one contract:
 ``always_pass`` scores everything 1.0, ``keyword`` fires on configurable
-trigger terms, and ``remote`` asks an external classifier endpoint. Gate
-errors fail open — a page the gate cannot score still passes, because a
-page dropped here is unrecoverable downstream.
+trigger terms, and ``remote`` asks an external classifier endpoint. Remote
+gate errors (:class:`NetworkError`, :class:`MalformedScore`) fail open — a
+page the gate cannot score still passes, because a page dropped here is
+unrecoverable downstream. Any other exception is a bug and propagates.
+
+The keyword rule: a page matches when some trigger occurs as a whole word,
+delimited by ``\b``, compared case-insensitively exactly as Python's
+``re.IGNORECASE`` does, so ``ſurvey`` and ``İndex`` match ``survey`` and
+``index``. Per page this costs one ``str.lower()`` pass plus one substring
+scan per needle; the regex runs only on candidate pages, from the first hit.
 """
 
 from __future__ import annotations
@@ -82,41 +89,84 @@ class AlwaysPassGate:
         return 1.0
 
 
-def load_triggers(path: str | Path) -> list[str]:
-    """Read trigger terms, one per line; blank lines and ``#`` comments skipped."""
+def _parse_triggers(text: str) -> list[str]:
+    """One term per line, stripped; blank lines and ``#`` comments skipped."""
     terms = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             terms.append(line)
     return terms
 
 
+def load_triggers(path: str | Path) -> list[str]:
+    """Read trigger terms, one per line; blank lines and ``#`` comments skipped."""
+    return _parse_triggers(Path(path).read_text(encoding="utf-8"))
+
+
 def default_triggers() -> list[str]:
     """The trigger list shipped with the package."""
-    text = (resources.files("datamentions") / "data" / "gate_triggers.txt").read_text(
-        encoding="utf-8"
+    return _parse_triggers(
+        (resources.files("datamentions") / "data" / "gate_triggers.txt").read_text(
+            encoding="utf-8"
+        )
     )
-    return [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+
+
+# The only code points that re.IGNORECASE equates with an ASCII character
+# while str.lower() maps them elsewhere (U+0130 İ also changes length under
+# lower()). A page holding one of them skips the literal prefilter.
+_FOLD_ONLY = ("\u0130", "\u0131", "\u017f")
+
+
+def _needles(terms: Sequence[str]) -> tuple[str, ...]:
+    """Lowercased terms, minus any term that another needle is a prefix of."""
+    needles: list[str] = []
+    for term in sorted({t.lower() for t in terms}):
+        if not any(term.startswith(kept) for kept in needles):
+            needles.append(term)
+    return tuple(needles)
 
 
 class KeywordGate:
-    """Scores 1.0 when any trigger term occurs as a whole word, else 0.0."""
+    """Scores 1.0 when any trigger term occurs as a whole word, else 0.0.
+
+    A match is ``\\b(?:t1|t2|...)\\b`` under ``re.IGNORECASE``: whole words,
+    case folded as Python's ``re`` folds it, so ``ſurvey`` matches
+    ``survey`` and ``İndex`` matches ``index``. Scoring lowercases the page
+    once and looks for each needle (a lowercased trigger not covered by a
+    shorter one it starts with) by substring search; a page with no hit
+    scores 0.0 without the regex, and otherwise the regex confirms from the
+    earliest hit. Pages holding ``İ``, ``ı`` or ``ſ``, and gates with a
+    non-ASCII trigger, run the regex over the whole page.
+    """
 
     def __init__(self, triggers: Sequence[str] | None = None):
         terms = list(triggers) if triggers is not None else default_triggers()
         if not terms:
             raise InvalidRecord("keyword gate needs at least one trigger term")
+        if any(not t.strip() for t in terms):
+            raise InvalidRecord("keyword gate trigger terms must not be blank")
         self.triggers = terms
         joined = "|".join(re.escape(t) for t in terms)
         self._pattern = re.compile(rf"\b(?:{joined})\b", re.IGNORECASE)
+        self._needles = _needles(terms) if all(t.isascii() for t in terms) else None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "KeywordGate":
         return cls(load_triggers(path))
 
     def score_page(self, text: str) -> float:
-        return 1.0 if self._pattern.search(text) else 0.0
+        start = 0
+        if self._needles is not None and (
+            text.isascii() or not any(ch in text for ch in _FOLD_ONLY)
+        ):
+            folded = text.lower()
+            hits = [i for i in map(folded.find, self._needles) if i >= 0]
+            if not hits:
+                return 0.0
+            start = min(hits)
+        return 1.0 if self._pattern.search(text, start) else 0.0
 
 
 @dataclass
@@ -164,8 +214,9 @@ def filter_pages(
 ) -> tuple[list[PageRecord], list[GateDecision]]:
     """Score every page; return (pages that passed, all decisions).
 
-    A gate error quarantines the page on the passing side (fail-open) with
-    score 1.0 and a logged warning.
+    A remote gate error (:class:`NetworkError` or :class:`MalformedScore`)
+    quarantines the page on the passing side (fail-open) with score 1.0 and
+    a logged warning; any other exception propagates.
     """
     if not 0.0 <= threshold <= 1.0:
         raise InvalidRecord(f"threshold must be in [0, 1], got {threshold}")
@@ -174,7 +225,7 @@ def filter_pages(
     for page in pages:
         try:
             score = gate.score_page(page.text)
-        except Exception as exc:
+        except (NetworkError, MalformedScore) as exc:
             log.warning(
                 "gate failed on %s p%d (%s); passing the page through",
                 page.doc_id, page.page_number, exc,

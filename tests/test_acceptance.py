@@ -395,13 +395,13 @@ def test_criterion_9_greedy_matching_vs_exhaustive(predicted, gold) -> None:
 
 
 class _TableGate:
-    """A gate with a fixed score per page, for property checks."""
+    """A gate with a fixed score per page text, for property checks."""
 
-    def __init__(self, scores: dict[tuple[str, int], float]) -> None:
+    def __init__(self, scores: dict[str, float]) -> None:
         self._scores = scores
 
-    def score(self, page: PageRecord) -> float:
-        return self._scores[(page.doc_id, page.page_number)]
+    def score_page(self, text: str) -> float:
+        return self._scores[text]
 
 
 @settings(max_examples=1000, deadline=None)
@@ -415,13 +415,13 @@ class _TableGate:
 def test_criterion_9_gate_threshold_monotonicity(scores, t1, t2) -> None:
     lo, hi = min(t1, t2), max(t1, t2)
     pages = [PageRecord(doc_id=DOC, page_number=i + 1, text=f"page {i}") for i in range(len(scores))]
-    gate = _TableGate({(p.doc_id, p.page_number): s for p, s in zip(pages, scores)})
+    gate = _TableGate({p.text: s for p, s in zip(pages, scores)})
     passed_lo, decisions_lo = filter_pages(pages, gate, lo)
     passed_hi, _ = filter_pages(pages, gate, hi)
     keys_lo = {(p.doc_id, p.page_number) for p in passed_lo}
     keys_hi = {(p.doc_id, p.page_number) for p in passed_hi}
     assert keys_hi <= keys_lo, "raising the threshold must only shrink the passing set"
-    assert len(decisions_lo) == len(pages)
+    assert [d.score for d in decisions_lo] == scores
 
 
 @settings(max_examples=1000, deadline=None)

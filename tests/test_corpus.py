@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import sys
 
 import pytest
@@ -149,6 +150,29 @@ def test_store_index_survives_reopen(tmp_path) -> None:
     reopened = CorpusStore(root)
     summary = reopened.ingest_pages([PageRecord(doc_id=DOC, page_number=1, text="x")])
     assert (summary.added, summary.skipped) == (0, 1)
+
+
+def test_ingest_keeps_first_occurrence_and_offer_order(tmp_path) -> None:
+    root = tmp_path / "corpus"
+    store = CorpusStore(root)
+    store.ingest_pages([PageRecord(doc_id=DOC, page_number=5, text="stored")])
+    summary = store.ingest_pages(
+        [
+            PageRecord(doc_id=DOC, page_number=3, text="three"),
+            PageRecord(doc_id=DOC, page_number=5, text="already stored"),
+            PageRecord(doc_id=DOC, page_number=1, text="one"),
+            PageRecord(doc_id=DOC, page_number=3, text="three again"),
+            PageRecord(doc_id=DOC, page_number=2, text="two"),
+        ]
+    )
+    assert (summary.added, summary.skipped) == (3, 2)
+    lines = (root / "pages.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [PageRecord.from_dict(json.loads(line)).text for line in lines] == [
+        "stored", "three", "one", "two",
+    ]
+    assert {p.page_number: p.text for p in CorpusStore(root).iter_pages()} == {
+        1: "one", 2: "two", 3: "three", 5: "stored",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import re
+import string
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from datamentions import (
     AlwaysPassGate,
@@ -15,7 +20,7 @@ from datamentions import (
     filter_pages,
 )
 from datamentions.errors import MissingLabel
-from datamentions.gate import default_triggers, load_triggers
+from datamentions.gate import _FOLD_ONLY, default_triggers, load_triggers
 
 from stubserver import StubServer
 
@@ -70,15 +75,134 @@ def test_keyword_gate_default_triggers_fire_on_obvious_text() -> None:
 
 def test_keyword_gate_from_file(tmp_path) -> None:
     path = tmp_path / "triggers.txt"
-    path.write_text("# comment\n\nregistry\nimagery\n", encoding="utf-8")
+    path.write_text("# comment\n\nregistry\n  # indented comment\n \t\nimagery\n", encoding="utf-8")
     assert load_triggers(path) == ["registry", "imagery"]
     gate = KeywordGate.from_file(path)
     assert gate.score_page("satellite imagery of fields") == 1.0
 
 
+def test_default_triggers_use_the_same_line_rule(tmp_path, monkeypatch) -> None:
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "gate_triggers.txt").write_text(
+        "# header\n  # indented comment\n  census  \n\t\nregistry\n", encoding="utf-8"
+    )
+    monkeypatch.setattr("datamentions.gate.resources.files", lambda package: tmp_path)
+    assert default_triggers() == ["census", "registry"]
+
+
 def test_keyword_gate_rejects_empty_trigger_list() -> None:
     with pytest.raises(InvalidRecord):
         KeywordGate([])
+
+
+@pytest.mark.parametrize("blank", ["", "   ", "\t"])
+def test_keyword_gate_rejects_blank_trigger_terms(blank) -> None:
+    with pytest.raises(InvalidRecord):
+        KeywordGate(["survey", blank])
+
+
+# ---------------------------------------------------------------------------
+# keyword gate exactness: the literal prefilter never changes a decision
+
+
+def _reference(triggers: list[str]):
+    """The keyword rule by definition: one IGNORECASE regex over the page."""
+    pattern = re.compile(r"\b(?:" + "|".join(map(re.escape, triggers)) + r")\b", re.I)
+    return lambda text: 1.0 if pattern.search(text) else 0.0
+
+
+TERMS = [
+    "data", "dataset", "Datasets",  # prefix family
+    "x", "index",                   # an inner substring
+    "time series",                  # multi-word
+    "u.s. census", "c++",           # punctuation
+]
+# Any of these turns the prefilter off for the whole gate; the last two fold
+# beyond str.lower() under re.IGNORECASE.
+NON_ASCII_TERMS = ["enquête", "ſurvey", "λογος"]
+TEXT_ALPHABET = (
+    string.ascii_letters + string.digits + "_ .,;:-()+'"
+    + "\u00e9\u00df\u212a\u0130\u0131\u017f\u0307"  # é ß Kelvin K İ ı ſ, combining dot
+)
+# Characters re.IGNORECASE equates with an ASCII letter besides its two cases.
+FOLDS = {"i": "\u0130\u0131", "k": "\u212a", "s": "\u017f"}
+
+
+def _spellings(word: str):
+    """``word`` with each character in either case, or also a fold equivalent."""
+    cased = [[c.lower(), c.upper()] for c in word]
+    folded = [options + list(FOLDS.get(c.lower(), "")) for c, options in zip(word, cased)]
+    return st.sampled_from([cased, folded]).flatmap(
+        lambda choices: st.tuples(*map(st.sampled_from, choices))
+    ).map("".join)
+
+
+@st.composite
+def _gate_case(draw) -> tuple[list[str], str]:
+    chosen = draw(st.lists(st.booleans(), min_size=len(TERMS), max_size=len(TERMS)))
+    triggers = [term for term, keep in zip(TERMS, chosen) if keep]
+    triggers += draw(st.lists(st.sampled_from(NON_ASCII_TERMS), max_size=1))
+    triggers += draw(
+        st.lists(
+            st.text(string.ascii_letters + " -.", min_size=1, max_size=4).filter(str.strip),
+            min_size=0 if triggers else 1,
+            max_size=2,
+        )
+    )
+    word = st.sampled_from(TERMS + NON_ASCII_TERMS + triggers).flatmap(_spellings)
+    chunk = st.one_of(word, st.text(TEXT_ALPHABET, max_size=4))
+    chunks = draw(st.lists(chunk, min_size=1, max_size=5))
+    gaps = draw(
+        st.lists(st.sampled_from(["", " ", " ", "-"]), min_size=len(chunks), max_size=len(chunks))
+    )
+    return triggers, "".join(gap + part for gap, part in zip(gaps, chunks))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_gate_case())
+def test_keyword_gate_matches_reference_regex(case) -> None:
+    triggers, text = case
+    gate, reference = KeywordGate(triggers), _reference(triggers)
+    # every substring, so each word is also checked as a page's only match
+    for piece in {text[i:j] for i in range(len(text) + 1) for j in range(i, len(text) + 1)}:
+        assert gate.score_page(piece) == reference(piece), piece
+
+
+@pytest.mark.parametrize(
+    "triggers, text, expected",
+    [
+        (["survey"], "ſurvey", 1.0),
+        (["index"], "İndex", 1.0),
+        (["dataset"], "DATAſET", 1.0),
+        (["x", "index"], "index", 1.0),
+        (["data", "dataset"], "a DataSet here", 1.0),
+        (["data", "dataset"], "dataframes only", 0.0),
+        (["survey"], "\u212aeep surveying, \u0131s it", 0.0),
+        (["enquête"], "ENQUÊTE nationale", 1.0),
+        (["ſurvey"], "SURVEY", 1.0),
+        (["λογος"], "ΛΟΓΟΣ λογοσ", 1.0),
+    ],
+)
+def test_keyword_gate_fold_cases(triggers, text, expected) -> None:
+    assert _reference(triggers)(text) == expected
+    assert KeywordGate(triggers).score_page(text) == expected
+
+
+def test_fold_table_is_complete() -> None:
+    """Every non-ASCII code point that re.IGNORECASE equates with an ASCII
+    character either lowercases to that character or is in the fold table,
+    and only table characters change length under lower()."""
+    every = "".join(chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c <= 0xDFFF)
+    ascii_chars = [chr(c) for c in range(128)]
+    folding = {ch for ch in re.findall(r"[\x00-\x7f]", every, re.I) if not ch.isascii()}
+    for ch in folding - set(_FOLD_ONLY):
+        equals = [a for a in ascii_chars if re.fullmatch(re.escape(a), ch, re.I)]
+        assert equals and all(ch.lower() == a.lower() for a in equals), ch
+    assert {ch for ch in every if len(ch.lower()) != 1} <= set(_FOLD_ONLY)
+
+
+# ---------------------------------------------------------------------------
+# remote gate
 
 
 def test_remote_gate_bare_and_wrapped_scores() -> None:
@@ -128,13 +252,22 @@ def test_filter_pages_partitions_by_threshold() -> None:
 def test_filter_pages_fails_open_on_gate_errors() -> None:
     class BrokenGate:
         def score_page(self, text: str) -> float:
-            raise RuntimeError("boom")
+            raise NetworkError("boom") if text == "offline" else MalformedScore("1.7")
 
-    pages = [_page(1, "whatever")]
+    pages = [_page(1, "offline"), _page(2, "garbage")]
     passed, decisions = filter_pages(pages, BrokenGate(), threshold=0.9)
     assert passed == pages
-    assert decisions[0].score == 1.0
-    assert decisions[0].passed
+    assert [d.score for d in decisions] == [1.0, 1.0]
+    assert all(d.passed for d in decisions)
+
+
+def test_filter_pages_propagates_programming_errors() -> None:
+    class BuggyGate:
+        def score_page(self, text: str) -> float:
+            raise TypeError("bug")
+
+    with pytest.raises(TypeError):
+        filter_pages([_page(1, "whatever")], BuggyGate(), threshold=0.9)
 
 
 def test_filter_pages_validates_threshold() -> None:
