@@ -35,6 +35,8 @@ from .retries import RetryPolicy, send_with_retries
 
 TEMPLATE_IDS = ("extractor", "judge", "reasoner")
 DEFAULT_MODEL = "gpt-4o-mini-2024-07-18"
+# pipeline stage name -> the template id of its prompt
+_STAGE_ALIASES = {"extract": "extractor", "judge": "judge", "reason": "reasoner"}
 
 __all__ = [
     "ChatBackend",
@@ -45,11 +47,8 @@ __all__ = [
     "PromptTemplate",
     "RemoteChatBackend",
     "TEMPLATE_IDS",
-    "complete",
     "extract_json_payload",
     "load_templates",
-    "mock_backend",
-    "render_prompt",
     "request_digest",
 ]
 
@@ -105,29 +104,6 @@ def load_templates(prompts_dir: str | Path | None = None) -> dict[str, PromptTem
     return templates
 
 
-def render_prompt(
-    template_id: str,
-    variables: Mapping[str, str] | None = None,
-    templates: Mapping[str, PromptTemplate] | None = None,
-) -> str:
-    """Return the system prompt for ``template_id``.
-
-    The shipped prompts are static system prompts — page text and mention
-    blocks travel as user content — so ``variables`` is accepted for
-    interface completeness but the bodies contain nothing to substitute.
-    """
-    if templates is None:
-        templates = load_templates()
-    try:
-        template = templates[template_id]
-    except KeyError:
-        raise UnknownTemplate(f"unknown template id {template_id!r}") from None
-    body = template.body
-    for name, value in (variables or {}).items():
-        body = body.replace("{" + name + "}", value)
-    return body
-
-
 def request_digest(template_id: str, user_content: str) -> str:
     """Stable identity of one request: hash of (template id, user content)."""
     h = hashlib.sha256()
@@ -139,11 +115,6 @@ def request_digest(template_id: str, user_content: str) -> str:
 
 class ChatBackend(Protocol):
     def complete(self, request: ChatRequest) -> ChatResponse: ...
-
-
-def complete(request: ChatRequest, backend: ChatBackend) -> ChatResponse:
-    """Run one chat completion against ``backend``."""
-    return backend.complete(request)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +195,6 @@ class MockChatBackend:
     count backend calls across process boundaries.
     """
 
-    _STAGE_ALIASES = {"extract": "extractor", "judge": "judge", "reason": "reasoner"}
-
     def __init__(
         self,
         script: Mapping[tuple[str, str], str],
@@ -233,7 +202,7 @@ class MockChatBackend:
         call_log: str | Path | None = None,
     ):
         self.script = {
-            (self._STAGE_ALIASES.get(stage, stage), digest): response
+            (_STAGE_ALIASES.get(stage, stage), digest): response
             for (stage, digest), response in script.items()
         }
         templates = templates or load_templates()
@@ -261,7 +230,7 @@ class MockChatBackend:
                 if not line:
                     continue
                 entry = json.loads(line)
-                stage = cls._STAGE_ALIASES.get(entry["stage"], entry["stage"])
+                stage = _STAGE_ALIASES.get(entry["stage"], entry["stage"])
                 if "digest" in entry:
                     digest = entry["digest"]
                 else:
@@ -285,15 +254,6 @@ class MockChatBackend:
                 f"no scripted response for stage {template_id!r}, digest {digest}"
             ) from None
         return ChatResponse(text=text, latency=0.0)
-
-
-def mock_backend(
-    script: Mapping[tuple[str, str], str],
-    templates: Mapping[str, PromptTemplate] | None = None,
-    call_log: str | Path | None = None,
-) -> MockChatBackend:
-    """Convenience constructor mirroring :class:`MockChatBackend`."""
-    return MockChatBackend(script, templates=templates, call_log=call_log)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,16 @@ on each mention's validity, and ``reason`` runs a devil's-advocate review
 that may override the judge. Only judge-valid mentions reach the reasoner.
 Every stage appends to its own output file and records per-item progress in
 a checkpoint, so an interrupted run resumes without repeating a single
-backend call and reproduces the uninterrupted output byte for byte. Items
-that keep failing after the per-item retry budget are quarantined to a
+backend call and reproduces the uninterrupted output byte for byte; a
+checkpoint line cut short by a kill is ignored and its item done again.
+Items that keep failing after the per-item retry budget are quarantined to a
 dead-letter file rather than blocking the run.
+
+One table of stage specs drives both :func:`run_pipeline` and
+:func:`plan_pipeline`, so they walk the same items under the same keys and
+``generate --dry-run`` counts exactly the calls a run would issue (beyond
+those, a reply that fails to parse is asked for again, up to the per-item
+retry budget).
 """
 
 from __future__ import annotations
@@ -16,9 +23,10 @@ import json
 import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -39,6 +47,7 @@ from .llm import (
     ChatRequest,
     DEFAULT_MODEL,
     PromptTemplate,
+    _STAGE_ALIASES,
     extract_json_payload,
     load_templates,
     request_digest,
@@ -62,7 +71,6 @@ from .records import (
 log = logging.getLogger(__name__)
 
 STAGES = ("extract", "judge", "reason")
-STAGE_TEMPLATE = {"extract": "extractor", "judge": "judge", "reason": "reasoner"}
 
 # Item-level failures that quarantine one item after the retry budget;
 # anything else (network exhaustion, unscripted mocks) aborts the run.
@@ -152,12 +160,8 @@ def _blocks_from_extractor_payload(
     for item in payload:
         if not isinstance(item, dict):
             raise InvalidRecord("extractor reply entries must be objects")
-        if isinstance(item.get("datasets"), list):
-            sentence = str(item.get("mentioned_in") or "")
-            entries = item["datasets"]
-        else:
-            sentence = str(item.get("mentioned_in") or "")
-            entries = [item]
+        sentence = str(item.get("mentioned_in") or "")
+        entries = item["datasets"] if isinstance(item.get("datasets"), list) else [item]
         if not sentence:
             raise MissingField("mentioned_in", "extractor reply entry")
         grouped.setdefault(sentence, []).extend(entries)
@@ -221,6 +225,29 @@ def extract_mentions(
     return _blocks_from_extractor_payload(payload, page.doc_id, page.page_number)
 
 
+def _valid_flag(entry: Mapping[str, Any], where: str, label: str) -> bool:
+    """The entry's ``valid`` as a bool; ``"true"``/``"false"`` strings count."""
+    if "valid" not in entry or entry["valid"] is None:
+        raise MissingField("valid", where)
+    valid = entry["valid"]
+    if isinstance(valid, str):
+        if valid.strip().lower() not in ("true", "false"):
+            raise InvalidRecord(f"{label} 'valid' is not boolean: {valid!r}")
+        valid = valid.strip().lower() == "true"
+    if not isinstance(valid, bool):
+        raise InvalidRecord(f"{label} 'valid' is not boolean: {valid!r}")
+    return valid
+
+
+def _warn_on_echo(entry: Mapping[str, Any], mention: DatasetMention, label: str) -> None:
+    echoed = entry.get("raw_name")
+    if echoed is not None and echoed != mention.raw_name:
+        log.warning(
+            "%s echoed raw_name %r for %r; keeping positional alignment",
+            label, echoed, mention.raw_name,
+        )
+
+
 _VERDICT_LIST_KEYS = ("verdicts", "assessments", "results", "datasets")
 
 
@@ -260,24 +287,11 @@ def judge_mentions(
     for mention, entry in zip(block.datasets, payload):
         if not isinstance(entry, dict):
             raise InvalidRecord("judge verdict entries must be objects")
-        if "valid" not in entry or entry["valid"] is None:
-            raise MissingField("valid", "judge verdict")
-        valid = entry["valid"]
-        if isinstance(valid, str):
-            if valid.strip().lower() not in ("true", "false"):
-                raise InvalidRecord(f"judge verdict 'valid' is not boolean: {valid!r}")
-            valid = valid.strip().lower() == "true"
-        if not isinstance(valid, bool):
-            raise InvalidRecord(f"judge verdict 'valid' is not boolean: {valid!r}")
+        valid = _valid_flag(entry, "judge verdict", "judge verdict")
         reason = entry.get("reason") or entry.get("explanation")
         if not reason or not str(reason).strip():
             raise MissingField("reason", "judge verdict")
-        echoed = entry.get("raw_name")
-        if echoed is not None and echoed != mention.raw_name:
-            log.warning(
-                "judge echoed raw_name %r for %r; keeping positional alignment",
-                echoed, mention.raw_name,
-            )
+        _warn_on_echo(entry, mention, "judge")
         verdicts.append(
             JudgeVerdict(
                 raw_name=mention.raw_name,
@@ -345,15 +359,7 @@ def reason_mentions(
     for mention, entry in zip(block.datasets, entries):
         if not isinstance(entry, dict):
             raise InvalidRecord("agent dataset entries must be objects")
-        if "valid" not in entry or entry["valid"] is None:
-            raise MissingField("valid", "agent dataset entry")
-        valid = entry["valid"]
-        if isinstance(valid, str):
-            if valid.strip().lower() not in ("true", "false"):
-                raise InvalidRecord(f"agent 'valid' is not boolean: {valid!r}")
-            valid = valid.strip().lower() == "true"
-        if not isinstance(valid, bool):
-            raise InvalidRecord(f"agent 'valid' is not boolean: {valid!r}")
+        valid = _valid_flag(entry, "agent dataset entry", "agent")
 
         specificity = clean_optional(entry.get("specificity"))
         if specificity is not None and specificity not in SPECIFICITY_VALUES:
@@ -381,12 +387,7 @@ def reason_mentions(
         if valid:
             invalid_reason = None
 
-        echoed = entry.get("raw_name")
-        if echoed is not None and echoed != mention.raw_name:
-            log.warning(
-                "agent echoed raw_name %r for %r; keeping positional alignment",
-                echoed, mention.raw_name,
-            )
+        _warn_on_echo(entry, mention, "agent")
 
         updated = mention
         if "harmonized_name" in entry:
@@ -427,27 +428,34 @@ def reason_mentions(
 
 @dataclass
 class StageCheckpoint:
-    """Per-stage resume bookkeeping: completed item keys and file offsets."""
+    """Per-stage resume bookkeeping: completed item keys and file offsets.
+
+    ``size`` is the length of the checkpoint file up to the end of its last
+    complete line. A last line without its newline is the torn tail of a
+    commit that was cut short; it is ignored, so that item runs again.
+    """
 
     stage: str
     completed: set[str] = field(default_factory=set)
     output_offset: int = 0
     deadletter_offset: int = 0
+    size: int = 0
 
     @classmethod
     def load(cls, stage: str, path: Path) -> "StageCheckpoint":
         ckpt = cls(stage=stage)
         if not path.exists():
             return ckpt
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                ckpt.completed.add(entry["key"])
-                ckpt.output_offset = int(entry["out"])
-                ckpt.deadletter_offset = int(entry["dead"])
+        data = path.read_bytes()
+        ckpt.size = data.rfind(b"\n") + 1
+        for line in data[: ckpt.size].decode("utf-8").split("\n"):
+            line = line.strip()
+            if not line:
+                continue
+            entry = json.loads(line)
+            ckpt.completed.add(entry["key"])
+            ckpt.output_offset = int(entry["out"])
+            ckpt.deadletter_offset = int(entry["dead"])
         return ckpt
 
 
@@ -465,7 +473,6 @@ class _StageWriter:
     """Append-only writer committing (output, dead-letter, checkpoint) per item."""
 
     def __init__(self, stage: str, out_path: Path, ckpt_path: Path, dead_path: Path):
-        self.stage = stage
         self.out_path = out_path
         self.ckpt_path = ckpt_path
         self.dead_path = dead_path
@@ -478,6 +485,7 @@ class _StageWriter:
             ckpt_path.unlink()
             self.checkpoint = StageCheckpoint(stage=stage)
         _truncate(out_path, self.checkpoint.output_offset)
+        _truncate(ckpt_path, self.checkpoint.size)
 
     def __enter__(self) -> "_StageWriter":
         self._out = open(self.out_path, "a", encoding="utf-8")
@@ -600,57 +608,6 @@ def _dead_line(stage: str, key: str, doc_id: str, page_number: int, exc: Excepti
     )
 
 
-def _run_stage(
-    stage: str,
-    items: Sequence[tuple[str, str, int, Callable[[], list[str]]]],
-    writer: _StageWriter,
-    *,
-    item_attempts: int,
-    workers: int,
-) -> None:
-    """Run pending items in order; commit output or dead-letter per item.
-
-    ``items`` carries (key, doc_id, page_number, produce) tuples where
-    ``produce`` returns the stage's output lines for that item. Results are
-    committed strictly in input order regardless of worker count, keeping
-    output files deterministic.
-    """
-    pending = [item for item in items if not writer.is_done(item[0])]
-    if not pending:
-        return
-
-    def attempt(item: tuple[str, str, int, Callable[[], list[str]]]):
-        key, doc_id, page_number, produce = item
-        last: Exception | None = None
-        for _ in range(item_attempts):
-            try:
-                return produce(), None
-            except _POISON_ERRORS as exc:
-                last = exc
-        return None, last
-
-    if workers <= 1:
-        outcomes = map(attempt, pending)
-        for (key, doc_id, page_number, _), (lines, error) in zip(pending, outcomes):
-            if error is not None:
-                log.error("%s: quarantining %s after %d attempts: %s",
-                          stage, key, item_attempts, error)
-                writer.commit(key, [], [_dead_line(stage, key, doc_id, page_number, error)])
-            else:
-                writer.commit(key, lines)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for (key, doc_id, page_number, _), (lines, error) in zip(
-                pending, pool.map(attempt, pending)
-            ):
-                if error is not None:
-                    log.error("%s: quarantining %s after %d attempts: %s",
-                              stage, key, item_attempts, error)
-                    writer.commit(key, [], [_dead_line(stage, key, doc_id, page_number, error)])
-                else:
-                    writer.commit(key, lines)
-
-
 def _enriched_mention(mention: DatasetMention, verdict: JudgeVerdict) -> DatasetMention:
     """Fill year/producer/data_type from the judge when the mention lacks them."""
     updates: dict[str, str] = {}
@@ -661,6 +618,153 @@ def _enriched_mention(mention: DatasetMention, verdict: JudgeVerdict) -> Dataset
     if mention.data_type is None and verdict.inferred_data_type is not None:
         updates["data_type"] = verdict.inferred_data_type
     return replace(mention, **updates) if updates else mention
+
+
+# Item enumerators yield (doc_id, page_number, user_content, subject): the
+# request's user content fixes the item's checkpoint key, and ``subject`` is
+# what the stage function takes.
+
+
+def _extract_items(pages: Iterable[PageRecord]) -> Iterator[tuple[str, int, str, PageRecord]]:
+    for page in sorted(pages, key=lambda p: (p.doc_id, p.page_number)):
+        yield page.doc_id, page.page_number, page.text, page
+
+
+def _judge_items(extracted: Path) -> Iterator[tuple[str, int, str, MentionBlock]]:
+    for row in read_jsonl(extracted):
+        for block_payload in row.get("blocks", []):
+            block = MentionBlock.from_dict(block_payload)
+            if block.datasets:
+                yield block.source, block.page, canonical_json(block.to_dict()), block
+
+
+def _reason_items(judged: Path) -> Iterator[tuple[str, int, str, MentionBlock]]:
+    """The judge-valid mentions of each block, enriched by the judge."""
+    for row in read_jsonl(judged):
+        block = MentionBlock.from_dict(row["block"])
+        verdicts = [JudgeVerdict.from_dict(v) for v in row.get("verdicts", [])]
+        survivors = tuple(
+            _enriched_mention(m, v) for m, v in zip(block.datasets, verdicts) if v.valid
+        )
+        if survivors:
+            block = replace(block, datasets=survivors)
+            yield block.source, block.page, canonical_json(block.to_dict()), block
+
+
+def _produce_extract(page: PageRecord, backend: ChatBackend, kwargs: Mapping[str, Any]) -> str:
+    blocks = extract_mentions(page, backend, **kwargs)
+    return dumps_line(
+        {
+            "doc_id": page.doc_id,
+            "page_number": page.page_number,
+            "blocks": [b.to_dict() for b in blocks],
+        }
+    )
+
+
+def _produce_judge(block: MentionBlock, backend: ChatBackend, kwargs: Mapping[str, Any]) -> str:
+    verdicts = judge_mentions(block, backend, **kwargs)
+    return dumps_line({"block": block.to_dict(), "verdicts": [v.to_dict() for v in verdicts]})
+
+
+def _produce_reason(block: MentionBlock, backend: ChatBackend, kwargs: Mapping[str, Any]) -> str:
+    assessments = reason_mentions(block, backend, **kwargs)
+    return dumps_line(
+        {"block": block.to_dict(), "assessments": [a.to_dict() for a in assessments]}
+    )
+
+
+@dataclass(frozen=True)
+class _StageSpec:
+    """One stage of the pipeline: what it reads, what it writes, one item's work.
+
+    ``items`` and ``produce`` reach the stage functions and record helpers
+    through this module's globals at call time, never through references
+    taken at import.
+    """
+
+    name: str
+    template_id: str
+    input_file: str | None  # None: the stage reads the pages passed in
+    output_file: str
+    items: Callable[[Any], Iterator[tuple[str, int, str, Any]]]
+    produce: Callable[[Any, ChatBackend, Mapping[str, Any]], str]
+
+
+_STAGE_SPECS = (
+    _StageSpec("extract", _STAGE_ALIASES["extract"], None, "extracted.jsonl",
+               _extract_items, _produce_extract),
+    _StageSpec("judge", _STAGE_ALIASES["judge"], "extracted.jsonl", "judged.jsonl",
+               _judge_items, _produce_judge),
+    _StageSpec("reason", _STAGE_ALIASES["reason"], "judged.jsonl", "assessed.jsonl",
+               _reason_items, _produce_reason),
+)
+
+
+def _selected_specs(stages: Sequence[str]) -> tuple[_StageSpec, ...]:
+    """The specs of ``stages`` in pipeline order; an unknown name raises."""
+    for stage in stages:
+        if stage not in STAGES:
+            raise InvalidRecord(f"unknown stage {stage!r}")
+    return tuple(spec for spec in _STAGE_SPECS if spec.name in stages)
+
+
+def _stage_source(spec: _StageSpec, pages: Iterable[PageRecord], output_dir: Path) -> Any:
+    """What ``spec.items`` reads: the pages or the input file, None while that is missing."""
+    if spec.input_file is None:
+        return pages
+    path = output_dir / spec.input_file
+    return path if path.exists() else None
+
+
+def _keyed_items(spec: _StageSpec, source: Any) -> Iterator[tuple[str, str, int, str, Any]]:
+    """(key, doc_id, page_number, user_content, subject) for each item of the stage."""
+    for doc_id, page_number, user_content, subject in spec.items(source):
+        key = f"{doc_id}:{page_number}:{request_digest(spec.template_id, user_content)}"
+        yield key, doc_id, page_number, user_content, subject
+
+
+def _run_stage(
+    spec: _StageSpec,
+    source: Any,
+    writer: _StageWriter,
+    backend: ChatBackend,
+    stage_kwargs: Mapping[str, Any],
+    *,
+    item_attempts: int,
+    workers: int,
+) -> None:
+    """Run the stage's pending items; commit output or dead-letter per item.
+
+    Results are committed strictly in input order regardless of worker
+    count, keeping output files deterministic.
+    """
+    pending = [
+        (key, doc_id, page_number, subject)
+        for key, doc_id, page_number, _, subject in _keyed_items(spec, source)
+        if not writer.is_done(key)
+    ]
+    if not pending:
+        return
+
+    def attempt(item: tuple[str, str, int, Any]) -> tuple[str | None, Exception | None]:
+        last: Exception | None = None
+        for _ in range(item_attempts):
+            try:
+                return spec.produce(item[3], backend, stage_kwargs), None
+            except _POISON_ERRORS as exc:
+                last = exc
+        return None, last
+
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        outcomes = (map if pool is None else pool.map)(attempt, pending)
+        for (key, doc_id, page_number, _), (line, error) in zip(pending, outcomes):
+            if error is not None:
+                log.error("%s: quarantining %s after %d attempts: %s",
+                          spec.name, key, item_attempts, error)
+                writer.commit(key, [], [_dead_line(spec.name, key, doc_id, page_number, error)])
+            else:
+                writer.commit(key, [line])
 
 
 def run_pipeline(
@@ -683,10 +787,7 @@ def run_pipeline(
     stage is independently checkpointed and resumable; rerunning a completed
     pipeline performs zero backend calls and rewrites nothing.
     """
-    for stage in stages:
-        if stage not in STAGES:
-            raise InvalidRecord(f"unknown stage {stage!r}")
-    stages = tuple(s for s in STAGES if s in stages)
+    specs = _selected_specs(stages)
     templates = templates or load_templates()
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -701,10 +802,7 @@ def run_pipeline(
     for stage in STAGES:
         ckpt = StageCheckpoint.load(stage, ckpt_dir / f"{stage}.ckpt")
         dead_base = max(dead_base, ckpt.deadletter_offset)
-    if dead_path.exists() or dead_base:
-        _truncate(dead_path, dead_base)
-    else:
-        dead_path.touch()
+    _truncate(dead_path, dead_base)
 
     stage_kwargs = {
         "templates": templates,
@@ -712,141 +810,29 @@ def run_pipeline(
         "temperature": temperature,
         "max_output_tokens": max_output_tokens,
     }
-
-    def guarded(run_stages: Callable[[], None]) -> None:
-        try:
-            run_stages()
-        except _POISON_ERRORS:
-            raise  # poison errors are handled per item; reaching here is a bug
-        except DataMentionsError as exc:
-            progressed = any(
-                StageCheckpoint.load(s, ckpt_dir / f"{s}.ckpt").completed for s in STAGES
+    for spec in specs:
+        source = _stage_source(spec, pages, output_dir)
+        if source is None:
+            raise InvalidRecord(
+                f"{spec.name} stage requires {spec.input_file}; run the earlier stages first"
             )
-            raise PipelineInterrupted(
-                f"pipeline stopped during a stage: {exc}", cause=exc, progressed=progressed
-            ) from exc
-
-    if "extract" in stages:
-        page_list = sorted(pages, key=lambda p: (p.doc_id, p.page_number))
-        writer = _StageWriter(
-            "extract", output_dir / "extracted.jsonl", ckpt_dir / "extract.ckpt", dead_path
-        )
-
-        def extract_item(page: PageRecord) -> Callable[[], list[str]]:
-            def produce() -> list[str]:
-                blocks = extract_mentions(page, backend, **stage_kwargs)
-                return [
-                    dumps_line(
-                        {
-                            "doc_id": page.doc_id,
-                            "page_number": page.page_number,
-                            "blocks": [b.to_dict() for b in blocks],
-                        }
-                    )
-                ]
-            return produce
-
-        items = [
-            (
-                f"{p.doc_id}:{p.page_number}:{request_digest('extractor', p.text)}",
-                p.doc_id,
-                p.page_number,
-                extract_item(p),
-            )
-            for p in page_list
-        ]
-        with writer:
-            guarded(lambda: _run_stage(
-                "extract", items, writer, item_attempts=item_attempts, workers=workers
-            ))
-
-    if "judge" in stages:
-        extracted_path = output_dir / "extracted.jsonl"
-        if not extracted_path.exists():
-            raise InvalidRecord("judge stage requires the extraction output; run extract first")
-        writer = _StageWriter(
-            "judge", output_dir / "judged.jsonl", ckpt_dir / "judge.ckpt", dead_path
-        )
-
-        def judge_item(block: MentionBlock) -> Callable[[], list[str]]:
-            def produce() -> list[str]:
-                verdicts = judge_mentions(block, backend, **stage_kwargs)
-                return [
-                    dumps_line(
-                        {
-                            "block": block.to_dict(),
-                            "verdicts": [v.to_dict() for v in verdicts],
-                        }
-                    )
-                ]
-            return produce
-
-        items = []
-        for row in read_jsonl(extracted_path):
-            for block_payload in row.get("blocks", []):
-                block = MentionBlock.from_dict(block_payload)
-                if not block.datasets:
-                    continue
-                digest = request_digest("judge", canonical_json(block.to_dict()))
-                items.append(
-                    (
-                        f"{block.source}:{block.page}:{digest}",
-                        block.source,
-                        block.page,
-                        judge_item(block),
-                    )
+        with _StageWriter(
+            spec.name, output_dir / spec.output_file, ckpt_dir / f"{spec.name}.ckpt", dead_path
+        ) as writer:
+            try:
+                _run_stage(spec, source, writer, backend, stage_kwargs,
+                           item_attempts=item_attempts, workers=workers)
+            except _POISON_ERRORS:
+                # an item's own poison errors are caught per item; one that
+                # reaches here comes from reading the stage input
+                raise
+            except DataMentionsError as exc:
+                progressed = any(
+                    StageCheckpoint.load(s, ckpt_dir / f"{s}.ckpt").completed for s in STAGES
                 )
-        with writer:
-            guarded(lambda: _run_stage(
-                "judge", items, writer, item_attempts=item_attempts, workers=workers
-            ))
-
-    if "reason" in stages:
-        judged_path = output_dir / "judged.jsonl"
-        if not judged_path.exists():
-            raise InvalidRecord("reason stage requires the judge output; run judge first")
-        writer = _StageWriter(
-            "reason", output_dir / "assessed.jsonl", ckpt_dir / "reason.ckpt", dead_path
-        )
-
-        def reason_item(block: MentionBlock) -> Callable[[], list[str]]:
-            def produce() -> list[str]:
-                assessments = reason_mentions(block, backend, **stage_kwargs)
-                return [
-                    dumps_line(
-                        {
-                            "block": block.to_dict(),
-                            "assessments": [a.to_dict() for a in assessments],
-                        }
-                    )
-                ]
-            return produce
-
-        items = []
-        for row in read_jsonl(judged_path):
-            block = MentionBlock.from_dict(row["block"])
-            verdicts = [JudgeVerdict.from_dict(v) for v in row.get("verdicts", [])]
-            survivors = tuple(
-                _enriched_mention(m, v)
-                for m, v in zip(block.datasets, verdicts)
-                if v.valid
-            )
-            if not survivors:
-                continue
-            survivor_block = replace(block, datasets=survivors)
-            digest = request_digest("reasoner", canonical_json(survivor_block.to_dict()))
-            items.append(
-                (
-                    f"{block.source}:{block.page}:{digest}",
-                    block.source,
-                    block.page,
-                    reason_item(survivor_block),
-                )
-            )
-        with writer:
-            guarded(lambda: _run_stage(
-                "reason", items, writer, item_attempts=item_attempts, workers=workers
-            ))
+                raise PipelineInterrupted(
+                    f"pipeline stopped during a stage: {exc}", cause=exc, progressed=progressed
+                ) from exc
 
     stats = compute_stats(output_dir)
     stats_path = output_dir / "stats.json"
@@ -873,67 +859,24 @@ def plan_pipeline(
 ) -> list[StagePlan]:
     """Describe pending work per stage without touching any backend.
 
-    Mirrors the item enumeration of :func:`run_pipeline`: completed
-    checkpoint keys are excluded, and stages whose input file has not been
-    produced yet report unknown amounts.
+    Walks the same items as :func:`run_pipeline`: completed checkpoint keys
+    are excluded, and stages whose input file has not been produced yet
+    report unknown amounts.
     """
-    stages = tuple(s for s in STAGES if s in stages)
     output_dir = Path(output_dir)
-    ckpt_dir = output_dir / "checkpoints"
     plans: list[StagePlan] = []
-
-    if "extract" in stages:
-        ckpt = StageCheckpoint.load("extract", ckpt_dir / "extract.ckpt")
+    for spec in _selected_specs(stages):
+        source = _stage_source(spec, pages, output_dir)
+        if source is None:
+            plans.append(StagePlan(stage=spec.name, pending=None, backend_calls=None))
+            continue
+        done = StageCheckpoint.load(spec.name, output_dir / "checkpoints" / f"{spec.name}.ckpt")
         pending = calls = 0
-        for page in sorted(pages, key=lambda p: (p.doc_id, p.page_number)):
-            key = f"{page.doc_id}:{page.page_number}:{request_digest('extractor', page.text)}"
-            if key in ckpt.completed:
-                continue
-            pending += 1
-            if page.text.strip():
-                calls += 1
-        plans.append(StagePlan(stage="extract", pending=pending, backend_calls=calls))
-
-    if "judge" in stages:
-        extracted_path = output_dir / "extracted.jsonl"
-        if not extracted_path.exists():
-            plans.append(StagePlan(stage="judge", pending=None, backend_calls=None))
-        else:
-            ckpt = StageCheckpoint.load("judge", ckpt_dir / "judge.ckpt")
-            pending = 0
-            for row in read_jsonl(extracted_path):
-                for block_payload in row.get("blocks", []):
-                    block = MentionBlock.from_dict(block_payload)
-                    if not block.datasets:
-                        continue
-                    digest = request_digest("judge", canonical_json(block.to_dict()))
-                    if f"{block.source}:{block.page}:{digest}" not in ckpt.completed:
-                        pending += 1
-            plans.append(StagePlan(stage="judge", pending=pending, backend_calls=pending))
-
-    if "reason" in stages:
-        judged_path = output_dir / "judged.jsonl"
-        if not judged_path.exists():
-            plans.append(StagePlan(stage="reason", pending=None, backend_calls=None))
-        else:
-            ckpt = StageCheckpoint.load("reason", ckpt_dir / "reason.ckpt")
-            pending = 0
-            for row in read_jsonl(judged_path):
-                block = MentionBlock.from_dict(row["block"])
-                verdicts = [JudgeVerdict.from_dict(v) for v in row.get("verdicts", [])]
-                survivors = tuple(
-                    _enriched_mention(m, v)
-                    for m, v in zip(block.datasets, verdicts)
-                    if v.valid
-                )
-                if not survivors:
-                    continue
-                survivor_block = replace(block, datasets=survivors)
-                digest = request_digest("reasoner", canonical_json(survivor_block.to_dict()))
-                if f"{block.source}:{block.page}:{digest}" not in ckpt.completed:
-                    pending += 1
-            plans.append(StagePlan(stage="reason", pending=pending, backend_calls=pending))
-
+        for key, _, _, user_content, _ in _keyed_items(spec, source):
+            if key not in done.completed:
+                pending += 1
+                calls += bool(user_content.strip())  # a blank page costs no call
+        plans.append(StagePlan(stage=spec.name, pending=pending, backend_calls=calls))
     return plans
 
 

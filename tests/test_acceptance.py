@@ -19,12 +19,12 @@ from datamentions import (
     DocumentRecord,
     GroundTruthRecord,
     MentionBlock,
+    MockChatBackend,
     PageRecord,
     fbeta,
     filter_pages,
     jaccard,
     match_mentions,
-    mock_backend,
     reason_mentions,
     request_digest,
     run_pipeline,
@@ -120,7 +120,7 @@ def test_criterion_5_agent_response_parsing(data_dir) -> None:
     payload = json.loads((data_dir / "report_review_block.json").read_text(encoding="utf-8"))
     block, _ = parse_mention_block(payload)
     response = (data_dir / "report_review_response.txt").read_text(encoding="utf-8")
-    backend = mock_backend(
+    backend = MockChatBackend(
         {("reasoner", request_digest("reasoner", canonical_json(block.to_dict()))): response}
     )
     assessments = reason_mentions(block, backend)
@@ -150,7 +150,7 @@ def test_criterion_6_retention_ratio(tmp_path) -> None:
         cases.append((page, names, [True] * 10, agent))
     assert invalid_budget == 0
 
-    backend = mock_backend(pipeline_script(cases))
+    backend = MockChatBackend(pipeline_script(cases))
     started = time.monotonic()
     stats = run_pipeline([c[0] for c in cases], backend, output_dir=tmp_path)
     elapsed = time.monotonic() - started

@@ -19,11 +19,8 @@ from datamentions import (
     UnscriptedInput,
     extract_json_payload,
     load_templates,
-    mock_backend,
-    render_prompt,
     request_digest,
 )
-from datamentions.errors import UnknownTemplate
 
 from stubserver import StubServer
 
@@ -52,11 +49,6 @@ def test_load_templates_from_directory(tmp_path) -> None:
         (tmp_path / f"{template_id}.txt").write_text(f"custom {template_id}\n")
     templates = load_templates(tmp_path)
     assert templates["judge"].body == "custom judge\n"
-
-
-def test_render_prompt_unknown_template() -> None:
-    with pytest.raises(UnknownTemplate):
-        render_prompt("summarizer")
 
 
 def test_chat_request_validation() -> None:
@@ -143,7 +135,7 @@ def test_unknown_mode_rejected() -> None:
 def test_mock_backend_answers_scripted_requests() -> None:
     templates = load_templates()
     digest = request_digest("extractor", "some page")
-    backend = mock_backend({("extractor", digest): "[]"}, templates=templates)
+    backend = MockChatBackend({("extractor", digest): "[]"}, templates=templates)
     request = ChatRequest(
         model_name="m",
         system_prompt=templates["extractor"].body,
@@ -157,7 +149,7 @@ def test_mock_backend_answers_scripted_requests() -> None:
 def test_mock_backend_accepts_stage_aliases() -> None:
     templates = load_templates()
     digest = request_digest("reasoner", "block")
-    backend = mock_backend({("reason", digest): "ok"}, templates=templates)
+    backend = MockChatBackend({("reason", digest): "ok"}, templates=templates)
     request = ChatRequest(
         model_name="m", system_prompt=templates["reasoner"].body, user_content="block"
     )
@@ -165,7 +157,7 @@ def test_mock_backend_accepts_stage_aliases() -> None:
 
 
 def test_mock_backend_rejects_unknown_system_prompt() -> None:
-    backend = mock_backend({})
+    backend = MockChatBackend({})
     request = ChatRequest(model_name="m", system_prompt="who are you", user_content="hi")
     with pytest.raises(UnscriptedInput):
         backend.complete(request)
@@ -173,7 +165,7 @@ def test_mock_backend_rejects_unknown_system_prompt() -> None:
 
 def test_mock_backend_rejects_unscripted_content() -> None:
     templates = load_templates()
-    backend = mock_backend({}, templates=templates)
+    backend = MockChatBackend({}, templates=templates)
     request = ChatRequest(
         model_name="m", system_prompt=templates["judge"].body, user_content="surprise"
     )

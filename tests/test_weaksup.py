@@ -8,6 +8,7 @@ from datamentions import (
     ArityMismatch,
     ChatRequest,
     MentionBlock,
+    MockChatBackend,
     PageRecord,
     PipelineInterrupted,
     RetriesExhausted,
@@ -15,13 +16,12 @@ from datamentions import (
     export_finetune_records,
     extract_mentions,
     judge_mentions,
-    mock_backend,
     plan_pipeline,
     reason_mentions,
     request_digest,
     run_pipeline,
 )
-from datamentions.errors import MissingField
+from datamentions.errors import InvalidRecord, MissingField
 from datamentions.records import canonical_json, parse_mention_block, read_jsonl
 from datamentions.weaksup import STAGES, compute_stats
 from pipeline_fixtures import (
@@ -45,7 +45,7 @@ def _page(number: int, text: str, doc_id: str = DOC) -> PageRecord:
 
 
 def test_extract_empty_page_skips_the_backend() -> None:
-    backend = mock_backend({})
+    backend = MockChatBackend({})
     assert extract_mentions(_page(1, "   \n "), backend) == []
     assert backend.calls == []
 
@@ -59,7 +59,7 @@ def test_extract_groups_flat_mentions_by_sentence() -> None:
             {"raw_name": "DHS", "mentioned_in": "The DHS appears later."},
         ]
     )
-    backend = mock_backend(
+    backend = MockChatBackend(
         {("extractor", request_digest("extractor", page.text)): response}
     )
     blocks = extract_mentions(page, backend)
@@ -80,7 +80,7 @@ def test_extract_accepts_wrapper_object_and_block_shapes() -> None:
             ]
         }
     )
-    backend = mock_backend(
+    backend = MockChatBackend(
         {("extractor", request_digest("extractor", page.text)): response}
     )
     blocks = extract_mentions(page, backend)
@@ -96,7 +96,7 @@ def test_extract_drops_invalid_and_collapses_duplicates() -> None:
             {"raw_name": "  ", "mentioned_in": "s"},
         ]
     )
-    backend = mock_backend(
+    backend = MockChatBackend(
         {("extractor", request_digest("extractor", page.text)): response}
     )
     blocks = extract_mentions(page, backend)
@@ -105,7 +105,7 @@ def test_extract_drops_invalid_and_collapses_duplicates() -> None:
 
 def test_extract_requires_a_sentence_for_flat_entries() -> None:
     page = _page(4, "whatever")
-    backend = mock_backend(
+    backend = MockChatBackend(
         {
             ("extractor", request_digest("extractor", page.text)): json.dumps(
                 [{"raw_name": "X"}]
@@ -119,7 +119,7 @@ def test_extract_requires_a_sentence_for_flat_entries() -> None:
 def test_extract_parses_fenced_reply_as_fallback() -> None:
     page = _page(5, "Fenced reply page.")
     response = 'Here are the mentions:\n```json\n[{"raw_name": "X", "mentioned_in": "s"}]\n```'
-    backend = mock_backend(
+    backend = MockChatBackend(
         {("extractor", request_digest("extractor", page.text)): response}
     )
     blocks = extract_mentions(page, backend)
@@ -131,7 +131,7 @@ def test_extract_parses_fenced_reply_as_fallback() -> None:
 
 
 def _judged(block: MentionBlock, response: str):
-    backend = mock_backend(
+    backend = MockChatBackend(
         {("judge", request_digest("judge", canonical_json(block.to_dict()))): response}
     )
     return judge_mentions(block, backend)
@@ -180,7 +180,7 @@ def test_judge_requires_reason() -> None:
 
 
 def _reasoned(block: MentionBlock, response: str):
-    backend = mock_backend(
+    backend = MockChatBackend(
         {
             (
                 "reasoner",
@@ -313,7 +313,7 @@ def _standard_cases() -> list[tuple[PageRecord, list[str], list[bool], list[bool
 
 def test_run_pipeline_end_to_end(tmp_path) -> None:
     cases = _standard_cases()
-    backend = mock_backend(_pipeline_script(cases))
+    backend = MockChatBackend(_pipeline_script(cases))
     stats = run_pipeline(
         [case[0] for case in cases], backend, output_dir=tmp_path / "out"
     )
@@ -343,13 +343,13 @@ def test_rerun_is_idempotent_and_call_free(tmp_path) -> None:
     pages = [case[0] for case in cases]
     out = tmp_path / "out"
 
-    first = mock_backend(script)
+    first = MockChatBackend(script)
     run_pipeline(pages, first, output_dir=out)
     snapshot = _read_bytes(out)
     baseline_calls = len(first.calls)
     assert baseline_calls > 0
 
-    second = mock_backend(script)
+    second = MockChatBackend(script)
     run_pipeline(pages, second, output_dir=out)
     assert second.calls == []
     assert _read_bytes(out) == snapshot
@@ -375,15 +375,15 @@ def test_interrupted_run_resumes_byte_identically(tmp_path) -> None:
     pages = [case[0] for case in cases]
 
     uninterrupted = tmp_path / "full"
-    run_pipeline(pages, mock_backend(script), output_dir=uninterrupted)
+    run_pipeline(pages, MockChatBackend(script), output_dir=uninterrupted)
 
     interrupted = tmp_path / "partial"
-    flaky = _FailsAfter(mock_backend(script), budget=2)
+    flaky = _FailsAfter(MockChatBackend(script), budget=2)
     with pytest.raises(PipelineInterrupted) as excinfo:
         run_pipeline(pages, flaky, output_dir=interrupted)
     assert excinfo.value.progressed
 
-    resumed = mock_backend(script)
+    resumed = MockChatBackend(script)
     run_pipeline(pages, resumed, output_dir=interrupted)
     assert _read_bytes(interrupted) == _read_bytes(uninterrupted)
 
@@ -398,7 +398,7 @@ def test_interrupted_run_resumes_byte_identically(tmp_path) -> None:
 def test_outage_before_any_progress_is_not_resumable(tmp_path) -> None:
     cases = _standard_cases()
     pages = [case[0] for case in cases]
-    dead_on_arrival = _FailsAfter(mock_backend({}), budget=0)
+    dead_on_arrival = _FailsAfter(MockChatBackend({}), budget=0)
     with pytest.raises(PipelineInterrupted) as excinfo:
         run_pipeline(pages, dead_on_arrival, output_dir=tmp_path / "out")
     assert not excinfo.value.progressed
@@ -411,7 +411,7 @@ def test_malformed_item_is_quarantined_not_fatal(tmp_path) -> None:
     script[("extractor", request_digest("extractor", poisoned_page.text))] = "{not json"
     pages = [case[0] for case in cases] + [poisoned_page]
 
-    backend = mock_backend(script)
+    backend = MockChatBackend(script)
     stats = run_pipeline(pages, backend, output_dir=tmp_path / "out", item_attempts=3)
     assert stats.pages_processed == 5  # the poisoned page never yields a row
 
@@ -429,7 +429,7 @@ def test_stage_barriers_require_prior_outputs(tmp_path) -> None:
     from datamentions.errors import InvalidRecord
 
     with pytest.raises(InvalidRecord):
-        run_pipeline([], mock_backend({}), output_dir=tmp_path / "out", stages=("judge",))
+        run_pipeline([], MockChatBackend({}), output_dir=tmp_path / "out", stages=("judge",))
 
 
 def test_missing_output_file_restarts_the_stage(tmp_path) -> None:
@@ -437,11 +437,11 @@ def test_missing_output_file_restarts_the_stage(tmp_path) -> None:
     script = _pipeline_script(cases)
     pages = [case[0] for case in cases]
     out = tmp_path / "out"
-    run_pipeline(pages, mock_backend(script), output_dir=out, stages=("extract",))
+    run_pipeline(pages, MockChatBackend(script), output_dir=out, stages=("extract",))
     snapshot = (out / "extracted.jsonl").read_bytes()
 
     (out / "extracted.jsonl").unlink()
-    redone = mock_backend(script)
+    redone = MockChatBackend(script)
     run_pipeline(pages, redone, output_dir=out, stages=("extract",))
     assert (out / "extracted.jsonl").read_bytes() == snapshot
     assert len(redone.calls) == 4  # one per page with text; the blank page is free
@@ -458,9 +458,80 @@ def test_plan_pipeline_counts_pending_calls(tmp_path) -> None:
     assert plans[0].backend_calls == 4  # the blank page needs no call
     assert plans[1].pending is None  # no extraction output yet
 
-    run_pipeline(pages, mock_backend(_pipeline_script(cases)), output_dir=out)
+    run_pipeline(pages, MockChatBackend(_pipeline_script(cases)), output_dir=out)
     plans = plan_pipeline(pages, output_dir=out)
     assert all(p.pending == 0 and p.backend_calls == 0 for p in plans)
+
+
+def test_unknown_stage_names_are_rejected_by_run_and_plan(tmp_path) -> None:
+    with pytest.raises(InvalidRecord):
+        plan_pipeline([], output_dir=tmp_path / "out", stages=("bogus",))
+    with pytest.raises(InvalidRecord):
+        run_pipeline([], MockChatBackend({}), output_dir=tmp_path / "out", stages=("bogus",))
+
+
+def test_plan_counts_the_calls_a_resumed_run_issues(tmp_path) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    full = MockChatBackend(script)
+    run_pipeline(pages, full, output_dir=tmp_path / "full")
+    template_of = {"extract": "extractor", "judge": "judge", "reason": "reasoner"}
+
+    for budget in range(len(full.calls)):
+        out = tmp_path / f"budget{budget}"
+        with pytest.raises(PipelineInterrupted):
+            run_pipeline(pages, _FailsAfter(MockChatBackend(script), budget), output_dir=out)
+        # later stages read inputs the resumed run has yet to finish writing
+        plan = next(p for p in plan_pipeline(pages, output_dir=out) if p.pending)
+        resumed = MockChatBackend(script)
+        run_pipeline(pages, resumed, output_dir=out)
+        issued = [t for t, _ in resumed.calls if t == template_of[plan.stage]]
+        assert plan.backend_calls == len(issued), (budget, plan)
+
+
+def _outputs(directory) -> dict[str, bytes]:
+    names = ["stats.json", *(f"checkpoints/{stage}.ckpt" for stage in STAGES)]
+    return {**_read_bytes(directory), **{n: (directory / n).read_bytes() for n in names}}
+
+
+def test_threaded_run_matches_serial_run_byte_for_byte(tmp_path) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    poisoned_page = _page(9, "This page draws a broken reply.")
+    script[("extractor", request_digest("extractor", poisoned_page.text))] = "{not json"
+    pages = [case[0] for case in cases] + [poisoned_page]
+
+    for workers in (1, 4):
+        run_pipeline(pages, MockChatBackend(script), output_dir=tmp_path / f"w{workers}",
+                     workers=workers)
+    assert _outputs(tmp_path / "w4") == _outputs(tmp_path / "w1")
+    assert len(list(read_jsonl(tmp_path / "w4" / "deadletter.jsonl"))) == 1
+
+
+def test_torn_checkpoint_tail_is_redone_on_resume(tmp_path) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    uninterrupted = tmp_path / "full"
+    run_pipeline(pages, MockChatBackend(script), output_dir=uninterrupted)
+
+    out = tmp_path / "torn"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    ckpt = out / "checkpoints" / "judge.ckpt"
+    committed = ckpt.read_bytes()
+    ckpt.write_bytes(committed[:-7])  # a kill in the middle of the last commit
+    torn_key = json.loads(committed.splitlines()[-1])["key"]
+
+    resumed = MockChatBackend(script)
+    run_pipeline(pages, resumed, output_dir=out)
+    assert resumed.calls == [("judge", torn_key.rsplit(":", 1)[1])]
+    assert _outputs(out) == _outputs(uninterrupted)
+
+    # a complete line that is not JSON is damage, not a torn tail
+    ckpt.write_bytes(committed + b'{"key": \n')
+    with pytest.raises(json.JSONDecodeError):
+        run_pipeline(pages, MockChatBackend(script), output_dir=out)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +549,7 @@ def test_export_finetune_records(tmp_path) -> None:
     cases = _standard_cases()
     pages = [case[0] for case in cases]
     out = tmp_path / "out"
-    run_pipeline(pages, mock_backend(_pipeline_script(cases)), output_dir=out)
+    run_pipeline(pages, MockChatBackend(_pipeline_script(cases)), output_dir=out)
 
     export_path = tmp_path / "finetune.jsonl"
     count = export_finetune_records(pages, out / "assessed.jsonl", export_path, "train")
