@@ -4,89 +4,17 @@ The package covers the full workflow: corpus acquisition and page storage,
 keyword/remote gating of pages, a three-stage chat-model labeling pipeline
 (extract, judge, reason) with resumable checkpoints, fine-tuning export,
 deterministic sampling and splitting, and token-overlap-based scoring.
+
+The package root re-exports only the names of the README's library section;
+everything else is imported from its own module (``datamentions.records``,
+``datamentions.errors``, ...).
 """
 
 from __future__ import annotations
 
-from .config import PipelineConfig, load_config
-from .corpus import CorpusStore, MetadataClient, convert_pdf_to_pages, fetch_pdf, search_paper_by_title
-from .errors import (
-    ArityMismatch,
-    BackendError,
-    BadEnum,
-    ConfigError,
-    ConverterFailed,
-    DataMentionsError,
-    EmptyOutput,
-    InputError,
-    InvalidRecord,
-    InvalidSpec,
-    MalformedResponse,
-    MalformedScore,
-    MissingField,
-    MultiplePayloads,
-    NetworkError,
-    NoPayloadFound,
-    ParseError,
-    PipelineInterrupted,
-    PopulationTooSmall,
-    RateLimited,
-    RetriesExhausted,
-    Timeout,
-    UnscriptedInput,
-    ValidityCouplingViolation,
-)
-from .evalkit import (
-    MatchConfig,
-    MatchResult,
-    ScoreReport,
-    fbeta,
-    import_predictions,
-    jaccard,
-    match_mentions,
-    precision_recall,
-    render_report,
-    score,
-    score_records,
-)
-from .gate import (
-    AlwaysPassGate,
-    GateDecision,
-    KeywordGate,
-    PageGate,
-    RemoteGate,
-    evaluate_gate,
-    filter_pages,
-)
-from .llm import (
-    ChatBackend,
-    ChatRequest,
-    ChatResponse,
-    MockChatBackend,
-    PromptTemplate,
-    RemoteChatBackend,
-    extract_json_payload,
-    load_templates,
-    request_digest,
-)
-from .records import (
-    AgentAssessment,
-    DatasetMention,
-    DocumentRecord,
-    GroundTruthRecord,
-    JudgeVerdict,
-    MentionBlock,
-    PageRecord,
-    PredictionRecord,
-    parse_mention_block,
-    validate_mention,
-)
-from .retries import RetryPolicy, send_with_retries
-from .splits import SplitResult, SplitSpec, import_annotations, sample_pages, split
-from .textnorm import normalize_tokens
+from .evalkit import match_mentions, render_report, score
+from .llm import ChatResponse, MockChatBackend, RemoteChatBackend
 from .weaksup import (
-    PipelineStats,
-    export_finetune_records,
     extract_mentions,
     judge_mentions,
     plan_pipeline,
@@ -97,88 +25,16 @@ from .weaksup import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentAssessment",
-    "AlwaysPassGate",
-    "ArityMismatch",
-    "BackendError",
-    "BadEnum",
-    "ChatBackend",
-    "ChatRequest",
     "ChatResponse",
-    "ConfigError",
-    "ConverterFailed",
-    "CorpusStore",
-    "DataMentionsError",
-    "DatasetMention",
-    "DocumentRecord",
-    "EmptyOutput",
-    "GateDecision",
-    "GroundTruthRecord",
-    "InputError",
-    "InvalidRecord",
-    "InvalidSpec",
-    "JudgeVerdict",
-    "KeywordGate",
-    "MalformedResponse",
-    "MalformedScore",
-    "MatchConfig",
-    "MatchResult",
-    "MentionBlock",
-    "MetadataClient",
-    "MissingField",
     "MockChatBackend",
-    "MultiplePayloads",
-    "NetworkError",
-    "NoPayloadFound",
-    "PageGate",
-    "PageRecord",
-    "ParseError",
-    "PipelineConfig",
-    "PipelineInterrupted",
-    "PipelineStats",
-    "PopulationTooSmall",
-    "PredictionRecord",
-    "PromptTemplate",
-    "RateLimited",
     "RemoteChatBackend",
-    "RemoteGate",
-    "RetriesExhausted",
-    "RetryPolicy",
-    "ScoreReport",
-    "SplitResult",
-    "SplitSpec",
-    "Timeout",
-    "UnscriptedInput",
-    "ValidityCouplingViolation",
-    "convert_pdf_to_pages",
-    "evaluate_gate",
-    "export_finetune_records",
-    "extract_json_payload",
     "extract_mentions",
-    "fbeta",
-    "fetch_pdf",
-    "filter_pages",
-    "import_annotations",
-    "import_predictions",
-    "jaccard",
     "judge_mentions",
-    "load_config",
-    "load_templates",
     "match_mentions",
-    "normalize_tokens",
-    "parse_mention_block",
     "plan_pipeline",
-    "precision_recall",
     "reason_mentions",
     "render_report",
-    "request_digest",
     "run_pipeline",
-    "sample_pages",
     "score",
-    "score_records",
-    "search_paper_by_title",
-    "send_with_retries",
-    "split",
-    "validate_mention",
     "__version__",
 ]

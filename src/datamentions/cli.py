@@ -38,6 +38,7 @@ from .retries import RetryPolicy
 from .splits import SplitSpec, import_annotations, sample_pages, split
 from .weaksup import (
     STAGES,
+    PipelineStats,
     export_finetune_records,
     plan_pipeline,
     run_pipeline,
@@ -115,6 +116,26 @@ def _load_pages(cfg: PipelineConfig, pages_file: str | None) -> list[PageRecord]
             raise InputError(f"pages file {path} does not exist")
         return [PageRecord.from_dict(row) for row in read_jsonl(path)]
     return CorpusStore(cfg.corpus_dir).iter_pages()
+
+
+def _run_locked(
+    cfg: PipelineConfig, pages: list[PageRecord], output_dir: Path, stages: Sequence[str]
+) -> PipelineStats:
+    """Run ``stages`` on ``pages`` into ``output_dir`` under its advisory lock."""
+    backend = _build_backend(cfg)
+    with _advisory_lock(output_dir):
+        return run_pipeline(
+            pages,
+            backend,
+            output_dir=output_dir,
+            stages=stages,
+            templates=load_templates(cfg.prompts_dir),
+            model_name=cfg.model_name,
+            temperature=cfg.temperature,
+            max_output_tokens=cfg.max_output_tokens,
+            item_attempts=cfg.item_attempts,
+            workers=cfg.concurrency,
+        )
 
 
 def _apply_decisions(pages: list[PageRecord], decisions_file: str) -> list[PageRecord]:
@@ -213,20 +234,7 @@ def cmd_generate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         print(f"total backend calls: {'unknown' if total is None else total}")
         return EXIT_OK
 
-    backend = _build_backend(cfg)
-    with _advisory_lock(cfg.output_dir):
-        stats = run_pipeline(
-            pages,
-            backend,
-            output_dir=cfg.output_dir,
-            stages=stages,
-            templates=load_templates(cfg.prompts_dir),
-            model_name=cfg.model_name,
-            temperature=cfg.temperature,
-            max_output_tokens=cfg.max_output_tokens,
-            item_attempts=cfg.item_attempts,
-            workers=cfg.concurrency,
-        )
+    stats = _run_locked(cfg, pages, cfg.output_dir, stages)
     dead = cfg.output_dir / "deadletter.jsonl"
     if dead.exists() and dead.stat().st_size > 0:
         log.warning("some items were quarantined; inspect %s", dead)
@@ -297,21 +305,8 @@ def cmd_infer(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     pages = _load_pages(cfg, args.pages)
     gate = _build_gate(cfg)
     passed, decisions = filter_pages(pages, gate, cfg.gate_threshold)
-    backend = _build_backend(cfg)
     infer_dir = cfg.output_dir / "infer"
-    with _advisory_lock(infer_dir):
-        run_pipeline(
-            passed,
-            backend,
-            output_dir=infer_dir,
-            stages=("extract",),
-            templates=load_templates(cfg.prompts_dir),
-            model_name=cfg.model_name,
-            temperature=cfg.temperature,
-            max_output_tokens=cfg.max_output_tokens,
-            item_attempts=cfg.item_attempts,
-            workers=cfg.concurrency,
-        )
+    _run_locked(cfg, passed, infer_dir, ("extract",))
     names_by_page: dict[tuple[str, int], list[str]] = {}
     for row in read_jsonl(infer_dir / "extracted.jsonl"):
         names = [

@@ -35,6 +35,7 @@ from .retries import RetryPolicy, send_with_retries
 log = logging.getLogger(__name__)
 
 SEARCH_FIELDS = "title,year,abstract,citationCount,isOpenAccess,openAccessPdf"
+PAGE_DELIMITER = "\f"
 
 __all__ = [
     "CorpusStore",
@@ -265,14 +266,12 @@ def convert_pdf_to_pages(
     doc_id: str,
     pdf_path: str | Path,
     converter: Sequence[str],
-    *,
-    page_delimiter: str = "\f",
 ) -> Iterator[PageRecord]:
     """Run the external PDF-to-text command and yield one record per page.
 
     ``converter`` is an argv template; every occurrence of ``{pdf}`` is
     replaced with the PDF path. The command must print page text to stdout
-    with pages separated by ``page_delimiter`` (form feed, the common
+    with pages separated by :data:`PAGE_DELIMITER` (form feed, the common
     convention for text extractors).
     """
     pdf_path = Path(pdf_path)
@@ -289,7 +288,7 @@ def convert_pdf_to_pages(
             returncode=proc.returncode,
             stderr=proc.stderr[-2000:],
         )
-    chunks = proc.stdout.split(page_delimiter)
+    chunks = proc.stdout.split(PAGE_DELIMITER)
     if chunks and chunks[-1].strip() == "":
         chunks.pop()  # extractors commonly emit a trailing delimiter
     if not chunks or all(not c.strip() for c in chunks):

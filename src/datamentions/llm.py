@@ -31,6 +31,7 @@ from .errors import (
     UnknownTemplate,
     UnscriptedInput,
 )
+from .records import read_jsonl
 from .retries import RetryPolicy, send_with_retries
 
 TEMPLATE_IDS = ("extractor", "judge", "reasoner")
@@ -224,18 +225,13 @@ class MockChatBackend:
         """
         templates = templates or load_templates()
         script: dict[tuple[str, str], str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                stage = _STAGE_ALIASES.get(entry["stage"], entry["stage"])
-                if "digest" in entry:
-                    digest = entry["digest"]
-                else:
-                    digest = request_digest(stage, entry["user_content"])
-                script[(stage, digest)] = entry["response"]
+        for entry in read_jsonl(path):
+            stage = _STAGE_ALIASES.get(entry["stage"], entry["stage"])
+            if "digest" in entry:
+                digest = entry["digest"]
+            else:
+                digest = request_digest(stage, entry["user_content"])
+            script[(stage, digest)] = entry["response"]
         return cls(script, templates=templates, call_log=call_log)
 
     def complete(self, request: ChatRequest) -> ChatResponse:

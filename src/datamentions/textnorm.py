@@ -1,7 +1,7 @@
 """Token normalization shared by validation and scoring.
 
-A string is reduced to its set of unique lowercase alphanumeric tokens:
-every non-alphanumeric character acts as a separator, empty tokens are
+A string is reduced to its set of unique lowercase ASCII alphanumeric
+tokens: every other character acts as a separator, empty tokens are
 dropped, and duplicates collapse. This is the token convention underlying
 the Jaccard overlap metric and gold-name deduplication.
 """
@@ -11,15 +11,12 @@ from __future__ import annotations
 import re
 
 _ASCII_TOKEN = re.compile(r"[a-z0-9]+")
-_UNICODE_TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-def normalize_tokens(s: str, *, unicode_words: bool = False) -> frozenset[str]:
+def normalize_tokens(s: str) -> frozenset[str]:
     """Return the set of unique normalized tokens of ``s``.
 
-    With the default ASCII convention, accented letters count as separators
-    (``"Enquête"`` yields ``{"enqu", "te"}``). Pass ``unicode_words=True``
-    to keep letters of any script inside tokens instead.
+    Tokens are runs of ASCII letters and digits, so accented letters count
+    as separators (``"Enquête"`` yields ``{"enqu", "te"}``).
     """
-    pattern = _UNICODE_TOKEN if unicode_words else _ASCII_TOKEN
-    return frozenset(pattern.findall(s.lower()))
+    return frozenset(_ASCII_TOKEN.findall(s.lower()))

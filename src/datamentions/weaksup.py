@@ -8,7 +8,10 @@ a checkpoint, so an interrupted run resumes without repeating a single
 backend call and reproduces the uninterrupted output byte for byte; a
 checkpoint line cut short by a kill is ignored and its item done again.
 Items that keep failing after the per-item retry budget are quarantined to a
-dead-letter file rather than blocking the run.
+dead-letter file rather than blocking the run. A stage whose output file (a
+missing one counts as empty) or the dead-letter file is shorter than its
+checkpoint says is redone from scratch, and so is every later stage: their
+item keys digest its output, and dead letters are stored in stage order.
 
 One table of stage specs drives both :func:`run_pipeline` and
 :func:`plan_pipeline`, so they walk the same items under the same keys and
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -71,6 +75,8 @@ from .records import (
 log = logging.getLogger(__name__)
 
 STAGES = ("extract", "judge", "reason")
+
+_DEADLETTER_FILE = "deadletter.jsonl"
 
 # Item-level failures that quarantine one item after the retry budget;
 # anything else (network exhaustion, unscripted mocks) aborts the run.
@@ -435,18 +441,15 @@ class StageCheckpoint:
     commit that was cut short; it is ignored, so that item runs again.
     """
 
-    stage: str
     completed: set[str] = field(default_factory=set)
     output_offset: int = 0
     deadletter_offset: int = 0
     size: int = 0
 
     @classmethod
-    def load(cls, stage: str, path: Path) -> "StageCheckpoint":
-        ckpt = cls(stage=stage)
-        if not path.exists():
-            return ckpt
-        data = path.read_bytes()
+    def load(cls, path: Path) -> "StageCheckpoint":
+        ckpt = cls()
+        data = path.read_bytes() if path.exists() else b""
         ckpt.size = data.rfind(b"\n") + 1
         for line in data[: ckpt.size].decode("utf-8").split("\n"):
             line = line.strip()
@@ -459,38 +462,27 @@ class StageCheckpoint:
         return ckpt
 
 
+def _size(path: Path) -> int:
+    """Length of ``path`` in bytes; a missing file counts as empty."""
+    return path.stat().st_size if path.exists() else 0
+
+
 def _truncate(path: Path, size: int) -> None:
-    if not path.exists():
-        if size == 0:
-            path.touch()
-            return
-        raise InvalidRecord(f"cannot resume: {path} is missing")
-    with open(path, "r+b") as fh:
-        fh.truncate(size)
+    """Cut ``path`` back to ``size`` bytes; a shorter or missing file stays as it is."""
+    if _size(path) > size:
+        os.truncate(path, size)
 
 
 class _StageWriter:
     """Append-only writer committing (output, dead-letter, checkpoint) per item."""
 
-    def __init__(self, stage: str, out_path: Path, ckpt_path: Path, dead_path: Path):
-        self.out_path = out_path
-        self.ckpt_path = ckpt_path
-        self.dead_path = dead_path
-        self.checkpoint = StageCheckpoint.load(stage, ckpt_path)
-        if self.checkpoint.completed and not out_path.exists():
-            log.warning(
-                "%s: output file missing but checkpoint present; restarting stage",
-                stage,
-            )
-            ckpt_path.unlink()
-            self.checkpoint = StageCheckpoint(stage=stage)
-        _truncate(out_path, self.checkpoint.output_offset)
-        _truncate(ckpt_path, self.checkpoint.size)
+    def __init__(self, checkpoint: StageCheckpoint, output_dir: Path, spec: _StageSpec):
+        self.checkpoint = checkpoint
+        self._out = open(output_dir / spec.output_file, "a", encoding="utf-8")
+        self._dead = open(output_dir / _DEADLETTER_FILE, "a", encoding="utf-8")
+        self._ckpt = open(output_dir / spec.checkpoint_file, "a", encoding="utf-8")
 
     def __enter__(self) -> "_StageWriter":
-        self._out = open(self.out_path, "a", encoding="utf-8")
-        self._dead = open(self.dead_path, "a", encoding="utf-8")
-        self._ckpt = open(self.ckpt_path, "a", encoding="utf-8")
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -498,30 +490,17 @@ class _StageWriter:
         self._dead.close()
         self._ckpt.close()
 
-    def is_done(self, key: str) -> bool:
-        return key in self.checkpoint.completed
-
-    def commit(self, key: str, out_lines: Sequence[str], dead_lines: Sequence[str] = ()) -> None:
-        for line in out_lines:
-            self._out.write(line + "\n")
-        self._out.flush()
-        for line in dead_lines:
-            self._dead.write(line + "\n")
-        self._dead.flush()
-        self.checkpoint.output_offset = self._out.tell()
-        self.checkpoint.deadletter_offset = self._dead.tell()
-        self._ckpt.write(
-            json.dumps(
-                {
-                    "key": key,
-                    "out": self.checkpoint.output_offset,
-                    "dead": self.checkpoint.deadletter_offset,
-                }
-            )
-            + "\n"
-        )
+    def commit(self, key: str, line: str, *, dead: bool = False) -> None:
+        """Append ``line`` to the output, or to the dead-letter file, then checkpoint ``key``."""
+        fh = self._dead if dead else self._out
+        fh.write(line + "\n")
+        fh.flush()
+        ckpt = self.checkpoint
+        ckpt.output_offset, ckpt.deadletter_offset = self._out.tell(), self._dead.tell()
+        self._ckpt.write(json.dumps({"key": key, "out": ckpt.output_offset,
+                                     "dead": ckpt.deadletter_offset}) + "\n")
         self._ckpt.flush()
-        self.checkpoint.completed.add(key)
+        ckpt.completed.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +669,10 @@ class _StageSpec:
     items: Callable[[Any], Iterator[tuple[str, int, str, Any]]]
     produce: Callable[[Any, ChatBackend, Mapping[str, Any]], str]
 
+    @property
+    def checkpoint_file(self) -> str:
+        return f"checkpoints/{self.name}.ckpt"
+
 
 _STAGE_SPECS = (
     _StageSpec("extract", _STAGE_ALIASES["extract"], None, "extracted.jsonl",
@@ -707,6 +690,28 @@ def _selected_specs(stages: Sequence[str]) -> tuple[_StageSpec, ...]:
         if stage not in STAGES:
             raise InvalidRecord(f"unknown stage {stage!r}")
     return tuple(spec for spec in _STAGE_SPECS if spec.name in stages)
+
+
+def _resume_checkpoints(output_dir: Path) -> dict[str, StageCheckpoint]:
+    """Each stage's checkpoint, read once; a stage the module's redo rule hits comes back empty.
+
+    So each offset returned lies within its file, and truncating to it only
+    drops uncommitted bytes.
+    """
+    dead_size = _size(output_dir / _DEADLETTER_FILE)
+    checkpoints: dict[str, StageCheckpoint] = {}
+    redo = False
+    for spec in _STAGE_SPECS:
+        ckpt = StageCheckpoint.load(output_dir / spec.checkpoint_file)
+        if not redo and (
+            _size(output_dir / spec.output_file) < ckpt.output_offset
+            or dead_size < ckpt.deadletter_offset
+        ):
+            log.warning("%s: %s or %s is shorter than its checkpoint; redoing this stage "
+                        "and every later one", spec.name, spec.output_file, _DEADLETTER_FILE)
+            redo = True
+        checkpoints[spec.name] = StageCheckpoint() if redo else ckpt
+    return checkpoints
 
 
 def _stage_source(spec: _StageSpec, pages: Iterable[PageRecord], output_dir: Path) -> Any:
@@ -742,7 +747,7 @@ def _run_stage(
     pending = [
         (key, doc_id, page_number, subject)
         for key, doc_id, page_number, _, subject in _keyed_items(spec, source)
-        if not writer.is_done(key)
+        if key not in writer.checkpoint.completed
     ]
     if not pending:
         return
@@ -762,9 +767,10 @@ def _run_stage(
             if error is not None:
                 log.error("%s: quarantining %s after %d attempts: %s",
                           spec.name, key, item_attempts, error)
-                writer.commit(key, [], [_dead_line(spec.name, key, doc_id, page_number, error)])
+                writer.commit(key, _dead_line(spec.name, key, doc_id, page_number, error),
+                              dead=True)
             else:
-                writer.commit(key, [line])
+                writer.commit(key, line)
 
 
 def run_pipeline(
@@ -790,19 +796,14 @@ def run_pipeline(
     specs = _selected_specs(stages)
     templates = templates or load_templates()
     output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_dir = output_dir / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
-    dead_path = output_dir / "deadletter.jsonl"
+    (output_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
 
-    # dead-letter truncation must look across stages: the file interleaves
-    # their quarantines in stage order, so the high-water mark is the max
-    # recorded offset over all checkpoints
-    dead_base = 0
-    for stage in STAGES:
-        ckpt = StageCheckpoint.load(stage, ckpt_dir / f"{stage}.ckpt")
-        dead_base = max(dead_base, ckpt.deadletter_offset)
-    _truncate(dead_path, dead_base)
+    checkpoints = _resume_checkpoints(output_dir)
+    for spec in _STAGE_SPECS:  # selected or not, so a redone stage resets the later ones
+        _truncate(output_dir / spec.output_file, checkpoints[spec.name].output_offset)
+        _truncate(output_dir / spec.checkpoint_file, checkpoints[spec.name].size)
+    _truncate(output_dir / _DEADLETTER_FILE,
+              max(c.deadletter_offset for c in checkpoints.values()))
 
     stage_kwargs = {
         "templates": templates,
@@ -816,9 +817,7 @@ def run_pipeline(
             raise InvalidRecord(
                 f"{spec.name} stage requires {spec.input_file}; run the earlier stages first"
             )
-        with _StageWriter(
-            spec.name, output_dir / spec.output_file, ckpt_dir / f"{spec.name}.ckpt", dead_path
-        ) as writer:
+        with _StageWriter(checkpoints[spec.name], output_dir, spec) as writer:
             try:
                 _run_stage(spec, source, writer, backend, stage_kwargs,
                            item_attempts=item_attempts, workers=workers)
@@ -827,11 +826,9 @@ def run_pipeline(
                 # reaches here comes from reading the stage input
                 raise
             except DataMentionsError as exc:
-                progressed = any(
-                    StageCheckpoint.load(s, ckpt_dir / f"{s}.ckpt").completed for s in STAGES
-                )
                 raise PipelineInterrupted(
-                    f"pipeline stopped during a stage: {exc}", cause=exc, progressed=progressed
+                    f"pipeline stopped during a stage: {exc}", cause=exc,
+                    progressed=any(c.completed for c in checkpoints.values()),
                 ) from exc
 
     stats = compute_stats(output_dir)
@@ -859,21 +856,23 @@ def plan_pipeline(
 ) -> list[StagePlan]:
     """Describe pending work per stage without touching any backend.
 
-    Walks the same items as :func:`run_pipeline`: completed checkpoint keys
-    are excluded, and stages whose input file has not been produced yet
-    report unknown amounts.
+    Walks the same items as :func:`run_pipeline` and keeps the same
+    checkpoints: completed keys are excluded, a stage the run would redo
+    counts all its items, and stages whose input file has not been produced
+    yet report unknown amounts. Nothing is written.
     """
     output_dir = Path(output_dir)
+    checkpoints = _resume_checkpoints(output_dir)
     plans: list[StagePlan] = []
     for spec in _selected_specs(stages):
         source = _stage_source(spec, pages, output_dir)
         if source is None:
             plans.append(StagePlan(stage=spec.name, pending=None, backend_calls=None))
             continue
-        done = StageCheckpoint.load(spec.name, output_dir / "checkpoints" / f"{spec.name}.ckpt")
+        done = checkpoints[spec.name].completed
         pending = calls = 0
         for key, _, _, user_content, _ in _keyed_items(spec, source):
-            if key not in done.completed:
+            if key not in done:
                 pending += 1
                 calls += bool(user_content.strip())  # a blank page costs no call
         plans.append(StagePlan(stage=spec.name, pending=pending, backend_calls=calls))
@@ -895,15 +894,13 @@ def export_finetune_records(
     assessed: str | Path | Iterable[Mapping[str, Any]],
     out_path: str | Path,
     split_tag: str | None = None,
-    *,
-    instruction_preamble: str = DEFAULT_INSTRUCTION_PREAMBLE,
 ) -> int:
     """Write one instruction/response record per page.
 
-    The instruction frames the page text as an extraction task; the
-    response is the serialized list of agent-valid mentions, with the
-    agent's final labels applied — an empty array for mention-free pages.
-    Returns the number of records written.
+    The instruction is :data:`DEFAULT_INSTRUCTION_PREAMBLE`, a blank line
+    and the page text; the response is the serialized list of agent-valid
+    mentions, with the agent's final labels applied — an empty array for
+    mention-free pages. Returns the number of records written.
     """
     rows = assessed if not isinstance(assessed, (str, Path)) else read_jsonl(assessed)
     valid_by_page: dict[tuple[str, int], list[dict[str, Any]]] = {}
@@ -923,7 +920,7 @@ def export_finetune_records(
         for page in sorted(pages, key=lambda p: (p.doc_id, p.page_number)):
             mentions = valid_by_page.get((page.doc_id, page.page_number), [])
             record: dict[str, Any] = {
-                "instruction": f"{instruction_preamble}\n\n{page.text}",
+                "instruction": f"{DEFAULT_INSTRUCTION_PREAMBLE}\n\n{page.text}",
                 "response": json.dumps(mentions, ensure_ascii=False),
             }
             if split_tag is not None:

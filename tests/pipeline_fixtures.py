@@ -11,8 +11,8 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from datamentions import MentionBlock, PageRecord, request_digest
-from datamentions.records import canonical_json, parse_mention_block
+from datamentions.llm import request_digest
+from datamentions.records import MentionBlock, PageRecord, canonical_json, parse_mention_block
 
 Case = tuple[PageRecord, list[str], list[bool], list[bool]]
 

@@ -13,25 +13,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datamentions import (
+from datamentions import MockChatBackend, match_mentions, reason_mentions, run_pipeline
+from datamentions.cli import main
+from datamentions.evalkit import fbeta, jaccard
+from datamentions.gate import filter_pages
+from datamentions.llm import request_digest
+from datamentions.records import (
     AgentAssessment,
+    CONTEXT_VALUES,
     DatasetMention,
     DocumentRecord,
     GroundTruthRecord,
     MentionBlock,
-    MockChatBackend,
     PageRecord,
-    fbeta,
-    filter_pages,
-    jaccard,
-    match_mentions,
-    reason_mentions,
-    request_digest,
-    run_pipeline,
-)
-from datamentions.cli import main
-from datamentions.records import (
-    CONTEXT_VALUES,
     RELEVANCE_VALUES,
     SOURCE_CORPUS_VALUES,
     SPECIFICITY_VALUES,

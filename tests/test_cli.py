@@ -4,9 +4,8 @@ import json
 import sys
 from pathlib import Path
 
-from datamentions import PageRecord
 from datamentions.cli import main
-from datamentions.records import read_jsonl, write_jsonl
+from datamentions.records import PageRecord, read_jsonl, write_jsonl
 
 from pipeline_fixtures import pipeline_script, write_script_file
 from stubserver import StubServer

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from datamentions import ConfigError, PipelineConfig, load_config
+from datamentions.config import PipelineConfig, load_config
+from datamentions.errors import ConfigError
 
 
 def test_defaults_validate() -> None:

@@ -5,21 +5,23 @@ import sys
 
 import pytest
 
-from datamentions import (
-    ConverterFailed,
+from datamentions.corpus import (
     CorpusStore,
-    DocumentRecord,
-    EmptyOutput,
-    MalformedResponse,
     MetadataClient,
-    NetworkError,
-    PageRecord,
-    RetryPolicy,
     convert_pdf_to_pages,
     fetch_pdf,
     search_paper_by_title,
 )
-from datamentions.errors import NoPdfUrl, NonPdfContent
+from datamentions.errors import (
+    ConverterFailed,
+    EmptyOutput,
+    MalformedResponse,
+    NetworkError,
+    NoPdfUrl,
+    NonPdfContent,
+)
+from datamentions.records import DocumentRecord, PageRecord
+from datamentions.retries import RetryPolicy
 
 from stubserver import StubServer
 

@@ -4,23 +4,18 @@ import json
 
 import pytest
 
-from datamentions import (
-    GroundTruthRecord,
-    InvalidRecord,
+from datamentions import match_mentions, render_report, score
+from datamentions.errors import InvalidRecord, UnknownAdapter
+from datamentions.evalkit import (
     MatchConfig,
     MatchResult,
-    PredictionRecord,
     fbeta,
     import_predictions,
     jaccard,
-    match_mentions,
     precision_recall,
-    render_report,
-    score,
     score_records,
 )
-from datamentions.errors import UnknownAdapter
-from datamentions.records import read_jsonl
+from datamentions.records import GroundTruthRecord, PredictionRecord, read_jsonl
 
 from oracles import exhaustive_match_size, oracle_fbeta, oracle_jaccard
 

@@ -7,20 +7,19 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datamentions import (
+from datamentions.errors import InvalidRecord, MalformedScore, MissingLabel, NetworkError
+from datamentions.gate import (
     AlwaysPassGate,
     GateDecision,
-    InvalidRecord,
     KeywordGate,
-    MalformedScore,
-    NetworkError,
-    PageRecord,
     RemoteGate,
+    _FOLD_ONLY,
+    default_triggers,
     evaluate_gate,
     filter_pages,
+    load_triggers,
 )
-from datamentions.errors import MissingLabel
-from datamentions.gate import _FOLD_ONLY, default_triggers, load_triggers
+from datamentions.records import PageRecord
 
 from stubserver import StubServer
 

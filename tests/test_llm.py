@@ -4,23 +4,18 @@ import json
 
 import pytest
 
-from datamentions import (
+from datamentions import ChatResponse, MockChatBackend, RemoteChatBackend
+from datamentions.errors import (
     BackendError,
-    ChatRequest,
-    ChatResponse,
     MalformedResponse,
-    MockChatBackend,
     MultiplePayloads,
     NoPayloadFound,
     ParseError,
-    RemoteChatBackend,
     RetriesExhausted,
-    RetryPolicy,
     UnscriptedInput,
-    extract_json_payload,
-    load_templates,
-    request_digest,
 )
+from datamentions.llm import ChatRequest, extract_json_payload, load_templates, request_digest
+from datamentions.retries import RetryPolicy
 
 from stubserver import StubServer
 

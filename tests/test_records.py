@@ -2,22 +2,23 @@ from __future__ import annotations
 
 import pytest
 
-from datamentions import (
+from datamentions.errors import BadEnum, InvalidRecord, MissingField, ValidityCouplingViolation
+from datamentions.records import (
     AgentAssessment,
-    BadEnum,
     DatasetMention,
     DocumentRecord,
     GroundTruthRecord,
-    InvalidRecord,
     JudgeVerdict,
     MentionBlock,
-    MissingField,
     PageRecord,
-    ValidityCouplingViolation,
+    clean_optional,
+    dumps_line,
+    is_doc_id,
     parse_mention_block,
+    read_jsonl,
     validate_mention,
+    write_jsonl,
 )
-from datamentions.records import clean_optional, dumps_line, is_doc_id, read_jsonl, write_jsonl
 
 DOC = "a" * 40
 

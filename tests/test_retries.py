@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import pytest
 import requests
 
-from datamentions import RateLimited, RetriesExhausted, RetryPolicy, Timeout, send_with_retries
+from datamentions.errors import RateLimited, RetriesExhausted, Timeout
+from datamentions.retries import RetryPolicy, send_with_retries
 
 
 def _response(status: int, headers: dict | None = None) -> SimpleNamespace:

@@ -4,16 +4,9 @@ import json
 
 import pytest
 
-from datamentions import (
-    InvalidSpec,
-    PageRecord,
-    PopulationTooSmall,
-    SplitSpec,
-    import_annotations,
-    sample_pages,
-    split,
-)
-from datamentions.errors import UnknownFormat
+from datamentions.errors import InvalidSpec, PopulationTooSmall, UnknownFormat
+from datamentions.records import PageRecord
+from datamentions.splits import SplitSpec, import_annotations, sample_pages, split
 
 DOC = "9" * 40
 

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datamentions import normalize_tokens
+from datamentions.textnorm import normalize_tokens
 
 from oracles import oracle_tokens
 

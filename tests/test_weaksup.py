@@ -5,25 +5,30 @@ import json
 import pytest
 
 from datamentions import (
-    ArityMismatch,
-    ChatRequest,
-    MentionBlock,
     MockChatBackend,
-    PageRecord,
-    PipelineInterrupted,
-    RetriesExhausted,
-    ValidityCouplingViolation,
-    export_finetune_records,
     extract_mentions,
     judge_mentions,
     plan_pipeline,
     reason_mentions,
-    request_digest,
     run_pipeline,
 )
-from datamentions.errors import InvalidRecord, MissingField
-from datamentions.records import canonical_json, parse_mention_block, read_jsonl
-from datamentions.weaksup import STAGES, compute_stats
+from datamentions.errors import (
+    ArityMismatch,
+    InvalidRecord,
+    MissingField,
+    PipelineInterrupted,
+    RetriesExhausted,
+    ValidityCouplingViolation,
+)
+from datamentions.llm import ChatRequest, request_digest
+from datamentions.records import (
+    MentionBlock,
+    PageRecord,
+    canonical_json,
+    parse_mention_block,
+    read_jsonl,
+)
+from datamentions.weaksup import STAGES, StageCheckpoint, compute_stats, export_finetune_records
 from pipeline_fixtures import (
     block_for as _block_for,
     judge_response as _judge_response,
@@ -532,6 +537,99 @@ def test_torn_checkpoint_tail_is_redone_on_resume(tmp_path) -> None:
     ckpt.write_bytes(committed + b'{"key": \n')
     with pytest.raises(json.JSONDecodeError):
         run_pipeline(pages, MockChatBackend(script), output_dir=out)
+
+
+# ---------------------------------------------------------------------------
+# damaged outputs and checkpoint reads
+
+
+@pytest.mark.parametrize(
+    "damaged, keep, redone",
+    [
+        ("extracted.jsonl", None, ("extractor", "judge", "reasoner")),  # None: deleted
+        ("judged.jsonl", 0.5, ("judge", "reasoner")),
+        ("deadletter.jsonl", 0.5, ("extractor", "judge", "reasoner")),
+    ],
+)
+def test_short_file_redoes_its_stage_and_every_later_one(tmp_path, damaged, keep, redone) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    poisoned_page = _page(9, "This page draws a broken reply.")  # one extract dead letter
+    script[("extractor", request_digest("extractor", poisoned_page.text))] = "{not json"
+    pages = [case[0] for case in cases] + [poisoned_page]
+    full = MockChatBackend(script)
+    run_pipeline(pages, full, output_dir=tmp_path / "full")
+
+    out = tmp_path / "damaged"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    path = out / damaged
+    if keep is None:
+        path.unlink()
+    else:
+        path.write_bytes(path.read_bytes()[: int(path.stat().st_size * keep)])
+
+    resumed = MockChatBackend(script)
+    run_pipeline(pages, resumed, output_dir=out)
+    assert resumed.calls == [call for call in full.calls if call[0] in redone]
+    assert _outputs(out) == _outputs(tmp_path / "full")
+    assert all(b"\0" not in data for data in _outputs(out).values())
+
+
+def _tree(directory) -> dict[str, bytes]:
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_plan_after_a_deleted_output_counts_the_redone_stages(tmp_path) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    full = tmp_path / "full"
+    run_pipeline(pages, MockChatBackend(script), output_dir=full)
+    items = {s: len((full / f"checkpoints/{s}.ckpt").read_bytes().splitlines()) for s in STAGES}
+
+    for deleted, expected in (
+        ("judged.jsonl", {"extract": 0, "judge": items["judge"], "reason": None}),
+        ("extracted.jsonl", {"extract": items["extract"], "judge": None,
+                             "reason": items["reason"]}),
+    ):
+        out = tmp_path / deleted
+        run_pipeline(pages, MockChatBackend(script), output_dir=out)
+        (out / deleted).unlink()
+        before = _tree(out)
+        plans = plan_pipeline(pages, output_dir=out)
+        assert {p.stage: p.pending for p in plans} == expected, deleted
+        assert _tree(out) == before  # planning writes nothing
+
+
+def test_each_checkpoint_is_read_once_per_call(tmp_path, monkeypatch) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    loads: list[str] = []
+    load = StageCheckpoint.load.__func__
+
+    def counted(cls, path):
+        loads.append(path.name)
+        return load(cls, path)
+
+    monkeypatch.setattr(StageCheckpoint, "load", classmethod(counted))
+    once_each = ["extract.ckpt", "judge.ckpt", "reason.ckpt"]
+
+    run_pipeline(pages, MockChatBackend(script), output_dir=tmp_path / "done")
+    loads.clear()
+    run_pipeline(pages, MockChatBackend(script), output_dir=tmp_path / "done")  # no-op rerun
+    assert sorted(loads) == once_each
+
+    loads.clear()
+    with pytest.raises(PipelineInterrupted):
+        run_pipeline(pages, _FailsAfter(MockChatBackend(script), 3),
+                     output_dir=tmp_path / "interrupted")
+    assert sorted(loads) == once_each
+
+    loads.clear()
+    plan_pipeline(pages, output_dir=tmp_path / "interrupted")
+    assert sorted(loads) == once_each
 
 
 # ---------------------------------------------------------------------------
