@@ -9,6 +9,7 @@ failure, 5 partial completion (progress checkpointed, resumable).
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import logging
 import os
@@ -59,22 +60,36 @@ EXIT_PARTIAL = 5
 
 @contextmanager
 def _advisory_lock(directory: Path) -> Iterator[None]:
-    """Guard an output directory against concurrent invocations."""
+    """Guard an output directory against concurrent invocations.
+
+    The lock is an exclusive ``flock`` on ``directory/.lock``. The kernel
+    releases it when its holder exits, however that happens, so a file left
+    behind by a crash blocks nothing. The holder removes the file before it
+    releases the lock; a run that locked the removed file meanwhile finds
+    that the path names another file, or none, and tries again.
+    """
     directory.mkdir(parents=True, exist_ok=True)
     lock = directory / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise InputError(
-            f"output directory {directory} is locked by another run "
-            f"(remove {lock} if stale)"
-        ) from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
+    while True:
+        fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise InputError(f"output directory {directory} is locked by another run") from None
+        try:
+            if os.path.samestat(os.fstat(fd), os.stat(lock)):
+                break
+        except FileNotFoundError:
+            pass
         os.close(fd)
+    try:
+        os.ftruncate(fd, 0)
+        os.write(fd, f"{os.getpid()}\n".encode())
         yield
     finally:
         lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _retry_policy(cfg: PipelineConfig) -> RetryPolicy:

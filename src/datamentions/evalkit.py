@@ -1,11 +1,12 @@
 """Token-overlap evaluation: Jaccard matching and precision/recall/Fβ.
 
 Predicted and gold dataset names are compared as sets of unique normalized
-tokens. A prediction matches a gold name when their Jaccard overlap is
-strictly greater than the configured threshold (default 0.5). Pairs are
-accepted greedily in descending Jaccard order; counts are micro-aggregated
-across pages into precision, recall, and Fβ (default β = 0.5, which weights
-precision twice as heavily as recall).
+tokens. The matcher tokenizes each name once per page and computes every
+(gold, prediction) pair from those sets. A prediction matches a gold name
+when their Jaccard overlap is strictly greater than the configured threshold
+(default 0.5). Pairs are accepted greedily in descending Jaccard order;
+counts are micro-aggregated across pages into precision, recall, and Fβ
+(default β = 0.5, which weights precision twice as heavily as recall).
 """
 
 from __future__ import annotations
@@ -81,18 +82,22 @@ class ScoreReport:
     macro: bool = False
 
 
+def _token_jaccard(w1: frozenset[str], w2: frozenset[str]) -> float:
+    """Jaccard similarity of two token sets; 0 when both are empty."""
+    shared = len(w1 & w2)
+    union = len(w1) + len(w2) - shared
+    if union == 0:
+        return 0.0
+    return shared / union
+
+
 def jaccard(s1: str, s2: str) -> float:
     """Jaccard similarity of the unique-token sets of two strings.
 
     Defined as 0 when both token sets are empty: a content-free string
     never matches anything.
     """
-    w1 = normalize_tokens(s1)
-    w2 = normalize_tokens(s2)
-    union = len(w1) + len(w2) - len(w1 & w2)
-    if union == 0:
-        return 0.0
-    return len(w1 & w2) / union
+    return _token_jaccard(normalize_tokens(s1), normalize_tokens(s2))
 
 
 def match_mentions(
@@ -104,12 +109,16 @@ def match_mentions(
 
     All cross pairs above the threshold are candidates; ties break by
     (gold index, prediction index) ascending; each side is used at most once.
+    Each name is tokenized once, not once per pair.
     """
+    predicted_tokens = [normalize_tokens(p) for p in predicted]
+    threshold = cfg.jaccard_threshold
     candidates: list[tuple[float, int, int]] = []
     for gi, g in enumerate(gold):
-        for pi, p in enumerate(predicted):
-            j = jaccard(p, g)
-            if j > cfg.jaccard_threshold:
+        gold_tokens = normalize_tokens(g)
+        for pi, p_tokens in enumerate(predicted_tokens):
+            j = _token_jaccard(p_tokens, gold_tokens)
+            if j > threshold:
                 candidates.append((j, gi, pi))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
 

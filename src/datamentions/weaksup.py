@@ -12,6 +12,9 @@ dead-letter file rather than blocking the run. A stage whose output file (a
 missing one counts as empty) or the dead-letter file is shorter than its
 checkpoint says is redone from scratch, and so is every later stage: their
 item keys digest its output, and dead letters are stored in stage order.
+A stage reads its input file only up to the offset the stage that wrote it
+has committed, so bytes past the last commit (a line cut short by a kill)
+are never parsed.
 
 One table of stage specs drives both :func:`run_pipeline` and
 :func:`plan_pipeline`, so they walk the same items under the same keys and
@@ -29,6 +32,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -609,17 +613,21 @@ def _extract_items(pages: Iterable[PageRecord]) -> Iterator[tuple[str, int, str,
         yield page.doc_id, page.page_number, page.text, page
 
 
-def _judge_items(extracted: Path) -> Iterator[tuple[str, int, str, MentionBlock]]:
-    for row in read_jsonl(extracted):
+def _judge_items(
+    extracted: Iterable[dict[str, Any]],
+) -> Iterator[tuple[str, int, str, MentionBlock]]:
+    for row in extracted:
         for block_payload in row.get("blocks", []):
             block = MentionBlock.from_dict(block_payload)
             if block.datasets:
                 yield block.source, block.page, canonical_json(block.to_dict()), block
 
 
-def _reason_items(judged: Path) -> Iterator[tuple[str, int, str, MentionBlock]]:
+def _reason_items(
+    judged: Iterable[dict[str, Any]],
+) -> Iterator[tuple[str, int, str, MentionBlock]]:
     """The judge-valid mentions of each block, enriched by the judge."""
-    for row in read_jsonl(judged):
+    for row in judged:
         block = MentionBlock.from_dict(row["block"])
         verdicts = [JudgeVerdict.from_dict(v) for v in row.get("verdicts", [])]
         survivors = tuple(
@@ -682,6 +690,7 @@ _STAGE_SPECS = (
     _StageSpec("reason", _STAGE_ALIASES["reason"], "judged.jsonl", "assessed.jsonl",
                _reason_items, _produce_reason),
 )
+_WRITER_OF = {spec.output_file: spec.name for spec in _STAGE_SPECS}
 
 
 def _selected_specs(stages: Sequence[str]) -> tuple[_StageSpec, ...]:
@@ -692,34 +701,58 @@ def _selected_specs(stages: Sequence[str]) -> tuple[_StageSpec, ...]:
     return tuple(spec for spec in _STAGE_SPECS if spec.name in stages)
 
 
-def _resume_checkpoints(output_dir: Path) -> dict[str, StageCheckpoint]:
-    """Each stage's checkpoint, read once; a stage the module's redo rule hits comes back empty.
+def _resume_checkpoints(output_dir: Path) -> tuple[dict[str, StageCheckpoint], set[str]]:
+    """Each stage's checkpoint, read once, and the names of the stages to redo.
 
-    So each offset returned lies within its file, and truncating to it only
-    drops uncommitted bytes.
+    A stage the module's redo rule hits comes back empty. So each offset
+    returned lies within its file, and truncating to it only drops
+    uncommitted bytes.
     """
     dead_size = _size(output_dir / _DEADLETTER_FILE)
     checkpoints: dict[str, StageCheckpoint] = {}
-    redo = False
+    redone: set[str] = set()
     for spec in _STAGE_SPECS:
         ckpt = StageCheckpoint.load(output_dir / spec.checkpoint_file)
-        if not redo and (
+        if redone or (
             _size(output_dir / spec.output_file) < ckpt.output_offset
             or dead_size < ckpt.deadletter_offset
         ):
-            log.warning("%s: %s or %s is shorter than its checkpoint; redoing this stage "
-                        "and every later one", spec.name, spec.output_file, _DEADLETTER_FILE)
-            redo = True
-        checkpoints[spec.name] = StageCheckpoint() if redo else ckpt
-    return checkpoints
+            if not redone:
+                log.warning("%s: %s or %s is shorter than its checkpoint; redoing this stage "
+                            "and every later one", spec.name, spec.output_file, _DEADLETTER_FILE)
+            redone.add(spec.name)
+            ckpt = StageCheckpoint()
+        checkpoints[spec.name] = ckpt
+    return checkpoints, redone
 
 
-def _stage_source(spec: _StageSpec, pages: Iterable[PageRecord], output_dir: Path) -> Any:
-    """What ``spec.items`` reads: the pages or the input file, None while that is missing."""
+def _committed_rows(path: Path, size: int) -> Iterator[dict[str, Any]]:
+    """The rows in the first ``size`` bytes of ``path``, the part its stage committed.
+
+    ``size`` is a checkpoint offset, so it ends a line, and committed lines
+    are never blank: the newlines before it count the rows to read.
+    """
+    with open(path, "rb") as fh:
+        rows = fh.read(size).count(b"\n")
+    return islice(read_jsonl(path), rows)
+
+
+def _stage_source(
+    spec: _StageSpec,
+    pages: Iterable[PageRecord],
+    output_dir: Path,
+    checkpoints: Mapping[str, StageCheckpoint],
+) -> Any:
+    """What ``spec.items`` reads: the pages, or the input file's committed rows.
+
+    None while the input file is missing.
+    """
     if spec.input_file is None:
         return pages
     path = output_dir / spec.input_file
-    return path if path.exists() else None
+    if not path.exists():
+        return None
+    return _committed_rows(path, checkpoints[_WRITER_OF[spec.input_file]].output_offset)
 
 
 def _keyed_items(spec: _StageSpec, source: Any) -> Iterator[tuple[str, str, int, str, Any]]:
@@ -798,7 +831,7 @@ def run_pipeline(
     output_dir = Path(output_dir)
     (output_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
 
-    checkpoints = _resume_checkpoints(output_dir)
+    checkpoints, _ = _resume_checkpoints(output_dir)
     for spec in _STAGE_SPECS:  # selected or not, so a redone stage resets the later ones
         _truncate(output_dir / spec.output_file, checkpoints[spec.name].output_offset)
         _truncate(output_dir / spec.checkpoint_file, checkpoints[spec.name].size)
@@ -812,7 +845,7 @@ def run_pipeline(
         "max_output_tokens": max_output_tokens,
     }
     for spec in specs:
-        source = _stage_source(spec, pages, output_dir)
+        source = _stage_source(spec, pages, output_dir, checkpoints)
         if source is None:
             raise InvalidRecord(
                 f"{spec.name} stage requires {spec.input_file}; run the earlier stages first"
@@ -844,7 +877,7 @@ class StagePlan:
     """What one stage would do if run now."""
 
     stage: str
-    pending: int | None  # None when the stage's input does not exist yet
+    pending: int | None  # None when the stage's input does not exist yet or will be redone
     backend_calls: int | None
 
 
@@ -859,13 +892,15 @@ def plan_pipeline(
     Walks the same items as :func:`run_pipeline` and keeps the same
     checkpoints: completed keys are excluded, a stage the run would redo
     counts all its items, and stages whose input file has not been produced
-    yet report unknown amounts. Nothing is written.
+    yet, or will be written again because its stage is redone, report
+    unknown amounts. Nothing is written.
     """
     output_dir = Path(output_dir)
-    checkpoints = _resume_checkpoints(output_dir)
+    checkpoints, redone = _resume_checkpoints(output_dir)
     plans: list[StagePlan] = []
     for spec in _selected_specs(stages):
-        source = _stage_source(spec, pages, output_dir)
+        redone_input = _WRITER_OF.get(spec.input_file) in redone
+        source = None if redone_input else _stage_source(spec, pages, output_dir, checkpoints)
         if source is None:
             plans.append(StagePlan(stage=spec.name, pending=None, backend_calls=None))
             continue

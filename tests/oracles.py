@@ -2,8 +2,8 @@
 
 Everything here is written from the metric definitions, deliberately not
 sharing code with the package: a character-walking tokenizer, a set-based
-Jaccard, an exhaustive maximum-cardinality matcher, and the textbook
-F-beta formula. Slow is fine; these only run in tests.
+Jaccard, a pair-by-pair greedy matcher, an exhaustive maximum-cardinality
+matcher, and the textbook F-beta formula. Slow is fine; these only run in tests.
 """
 
 from __future__ import annotations
@@ -32,6 +32,38 @@ def oracle_jaccard(a: str, b: str) -> float:
     if not union:
         return 0.0
     return len(ta & tb) / len(union)
+
+
+def oracle_greedy_match(
+    predicted: list[str], gold: list[str], threshold: float = 0.5
+) -> tuple[int, int, int, tuple[tuple[int, int, float], ...]]:
+    """(tp, fp, fn, pairs) of greedy matching, one accepted pair at a time.
+
+    Each round scans every pair of a still-unused gold name and prediction,
+    recomputing its Jaccard from the strings, and accepts the one above the
+    threshold with the highest Jaccard, then the lowest gold index, then the
+    lowest prediction index. Pairs are (gold index, prediction index,
+    Jaccard) in the order accepted.
+    """
+    pairs: list[tuple[int, int, float]] = []
+    used_gold: set[int] = set()
+    used_pred: set[int] = set()
+    while True:
+        best: tuple[int, int, float] | None = None
+        for gi, g in enumerate(gold):
+            for pi, p in enumerate(predicted):
+                if gi in used_gold or pi in used_pred:
+                    continue
+                j = oracle_jaccard(p, g)
+                if j > threshold and (best is None or j > best[2]):
+                    best = (gi, pi, j)
+        if best is None:
+            break
+        pairs.append(best)
+        used_gold.add(best[0])
+        used_pred.add(best[1])
+    tp = len(pairs)
+    return tp, len(predicted) - tp, len(gold) - tp, tuple(pairs)
 
 
 def exhaustive_match_size(

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import fcntl
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-from datamentions.cli import main
+import pytest
+
+from datamentions.cli import _advisory_lock, main
+from datamentions.errors import InputError
 from datamentions.records import PageRecord, read_jsonl, write_jsonl
 
 from pipeline_fixtures import pipeline_script, write_script_file
@@ -302,11 +308,52 @@ def test_generate_locked_output_dir_exits_3(tmp_path, capsys) -> None:
     pages = _pages_file(tmp_path, [c[0] for c in cases])
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    (out_dir / ".lock").write_text("12345\n", encoding="utf-8")
-    code = main(["--config", str(cfg), "generate", "--pages", str(pages)])
+    with open(out_dir / ".lock", "w") as held:  # another open file description
+        fcntl.flock(held, fcntl.LOCK_EX)
+        code = main(["--config", str(cfg), "generate", "--pages", str(pages)])
     assert code == 3
     assert "locked" in capsys.readouterr().err
     assert (out_dir / ".lock").exists(), "a foreign lock must not be removed"
+
+
+def test_lock_file_left_by_a_crash_blocks_nothing(tmp_path, capsys) -> None:
+    cases = _two_page_cases()
+    cfg = _mock_config(tmp_path, pipeline_script(cases))
+    pages = _pages_file(tmp_path, [c[0] for c in cases])
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / ".lock").write_text("12345\n", encoding="utf-8")
+    code = main(["--config", str(cfg), "generate", "--pages", str(pages)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["pages_processed"] == 2
+    assert not (out_dir / ".lock").exists()
+
+
+def test_lock_is_released_when_its_holder_is_killed(tmp_path) -> None:
+    holder = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys, time; from pathlib import Path; from datamentions.cli import _advisory_lock\n"
+         "with _advisory_lock(Path(sys.argv[1])):\n"
+         "    print('held', flush=True); time.sleep(60)",
+         str(tmp_path)],
+        stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    try:
+        assert holder.stdout.readline() == "held\n"
+        with pytest.raises(InputError, match="locked by another run"):
+            with _advisory_lock(tmp_path):
+                pass
+    finally:
+        holder.kill()
+        holder.wait(timeout=30)
+        holder.stdout.close()
+    assert (tmp_path / ".lock").exists()  # killed before it could clean up
+    with _advisory_lock(tmp_path):
+        with pytest.raises(InputError, match="locked by another run"):
+            with _advisory_lock(tmp_path):
+                pass
+    assert not (tmp_path / ".lock").exists()
 
 
 # ---------------------------------------------------------------------------

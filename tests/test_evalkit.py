@@ -3,8 +3,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from datamentions import match_mentions, render_report, score
+from datamentions import evalkit, match_mentions, render_report, score
 from datamentions.errors import InvalidRecord, UnknownAdapter
 from datamentions.evalkit import (
     MatchConfig,
@@ -17,7 +18,7 @@ from datamentions.evalkit import (
 )
 from datamentions.records import GroundTruthRecord, PredictionRecord, read_jsonl
 
-from oracles import exhaustive_match_size, oracle_fbeta, oracle_jaccard
+from oracles import exhaustive_match_size, oracle_fbeta, oracle_greedy_match, oracle_jaccard
 
 DOC = "c" * 40
 
@@ -108,6 +109,38 @@ def test_match_rejects_bad_config() -> None:
         MatchConfig(jaccard_threshold=1.5)
     with pytest.raises(InvalidRecord):
         MatchConfig(beta=0.0)
+
+
+# words that overlap often, plus separators, case and accents that tokenize away
+_WORDS = ["survey", "Survey", "data", "census", "2010", "de", "Enquête", "x", "-", "()", ""]
+_NAMES = st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join) | st.text(max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    predicted=st.lists(_NAMES, max_size=6),
+    gold=st.lists(_NAMES, max_size=6),
+    threshold=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_match_equals_the_pair_by_pair_reference(predicted, gold, threshold) -> None:
+    result = match_mentions(predicted, gold, MatchConfig(jaccard_threshold=threshold))
+    assert result == MatchResult(*oracle_greedy_match(predicted, gold, threshold))
+
+
+def test_match_tokenizes_each_name_once(monkeypatch) -> None:
+    calls: list[str] = []
+
+    def counted(text: str) -> frozenset[str]:
+        calls.append(text)
+        return tokenize(text)
+
+    tokenize = evalkit.normalize_tokens
+    monkeypatch.setattr(evalkit, "normalize_tokens", counted)
+    predicted = ["household survey", "survey 2019", "census", "x y", "labour force"]
+    gold = ["household survey", "census data", "labour force survey", "x"]
+    result = match_mentions(predicted, gold)
+    assert result.tp == 2
+    assert len(calls) <= len(predicted) + len(gold)
 
 
 # ---------------------------------------------------------------------------

@@ -590,8 +590,7 @@ def test_plan_after_a_deleted_output_counts_the_redone_stages(tmp_path) -> None:
 
     for deleted, expected in (
         ("judged.jsonl", {"extract": 0, "judge": items["judge"], "reason": None}),
-        ("extracted.jsonl", {"extract": items["extract"], "judge": None,
-                             "reason": items["reason"]}),
+        ("extracted.jsonl", {"extract": items["extract"], "judge": None, "reason": None}),
     ):
         out = tmp_path / deleted
         run_pipeline(pages, MockChatBackend(script), output_dir=out)
@@ -600,6 +599,34 @@ def test_plan_after_a_deleted_output_counts_the_redone_stages(tmp_path) -> None:
         plans = plan_pipeline(pages, output_dir=out)
         assert {p.stage: p.pending for p in plans} == expected, deleted
         assert _tree(out) == before  # planning writes nothing
+
+
+@pytest.mark.parametrize("torn", [True, False])
+def test_plan_reads_inputs_only_up_to_their_last_commit(tmp_path, torn) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    full = MockChatBackend(script)
+    run_pipeline(pages, full, output_dir=tmp_path / "full")
+    # a line past the last commit: cut short by a kill, or written whole
+    # by a kill between the output write and the checkpoint write
+    tails = {}
+    for name in ("extracted.jsonl", "judged.jsonl"):
+        line = max((tmp_path / "full" / name).read_bytes().splitlines(keepends=True), key=len)
+        tails[name] = line[: len(line) // 2] if torn else line
+
+    for budget in range(len(full.calls)):
+        out = tmp_path / f"budget{budget}"
+        with pytest.raises(PipelineInterrupted):
+            run_pipeline(pages, _FailsAfter(MockChatBackend(script), budget), output_dir=out)
+        expected = plan_pipeline(pages, output_dir=out)
+        for name, tail in tails.items():
+            if (out / name).exists():
+                with open(out / name, "ab") as fh:
+                    fh.write(tail)
+        assert plan_pipeline(pages, output_dir=out) == expected, budget
+        run_pipeline(pages, MockChatBackend(script), output_dir=out)
+        assert _outputs(out) == _outputs(tmp_path / "full"), budget
 
 
 def test_each_checkpoint_is_read_once_per_call(tmp_path, monkeypatch) -> None:
