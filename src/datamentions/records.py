@@ -25,6 +25,11 @@ from .errors import (
 )
 from .textnorm import normalize_tokens
 
+try:  # the optional ``fast`` extra; the output is the same bytes without it
+    import orjson
+except ImportError:
+    orjson = None
+
 CONTEXT_VALUES = ("primary", "supporting", "background")
 SPECIFICITY_VALUES = ("properly_named", "descriptive_but_unnamed", "vague_generic")
 RELEVANCE_VALUES = ("directly_relevant", "indirectly_relevant", "not_relevant")
@@ -510,8 +515,40 @@ class PredictionRecord:
 # line-delimited I/O
 
 
+_ORJSON_LEAVES = frozenset((str, int, bool, type(None)))
+
+
+def _orjson_safe(value: Any) -> bool:
+    """Whether ``value`` holds only dicts, lists, str, int, bool and None.
+
+    Exact types only: orjson writes floats in another form than ``json``
+    (``1e16`` for ``1e+16``) and encodes subclasses, tuples and dataclasses
+    on its own terms, so anything else takes the ``json`` path.
+    """
+    kind = type(value)
+    if kind is dict:
+        value = value.values()
+    elif kind is not list:
+        return kind in _ORJSON_LEAVES
+    for item in value:
+        if type(item) is not str and not _orjson_safe(item):
+            return False
+    return True
+
+
 def canonical_json(value: Any) -> str:
-    """Pretty canonical JSON used when a record travels inside a prompt."""
+    """Pretty canonical JSON used when a record travels inside a prompt.
+
+    The text is ``json.dumps(value, ensure_ascii=False, indent=2)``; orjson
+    writes it when installed and the value is plain. orjson refuses lone
+    surrogates, ints wider than 64 bits and non-str keys with a
+    ``TypeError``, and those values take the ``json`` path as well.
+    """
+    if orjson is not None and _orjson_safe(value):
+        try:
+            return orjson.dumps(value, option=orjson.OPT_INDENT_2).decode()
+        except TypeError:
+            pass
     return json.dumps(value, ensure_ascii=False, indent=2)
 
 

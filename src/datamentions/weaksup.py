@@ -12,9 +12,10 @@ dead-letter file rather than blocking the run. A stage whose output file (a
 missing one counts as empty) or the dead-letter file is shorter than its
 checkpoint says is redone from scratch, and so is every later stage: their
 item keys digest its output, and dead letters are stored in stage order.
-A stage reads its input file only up to the offset the stage that wrote it
-has committed, so bytes past the last commit (a line cut short by a kill)
-are never parsed.
+A run is refused before any byte changes when a selected stage needs an
+input that is missing or that an unselected stage would redo. A stage reads
+its input file only up to the offset the stage that wrote it has committed,
+so bytes past the last commit (a line cut short by a kill) are never parsed.
 
 One table of stage specs drives both :func:`run_pipeline` and
 :func:`plan_pipeline`, so they walk the same items under the same keys and
@@ -269,12 +270,18 @@ def judge_mentions(
     model_name: str = DEFAULT_MODEL,
     temperature: float = 0.0,
     max_output_tokens: int = 4096,
+    user_content: str | None = None,
 ) -> list[JudgeVerdict]:
-    """Run the judge stage on one block; verdicts align with its datasets."""
+    """Run the judge stage on one block; verdicts align with its datasets.
+
+    ``user_content`` is the request body, ``canonical_json(block.to_dict())``,
+    made here unless the caller already has it.
+    """
     if not block.datasets:
         raise InvalidRecord("judge stage requires a block with at least one dataset")
     templates = templates or load_templates()
-    user_content = canonical_json(block.to_dict())
+    if user_content is None:
+        user_content = canonical_json(block.to_dict())
     response = backend.complete(
         _request(templates["judge"], user_content, model_name, temperature, max_output_tokens)
     )
@@ -334,6 +341,7 @@ def reason_mentions(
     model_name: str = DEFAULT_MODEL,
     temperature: float = 0.0,
     max_output_tokens: int = 4096,
+    user_content: str | None = None,
 ) -> list[AgentAssessment]:
     """Run the reasoning agent on one block; one assessment per dataset.
 
@@ -343,11 +351,13 @@ def reason_mentions(
     always come from the input block, which keeps them byte-identical to the
     extraction-stage values. A reply that marks a mention invalid yet keeps
     its labels is repaired by nulling the labels, with a logged warning.
+    ``user_content`` is the request body, as for :func:`judge_mentions`.
     """
     if not block.datasets:
         raise InvalidRecord("reason stage requires a block with at least one dataset")
     templates = templates or load_templates()
-    user_content = canonical_json(block.to_dict())
+    if user_content is None:
+        user_content = canonical_json(block.to_dict())
     response = backend.complete(
         _request(templates["reasoner"], user_content, model_name, temperature, max_output_tokens)
     )
@@ -605,7 +615,8 @@ def _enriched_mention(mention: DatasetMention, verdict: JudgeVerdict) -> Dataset
 
 # Item enumerators yield (doc_id, page_number, user_content, subject): the
 # request's user content fixes the item's checkpoint key, and ``subject`` is
-# what the stage function takes.
+# what the stage function takes. A block is encoded here, once; the stage's
+# ``produce`` sends that same text, so the request and its key always agree.
 
 
 def _extract_items(pages: Iterable[PageRecord]) -> Iterator[tuple[str, int, str, PageRecord]]:
@@ -638,8 +649,10 @@ def _reason_items(
             yield block.source, block.page, canonical_json(block.to_dict()), block
 
 
-def _produce_extract(page: PageRecord, backend: ChatBackend, kwargs: Mapping[str, Any]) -> str:
-    blocks = extract_mentions(page, backend, **kwargs)
+def _produce_extract(
+    page: PageRecord, user_content: str, backend: ChatBackend, kwargs: Mapping[str, Any]
+) -> str:
+    blocks = extract_mentions(page, backend, **kwargs)  # user_content is page.text
     return dumps_line(
         {
             "doc_id": page.doc_id,
@@ -649,13 +662,17 @@ def _produce_extract(page: PageRecord, backend: ChatBackend, kwargs: Mapping[str
     )
 
 
-def _produce_judge(block: MentionBlock, backend: ChatBackend, kwargs: Mapping[str, Any]) -> str:
-    verdicts = judge_mentions(block, backend, **kwargs)
+def _produce_judge(
+    block: MentionBlock, user_content: str, backend: ChatBackend, kwargs: Mapping[str, Any]
+) -> str:
+    verdicts = judge_mentions(block, backend, user_content=user_content, **kwargs)
     return dumps_line({"block": block.to_dict(), "verdicts": [v.to_dict() for v in verdicts]})
 
 
-def _produce_reason(block: MentionBlock, backend: ChatBackend, kwargs: Mapping[str, Any]) -> str:
-    assessments = reason_mentions(block, backend, **kwargs)
+def _produce_reason(
+    block: MentionBlock, user_content: str, backend: ChatBackend, kwargs: Mapping[str, Any]
+) -> str:
+    assessments = reason_mentions(block, backend, user_content=user_content, **kwargs)
     return dumps_line(
         {"block": block.to_dict(), "assessments": [a.to_dict() for a in assessments]}
     )
@@ -665,9 +682,11 @@ def _produce_reason(block: MentionBlock, backend: ChatBackend, kwargs: Mapping[s
 class _StageSpec:
     """One stage of the pipeline: what it reads, what it writes, one item's work.
 
-    ``items`` and ``produce`` reach the stage functions and record helpers
-    through this module's globals at call time, never through references
-    taken at import.
+    ``produce(subject, user_content, backend, stage_kwargs)`` returns the
+    item's output line; ``user_content`` is the text ``items`` yielded for
+    the item's key. ``items`` and ``produce`` reach the stage functions and
+    record helpers through this module's globals at call time, never
+    through references taken at import.
     """
 
     name: str
@@ -675,7 +694,7 @@ class _StageSpec:
     input_file: str | None  # None: the stage reads the pages passed in
     output_file: str
     items: Callable[[Any], Iterator[tuple[str, int, str, Any]]]
-    produce: Callable[[Any, ChatBackend, Mapping[str, Any]], str]
+    produce: Callable[[Any, str, ChatBackend, Mapping[str, Any]], str]
 
     @property
     def checkpoint_file(self) -> str:
@@ -724,6 +743,30 @@ def _resume_checkpoints(output_dir: Path) -> tuple[dict[str, StageCheckpoint], s
             ckpt = StageCheckpoint()
         checkpoints[spec.name] = ckpt
     return checkpoints, redone
+
+
+def _require_inputs(
+    specs: Sequence[_StageSpec], output_dir: Path, redone: set[str]
+) -> None:
+    """Raise for a selected stage whose input no selected stage will write.
+
+    Such an input must exist and be kept as it is: a redone writer would
+    have its output cut back to nothing. Called before any byte changes.
+    """
+    selected = {spec.name for spec in specs}
+    for spec in specs:
+        writer = _WRITER_OF.get(spec.input_file)
+        if writer is None or writer in selected:
+            continue
+        if writer in redone:
+            raise InvalidRecord(
+                f"{spec.name} stage requires {spec.input_file}, which is shorter than the "
+                f"{writer} checkpoint says; run the {writer} stage again first"
+            )
+        if not (output_dir / spec.input_file).exists():
+            raise InvalidRecord(
+                f"{spec.name} stage requires {spec.input_file}; run the earlier stages first"
+            )
 
 
 def _committed_rows(path: Path, size: int) -> Iterator[dict[str, Any]]:
@@ -777,26 +820,23 @@ def _run_stage(
     Results are committed strictly in input order regardless of worker
     count, keeping output files deterministic.
     """
-    pending = [
-        (key, doc_id, page_number, subject)
-        for key, doc_id, page_number, _, subject in _keyed_items(spec, source)
-        if key not in writer.checkpoint.completed
-    ]
+    pending = [item for item in _keyed_items(spec, source)
+               if item[0] not in writer.checkpoint.completed]
     if not pending:
         return
 
-    def attempt(item: tuple[str, str, int, Any]) -> tuple[str | None, Exception | None]:
+    def attempt(item: tuple[str, str, int, str, Any]) -> tuple[str | None, Exception | None]:
         last: Exception | None = None
         for _ in range(item_attempts):
             try:
-                return spec.produce(item[3], backend, stage_kwargs), None
+                return spec.produce(item[4], item[3], backend, stage_kwargs), None
             except _POISON_ERRORS as exc:
                 last = exc
         return None, last
 
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         outcomes = (map if pool is None else pool.map)(attempt, pending)
-        for (key, doc_id, page_number, _), (line, error) in zip(pending, outcomes):
+        for (key, doc_id, page_number, _, _), (line, error) in zip(pending, outcomes):
             if error is not None:
                 log.error("%s: quarantining %s after %d attempts: %s",
                           spec.name, key, item_attempts, error)
@@ -829,9 +869,9 @@ def run_pipeline(
     specs = _selected_specs(stages)
     templates = templates or load_templates()
     output_dir = Path(output_dir)
+    checkpoints, redone = _resume_checkpoints(output_dir)
+    _require_inputs(specs, output_dir, redone)
     (output_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-
-    checkpoints, _ = _resume_checkpoints(output_dir)
     for spec in _STAGE_SPECS:  # selected or not, so a redone stage resets the later ones
         _truncate(output_dir / spec.output_file, checkpoints[spec.name].output_offset)
         _truncate(output_dir / spec.checkpoint_file, checkpoints[spec.name].size)
@@ -846,10 +886,6 @@ def run_pipeline(
     }
     for spec in specs:
         source = _stage_source(spec, pages, output_dir, checkpoints)
-        if source is None:
-            raise InvalidRecord(
-                f"{spec.name} stage requires {spec.input_file}; run the earlier stages first"
-            )
         with _StageWriter(checkpoints[spec.name], output_dir, spec) as writer:
             try:
                 _run_stage(spec, source, writer, backend, stage_kwargs,

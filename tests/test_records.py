@@ -1,7 +1,12 @@
 from __future__ import annotations
 
-import pytest
+import json
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from datamentions import records
 from datamentions.errors import BadEnum, InvalidRecord, MissingField, ValidityCouplingViolation
 from datamentions.records import (
     AgentAssessment,
@@ -11,6 +16,7 @@ from datamentions.records import (
     JudgeVerdict,
     MentionBlock,
     PageRecord,
+    canonical_json,
     clean_optional,
     dumps_line,
     is_doc_id,
@@ -248,3 +254,79 @@ def test_dumps_line_is_single_line_utf8() -> None:
     line = dumps_line({"name": "Enquête", "n": 1})
     assert "\n" not in line
     assert "Enquête" in line
+
+
+# ---------------------------------------------------------------------------
+# prompt encoding
+
+# Text with the characters the two encoders could disagree on: non-BMP
+# text, control characters, DEL, U+2028 and lone surrogates.
+_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.text(st.sampled_from(["a", "é", "\U0001d11e", "\x00", "\x1f", "\x7f", " ",
+                             "\ud800", "\udfff", '"', "\\", "\n", "\t", "/"])),
+)
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1]),
+    st.floats(),
+    st.sampled_from([1e16, 5e-05, 0.1, -0.0, 1.0, 1e300]),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, _TEXT),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.one_of(_TEXT, st.integers()), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+_BLOCKS = st.fixed_dictionaries(
+    {
+        "mentioned_in": _TEXT,
+        "datasets": st.lists(
+            st.fixed_dictionaries(
+                {"raw_name": _TEXT, "mentioned_in": _TEXT},
+                optional={key: _TEXT for key in ("harmonized_name", "acronym", "producer",
+                                                  "year", "data_type")},
+            ),
+            max_size=4,
+        ),
+        "source": _TEXT,
+        "page": st.integers(min_value=1),
+    }
+)
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["orjson", "json"])
+def test_canonical_json_matches_json_dumps(monkeypatch, fast) -> None:
+    if fast and records.orjson is None:
+        pytest.skip("orjson is not installed")
+    if not fast:
+        monkeypatch.setattr(records, "orjson", None)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(_JSON_VALUES, _BLOCKS))
+    def check(value) -> None:
+        assert canonical_json(value) == json.dumps(value, ensure_ascii=False, indent=2)
+
+    check()
+
+
+def test_canonical_json_encodes_plain_blocks_with_orjson(monkeypatch) -> None:
+    if records.orjson is None:
+        pytest.skip("orjson is not installed")
+    real = records.orjson
+    encoded: list[object] = []
+
+    def dumps(value, option):
+        encoded.append(value)
+        return real.dumps(value, option=option)
+
+    monkeypatch.setattr(records, "orjson", SimpleNamespace(dumps=dumps,
+                                                           OPT_INDENT_2=real.OPT_INDENT_2))
+    block = {"mentioned_in": "We use the LSMS.", "source": DOC, "page": 3,
+             "datasets": [{"raw_name": "LSMS", "mentioned_in": "We use the LSMS."}]}
+    assert canonical_json(block) == json.dumps(block, ensure_ascii=False, indent=2)
+    assert encoded == [block]
+    canonical_json({**block, "page": 3.0})  # a float takes the json path
+    assert encoded == [block]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from datamentions import weaksup
 from datamentions import (
     MockChatBackend,
     extract_mentions,
@@ -437,6 +438,29 @@ def test_stage_barriers_require_prior_outputs(tmp_path) -> None:
         run_pipeline([], MockChatBackend({}), output_dir=tmp_path / "out", stages=("judge",))
 
 
+def test_a_stage_subset_refuses_an_input_its_writer_would_redo(tmp_path) -> None:
+    cases = _standard_cases()[:3]
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out, stages=("extract",))
+    extracted = out / "extracted.jsonl"
+    extracted.write_bytes(extracted.read_bytes()[: extracted.stat().st_size // 2])
+    before = _tree(out)
+
+    backend = MockChatBackend(script)
+    with pytest.raises(InvalidRecord, match="extract"):
+        run_pipeline(pages, backend, output_dir=out, stages=("judge",))
+    assert backend.calls == []
+    assert _tree(out) == before  # a refused run changes no byte
+
+    # selecting the writer as well redoes it and then runs the judge
+    run_pipeline(pages, MockChatBackend(script), output_dir=out, stages=("extract", "judge"))
+    run_pipeline(pages, MockChatBackend(script), output_dir=tmp_path / "full",
+                 stages=("extract", "judge"))
+    assert _tree(out) == _tree(tmp_path / "full")
+
+
 def test_missing_output_file_restarts_the_stage(tmp_path) -> None:
     cases = _standard_cases()
     script = _pipeline_script(cases)
@@ -537,6 +561,41 @@ def test_torn_checkpoint_tail_is_redone_on_resume(tmp_path) -> None:
     ckpt.write_bytes(committed + b'{"key": \n')
     with pytest.raises(json.JSONDecodeError):
         run_pipeline(pages, MockChatBackend(script), output_dir=out)
+
+
+def test_each_judge_and_reason_body_is_encoded_once(tmp_path, monkeypatch) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    broken = _block_for(cases[1][0], cases[1][1])  # its judge item burns every attempt
+    script[("judge", request_digest("judge", canonical_json(broken.to_dict())))] = "{not json"
+    encoded: list[object] = []
+
+    def counted(value):
+        encoded.append(value)
+        return canonical_json(value)
+
+    monkeypatch.setattr(weaksup, "canonical_json", counted)
+    out = tmp_path / "out"
+    backend = MockChatBackend(script)
+    run_pipeline([case[0] for case in cases], backend, output_dir=out, item_attempts=3)
+    items = sum(len((out / f"checkpoints/{s}.ckpt").read_bytes().splitlines())
+                for s in ("judge", "reason"))
+    assert items == 5  # three judge items, two reason items
+    assert len(backend.calls) == 4 + (2 + 3) + 2  # the broken judge item is asked three times
+    assert len(encoded) == items
+
+
+def test_given_user_content_sends_the_same_request() -> None:
+    block = _block_for(_page(1, "We use A and B."), ["A", "B"])
+    body = canonical_json(block.to_dict())
+    script = {
+        ("judge", request_digest("judge", body)): _judge_response(block, [True, True]),
+        ("reasoner", request_digest("reasoner", body)): _reason_response(block, [True, False]),
+    }
+    for stage_fn in (judge_mentions, reason_mentions):
+        made, given = MockChatBackend(script), MockChatBackend(script)
+        assert stage_fn(block, given, user_content=body) == stage_fn(block, made)
+        assert given.calls == made.calls and len(made.calls) == 1
 
 
 # ---------------------------------------------------------------------------
