@@ -25,11 +25,6 @@ from .errors import (
 )
 from .textnorm import normalize_tokens
 
-try:  # the optional ``fast`` extra; the output is the same bytes without it
-    import orjson
-except ImportError:
-    orjson = None
-
 CONTEXT_VALUES = ("primary", "supporting", "background")
 SPECIFICITY_VALUES = ("properly_named", "descriptive_but_unnamed", "vague_generic")
 RELEVANCE_VALUES = ("directly_relevant", "indirectly_relevant", "not_relevant")
@@ -536,6 +531,23 @@ def _orjson_safe(value: Any) -> bool:
     return True
 
 
+def __getattr__(name: str) -> Any:
+    """``orjson``, imported on first use; None when it is not installed.
+
+    orjson is the optional ``fast`` extra. Importing it on the first
+    :func:`canonical_json` call keeps it out of processes that never encode
+    a prompt, such as ingest, gating and scoring.
+    """
+    if name != "orjson":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    try:
+        import orjson as module
+    except ImportError:
+        module = None
+    globals()["orjson"] = module
+    return module
+
+
 def canonical_json(value: Any) -> str:
     """Pretty canonical JSON used when a record travels inside a prompt.
 
@@ -544,9 +556,13 @@ def canonical_json(value: Any) -> str:
     surrogates, ints wider than 64 bits and non-str keys with a
     ``TypeError``, and those values take the ``json`` path as well.
     """
-    if orjson is not None and _orjson_safe(value):
+    try:
+        fast = orjson  # a global once __getattr__ has imported it
+    except NameError:
+        fast = __getattr__("orjson")
+    if fast is not None and _orjson_safe(value):
         try:
-            return orjson.dumps(value, option=orjson.OPT_INDENT_2).decode()
+            return fast.dumps(value, option=fast.OPT_INDENT_2).decode()
         except TypeError:
             pass
     return json.dumps(value, ensure_ascii=False, indent=2)

@@ -17,6 +17,18 @@ input that is missing or that an unselected stage would redo. A stage reads
 its input file only up to the offset the stage that wrote it has committed,
 so bytes past the last commit (a line cut short by a kill) are never parsed.
 
+A stage that ends with nothing pending writes a seal,
+``checkpoints/<stage>.seal``: one sha256 hex line over the seal format, the
+stage name and template id, a digest of the stage's input (the pages'
+``(doc_id, page_number, text)`` in key order, or the input file's committed
+bytes) and a digest of the checkpoint's committed bytes. Item keys are a
+function of the stage and its input, and the completed keys of the
+checkpoint, so a later run or plan that computes the same seal knows
+nothing is pending and skips enumerating the stage: no input row is
+decoded and no key digested. Nothing else reads a seal. A torn, stale or
+deleted one only costs that enumeration, after which the stage is sealed
+again, so seals are written without fsync or rename.
+
 One table of stage specs drives both :func:`run_pipeline` and
 :func:`plan_pipeline`, so they walk the same items under the same keys and
 ``generate --dry-run`` counts exactly the calls a run would issue (beyond
@@ -26,6 +38,7 @@ retry budget).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -453,19 +466,25 @@ class StageCheckpoint:
     ``size`` is the length of the checkpoint file up to the end of its last
     complete line. A last line without its newline is the torn tail of a
     commit that was cut short; it is ignored, so that item runs again.
+    ``bytes_hash`` hashes the committed lines, those loaded and those
+    committed since.
     """
 
     completed: set[str] = field(default_factory=set)
     output_offset: int = 0
     deadletter_offset: int = 0
     size: int = 0
+    bytes_hash: Any = field(default_factory=hashlib.sha256, init=False, repr=False,
+                            compare=False)
 
     @classmethod
     def load(cls, path: Path) -> "StageCheckpoint":
         ckpt = cls()
         data = path.read_bytes() if path.exists() else b""
         ckpt.size = data.rfind(b"\n") + 1
-        for line in data[: ckpt.size].decode("utf-8").split("\n"):
+        committed = data[: ckpt.size]
+        ckpt.bytes_hash.update(committed)
+        for line in committed.decode("utf-8").split("\n"):
             line = line.strip()
             if not line:
                 continue
@@ -511,9 +530,11 @@ class _StageWriter:
         fh.flush()
         ckpt = self.checkpoint
         ckpt.output_offset, ckpt.deadletter_offset = self._out.tell(), self._dead.tell()
-        self._ckpt.write(json.dumps({"key": key, "out": ckpt.output_offset,
-                                     "dead": ckpt.deadletter_offset}) + "\n")
+        entry = json.dumps({"key": key, "out": ckpt.output_offset,
+                            "dead": ckpt.deadletter_offset}) + "\n"
+        self._ckpt.write(entry)
         self._ckpt.flush()
+        ckpt.bytes_hash.update(entry.encode())
         ckpt.completed.add(key)
 
 
@@ -615,28 +636,36 @@ def _enriched_mention(mention: DatasetMention, verdict: JudgeVerdict) -> Dataset
 
 # Item enumerators yield (doc_id, page_number, user_content, subject): the
 # request's user content fixes the item's checkpoint key, and ``subject`` is
-# what the stage function takes. A block is encoded here, once; the stage's
-# ``produce`` sends that same text, so the request and its key always agree.
+# what the stage's ``produce`` takes: a page, or a block with the dict it was
+# encoded from. A block is turned into a dict and encoded here, once; the
+# stage's ``produce`` sends that same text and writes that same dict, so the
+# request, its key and the output line always agree.
 
 
 def _extract_items(pages: Iterable[PageRecord]) -> Iterator[tuple[str, int, str, PageRecord]]:
-    for page in sorted(pages, key=lambda p: (p.doc_id, p.page_number)):
+    """The pages, which :func:`_stage_source` has put in key order."""
+    for page in pages:
         yield page.doc_id, page.page_number, page.text, page
+
+
+def _block_item(block: MentionBlock) -> tuple[str, int, str, tuple[MentionBlock, dict]]:
+    payload = block.to_dict()
+    return block.source, block.page, canonical_json(payload), (block, payload)
 
 
 def _judge_items(
     extracted: Iterable[dict[str, Any]],
-) -> Iterator[tuple[str, int, str, MentionBlock]]:
+) -> Iterator[tuple[str, int, str, tuple[MentionBlock, dict]]]:
     for row in extracted:
         for block_payload in row.get("blocks", []):
             block = MentionBlock.from_dict(block_payload)
             if block.datasets:
-                yield block.source, block.page, canonical_json(block.to_dict()), block
+                yield _block_item(block)
 
 
 def _reason_items(
     judged: Iterable[dict[str, Any]],
-) -> Iterator[tuple[str, int, str, MentionBlock]]:
+) -> Iterator[tuple[str, int, str, tuple[MentionBlock, dict]]]:
     """The judge-valid mentions of each block, enriched by the judge."""
     for row in judged:
         block = MentionBlock.from_dict(row["block"])
@@ -645,8 +674,7 @@ def _reason_items(
             _enriched_mention(m, v) for m, v in zip(block.datasets, verdicts) if v.valid
         )
         if survivors:
-            block = replace(block, datasets=survivors)
-            yield block.source, block.page, canonical_json(block.to_dict()), block
+            yield _block_item(replace(block, datasets=survivors))
 
 
 def _produce_extract(
@@ -663,19 +691,21 @@ def _produce_extract(
 
 
 def _produce_judge(
-    block: MentionBlock, user_content: str, backend: ChatBackend, kwargs: Mapping[str, Any]
+    subject: tuple[MentionBlock, dict], user_content: str, backend: ChatBackend,
+    kwargs: Mapping[str, Any],
 ) -> str:
+    block, payload = subject
     verdicts = judge_mentions(block, backend, user_content=user_content, **kwargs)
-    return dumps_line({"block": block.to_dict(), "verdicts": [v.to_dict() for v in verdicts]})
+    return dumps_line({"block": payload, "verdicts": [v.to_dict() for v in verdicts]})
 
 
 def _produce_reason(
-    block: MentionBlock, user_content: str, backend: ChatBackend, kwargs: Mapping[str, Any]
+    subject: tuple[MentionBlock, dict], user_content: str, backend: ChatBackend,
+    kwargs: Mapping[str, Any],
 ) -> str:
+    block, payload = subject
     assessments = reason_mentions(block, backend, user_content=user_content, **kwargs)
-    return dumps_line(
-        {"block": block.to_dict(), "assessments": [a.to_dict() for a in assessments]}
-    )
+    return dumps_line({"block": payload, "assessments": [a.to_dict() for a in assessments]})
 
 
 @dataclass(frozen=True)
@@ -699,6 +729,10 @@ class _StageSpec:
     @property
     def checkpoint_file(self) -> str:
         return f"checkpoints/{self.name}.ckpt"
+
+    @property
+    def seal_file(self) -> str:
+        return f"checkpoints/{self.name}.seal"
 
 
 _STAGE_SPECS = (
@@ -769,15 +803,33 @@ def _require_inputs(
             )
 
 
-def _committed_rows(path: Path, size: int) -> Iterator[dict[str, Any]]:
-    """The rows in the first ``size`` bytes of ``path``, the part its stage committed.
+def _rows(path: Path, count: int) -> Iterator[dict[str, Any]]:
+    """The first ``count`` rows of ``path``; the file is opened on the first ``next``."""
+    yield from islice(read_jsonl(path), count)
+
+
+def _committed_rows(path: Path, size: int) -> tuple[Iterator[dict[str, Any]], str]:
+    """The rows in the first ``size`` bytes of ``path``, the part its stage committed,
+    and the sha256 of those bytes.
 
     ``size`` is a checkpoint offset, so it ends a line, and committed lines
     are never blank: the newlines before it count the rows to read.
     """
     with open(path, "rb") as fh:
-        rows = fh.read(size).count(b"\n")
-    return islice(read_jsonl(path), rows)
+        committed = fh.read(size)
+    return _rows(path, committed.count(b"\n")), hashlib.sha256(committed).hexdigest()
+
+
+def _pages_digest(pages: Iterable[PageRecord]) -> str:
+    """sha256 over each page's (doc_id, page_number, text), length-prefixed, in order."""
+    h = hashlib.sha256()
+    for page in pages:
+        doc_id = page.doc_id.encode("utf-8", "surrogatepass")
+        text = page.text.encode("utf-8", "surrogatepass")
+        h.update(b"%d:%d:%d:" % (len(doc_id), page.page_number, len(text)))
+        h.update(doc_id)
+        h.update(text)
+    return h.hexdigest()
 
 
 def _stage_source(
@@ -785,17 +837,38 @@ def _stage_source(
     pages: Iterable[PageRecord],
     output_dir: Path,
     checkpoints: Mapping[str, StageCheckpoint],
-) -> Any:
-    """What ``spec.items`` reads: the pages, or the input file's committed rows.
+) -> tuple[Any, str] | None:
+    """What ``spec.items`` reads, with the digest of it that the stage's seal covers.
 
+    That is the pages in key order, or the input file's committed rows.
     None while the input file is missing.
     """
     if spec.input_file is None:
-        return pages
+        pages = sorted(pages, key=lambda p: (p.doc_id, p.page_number))
+        return pages, _pages_digest(pages)
     path = output_dir / spec.input_file
     if not path.exists():
         return None
     return _committed_rows(path, checkpoints[_WRITER_OF[spec.input_file]].output_offset)
+
+
+# Bump when the item keys a stage derives from its input change.
+_SEAL_FORMAT = "datamentions-seal-1"
+
+
+def _seal(spec: _StageSpec, input_digest: str, checkpoint: StageCheckpoint) -> bytes:
+    """The seal line of ``spec``: its input and its checkpoint's committed bytes, hashed."""
+    parts = (_SEAL_FORMAT, spec.name, spec.template_id, input_digest,
+             checkpoint.bytes_hash.copy().hexdigest())
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest().encode() + b"\n"
+
+
+def _sealed(path: Path, seal: bytes) -> bool:
+    """Whether the seal file at ``path`` holds ``seal``; a missing one does not."""
+    try:
+        return path.read_bytes() == seal
+    except FileNotFoundError:
+        return False
 
 
 def _keyed_items(spec: _StageSpec, source: Any) -> Iterator[tuple[str, str, int, str, Any]]:
@@ -885,8 +958,11 @@ def run_pipeline(
         "max_output_tokens": max_output_tokens,
     }
     for spec in specs:
-        source = _stage_source(spec, pages, output_dir, checkpoints)
-        with _StageWriter(checkpoints[spec.name], output_dir, spec) as writer:
+        source, input_digest = _stage_source(spec, pages, output_dir, checkpoints)
+        checkpoint, seal_path = checkpoints[spec.name], output_dir / spec.seal_file
+        with _StageWriter(checkpoint, output_dir, spec) as writer:
+            if _sealed(seal_path, _seal(spec, input_digest, checkpoint)):
+                continue
             try:
                 _run_stage(spec, source, writer, backend, stage_kwargs,
                            item_attempts=item_attempts, workers=workers)
@@ -899,6 +975,7 @@ def run_pipeline(
                     f"pipeline stopped during a stage: {exc}", cause=exc,
                     progressed=any(c.completed for c in checkpoints.values()),
                 ) from exc
+        seal_path.write_bytes(_seal(spec, input_digest, checkpoint))
 
     stats = compute_stats(output_dir)
     stats_path = output_dir / "stats.json"
@@ -927,25 +1004,27 @@ def plan_pipeline(
 
     Walks the same items as :func:`run_pipeline` and keeps the same
     checkpoints: completed keys are excluded, a stage the run would redo
-    counts all its items, and stages whose input file has not been produced
-    yet, or will be written again because its stage is redone, report
-    unknown amounts. Nothing is written.
+    counts all its items, a sealed stage has nothing pending, and stages
+    whose input file has not been produced yet, or will be written again
+    because its stage is redone, report unknown amounts. Nothing is written.
     """
     output_dir = Path(output_dir)
     checkpoints, redone = _resume_checkpoints(output_dir)
     plans: list[StagePlan] = []
     for spec in _selected_specs(stages):
         redone_input = _WRITER_OF.get(spec.input_file) in redone
-        source = None if redone_input else _stage_source(spec, pages, output_dir, checkpoints)
-        if source is None:
+        staged = None if redone_input else _stage_source(spec, pages, output_dir, checkpoints)
+        if staged is None:
             plans.append(StagePlan(stage=spec.name, pending=None, backend_calls=None))
             continue
-        done = checkpoints[spec.name].completed
+        source, input_digest = staged
+        checkpoint = checkpoints[spec.name]
         pending = calls = 0
-        for key, _, _, user_content, _ in _keyed_items(spec, source):
-            if key not in done:
-                pending += 1
-                calls += bool(user_content.strip())  # a blank page costs no call
+        if not _sealed(output_dir / spec.seal_file, _seal(spec, input_digest, checkpoint)):
+            for key, _, _, user_content, _ in _keyed_items(spec, source):
+                if key not in checkpoint.completed:
+                    pending += 1
+                    calls += bool(user_content.strip())  # a blank page costs no call
         plans.append(StagePlan(stage=spec.name, pending=pending, backend_calls=calls))
     return plans
 

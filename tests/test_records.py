@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -310,6 +313,36 @@ def test_canonical_json_matches_json_dumps(monkeypatch, fast) -> None:
         assert canonical_json(value) == json.dumps(value, ensure_ascii=False, indent=2)
 
     check()
+
+
+_INGEST_GATE_SCORE = """
+import sys
+from pathlib import Path
+from datamentions import corpus, evalkit, gate, records
+
+doc = "c" * 40
+root = Path(sys.argv[1])
+corpus.CorpusStore(root).ingest_pages(
+    records.PageRecord(doc_id=doc, page_number=n, text=f"We use survey data {n}.")
+    for n in range(1, 4)
+)
+passed, _ = gate.filter_pages(corpus.CorpusStore(root).iter_pages(), gate.KeywordGate())
+report, _ = evalkit.score_records(
+    [records.PredictionRecord(doc_id=doc, page_number=1, predicted_names=("survey data",))],
+    [records.GroundTruthRecord(doc_id=doc, page_number=1, gold_names=("the survey data",))],
+)
+print(len(passed), report.tp, sys.modules.get("orjson") is not None)
+"""
+
+
+def test_ingest_gate_and_scoring_leave_orjson_unimported(tmp_path) -> None:
+    proc = subprocess.run(
+        [sys.executable, "-c", _INGEST_GATE_SCORE, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3 1 False\n"
 
 
 def test_canonical_json_encodes_plain_blocks_with_orjson(monkeypatch) -> None:

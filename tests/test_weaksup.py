@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +21,10 @@ from datamentions.errors import (
     MissingField,
     PipelineInterrupted,
     RetriesExhausted,
+    UnscriptedInput,
     ValidityCouplingViolation,
 )
-from datamentions.llm import ChatRequest, request_digest
+from datamentions.llm import ChatRequest, ChatResponse, request_digest
 from datamentions.records import (
     MentionBlock,
     PageRecord,
@@ -575,14 +578,25 @@ def test_each_judge_and_reason_body_is_encoded_once(tmp_path, monkeypatch) -> No
         return canonical_json(value)
 
     monkeypatch.setattr(weaksup, "canonical_json", counted)
+    made: list[MentionBlock] = []
+    to_dict = MentionBlock.to_dict
+
+    def counted_to_dict(self):
+        made.append(self)
+        return to_dict(self)
+
+    monkeypatch.setattr(MentionBlock, "to_dict", counted_to_dict)
     out = tmp_path / "out"
     backend = MockChatBackend(script)
-    run_pipeline([case[0] for case in cases], backend, output_dir=out, item_attempts=3)
+    stats = run_pipeline([case[0] for case in cases], backend, output_dir=out, item_attempts=3)
     items = sum(len((out / f"checkpoints/{s}.ckpt").read_bytes().splitlines())
                 for s in ("judge", "reason"))
     assert items == 5  # three judge items, two reason items
     assert len(backend.calls) == 4 + (2 + 3) + 2  # the broken judge item is asked three times
     assert len(encoded) == items
+    # each extracted block becomes a dict for its output line, each judge and
+    # reason block once, for its body and its output line alike
+    assert len(made) == stats.blocks_extracted + items
 
 
 def test_given_user_content_sends_the_same_request() -> None:
@@ -596,6 +610,200 @@ def test_given_user_content_sends_the_same_request() -> None:
         made, given = MockChatBackend(script), MockChatBackend(script)
         assert stage_fn(block, given, user_content=body) == stage_fn(block, made)
         assert given.calls == made.calls and len(made.calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# seals
+
+
+def _count_enumerations(monkeypatch) -> list[str]:
+    """Patch ``_keyed_items`` to record the name of each stage it enumerates."""
+    enumerated: list[str] = []
+    keyed_items = weaksup._keyed_items
+
+    def counted(spec, source):
+        enumerated.append(spec.name)
+        return keyed_items(spec, source)
+
+    monkeypatch.setattr(weaksup, "_keyed_items", counted)
+    return enumerated
+
+
+def _seals(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted((directory / "checkpoints").glob("*.seal"))}
+
+
+def _without_seals(directory, copy):
+    shutil.copytree(directory, copy)
+    for seal in (copy / "checkpoints").glob("*.seal"):
+        seal.unlink()
+    return copy
+
+
+def test_a_sealed_rerun_reads_no_stage_input_and_issues_no_call(tmp_path, monkeypatch) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    assert sorted(_seals(out)) == [f"{stage}.seal" for stage in sorted(STAGES)]
+    assert all(len(seal) == 65 and seal.endswith(b"\n") for seal in _seals(out).values())
+    before = _tree(out)
+
+    enumerated = _count_enumerations(monkeypatch)
+    stats_depth: list[bool] = []
+    reads: list[str] = []
+    stats_of, read = weaksup.compute_stats, weaksup.read_jsonl
+
+    def counted_stats(directory):
+        stats_depth.append(True)
+        try:
+            return stats_of(directory)
+        finally:
+            stats_depth.pop()
+
+    def counted_read(path):
+        if not stats_depth:
+            reads.append(Path(path).name)
+        return read(path)
+
+    monkeypatch.setattr(weaksup, "compute_stats", counted_stats)
+    monkeypatch.setattr(weaksup, "read_jsonl", counted_read)
+    rerun = MockChatBackend(script)
+    run_pipeline(pages, rerun, output_dir=out)
+    assert rerun.calls == []
+    assert enumerated == []
+    assert reads == []  # only the statistics read the stage files
+    assert _tree(out) == before
+
+
+def _lenient(script):
+    """A mock that also answers blocks nobody scripted: the judge and the agent keep them all."""
+
+    class Lenient(MockChatBackend):
+        def complete(self, request):
+            try:
+                return super().complete(request)
+            except UnscriptedInput:
+                stage = self._prompt_to_template[request.system_prompt]
+                block = MentionBlock.from_dict(json.loads(request.user_content))
+                keep = [True] * len(block.datasets)
+                answer = _judge_response if stage == "judge" else _reason_response
+                return ChatResponse(text=answer(block, keep), latency=0.0)
+
+    return Lenient(script)
+
+
+@pytest.mark.parametrize("change, enumerated_stages", [
+    ("edited extract line", ["judge", "reason"]),
+    ("changed page", ["extract", "judge", "reason"]),
+    ("added page", ["extract", "judge", "reason"]),
+])
+def test_a_changed_input_breaks_its_seal_and_those_below(tmp_path, monkeypatch, change,
+                                                         enumerated_stages) -> None:
+    cases = _standard_cases()
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages, MockChatBackend(_pipeline_script(cases)), output_dir=out)
+    seals = _seals(out)
+    if change == "edited extract line":  # same length, one byte, in a committed line
+        extracted = out / "extracted.jsonl"
+        data = extracted.read_bytes()
+        assert data.count(b'"raw_name": "LSMS"') == 1
+        extracted.write_bytes(data.replace(b'"raw_name": "LSMS"', b'"raw_name": "LSMX"'))
+    elif change == "changed page":
+        pages[1] = _page(2, "Page about the LSMX.")  # the same length
+        cases.append((pages[1], ["LSMX"], [True], [True]))
+    else:
+        pages.append(_page(5, "A new page on the DHS.", DOC2))
+        cases.append((pages[-1], ["DHS"], [True], [False]))
+    bare = _without_seals(out, tmp_path / "bare")
+
+    enumerated = _count_enumerations(monkeypatch)
+    sealed_calls = _lenient(_pipeline_script(cases))
+    run_pipeline(pages, sealed_calls, output_dir=out)
+    assert enumerated == enumerated_stages
+    assert sealed_calls.calls  # the change left work to do
+    bare_calls = _lenient(_pipeline_script(cases))
+    run_pipeline(pages, bare_calls, output_dir=bare)
+    assert sealed_calls.calls == bare_calls.calls
+    assert _tree(out) == _tree(bare)
+    for stage in STAGES:  # the stages whose inputs changed are sealed anew
+        changed = _seals(out)[f"{stage}.seal"] != seals[f"{stage}.seal"]
+        assert changed == (stage in enumerated_stages), stage
+
+
+def test_an_interrupted_run_resumes_alike_with_seals_kept_or_deleted(tmp_path, monkeypatch) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    full = MockChatBackend(script)
+    run_pipeline(pages, full, output_dir=tmp_path / "full")
+    extract_calls = sum(1 for template, _ in full.calls if template == "extractor")
+    enumerated = _count_enumerations(monkeypatch)
+
+    for budget in range(len(full.calls)):
+        out = tmp_path / f"budget{budget}"
+        with pytest.raises(PipelineInterrupted):
+            run_pipeline(pages, _FailsAfter(MockChatBackend(script), budget), output_dir=out)
+        bare = _without_seals(out, tmp_path / f"bare{budget}")
+        enumerated.clear()
+        kept = MockChatBackend(script)
+        run_pipeline(pages, kept, output_dir=out)
+        # the extract stage finished, and was sealed, within the budget
+        assert ("extract" not in enumerated) == (budget >= extract_calls), budget
+        deleted = MockChatBackend(script)
+        run_pipeline(pages, deleted, output_dir=bare)
+        assert kept.calls == deleted.calls, budget
+        assert _tree(out) == _tree(bare), budget
+        assert _outputs(out) == _outputs(tmp_path / "full"), budget
+        assert _seals(out) == _seals(tmp_path / "full"), budget
+
+
+@pytest.mark.parametrize("damage", ["garbage", "truncated", "stale", "deleted"])
+def test_a_damaged_seal_is_ignored_and_rewritten(tmp_path, monkeypatch, damage) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    before = _tree(out)
+    judge_seal = out / "checkpoints" / "judge.seal"
+    if damage == "garbage":
+        judge_seal.write_bytes(b"\xff not a seal \x00")
+    elif damage == "truncated":
+        judge_seal.write_bytes(judge_seal.read_bytes()[:30])
+    elif damage == "stale":  # a well-formed seal of another stage
+        judge_seal.write_bytes((out / "checkpoints" / "extract.seal").read_bytes())
+    else:
+        judge_seal.unlink()
+
+    enumerated = _count_enumerations(monkeypatch)
+    rerun = MockChatBackend(script)
+    run_pipeline(pages, rerun, output_dir=out)
+    assert enumerated == ["judge"]
+    assert rerun.calls == []
+    assert _tree(out) == before
+
+
+def test_plan_counts_a_sealed_stage_as_done_and_writes_nothing(tmp_path, monkeypatch) -> None:
+    cases = _standard_cases()
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages, MockChatBackend(_pipeline_script(cases)), output_dir=out)
+    before = _tree(out)
+    enumerated = _count_enumerations(monkeypatch)
+
+    plans = plan_pipeline(pages, output_dir=out)
+    assert [(p.pending, p.backend_calls) for p in plans] == [(0, 0)] * len(STAGES)
+    assert enumerated == []
+    assert _tree(out) == before
+
+    bare = _without_seals(out, tmp_path / "bare")
+    bare_before = _tree(bare)
+    assert plan_pipeline(pages, output_dir=bare) == plans
+    assert enumerated == list(STAGES)
+    assert _tree(bare) == bare_before  # planning writes no seal
 
 
 # ---------------------------------------------------------------------------
