@@ -8,6 +8,16 @@ gate errors (:class:`NetworkError`, :class:`MalformedScore`) fail open — a
 page the gate cannot score still passes, because a page dropped here is
 unrecoverable downstream. Any other exception is a bug and propagates.
 
+:func:`filter_pages` scores the library's local gates, :class:`KeywordGate`
+and :class:`AlwaysPassGate`, one page at a time in the caller's thread.
+Any other gate, :class:`RemoteGate` or one of the caller's own (a subclass
+of a local gate included), is taken to wait on a service: eight of its
+pages are scored at a time on worker threads, with at most sixteen
+submitted ahead of the page being decided. So such a gate's
+``score_page``, and a ``session`` given to :class:`RemoteGate`, must be
+safe to call from several threads at once. Decisions, and fail-open
+warnings, still come out in page order.
+
 The keyword rule: a page matches when some trigger occurs as a whole word,
 delimited by ``\b``, compared case-insensitively exactly as Python's
 ``re.IGNORECASE`` does, so ``ſurvey`` and ``İndex`` match ``survey`` and
@@ -19,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import re
+from contextlib import closing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,6 +40,7 @@ import requests
 from .errors import InvalidRecord, MalformedScore, MissingLabel, NetworkError
 from .evalkit import fbeta, precision_recall
 from .records import PageRecord
+from .window import windowed_map
 
 log = logging.getLogger(__name__)
 
@@ -79,6 +91,13 @@ class GateDecision:
 
 
 class PageGate(Protocol):
+    """Scores a page in [0, 1].
+
+    :func:`filter_pages` calls ``score_page`` of a gate other than
+    :class:`KeywordGate` and :class:`AlwaysPassGate` from up to
+    eight threads at once, so it must be thread-safe.
+    """
+
     def score_page(self, text: str) -> float: ...
 
 
@@ -207,40 +226,58 @@ class RemoteGate:
         return score
 
 
+# Pages a gate that waits on a service scores at once. Fixed, not an
+# option: it caps the load on the classifier, and waiting threads need no
+# cores.
+_GATE_WIDTH = 8
+
+_LOCAL_GATES = (KeywordGate, AlwaysPassGate)
+
+
 def filter_pages(
     pages: Iterable[PageRecord],
     gate: PageGate,
     threshold: float = 0.5,
 ) -> tuple[list[PageRecord], list[GateDecision]]:
-    """Score every page; return (pages that passed, all decisions).
+    """Score every page; return (pages that passed, all decisions), in page order.
 
     A remote gate error (:class:`NetworkError` or :class:`MalformedScore`)
     quarantines the page on the passing side (fail-open) with score 1.0 and
-    a logged warning; any other exception propagates.
+    a logged warning; the first other exception, in page order, propagates.
+    A local gate scores in the caller's thread; any other gate scores
+    eight pages at a time (see the module docstring). ``pages`` may be a
+    one-shot iterable.
     """
     if not 0.0 <= threshold <= 1.0:
         raise InvalidRecord(f"threshold must be in [0, 1], got {threshold}")
+
+    def score_or_error(page: PageRecord) -> tuple[PageRecord, float | Exception]:
+        try:
+            return page, gate.score_page(page.text)
+        except (NetworkError, MalformedScore) as exc:
+            return page, exc
+
+    width = 1 if type(gate) in _LOCAL_GATES else _GATE_WIDTH
     passed: list[PageRecord] = []
     decisions: list[GateDecision] = []
-    for page in pages:
-        try:
-            score = gate.score_page(page.text)
-        except (NetworkError, MalformedScore) as exc:
-            log.warning(
-                "gate failed on %s p%d (%s); passing the page through",
-                page.doc_id, page.page_number, exc,
+    with closing(windowed_map(score_or_error, pages, width)) as scored:
+        for page, score in scored:
+            if isinstance(score, Exception):
+                log.warning(
+                    "gate failed on %s p%d (%s); passing the page through",
+                    page.doc_id, page.page_number, score,
+                )
+                score = 1.0
+            decision = GateDecision(
+                doc_id=page.doc_id,
+                page_number=page.page_number,
+                score=score,
+                threshold=threshold,
+                passed=score >= threshold,
             )
-            score = 1.0
-        decision = GateDecision(
-            doc_id=page.doc_id,
-            page_number=page.page_number,
-            score=score,
-            threshold=threshold,
-            passed=score >= threshold,
-        )
-        decisions.append(decision)
-        if decision.passed:
-            passed.append(page)
+            decisions.append(decision)
+            if decision.passed:
+                passed.append(page)
     return passed, decisions
 
 

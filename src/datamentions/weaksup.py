@@ -29,6 +29,15 @@ decoded and no key digested. Nothing else reads a seal. A torn, stale or
 deleted one only costs that enumeration, after which the stage is sealed
 again, so seals are written without fsync or rename.
 
+A stage streams its pending items through one bounded in-flight window:
+with ``workers`` threads, at most ``2 * workers`` items are submitted ahead
+of the one being committed. Only those, and the rest of one batch of
+enumerated items, are held in memory, never the stage's whole input. An
+error that stops the run, a backend error (the first in input order) or a
+failed commit, stops the stage at once: queued items are cancelled and
+only the calls already running finish, so a stopped run has paid for the
+replies of at most ``2 * workers`` items it did not commit.
+
 One table of stage specs drives both :func:`run_pipeline` and
 :func:`plan_pipeline`, so they walk the same items under the same keys and
 ``generate --dry-run`` counts exactly the calls a run would issue (beyond
@@ -43,8 +52,7 @@ import json
 import logging
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
@@ -89,6 +97,7 @@ from .records import (
     CONTEXT_VALUES,
     SPECIFICITY_VALUES,
 )
+from .window import windowed_map
 
 log = logging.getLogger(__name__)
 
@@ -878,6 +887,14 @@ def _keyed_items(spec: _StageSpec, source: Any) -> Iterator[tuple[str, str, int,
         yield key, doc_id, page_number, user_content, subject
 
 
+# Items are enumerated (input rows decoded, bodies encoded, keys digested)
+# this many at a time, ahead of the window. Enumerating one item between
+# calls made the zero-latency pipeline about 4% slower on a 2-core VM, as
+# the decode-and-digest loop no longer stayed in the CPU caches; batches of
+# 16 and 256 did worse than 64. Enumeration issues no call.
+_ENUMERATION_BATCH = 64
+
+
 def _run_stage(
     spec: _StageSpec,
     source: Any,
@@ -890,26 +907,28 @@ def _run_stage(
 ) -> None:
     """Run the stage's pending items; commit output or dead-letter per item.
 
-    Results are committed strictly in input order regardless of worker
-    count, keeping output files deterministic.
+    Items stream through :func:`windowed_map` at width ``workers``, and
+    results are committed strictly in input order regardless of worker
+    count, keeping output files deterministic. An item is pending when its
+    key was not completed as the stage started, so a key repeated in the
+    input runs, and commits, each time at any worker count.
     """
-    pending = [item for item in _keyed_items(spec, source)
-               if item[0] not in writer.checkpoint.completed]
-    if not pending:
-        return
+    done = frozenset(writer.checkpoint.completed)
+    keyed = _keyed_items(spec, source)
+    batches = iter(lambda: list(islice(keyed, _ENUMERATION_BATCH)), [])
+    pending = (item for batch in batches for item in batch if item[0] not in done)
 
-    def attempt(item: tuple[str, str, int, str, Any]) -> tuple[str | None, Exception | None]:
+    def attempt(item: tuple[str, str, int, str, Any]) -> tuple[Any, str | None, Exception | None]:
         last: Exception | None = None
         for _ in range(item_attempts):
             try:
-                return spec.produce(item[4], item[3], backend, stage_kwargs), None
+                return item, spec.produce(item[4], item[3], backend, stage_kwargs), None
             except _POISON_ERRORS as exc:
                 last = exc
-        return None, last
+        return item, None, last
 
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        outcomes = (map if pool is None else pool.map)(attempt, pending)
-        for (key, doc_id, page_number, _, _), (line, error) in zip(pending, outcomes):
+    with closing(windowed_map(attempt, pending, workers)) as outcomes:
+        for (key, doc_id, page_number, _, _), line, error in outcomes:
             if error is not None:
                 log.error("%s: quarantining %s after %d attempts: %s",
                           spec.name, key, item_attempts, error)

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import logging
 import re
 import string
 import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from datamentions.errors import InvalidRecord, MalformedScore, MissingLabel, NetworkError
 from datamentions.gate import (
+    _GATE_WIDTH,
     AlwaysPassGate,
     GateDecision,
     KeywordGate,
@@ -277,6 +281,105 @@ def test_filter_pages_validates_threshold() -> None:
 def test_threshold_zero_passes_everything() -> None:
     pages = [_page(1, "abc"), _page(2, "")]
     passed, _ = filter_pages(pages, KeywordGate(["qqq"]), threshold=0.0)
+    assert passed == pages
+
+
+class _IndexedGate:
+    """A user gate over pages whose text is their number: ``delay(n)`` seconds,
+    then ``n / 100``, or the error ``fail(n)`` returns. Counts calls and the
+    peak number running at once."""
+
+    def __init__(self, delay=lambda n: 0.0, fail=lambda n: None):
+        self.delay, self.fail = delay, fail
+        self.calls = self.running = self.peak = 0
+        self._lock = threading.Lock()
+
+    def score_page(self, text: str) -> float:
+        n = int(text)
+        with self._lock:
+            self.calls += 1
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        try:
+            time.sleep(self.delay(n))
+            error = self.fail(n)
+            if error is not None:
+                raise error
+            return n / 100
+        finally:
+            with self._lock:
+                self.running -= 1
+
+
+def _numbered(count: int) -> list[PageRecord]:
+    return [_page(n, str(n)) for n in range(1, count + 1)]
+
+
+def test_filter_pages_keeps_page_order_when_later_pages_finish_first() -> None:
+    pages = _numbered(40)
+    gate = _IndexedGate(delay=lambda n: (41 - n) * 0.0005)
+    passed, decisions = filter_pages(iter(pages), gate, threshold=0.25)
+    reference = [
+        GateDecision(DOC, p.page_number, p.page_number / 100, 0.25, p.page_number >= 25)
+        for p in pages
+    ]
+    assert decisions == reference
+    assert passed == pages[24:]
+
+
+def test_a_waiting_gate_scores_several_pages_at_once_and_never_more_than_the_width() -> None:
+    gate = _IndexedGate(delay=lambda n: 0.005)
+    filter_pages(_numbered(60), gate)
+    assert gate.calls == 60
+    assert 1 < gate.peak <= _GATE_WIDTH
+
+
+def test_fail_open_warnings_follow_page_order(caplog) -> None:
+    failing = {3: NetworkError("down"), 7: MalformedScore("1.7"), 12: NetworkError("reset")}
+    gate = _IndexedGate(delay=lambda n: (20 - n) * 0.001, fail=failing.get)
+    with caplog.at_level(logging.WARNING, logger="datamentions.gate"):
+        passed, decisions = filter_pages(_numbered(20), gate, threshold=0.5)
+    assert [d.page_number for d in decisions] == list(range(1, 21))
+    assert [(d.page_number, d.score) for d in decisions if d.page_number in failing] == [
+        (3, 1.0), (7, 1.0), (12, 1.0)
+    ]
+    assert all(d.passed for d in decisions if d.page_number in failing)
+    assert {p.page_number for p in passed} == set(failing)
+    assert [record.args[1] for record in caplog.records] == [3, 7, 12]
+
+
+def test_the_first_gate_bug_in_page_order_propagates_and_stops_scoring() -> None:
+    bugs = {3: TypeError("bug on page 3"), 5: TypeError("bug on page 5")}
+    gate = _IndexedGate(delay=lambda n: 0.02 if n == 3 else 0.002, fail=bugs.get)
+    with pytest.raises(TypeError, match="page 3"):
+        filter_pages(_numbered(100), gate)
+    assert gate.calls <= 3 + 2 * _GATE_WIDTH  # the pages submitted ahead of page 3
+    assert gate.running == 0
+
+
+@pytest.mark.parametrize("gate", [KeywordGate(["census"]), AlwaysPassGate()],
+                         ids=["keyword", "always_pass"])
+def test_local_gates_score_in_the_callers_thread(gate) -> None:
+    threads: set[int] = set()
+    score_page = gate.score_page
+
+    def recorded(text: str) -> float:
+        threads.add(threading.get_ident())
+        return score_page(text)
+
+    gate.score_page = recorded
+    _, decisions = filter_pages(_numbered(30), gate)
+    assert len(decisions) == 30
+    assert threads == {threading.get_ident()}
+
+
+def test_remote_gate_scores_every_page_once_and_decides_in_order() -> None:
+    pages = [_page(n, f"page {n} text") for n in range(1, 21)]
+    with StubServer([{"body": "0.7"}]) as server:
+        passed, decisions = filter_pages(pages, RemoteGate(endpoint=server.url), threshold=0.5)
+        bodies = sorted(r["body"].decode("utf-8") for r in server.requests)
+    assert bodies == sorted(p.text for p in pages)
+    assert [(d.page_number, d.score) for d in decisions] == [(n, 0.7) for n in range(1, 21)]
     assert passed == pages
 
 

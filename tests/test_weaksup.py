@@ -541,6 +541,75 @@ def test_threaded_run_matches_serial_run_byte_for_byte(tmp_path) -> None:
     assert len(list(read_jsonl(tmp_path / "w4" / "deadletter.jsonl"))) == 1
 
 
+def _many_pages(count: int) -> tuple[list[PageRecord], dict[tuple[str, str], str]]:
+    """``count`` mention-free pages, in key order, and their extractor script."""
+    pages = [_page(n, f"Page {n} has nothing to extract.") for n in range(1, count + 1)]
+    return pages, _pipeline_script([(page, [], [], []) for page in pages])
+
+
+def test_a_failed_commit_stops_the_stage_within_the_window(tmp_path, monkeypatch) -> None:
+    pages, script = _many_pages(200)
+    commit, commits = weaksup._StageWriter.commit, []
+
+    def full_disk(self, key, line, *, dead=False):
+        commits.append(key)
+        if len(commits) == 3:
+            raise OSError(28, "No space left on device")
+        commit(self, key, line, dead=dead)
+
+    monkeypatch.setattr(weaksup._StageWriter, "commit", full_disk)
+    workers = 4
+    backend = MockChatBackend(script)
+    with pytest.raises(OSError):
+        run_pipeline(pages, backend, output_dir=tmp_path / "out", stages=("extract",),
+                     workers=workers)
+    assert len(backend.calls) <= 3 + 2 * workers  # one submitted per commit, past the window
+    assert len(list(read_jsonl(tmp_path / "out" / "extracted.jsonl"))) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4, 8])
+def test_a_backend_outage_stops_the_stage_within_the_window(tmp_path, workers) -> None:
+    pages, script = _many_pages(200)
+    down = pages[23]  # the 24th item in key order
+
+    class OutageAt:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, request: ChatRequest):
+            if request.user_content == down.text:
+                self.inner.calls.append(("extractor", "outage"))
+                raise RetriesExhausted("injected outage")
+            return self.inner.complete(request)
+
+    backend = OutageAt(MockChatBackend(script))
+    out = tmp_path / "out"
+    with pytest.raises(PipelineInterrupted):
+        run_pipeline(pages, backend, output_dir=out, stages=("extract",), workers=workers)
+    assert len(backend.inner.calls) <= 24 + 2 * workers
+    committed = [(row["doc_id"], row["page_number"]) for row in read_jsonl(out / "extracted.jsonl")]
+    assert committed == [(p.doc_id, p.page_number) for p in pages[:23]]
+
+
+def test_a_repeated_page_runs_and_commits_twice_at_any_worker_count(tmp_path) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    pages.insert(2, pages[0])  # same (doc_id, page_number, text), so the same key
+
+    for workers in (1, 2, 4):
+        run_pipeline(pages, MockChatBackend(script), output_dir=tmp_path / f"w{workers}",
+                     workers=workers)
+    extracted = [(row["doc_id"], row["page_number"])
+                 for row in read_jsonl(tmp_path / "w1" / "extracted.jsonl")]
+    assert extracted.count((DOC, 1)) == 2
+    ckpt_keys = [json.loads(line)["key"] for line in
+                 (tmp_path / "w1" / "checkpoints" / "extract.ckpt").read_text().splitlines()]
+    assert len(ckpt_keys) == len(pages) and len(set(ckpt_keys)) == len(pages) - 1
+    assert _outputs(tmp_path / "w2") == _outputs(tmp_path / "w1")
+    assert _outputs(tmp_path / "w4") == _outputs(tmp_path / "w1")
+
+
 def test_torn_checkpoint_tail_is_redone_on_resume(tmp_path) -> None:
     cases = _standard_cases()
     script = _pipeline_script(cases)
