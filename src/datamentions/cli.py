@@ -19,6 +19,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Sequence
 
+import requests
+from requests.adapters import HTTPAdapter
+
 from .config import PipelineConfig, load_config
 from .corpus import CorpusStore, MetadataClient, convert_pdf_to_pages, search_paper_by_title
 from .errors import (
@@ -32,7 +35,15 @@ from .errors import (
     UnscriptedInput,
 )
 from .evalkit import MatchConfig, import_predictions, render_report, score_records
-from .gate import AlwaysPassGate, KeywordGate, PageGate, RemoteGate, filter_pages
+from .gate import (
+    _GATE_WIDTH,
+    AlwaysPassGate,
+    GateDecision,
+    KeywordGate,
+    PageGate,
+    RemoteGate,
+    filter_pages,
+)
 from .llm import MockChatBackend, ChatBackend, RemoteChatBackend, load_templates
 from .records import PageRecord, dumps_line, read_jsonl, write_jsonl
 from .retries import RetryPolicy
@@ -121,7 +132,24 @@ def _build_gate(cfg: PipelineConfig) -> PageGate:
         if cfg.gate_triggers_file is not None:
             return KeywordGate.from_file(cfg.gate_triggers_file)
         return KeywordGate()
-    return RemoteGate(endpoint=cfg.gate_endpoint)
+    # one pooled connection for each page the gate scores at once
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_maxsize=_GATE_WIDTH)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return RemoteGate(endpoint=cfg.gate_endpoint, session=session)
+
+
+def _gate_pages(
+    cfg: PipelineConfig, pages: list[PageRecord]
+) -> tuple[list[PageRecord], list[GateDecision]]:
+    """:func:`filter_pages` through the configured gate, whose connections are closed after."""
+    gate = _build_gate(cfg)
+    try:
+        return filter_pages(pages, gate, cfg.gate_threshold)
+    finally:
+        if isinstance(gate, RemoteGate):
+            gate.session.close()
 
 
 def _load_pages(cfg: PipelineConfig, pages_file: str | None) -> list[PageRecord]:
@@ -219,8 +247,7 @@ def cmd_ingest(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_gate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     pages = _load_pages(cfg, args.pages)
-    gate = _build_gate(cfg)
-    passed, decisions = filter_pages(pages, gate, cfg.gate_threshold)
+    passed, decisions = _gate_pages(cfg, pages)
     out = Path(args.out) if args.out else cfg.output_dir / "gate_decisions.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
     write_jsonl(out, (d.to_dict() for d in decisions))
@@ -318,8 +345,7 @@ def cmd_export_finetune(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_infer(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     pages = _load_pages(cfg, args.pages)
-    gate = _build_gate(cfg)
-    passed, decisions = filter_pages(pages, gate, cfg.gate_threshold)
+    passed, decisions = _gate_pages(cfg, pages)
     infer_dir = cfg.output_dir / "infer"
     _run_locked(cfg, passed, infer_dir, ("extract",))
     names_by_page: dict[tuple[str, int], list[str]] = {}

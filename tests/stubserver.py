@@ -13,7 +13,8 @@ class StubServer:
 
     Each script entry is a dict with optional ``status`` (default 200),
     ``body`` (dict/list serialized as JSON, str, or bytes), and ``headers``.
-    Every incoming request is recorded with method, path, headers, and body.
+    Every incoming request is recorded with method, path, headers, body,
+    and the client's (host, port) address.
     """
 
     def __init__(self, script: list[dict[str, Any]]):
@@ -25,6 +26,8 @@ class StubServer:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"  # keep-alive, so pooled clients reuse connections
+
             def _serve(self) -> None:
                 length = int(self.headers.get("Content-Length") or 0)
                 body = self.rfile.read(length) if length else b""
@@ -35,6 +38,7 @@ class StubServer:
                             "path": self.path,
                             "headers": dict(self.headers),
                             "body": body,
+                            "client": self.client_address,
                         }
                     )
                     entry = (

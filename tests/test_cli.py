@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+import requests
 
 from datamentions.cli import _advisory_lock, main
 from datamentions.errors import InputError
+from datamentions.gate import RemoteGate, filter_pages
 from datamentions.records import PageRecord, read_jsonl, write_jsonl
 
 from pipeline_fixtures import pipeline_script, write_script_file
@@ -186,6 +188,26 @@ def test_gate_defaults_to_output_dir(tmp_path, capsys) -> None:
     )
     assert code == 0
     assert (tmp_path / "out" / "gate_decisions.jsonl").exists()
+
+
+def test_remote_gate_pages_share_pooled_connections(tmp_path, monkeypatch) -> None:
+    pages = [_page(n, f"Page {n} of plain prose.") for n in range(1, 41)]
+    pages_file = _pages_file(tmp_path, pages)
+    out = tmp_path / "decisions.jsonl"
+    closed: list[requests.Session] = []
+    close = requests.Session.close
+    monkeypatch.setattr(requests.Session, "close",
+                        lambda session: closed.append(session) or close(session))
+    with StubServer([{"body": "0.7"}]) as server:
+        cfg = _config_file(tmp_path, {"gate": {"kind": "remote", "endpoint": server.url}})
+        code = main(["--config", str(cfg), "gate", "--pages", str(pages_file), "--out", str(out)])
+        assert len(closed) == 1  # the command closes its session, and its connections
+        pooled = {request["client"][1] for request in server.requests}
+        _, unpooled = filter_pages(pages, RemoteGate(endpoint=server.url))
+    assert code == 0
+    assert len(server.requests) == 80
+    assert 1 <= len(pooled) <= 8  # the gate scores eight pages at a time
+    assert list(read_jsonl(out)) == [decision.to_dict() for decision in unpooled]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """SIGKILL a ``generate`` process at seeded commit and seal points, then resume.
 
 Each run is a subprocess that calls the CLI's ``main`` after patching the
-checkpoint and seal writes to kill the process at the n-th one: before the
-checkpoint line that commits an item whose output line is already written,
-halfway through a checkpoint line, or halfway through a seal. Reruns go on
+checkpoint, seal and statistics writes to kill the process at the n-th one:
+before the checkpoint line that commits an item whose output line is
+already written, halfway through a checkpoint line, halfway through a seal,
+halfway through ``stats.json``, or between ``stats.json`` and its
+fingerprint. Reruns go on
 until one exits 0; the result must equal an uninterrupted run byte for byte,
 and no item committed before a kill may be asked for again after it.
 """
@@ -60,11 +62,15 @@ if kind in ("before-ckpt", "torn-ckpt"):
         init(self, *args)
         self._ckpt = DyingFile(self._ckpt)
     weaksup._StageWriter.__init__ = init_dying
-elif kind == "torn-seal":
+else:
+    target = {"torn-seal": ".seal", "torn-stats": "stats.json",
+              "before-fingerprint": "stats.sha256"}.get(kind)
     write_bytes = Path.write_bytes
     def write_bytes_dying(self, data):
-        if self.suffix != ".seal":
+        if target not in (self.suffix, self.name):
             return write_bytes(self, data)
+        if kind == "before-fingerprint":  # stats.json is written, its fingerprint not
+            os.kill(os.getpid(), signal.SIGKILL)
         with open(self, "wb") as fh:
             return dying(fh.write, fh.flush)(data)
     Path.write_bytes = write_bytes_dying
@@ -73,7 +79,8 @@ sys.exit(cli.main(sys.argv[3:]))
 """
 
 _TEMPLATE_OF = {"extract": "extractor", "judge": "judge", "reason": "reasoner"}
-_KILLS = ("before-ckpt", "torn-ckpt", "torn-seal", "before-ckpt", "torn-ckpt", "torn-seal")
+_KILLS = ("before-ckpt", "torn-ckpt", "torn-seal", "before-ckpt", "torn-ckpt", "torn-seal",
+          "torn-stats", "before-fingerprint")
 
 
 def _cases() -> list:
@@ -133,7 +140,7 @@ def _calls(log: Path) -> list[tuple[str, str]]:
 
 def _kept_files(out: Path) -> dict[str, bytes]:
     names = ["extracted.jsonl", "judged.jsonl", "assessed.jsonl", "deadletter.jsonl",
-             "stats.json"]
+             "stats.json", "checkpoints/stats.sha256"]
     names += [f"checkpoints/{stage}.{kind}" for stage in _TEMPLATE_OF for kind in ("ckpt", "seal")]
     return {name: (out / name).read_bytes() for name in names}
 
@@ -152,6 +159,8 @@ def test_killed_generate_resumes_byte_identically(tmp_path, seed, concurrency) -
             seals = out / "checkpoints"
             whole = sum(1 for p in seals.glob("*.seal") if len(p.read_bytes()) == 65)
             n = rng.randint(1, 3 - whole) if whole < 3 else 0
+        elif kind in ("torn-stats", "before-fingerprint"):
+            n = 1  # the run writes them once, at its end: no earlier run got that far
         else:
             remaining = total - len(_committed(out)) if out.exists() else total
             n = rng.randint(1, remaining) if remaining else 0

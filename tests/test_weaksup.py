@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from datamentions import weaksup
 from datamentions import (
@@ -24,7 +27,7 @@ from datamentions.errors import (
     UnscriptedInput,
     ValidityCouplingViolation,
 )
-from datamentions.llm import ChatRequest, ChatResponse, request_digest
+from datamentions.llm import ChatRequest, ChatResponse, load_templates, request_digest
 from datamentions.records import (
     MentionBlock,
     PageRecord,
@@ -718,32 +721,41 @@ def test_a_sealed_rerun_reads_no_stage_input_and_issues_no_call(tmp_path, monkey
     assert sorted(_seals(out)) == [f"{stage}.seal" for stage in sorted(STAGES)]
     assert all(len(seal) == 65 and seal.endswith(b"\n") for seal in _seals(out).values())
     before = _tree(out)
+    old = 10**18  # 2001: any write would move a file's mtime to now
+    for path in out.rglob("*"):
+        os.utime(path, ns=(old, old))
+    last_lines = [(out / "checkpoints" / f"{stage}.ckpt").read_text(encoding="utf-8")
+                  .splitlines()[-1] for stage in STAGES]
+    templates = load_templates()
 
     enumerated = _count_enumerations(monkeypatch)
-    stats_depth: list[bool] = []
+    stats_calls: list[Path] = []
     reads: list[str] = []
-    stats_of, read = weaksup.compute_stats, weaksup.read_jsonl
-
-    def counted_stats(directory):
-        stats_depth.append(True)
-        try:
-            return stats_of(directory)
-        finally:
-            stats_depth.pop()
+    decoded: list[str] = []
+    read, loads = weaksup.read_jsonl, weaksup.json.loads
 
     def counted_read(path):
-        if not stats_depth:
-            reads.append(Path(path).name)
+        reads.append(Path(path).name)
         return read(path)
 
-    monkeypatch.setattr(weaksup, "compute_stats", counted_stats)
+    def counted_loads(text, *args, **kwargs):
+        decoded.append(text.decode("utf-8") if isinstance(text, bytes) else text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(weaksup, "compute_stats", stats_calls.append)
     monkeypatch.setattr(weaksup, "read_jsonl", counted_read)
+    monkeypatch.setattr(weaksup.json, "loads", counted_loads)
     rerun = MockChatBackend(script)
-    run_pipeline(pages, rerun, output_dir=out)
+    stats = run_pipeline(pages, rerun, output_dir=out, templates=templates)
+    monkeypatch.undo()
     assert rerun.calls == []
     assert enumerated == []
-    assert reads == []  # only the statistics read the stage files
+    assert reads == [] and stats_calls == []
+    # the last line of each checkpoint, for its offsets, and stats.json
+    assert sorted(decoded) == sorted(last_lines + [before["stats.json"].decode("utf-8")])
+    assert stats == compute_stats(out)
     assert _tree(out) == before
+    assert all(path.stat().st_mtime_ns == old for path in out.rglob("*"))
 
 
 def _lenient(script):
@@ -852,6 +864,115 @@ def test_a_damaged_seal_is_ignored_and_rewritten(tmp_path, monkeypatch, damage) 
     run_pipeline(pages, rerun, output_dir=out)
     assert enumerated == ["judge"]
     assert rerun.calls == []
+    assert _tree(out) == before
+
+
+@pytest.mark.parametrize("damage", [
+    "stats deleted", "stats edited", "stats truncated",
+    "fingerprint deleted", "fingerprint garbage", "fingerprint stale",
+    "assessed edited", "extract only",
+])
+def test_stats_are_recomputed_unless_their_fingerprint_matches(tmp_path, monkeypatch,
+                                                               damage) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    stats_path, fingerprint = out / "stats.json", out / "checkpoints" / "stats.sha256"
+    assert len(fingerprint.read_bytes()) == 65 and fingerprint.read_bytes().endswith(b"\n")
+    stages = STAGES
+    if damage == "stats deleted":
+        stats_path.unlink()
+    elif damage == "stats edited":  # the same length, one digit
+        stats_path.write_bytes(stats_path.read_bytes().replace(b'"pages_processed": 5',
+                                                               b'"pages_processed": 6'))
+    elif damage == "stats truncated":
+        stats_path.write_bytes(stats_path.read_bytes()[:40])
+    elif damage == "fingerprint deleted":
+        fingerprint.unlink()
+    elif damage == "fingerprint garbage":
+        fingerprint.write_bytes(b"\xff not a fingerprint \x00")
+    elif damage == "fingerprint stale":  # a well-formed one, of the outputs of another run
+        run_pipeline(pages[:2], MockChatBackend(script), output_dir=tmp_path / "other")
+        fingerprint.write_bytes((tmp_path / "other" / "checkpoints" / "stats.sha256").read_bytes())
+    elif damage == "assessed edited":  # the same length, in a committed line no seal covers
+        assessed = out / "assessed.jsonl"
+        data = assessed.read_bytes()
+        assert b'"valid": true' in data
+        assessed.write_bytes(data.replace(b'"valid": true', b'"valid": null', 1))
+    else:
+        stages = ("extract",)
+    bare = tmp_path / "bare"
+    shutil.copytree(out, bare)
+    (bare / "checkpoints" / "stats.sha256").unlink(missing_ok=True)
+
+    computed: list[Path] = []
+    stats_of = weaksup.compute_stats
+
+    def counted_stats(directory):
+        computed.append(Path(directory))
+        return stats_of(directory)
+
+    monkeypatch.setattr(weaksup, "compute_stats", counted_stats)
+    rerun = MockChatBackend(script)
+    stats = run_pipeline(pages, rerun, output_dir=out, stages=stages)
+    assert rerun.calls == []
+    assert computed == ([] if damage == "extract only" else [out])
+    assert stats == run_pipeline(pages, MockChatBackend(script), output_dir=bare, stages=stages)
+    assert stats == compute_stats(out)
+    assert _tree(out) == _tree(bare)  # stats.json and its fingerprint included
+
+
+def test_checkpoint_keys_decode_on_first_use_as_an_eager_parse_would(tmp_path) -> None:
+    path = tmp_path / "stage.ckpt"
+    text = st.text(st.characters(blacklist_categories=("Cs",)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(text, max_size=6), ascii_only=st.booleans(), tail=st.binary(max_size=12))
+    def check(keys, ascii_only, tail):
+        lines = [json.dumps({"key": key, "out": 7 * i, "dead": i}, ensure_ascii=ascii_only) + "\n"
+                 for i, key in enumerate(keys, 1)]
+        committed = "".join(lines).encode("utf-8")
+        torn = tail.replace(b"\n", b"")  # the tail of a line cut short by a kill
+        path.write_bytes(committed + torn)
+
+        ckpt = StageCheckpoint.load(path)
+        eager = [json.loads(line) for line in lines]
+        assert ckpt.size == len(committed)
+        assert ckpt.bytes_hash.hexdigest() == hashlib.sha256(committed).hexdigest()
+        assert (ckpt.output_offset, ckpt.deadletter_offset) == (
+            (eager[-1]["out"], eager[-1]["dead"]) if eager else (0, 0))
+        assert ckpt.completed == {entry["key"] for entry in eager}
+
+    check()
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("new_page", [False, True])
+def test_an_undecodable_checkpoint_line_raises_before_any_call(tmp_path, stage, new_page) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    ckpt = out / "checkpoints" / f"{stage}.ckpt"
+    lines = ckpt.read_bytes().splitlines(keepends=True)
+    assert len(lines) >= 3
+    lines[1] = b"\xff" + lines[1][1:]  # a middle line; the last, with the offsets, intact
+    ckpt.write_bytes(b"".join(lines))
+    if new_page:  # extract has a call to make before the later stages read their checkpoints
+        pages.append(_page(5, "A new page on the DHS.", DOC2))
+        cases.append((pages[-1], ["DHS"], [True], [False]))
+        script = _pipeline_script(cases)
+    before = _tree(out)
+
+    backend = MockChatBackend(script)
+    with pytest.raises(ValueError):
+        run_pipeline(pages, backend, output_dir=out)
+    assert backend.calls == []
+    with pytest.raises(ValueError):
+        plan_pipeline(pages, output_dir=out)
     assert _tree(out) == before
 
 
