@@ -17,10 +17,7 @@ import shlex
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence
-
-import requests
-from requests.adapters import HTTPAdapter
+from typing import TYPE_CHECKING, Iterator, Sequence, TypeVar
 
 from .config import PipelineConfig, load_config
 from .corpus import CorpusStore, MetadataClient, convert_pdf_to_pages, search_paper_by_title
@@ -55,6 +52,9 @@ from .weaksup import (
     plan_pipeline,
     run_pipeline,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -111,6 +111,32 @@ def _retry_policy(cfg: PipelineConfig) -> RetryPolicy:
     )
 
 
+def _pooled_session(size: int) -> requests.Session:
+    """A session that keeps up to ``size`` connections to a host open, one per call in flight."""
+    import requests
+    from requests.adapters import HTTPAdapter
+
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_maxsize=size)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
+
+
+_Client = TypeVar("_Client")
+
+
+@contextmanager
+def _closing_session(client: _Client) -> Iterator[_Client]:
+    """Yield ``client``; close its session, if it has one, and so its connections, after."""
+    try:
+        yield client
+    finally:
+        session = getattr(client, "session", None)
+        if session is not None:
+            session.close()
+
+
 def _build_backend(cfg: PipelineConfig) -> ChatBackend:
     if cfg.backend == "mock":
         return MockChatBackend.from_script_file(
@@ -122,6 +148,7 @@ def _build_backend(cfg: PipelineConfig) -> ChatBackend:
         base_url=cfg.base_url,
         api_key_env=cfg.api_key_env,
         retry_policy=_retry_policy(cfg),
+        session=_pooled_session(cfg.concurrency),
     )
 
 
@@ -132,24 +159,15 @@ def _build_gate(cfg: PipelineConfig) -> PageGate:
         if cfg.gate_triggers_file is not None:
             return KeywordGate.from_file(cfg.gate_triggers_file)
         return KeywordGate()
-    # one pooled connection for each page the gate scores at once
-    session = requests.Session()
-    adapter = HTTPAdapter(pool_maxsize=_GATE_WIDTH)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return RemoteGate(endpoint=cfg.gate_endpoint, session=session)
+    return RemoteGate(endpoint=cfg.gate_endpoint, session=_pooled_session(_GATE_WIDTH))
 
 
 def _gate_pages(
     cfg: PipelineConfig, pages: list[PageRecord]
 ) -> tuple[list[PageRecord], list[GateDecision]]:
     """:func:`filter_pages` through the configured gate, whose connections are closed after."""
-    gate = _build_gate(cfg)
-    try:
+    with _closing_session(_build_gate(cfg)) as gate:
         return filter_pages(pages, gate, cfg.gate_threshold)
-    finally:
-        if isinstance(gate, RemoteGate):
-            gate.session.close()
 
 
 def _load_pages(cfg: PipelineConfig, pages_file: str | None) -> list[PageRecord]:
@@ -165,8 +183,7 @@ def _run_locked(
     cfg: PipelineConfig, pages: list[PageRecord], output_dir: Path, stages: Sequence[str]
 ) -> PipelineStats:
     """Run ``stages`` on ``pages`` into ``output_dir`` under its advisory lock."""
-    backend = _build_backend(cfg)
-    with _advisory_lock(output_dir):
+    with _closing_session(_build_backend(cfg)) as backend, _advisory_lock(output_dir):
         return run_pipeline(
             pages,
             backend,
@@ -210,14 +227,16 @@ def cmd_search(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         base_url=cfg.metadata_base_url,
         api_key_env=cfg.metadata_api_key_env,
         retry_policy=_retry_policy(cfg),
+        session=_pooled_session(1),  # titles are looked up one at a time
     )
     matched = []
-    for title in titles:
-        doc = search_paper_by_title(title, client, source_corpus=args.source_corpus)
-        if doc is None:
-            log.info("no match: %s", title)
-            continue
-        matched.append(doc.to_dict())
+    with _closing_session(client):
+        for title in titles:
+            doc = search_paper_by_title(title, client, source_corpus=args.source_corpus)
+            if doc is None:
+                log.info("no match: %s", title)
+                continue
+            matched.append(doc.to_dict())
     write_jsonl(args.out, matched)
     print(f"matched {len(matched)} of {len(titles)} titles -> {args.out}")
     return EXIT_OK

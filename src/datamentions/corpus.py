@@ -15,9 +15,7 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ConverterFailed,
@@ -31,6 +29,9 @@ from .errors import (
 )
 from .records import DocumentRecord, PageRecord, dumps_line, read_jsonl
 from .retries import RetryPolicy, send_with_retries
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -80,6 +81,8 @@ class MetadataClient:
 
     def match_title(self, title: str) -> dict | None:
         """Return the best-match payload for ``title``, or None on no match."""
+        import requests  # loaded by the first call, not when the module is
+
         url = self.base_url.rstrip("/") + "/paper/search/match"
         params = {"query": title, "fields": SEARCH_FIELDS}
         headers = {}
@@ -240,6 +243,8 @@ def fetch_pdf(
     sleep: Callable[[float], None] = time.sleep,
 ) -> StoredFileReport:
     """Download the document's PDF into ``dest`` named by its doc_id."""
+    import requests  # loaded by the first call, not when the module is
+
     if not doc.pdf_url:
         raise NoPdfUrl(f"document {doc.doc_id} has no PDF link")
     dest = Path(dest)

@@ -33,14 +33,15 @@ from contextlib import closing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
 from .errors import InvalidRecord, MalformedScore, MissingLabel, NetworkError
 from .evalkit import fbeta, precision_recall
 from .records import PageRecord
 from .window import windowed_map
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -201,6 +202,8 @@ class RemoteGate:
     session: requests.Session | None = None
 
     def score_page(self, text: str) -> float:
+        import requests  # loaded by the first call, not when the module is
+
         http = self.session or requests
         try:
             response = http.post(

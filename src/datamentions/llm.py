@@ -18,9 +18,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 
 from .errors import (
     BackendError,
@@ -33,6 +31,9 @@ from .errors import (
 )
 from .records import read_jsonl
 from .retries import RetryPolicy, send_with_retries
+
+if TYPE_CHECKING:
+    import requests
 
 TEMPLATE_IDS = ("extractor", "judge", "reasoner")
 DEFAULT_MODEL = "gpt-4o-mini-2024-07-18"
@@ -147,6 +148,8 @@ class RemoteChatBackend:
         return {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
 
     def complete(self, request: ChatRequest) -> ChatResponse:
+        import requests  # loaded by the first call, not when the module is
+
         url = self.base_url.rstrip("/") + "/chat/completions"
         payload = {
             "model": request.model_name,

@@ -9,13 +9,15 @@ one; any other response is returned to the caller for interpretation.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
-from typing import Callable
-
-import requests
+from typing import TYPE_CHECKING, Callable
 
 from .errors import RateLimited, RetriesExhausted, Timeout
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -33,13 +35,15 @@ class RetryPolicy:
 
 
 def _retry_after_seconds(response: requests.Response) -> float | None:
+    """The Retry-After header in seconds; None when absent or not a finite number."""
     header = response.headers.get("Retry-After")
     if header is None:
         return None
     try:
-        return max(float(header), 0.0)
+        seconds = float(header)
     except ValueError:
         return None
+    return max(seconds, 0.0) if math.isfinite(seconds) else None
 
 
 def send_with_retries(
@@ -54,8 +58,11 @@ def send_with_retries(
     caller decides what a definitive rejection means. When the budget runs
     out the last failure class picks the exception: :class:`Timeout`,
     :class:`RateLimited` (with the retry-after hint), or
-    :class:`RetriesExhausted`.
+    :class:`RetriesExhausted`. No wait before a retry exceeds
+    ``policy.max_delay``, whatever Retry-After asks for.
     """
+    import requests  # loaded by the first call, so processes that never send skip it
+
     last_kind = "network"
     last_detail = ""
     retry_after: float | None = None
@@ -78,7 +85,7 @@ def send_with_retries(
         if attempt < policy.attempts:
             delay = policy.delay(attempt)
             if retry_after is not None:
-                delay = max(delay, retry_after)
+                delay = min(max(delay, retry_after), policy.max_delay)
             log.debug("transient failure (%s), retry %d/%d in %.1fs",
                       last_detail, attempt, policy.attempts - 1, delay)
             sleep(delay)

@@ -1075,14 +1075,19 @@ def run_pipeline(
         if spec.input_file is not None:
             digests[spec.input_file] = input_digest
         checkpoint, seal_path = checkpoints[spec.name], output_dir / spec.seal_file
+        if _sealed(seal_path, _seal(spec, input_digest, checkpoint)):
+            sealed.add(spec.name)
+            # a file the redo rule let go missing can only have been empty;
+            # create it, as the writer's append-mode open would have
+            for name in (spec.output_file, _DEADLETTER_FILE, spec.checkpoint_file):
+                if not (output_dir / name).exists():
+                    (output_dir / name).touch()
+            continue
+        # reading ``completed`` decodes a checkpoint: decode every one no
+        # seal vouches for, so a damaged line stops the run before any call
+        for name in checkpoints.keys() - sealed:
+            checkpoints[name].completed
         with _StageWriter(checkpoint, output_dir, spec) as writer:
-            if _sealed(seal_path, _seal(spec, input_digest, checkpoint)):
-                sealed.add(spec.name)
-                continue
-            # reading ``completed`` decodes a checkpoint: decode every one no
-            # seal vouches for, so a damaged line stops the run before any call
-            for name in checkpoints.keys() - sealed:
-                checkpoints[name].completed
             try:
                 _run_stage(spec, source, writer, backend, stage_kwargs,
                            item_attempts=item_attempts, workers=workers)

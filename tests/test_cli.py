@@ -190,14 +190,20 @@ def test_gate_defaults_to_output_dir(tmp_path, capsys) -> None:
     assert (tmp_path / "out" / "gate_decisions.jsonl").exists()
 
 
-def test_remote_gate_pages_share_pooled_connections(tmp_path, monkeypatch) -> None:
-    pages = [_page(n, f"Page {n} of plain prose.") for n in range(1, 41)]
-    pages_file = _pages_file(tmp_path, pages)
-    out = tmp_path / "decisions.jsonl"
+def _closed_sessions(monkeypatch) -> list[requests.Session]:
+    """Record every ``requests.Session`` closed from now on."""
     closed: list[requests.Session] = []
     close = requests.Session.close
     monkeypatch.setattr(requests.Session, "close",
                         lambda session: closed.append(session) or close(session))
+    return closed
+
+
+def test_remote_gate_pages_share_pooled_connections(tmp_path, monkeypatch) -> None:
+    pages = [_page(n, f"Page {n} of plain prose.") for n in range(1, 41)]
+    pages_file = _pages_file(tmp_path, pages)
+    out = tmp_path / "decisions.jsonl"
+    closed = _closed_sessions(monkeypatch)
     with StubServer([{"body": "0.7"}]) as server:
         cfg = _config_file(tmp_path, {"gate": {"kind": "remote", "endpoint": server.url}})
         code = main(["--config", str(cfg), "gate", "--pages", str(pages_file), "--out", str(out)])
@@ -208,6 +214,42 @@ def test_remote_gate_pages_share_pooled_connections(tmp_path, monkeypatch) -> No
     assert len(server.requests) == 80
     assert 1 <= len(pooled) <= 8  # the gate scores eight pages at a time
     assert list(read_jsonl(out)) == [decision.to_dict() for decision in unpooled]
+
+
+def test_local_commands_never_import_the_http_stack(tmp_path) -> None:
+    # a fresh interpreter: this module imports requests itself
+    cases = [
+        (_page(1, "We rely on the LSMS survey throughout."), ["LSMS"], [True], [True]),
+        (_page(2, "Completely unrelated prose."), [], [], []),
+    ]
+    cfg = _mock_config(tmp_path, pipeline_script(cases))
+    config = json.loads(cfg.read_text(encoding="utf-8"))
+    config["gate"] = {"kind": "keyword"}
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    pages = _pages_file(tmp_path, [c[0] for c in cases])
+    predictions, gold = _score_fixture(tmp_path)
+    commands = [
+        ["--config", str(cfg), "gate", "--pages", str(pages)],
+        ["--config", str(cfg), "generate", "--pages", str(pages),
+         "--decisions", str(tmp_path / "out" / "gate_decisions.jsonl")],
+        ["score", "--predictions", str(predictions), "--gold", str(gold)],
+    ]
+    script = (
+        "import json, sys\n"
+        "import datamentions\n"
+        "import datamentions.cli\n"
+        "codes = [datamentions.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "http = [name for name in ('requests', 'urllib3') if name in sys.modules]\n"
+        "print(json.dumps([codes, http]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], []]
+    assert len(list(read_jsonl(tmp_path / "calls.jsonl"))) == 3  # the page that passed the gate, through all three stages
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +273,27 @@ def test_generate_runs_all_stages(tmp_path, capsys) -> None:
         assert (out_dir / name).exists()
     assert not (out_dir / ".lock").exists()
     assert len(list(read_jsonl(tmp_path / "calls.jsonl"))) == 6
+
+
+def test_remote_generate_pools_one_connection_per_worker(tmp_path, monkeypatch, capsys) -> None:
+    monkeypatch.setenv("TEST_CHAT_KEY", "sk-test")
+    pages = _pages_file(tmp_path, [_page(n, f"Page {n} names no data.") for n in range(1, 7)])
+    closed = _closed_sessions(monkeypatch)
+    reply = {"choices": [{"message": {"content": "[]"}}]}
+    with StubServer([{"body": reply}]) as server:
+        cfg = _config_file(tmp_path, {
+            "endpoint": {"base_url": server.url, "api_key_env": "TEST_CHAT_KEY"},
+            "backend": {"kind": "remote"},
+            "execution": {"concurrency": 2},
+            "paths": {"output": str(tmp_path / "out")},
+        })
+        code = main(["--config", str(cfg), "generate", "--pages", str(pages)])
+        assert len(closed) == 1
+        ports = {request["client"][1] for request in server.requests}
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["pages_processed"] == 6
+    assert len(server.requests) == 6  # one extract call per page, and nothing to judge
+    assert 1 <= len(ports) <= 2  # 6 ports, one per call, without a pooled session
 
 
 def test_generate_respects_gate_decisions(tmp_path, capsys) -> None:
@@ -533,7 +596,7 @@ def test_infer_writes_predictions_for_every_page(tmp_path, capsys) -> None:
 # search and ingest
 
 
-def test_search_writes_matched_documents(tmp_path, capsys) -> None:
+def test_search_writes_matched_documents(tmp_path, monkeypatch, capsys) -> None:
     titles = tmp_path / "titles.txt"
     titles.write_text(
         "# survey papers\n"
@@ -555,10 +618,14 @@ def test_search_writes_matched_documents(tmp_path, capsys) -> None:
         ]
     }
     out = tmp_path / "documents.jsonl"
+    closed = _closed_sessions(monkeypatch)
     with StubServer([{"body": match}, {"body": {"data": []}}]) as server:
         cfg = _config_file(tmp_path, {"metadata": {"base_url": server.url}})
         code = main(["--config", str(cfg), "search", str(titles), "--out", str(out)])
+        assert len(closed) == 1
     assert code == 0
+    assert len(server.requests) == 2
+    assert len({request["client"][1] for request in server.requests}) == 1
     assert "matched 1 of 2 titles" in capsys.readouterr().out
     rows = list(read_jsonl(out))
     assert [row["doc_id"] for row in rows] == [PAPER_ID]

@@ -94,3 +94,25 @@ def test_retry_after_raises_the_backoff_floor() -> None:
 def test_delay_schedule_caps_at_max_delay() -> None:
     policy = RetryPolicy(attempts=10, base_delay=1.0, factor=2.0, max_delay=8.0)
     assert [policy.delay(a) for a in (1, 2, 3, 4, 5)] == [1.0, 2.0, 4.0, 8.0, 8.0]
+
+
+@pytest.mark.parametrize("header, waited, hint", [
+    ("inf", 1.0, None),  # time.sleep(inf) raises OverflowError
+    ("nan", 1.0, None),
+    ("-inf", 1.0, None),
+    ("86400", 60.0, 86400.0),  # a day, against a policy that waits a minute at most
+])
+def test_retry_after_never_waits_past_max_delay(header, waited, hint) -> None:
+    policy = RetryPolicy(attempts=2, base_delay=1.0, factor=2.0, max_delay=60.0)
+    sleeps: list[float] = []
+    send_with_retries(
+        _scripted([_response(429, {"Retry-After": header}), _response(200)]),
+        policy, sleep=sleeps.append,
+    )
+    assert sleeps == [waited]
+    with pytest.raises(RateLimited) as excinfo:
+        send_with_retries(
+            _scripted([_response(429, {"Retry-After": header})] * 2),
+            policy, sleep=lambda _: None,
+        )
+    assert excinfo.value.retry_after == hint

@@ -742,8 +742,16 @@ def test_a_sealed_rerun_reads_no_stage_input_and_issues_no_call(tmp_path, monkey
         decoded.append(text.decode("utf-8") if isinstance(text, bytes) else text)
         return loads(text, *args, **kwargs)
 
+    writers: list[str] = []
+
+    class CountedWriter(weaksup._StageWriter):
+        def __init__(self, checkpoint, output_dir, spec):
+            writers.append(spec.name)
+            super().__init__(checkpoint, output_dir, spec)
+
     monkeypatch.setattr(weaksup, "compute_stats", stats_calls.append)
     monkeypatch.setattr(weaksup, "read_jsonl", counted_read)
+    monkeypatch.setattr(weaksup, "_StageWriter", CountedWriter)
     monkeypatch.setattr(weaksup.json, "loads", counted_loads)
     rerun = MockChatBackend(script)
     stats = run_pipeline(pages, rerun, output_dir=out, templates=templates)
@@ -751,11 +759,34 @@ def test_a_sealed_rerun_reads_no_stage_input_and_issues_no_call(tmp_path, monkey
     assert rerun.calls == []
     assert enumerated == []
     assert reads == [] and stats_calls == []
+    assert writers == []  # no stage opened its three files
     # the last line of each checkpoint, for its offsets, and stats.json
     assert sorted(decoded) == sorted(last_lines + [before["stats.json"].decode("utf-8")])
     assert stats == compute_stats(out)
     assert _tree(out) == before
     assert all(path.stat().st_mtime_ns == old for path in out.rglob("*"))
+
+
+@pytest.mark.parametrize("deleted", [
+    "judged.jsonl", "assessed.jsonl", "deadletter.jsonl",
+    "checkpoints/judge.ckpt", "checkpoints/reason.ckpt",
+])
+def test_a_sealed_stage_creates_its_deleted_empty_file_again(tmp_path, monkeypatch,
+                                                            deleted) -> None:
+    cases = [(_page(1, "Nothing to see here."), [], [], [])]  # judge and reason get no item
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    before = _tree(out)
+    assert before[deleted] == b""
+    (out / deleted).unlink()
+
+    enumerated = _count_enumerations(monkeypatch)
+    rerun = MockChatBackend(script)
+    run_pipeline(pages, rerun, output_dir=out)
+    assert rerun.calls == [] and enumerated == []
+    assert _tree(out) == before
 
 
 def _lenient(script):
