@@ -2,9 +2,9 @@
 
 Documents are located by title through a scholarly metadata index (a
 title-match HTTP endpoint), their open-access PDFs downloaded, converted to
-page-delimited text by a user-configured external command, and ingested
-into an append-only store of line-delimited records with a page-level
-uniqueness index.
+page-delimited text by a user-configured external command, and their pages
+ingested into an append-only store of line-delimited page records with a
+(doc_id, page) uniqueness index.
 """
 
 from __future__ import annotations
@@ -148,30 +148,19 @@ def search_paper_by_title(
 
 
 class CorpusStore:
-    """Append-only document/page store with a (doc_id, page) uniqueness index.
+    """Append-only page store with a (doc_id, page) uniqueness index.
 
-    Layout under ``root``: ``documents.jsonl``, ``pages.jsonl``, and a
-    ``pdfs/`` directory. Iteration order is always sorted by doc_id then
-    page number, so two stores with the same content behave identically.
+    Layout under ``root``: ``pages.jsonl``. Iteration order is always sorted
+    by doc_id then page number, so two stores with the same content behave
+    identically. The index is built from the file the first time
+    :meth:`ingest_pages` needs it, so listing the pages decodes it once.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.documents_path = self.root / "documents.jsonl"
         self.pages_path = self.root / "pages.jsonl"
-        self.pdf_dir = self.root / "pdfs"
-        self._doc_ids: set[str] = set()
-        self._page_index: set[tuple[str, int]] = set()
-        self._load_index()
-
-    def _load_index(self) -> None:
-        if self.documents_path.exists():
-            for row in read_jsonl(self.documents_path):
-                self._doc_ids.add(row["doc_id"])
-        if self.pages_path.exists():
-            for row in read_jsonl(self.pages_path):
-                self._page_index.add((row["doc_id"], int(row["page_number"])))
+        self._page_index: set[tuple[str, int]] | None = None
 
     def _append(self, path: Path, lines: list[str]) -> None:
         try:
@@ -181,29 +170,13 @@ class CorpusStore:
         except OSError as exc:
             raise StoreWriteError(f"cannot append to {path}: {exc}") from exc
 
-    # -- documents ---------------------------------------------------------
-
-    def add_document(self, doc: DocumentRecord) -> bool:
-        """Append ``doc`` unless its doc_id is already stored."""
-        if doc.doc_id in self._doc_ids:
-            return False
-        self._append(self.documents_path, [dumps_line(doc.to_dict())])
-        self._doc_ids.add(doc.doc_id)
-        return True
-
-    def iter_documents(self) -> list[DocumentRecord]:
-        if not self.documents_path.exists():
-            return []
-        docs = [DocumentRecord.from_dict(row) for row in read_jsonl(self.documents_path)]
-        return sorted(docs, key=lambda d: d.doc_id)
-
-    # -- pages -------------------------------------------------------------
-
-    def has_page(self, doc_id: str, page_number: int) -> bool:
-        return (doc_id, page_number) in self._page_index
-
     def ingest_pages(self, pages: Iterable[PageRecord]) -> IngestSummary:
         """Append fresh pages; duplicates are skipped and counted."""
+        if self._page_index is None:
+            self._page_index = set()
+            if self.pages_path.exists():
+                for row in read_jsonl(self.pages_path):
+                    self._page_index.add((row["doc_id"], int(row["page_number"])))
         added = 0
         skipped = 0
         lines: list[str] = []
@@ -228,9 +201,6 @@ class CorpusStore:
             return []
         pages = [PageRecord.from_dict(row) for row in read_jsonl(self.pages_path)]
         return sorted(pages, key=lambda p: (p.doc_id, p.page_number))
-
-    def page_count(self) -> int:
-        return len(self._page_index)
 
 
 def fetch_pdf(

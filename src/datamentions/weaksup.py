@@ -33,15 +33,11 @@ stage that is not sealed needs them. Before such a stage makes its first
 call, every checkpoint no seal vouches for is decoded, so a damaged line
 still stops the run before it pays for anything.
 
-``stats.json`` has a fingerprint, ``checkpoints/stats.sha256``: one sha256
-hex line over the stats format, a digest of each stage output file (a
-missing one marked apart from an empty one) and the bytes of
-``stats.json``. A run whose outputs and ``stats.json`` still match it
-reads ``stats.json`` back instead of decoding the outputs again, so a
-no-op rerun decodes no row at all. Otherwise the statistics are recomputed
-and ``stats.json`` is written before its fingerprint, so a kill between the
-two leaves a mismatch, never a stale match. Like a seal, a damaged or
-deleted fingerprint only costs one recomputation.
+Each checkpoint line also carries the stage's running counters after its
+commit, so the statistics in ``stats.json`` are a sum over the three last
+lines, and no output row is decoded for them. ``stats.json`` is written
+only when its bytes change. Checkpoints written before lines carried
+counters are counted from the stage outputs instead.
 
 A stage streams its pending items through one bounded in-flight window:
 with ``workers`` threads, at most ``2 * workers`` items are submitted ahead
@@ -484,25 +480,30 @@ def reason_mentions(
 
 @dataclass
 class StageCheckpoint:
-    """Per-stage resume bookkeeping: completed item keys and file offsets.
+    """Per-stage resume bookkeeping: completed item keys, file offsets and counters.
 
     ``size`` is the length of the checkpoint file up to the end of its last
     complete line. A last line without its newline is the torn tail of a
     commit that was cut short; it is ignored, so that item runs again.
     ``bytes_hash`` hashes the committed lines, those loaded and those
     committed since. :meth:`load` decodes only the last committed line, for
-    the offsets; the keys of the lines it read are decoded the first time
-    ``completed`` is used, and the bytes then dropped.
+    the offsets and the stage's running ``counts``; the keys of the lines it
+    read are decoded the first time ``completed`` is used, and the bytes then
+    dropped. ``counts`` is empty before the first commit and None when the
+    last line predates counters. A line of the wrong shape raises
+    :class:`InvalidRecord` naming the file.
     """
 
     output_offset: int = 0
     deadletter_offset: int = 0
     size: int = 0
+    counts: list[int] | None = field(default_factory=list)
     bytes_hash: Any = field(default_factory=hashlib.sha256, init=False, repr=False,
                             compare=False)
     _keys: set[str] | None = field(default_factory=set, init=False, repr=False,
                                    compare=False)  # None: not decoded from _lines yet
     _lines: bytes = field(default=b"", init=False, repr=False, compare=False)
+    _path: Path | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def load(cls, path: Path) -> "StageCheckpoint":
@@ -516,9 +517,18 @@ class StageCheckpoint:
             start = committed.rfind(b"\n", 0, end - 1) + 1
             line = committed[start:end].strip()
             if line:
-                last = json.loads(line.decode("utf-8"))
-                ckpt.output_offset, ckpt.deadletter_offset = int(last["out"]), int(last["dead"])
-                ckpt._keys, ckpt._lines = None, committed
+                try:
+                    last = json.loads(line.decode("utf-8"))
+                    ckpt.output_offset, ckpt.deadletter_offset = int(last["out"]), int(last["dead"])
+                    ckpt.counts = last.get("n")
+                    if ckpt.counts is not None and not (
+                        isinstance(ckpt.counts, list) and ckpt.counts
+                        and all(type(n) is int for n in ckpt.counts)
+                    ):
+                        raise ValueError(f"counters {ckpt.counts!r} are not a list of integers")
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise InvalidRecord(f"{path}: damaged checkpoint line: {exc!r}") from exc
+                ckpt._keys, ckpt._lines, ckpt._path = None, committed, path
                 break
             end = start
         return ckpt
@@ -528,10 +538,13 @@ class StageCheckpoint:
         """The keys committed so far; a loaded line that does not decode raises."""
         if self._keys is None:
             keys = set()
-            for line in self._lines.decode("utf-8").split("\n"):
-                line = line.strip()
-                if line:
-                    keys.add(json.loads(line)["key"])
+            try:
+                for line in self._lines.decode("utf-8").split("\n"):
+                    line = line.strip()
+                    if line:
+                        keys.add(json.loads(line)["key"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise InvalidRecord(f"{self._path}: damaged checkpoint line: {exc!r}") from exc
             self._keys, self._lines = keys, b""
         return self._keys
 
@@ -564,15 +577,18 @@ class _StageWriter:
         self._dead.close()
         self._ckpt.close()
 
-    def commit(self, key: str, line: str, *, dead: bool = False) -> None:
-        """Append ``line`` to the output, or to the dead-letter file, then checkpoint ``key``."""
-        fh = self._dead if dead else self._out
+    def commit(self, key: str, line: str, counts: Sequence[int] | None = None) -> None:
+        """Append ``line`` to the output, or without ``counts`` to the dead-letter file, then
+        checkpoint ``key`` with the stage's counters, ``counts`` added."""
+        fh = self._dead if counts is None else self._out
         fh.write(line + "\n")
         fh.flush()
         ckpt = self.checkpoint
         ckpt.output_offset, ckpt.deadletter_offset = self._out.tell(), self._dead.tell()
+        if counts is not None:
+            ckpt.counts = [total + n for total, n in zip(ckpt.counts, counts)]
         entry = json.dumps({"key": key, "out": ckpt.output_offset,
-                            "dead": ckpt.deadletter_offset}) + "\n"
+                            "dead": ckpt.deadletter_offset, "n": ckpt.counts}) + "\n"
         self._ckpt.write(entry)
         self._ckpt.flush()
         ckpt.bytes_hash.update(entry.encode())
@@ -603,17 +619,6 @@ class PipelineStats:
         if self.retention_after_agent is not None:
             d["retention_after_agent"] = self.retention_after_agent
         return d
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "PipelineStats":
-        return cls(
-            pages_processed=int(payload.get("pages_processed", 0)),
-            blocks_extracted=int(payload.get("blocks_extracted", 0)),
-            mentions_extracted=int(payload.get("mentions_extracted", 0)),
-            mentions_judged_valid=int(payload.get("mentions_judged_valid", 0)),
-            mentions_agent_valid=int(payload.get("mentions_agent_valid", 0)),
-            retention_after_agent=payload.get("retention_after_agent"),
-        )
 
 
 def compute_stats(output_dir: str | Path) -> PipelineStats:
@@ -720,33 +725,36 @@ def _reason_items(
 
 def _produce_extract(
     page: PageRecord, user_content: str, backend: ChatBackend, kwargs: Mapping[str, Any]
-) -> str:
+) -> tuple[str, list[int]]:
     blocks = extract_mentions(page, backend, **kwargs)  # user_content is page.text
-    return dumps_line(
+    line = dumps_line(
         {
             "doc_id": page.doc_id,
             "page_number": page.page_number,
             "blocks": [b.to_dict() for b in blocks],
         }
     )
+    return line, [1, len(blocks), sum(len(b.datasets) for b in blocks)]
 
 
 def _produce_judge(
     subject: tuple[MentionBlock, dict], user_content: str, backend: ChatBackend,
     kwargs: Mapping[str, Any],
-) -> str:
+) -> tuple[str, list[int]]:
     block, payload = subject
     verdicts = judge_mentions(block, backend, user_content=user_content, **kwargs)
-    return dumps_line({"block": payload, "verdicts": [v.to_dict() for v in verdicts]})
+    line = dumps_line({"block": payload, "verdicts": [v.to_dict() for v in verdicts]})
+    return line, [sum(v.valid for v in verdicts)]
 
 
 def _produce_reason(
     subject: tuple[MentionBlock, dict], user_content: str, backend: ChatBackend,
     kwargs: Mapping[str, Any],
-) -> str:
+) -> tuple[str, list[int]]:
     block, payload = subject
     assessments = reason_mentions(block, backend, user_content=user_content, **kwargs)
-    return dumps_line({"block": payload, "assessments": [a.to_dict() for a in assessments]})
+    line = dumps_line({"block": payload, "assessments": [a.to_dict() for a in assessments]})
+    return line, [sum(a.valid for a in assessments)]
 
 
 @dataclass(frozen=True)
@@ -754,10 +762,11 @@ class _StageSpec:
     """One stage of the pipeline: what it reads, what it writes, one item's work.
 
     ``produce(subject, user_content, backend, stage_kwargs)`` returns the
-    item's output line; ``user_content`` is the text ``items`` yielded for
-    the item's key. ``items`` and ``produce`` reach the stage functions and
-    record helpers through this module's globals at call time, never
-    through references taken at import.
+    item's output line and what it adds to each of the stage's ``counters``,
+    the :class:`PipelineStats` fields the stage counts; ``user_content`` is
+    the text ``items`` yielded for the item's key. ``items`` and ``produce``
+    reach the stage functions and record helpers through this module's
+    globals at call time, never through references taken at import.
     """
 
     name: str
@@ -765,7 +774,8 @@ class _StageSpec:
     input_file: str | None  # None: the stage reads the pages passed in
     output_file: str
     items: Callable[[Any], Iterator[tuple[str, int, str, Any]]]
-    produce: Callable[[Any, str, ChatBackend, Mapping[str, Any]], str]
+    produce: Callable[[Any, str, ChatBackend, Mapping[str, Any]], tuple[str, list[int]]]
+    counters: tuple[str, ...]
 
     @property
     def checkpoint_file(self) -> str:
@@ -778,11 +788,12 @@ class _StageSpec:
 
 _STAGE_SPECS = (
     _StageSpec("extract", _STAGE_ALIASES["extract"], None, "extracted.jsonl",
-               _extract_items, _produce_extract),
+               _extract_items, _produce_extract,
+               ("pages_processed", "blocks_extracted", "mentions_extracted")),
     _StageSpec("judge", _STAGE_ALIASES["judge"], "extracted.jsonl", "judged.jsonl",
-               _judge_items, _produce_judge),
+               _judge_items, _produce_judge, ("mentions_judged_valid",)),
     _StageSpec("reason", _STAGE_ALIASES["reason"], "judged.jsonl", "assessed.jsonl",
-               _reason_items, _produce_reason),
+               _reason_items, _produce_reason, ("mentions_agent_valid",)),
 )
 _WRITER_OF = {spec.output_file: spec.name for spec in _STAGE_SPECS}
 
@@ -800,13 +811,15 @@ def _resume_checkpoints(output_dir: Path) -> tuple[dict[str, StageCheckpoint], s
 
     A stage the module's redo rule hits comes back empty. So each offset
     returned lies within its file, and truncating to it only drops
-    uncommitted bytes.
+    uncommitted bytes. Each checkpoint's ``counts`` is one per counter of
+    its stage, or None for lines from before counters.
     """
     dead_size = _size(output_dir / _DEADLETTER_FILE)
     checkpoints: dict[str, StageCheckpoint] = {}
     redone: set[str] = set()
     for spec in _STAGE_SPECS:
-        ckpt = StageCheckpoint.load(output_dir / spec.checkpoint_file)
+        path = output_dir / spec.checkpoint_file
+        ckpt = StageCheckpoint.load(path)
         if redone or (
             _size(output_dir / spec.output_file) < ckpt.output_offset
             or dead_size < ckpt.deadletter_offset
@@ -816,6 +829,11 @@ def _resume_checkpoints(output_dir: Path) -> tuple[dict[str, StageCheckpoint], s
                             "and every later one", spec.name, spec.output_file, _DEADLETTER_FILE)
             redone.add(spec.name)
             ckpt = StageCheckpoint()
+        if ckpt.counts == []:  # nothing committed yet
+            ckpt.counts = [0] * len(spec.counters)
+        elif ckpt.counts is not None and len(ckpt.counts) != len(spec.counters):
+            raise InvalidRecord(f"{path}: damaged checkpoint line: {len(ckpt.counts)} "
+                                f"counters, the {spec.name} stage keeps {len(spec.counters)}")
         checkpoints[spec.name] = ckpt
     return checkpoints, redone
 
@@ -920,56 +938,12 @@ def _seal(spec: _StageSpec, input_digest: str, checkpoint: StageCheckpoint) -> b
     return hashlib.sha256("\n".join(parts).encode()).hexdigest().encode() + b"\n"
 
 
-def _sealed(path: Path, seal: bytes) -> bool:
-    """Whether the file at ``path`` holds ``seal``; a missing one does not."""
+def _holds(path: Path, data: bytes) -> bool:
+    """Whether the file at ``path`` holds exactly ``data``; a missing one does not."""
     try:
-        return path.read_bytes() == seal
+        return path.read_bytes() == data
     except FileNotFoundError:
         return False
-
-
-# Bump when compute_stats or the encoding of stats.json changes.
-_STATS_FORMAT = "datamentions-stats-1"
-_STATS_FINGERPRINT = "checkpoints/stats.sha256"
-
-
-def _stats(output_dir: Path, digests: Mapping[str, str]) -> PipelineStats:
-    """The statistics in ``stats.json``, recomputed and written only when needed.
-
-    ``stats.sha256`` holds one sha256 line over the stats format, a digest
-    of each stage output (``digests`` holds those this run already took of
-    the files as they now are) and the bytes of ``stats.json``. While it
-    matches, ``stats.json`` was computed from these very outputs and is
-    read back; otherwise it is recomputed and written, then the
-    fingerprint, so a kill between the two leaves a mismatch.
-    """
-    parts = [_STATS_FORMAT]
-    for spec in _STAGE_SPECS:
-        path = output_dir / spec.output_file
-        if spec.output_file in digests:
-            parts.append(digests[spec.output_file])
-        elif path.exists():
-            parts.append(_sha256(path))
-        else:
-            parts.append("missing")
-    header = "\n".join(parts).encode() + b"\n"
-
-    def fingerprint(data: bytes) -> bytes:
-        return hashlib.sha256(header + data).hexdigest().encode() + b"\n"
-
-    stats_path, fingerprint_path = output_dir / "stats.json", output_dir / _STATS_FINGERPRINT
-    try:
-        data = stats_path.read_bytes()
-    except FileNotFoundError:
-        pass
-    else:
-        if _sealed(fingerprint_path, fingerprint(data)):
-            return PipelineStats.from_dict(json.loads(data))
-    stats = compute_stats(output_dir)
-    data = (json.dumps(stats.to_dict(), ensure_ascii=False, indent=2) + "\n").encode("utf-8")
-    stats_path.write_bytes(data)
-    fingerprint_path.write_bytes(fingerprint(data))
-    return stats
 
 
 def _keyed_items(spec: _StageSpec, source: Any) -> Iterator[tuple[str, str, int, str, Any]]:
@@ -1010,7 +984,9 @@ def _run_stage(
     batches = iter(lambda: list(islice(keyed, _ENUMERATION_BATCH)), [])
     pending = (item for batch in batches for item in batch if item[0] not in done)
 
-    def attempt(item: tuple[str, str, int, str, Any]) -> tuple[Any, str | None, Exception | None]:
+    def attempt(
+        item: tuple[str, str, int, str, Any],
+    ) -> tuple[Any, tuple[str, list[int]] | None, Exception | None]:
         last: Exception | None = None
         for _ in range(item_attempts):
             try:
@@ -1020,14 +996,13 @@ def _run_stage(
         return item, None, last
 
     with closing(windowed_map(attempt, pending, workers)) as outcomes:
-        for (key, doc_id, page_number, _, _), line, error in outcomes:
+        for (key, doc_id, page_number, _, _), produced, error in outcomes:
             if error is not None:
                 log.error("%s: quarantining %s after %d attempts: %s",
                           spec.name, key, item_attempts, error)
-                writer.commit(key, _dead_line(spec.name, key, doc_id, page_number, error),
-                              dead=True)
+                writer.commit(key, _dead_line(spec.name, key, doc_id, page_number, error))
             else:
-                writer.commit(key, line)
+                writer.commit(key, *produced)
 
 
 def run_pipeline(
@@ -1069,13 +1044,10 @@ def run_pipeline(
         "max_output_tokens": max_output_tokens,
     }
     sealed: set[str] = set()
-    digests: dict[str, str] = {}  # input file -> sha256 of all of it, which no later stage writes
     for spec in specs:
         source, input_digest = _stage_source(spec, pages, output_dir, checkpoints)
-        if spec.input_file is not None:
-            digests[spec.input_file] = input_digest
         checkpoint, seal_path = checkpoints[spec.name], output_dir / spec.seal_file
-        if _sealed(seal_path, _seal(spec, input_digest, checkpoint)):
+        if _holds(seal_path, _seal(spec, input_digest, checkpoint)):
             sealed.add(spec.name)
             # a file the redo rule let go missing can only have been empty;
             # create it, as the writer's append-mode open would have
@@ -1087,6 +1059,9 @@ def run_pipeline(
         # seal vouches for, so a damaged line stops the run before any call
         for name in checkpoints.keys() - sealed:
             checkpoints[name].completed
+        if checkpoint.counts is None:  # lines from before counters: count the output once
+            stats = compute_stats(output_dir)
+            checkpoint.counts = [getattr(stats, name) for name in spec.counters]
         with _StageWriter(checkpoint, output_dir, spec) as writer:
             try:
                 _run_stage(spec, source, writer, backend, stage_kwargs,
@@ -1101,7 +1076,18 @@ def run_pipeline(
                     progressed=any(c.completed for c in checkpoints.values()),
                 ) from exc
         seal_path.write_bytes(_seal(spec, input_digest, checkpoint))
-    return _stats(output_dir, digests)
+
+    if any(c.counts is None for c in checkpoints.values()):
+        stats = compute_stats(output_dir)  # a checkpoint from before counters
+    else:
+        totals = {name: n for spec in _STAGE_SPECS
+                  for name, n in zip(spec.counters, checkpoints[spec.name].counts)}
+        judged, agent = totals["mentions_judged_valid"], totals["mentions_agent_valid"]
+        stats = PipelineStats(**totals, retention_after_agent=agent / judged if judged else None)
+    data = (json.dumps(stats.to_dict(), ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    if not _holds(output_dir / "stats.json", data):
+        (output_dir / "stats.json").write_bytes(data)
+    return stats
 
 
 @dataclass(frozen=True)
@@ -1139,7 +1125,7 @@ def plan_pipeline(
         source, input_digest = staged
         checkpoint = checkpoints[spec.name]
         pending = calls = 0
-        if not _sealed(output_dir / spec.seal_file, _seal(spec, input_digest, checkpoint)):
+        if not _holds(output_dir / spec.seal_file, _seal(spec, input_digest, checkpoint)):
             for key, _, _, user_content, _ in _keyed_items(spec, source):
                 if key not in checkpoint.completed:
                     pending += 1

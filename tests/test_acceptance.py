@@ -35,6 +35,7 @@ from datamentions.records import (
     read_jsonl,
 )
 from datamentions.textnorm import normalize_tokens
+from datamentions.weaksup import compute_stats
 
 from oracles import exhaustive_match_size
 from pipeline_fixtures import pipeline_script, stage_file_bytes, write_script_file
@@ -152,6 +153,7 @@ def test_criterion_6_retention_ratio(tmp_path) -> None:
     assert stats.mentions_judged_valid == 100
     assert stats.mentions_agent_valid == 58
     assert abs(stats.retention_after_agent - 0.58) <= 1e-9
+    assert stats == compute_stats(tmp_path)
     assert elapsed < 5.0
 
 
@@ -216,6 +218,7 @@ def test_criterion_7_resume_is_byte_identical_with_no_duplicate_calls(tmp_path, 
 
     assert stage_file_bytes(out_int) == stage_file_bytes(out_ref)
     assert (out_int / "stats.json").read_bytes() == (out_ref / "stats.json").read_bytes()
+    assert json.loads((out_int / "stats.json").read_bytes()) == compute_stats(out_int).to_dict()
 
     resumed_calls = [(row["stage"], row["digest"]) for row in read_jsonl(log_int)]
     reference_calls = [(row["stage"], row["digest"]) for row in read_jsonl(log_ref)]

@@ -14,6 +14,7 @@ from datamentions.cli import _advisory_lock, main
 from datamentions.errors import InputError
 from datamentions.gate import RemoteGate, filter_pages
 from datamentions.records import PageRecord, read_jsonl, write_jsonl
+from datamentions.weaksup import compute_stats
 
 from pipeline_fixtures import pipeline_script, write_script_file
 from stubserver import StubServer
@@ -269,6 +270,7 @@ def test_generate_runs_all_stages(tmp_path, capsys) -> None:
     assert stats["mentions_agent_valid"] == 1
     assert stats["retention_after_agent"] == 0.5
     out_dir = tmp_path / "out"
+    assert stats == compute_stats(out_dir).to_dict()
     for name in ("extracted.jsonl", "judged.jsonl", "assessed.jsonl", "stats.json"):
         assert (out_dir / name).exists()
     assert not (out_dir / ".lock").exists()
@@ -291,7 +293,9 @@ def test_remote_generate_pools_one_connection_per_worker(tmp_path, monkeypatch, 
         assert len(closed) == 1
         ports = {request["client"][1] for request in server.requests}
     assert code == 0
-    assert json.loads(capsys.readouterr().out)["pages_processed"] == 6
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["pages_processed"] == 6
+    assert stats == compute_stats(tmp_path / "out").to_dict()
     assert len(server.requests) == 6  # one extract call per page, and nothing to judge
     assert 1 <= len(ports) <= 2  # 6 ports, one per call, without a pooled session
 
@@ -319,6 +323,7 @@ def test_generate_respects_gate_decisions(tmp_path, capsys) -> None:
     assert code == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["pages_processed"] == 1
+    assert stats == compute_stats(tmp_path / "out").to_dict()
     assert len(list(read_jsonl(tmp_path / "calls.jsonl"))) == 3
 
 

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
+from datamentions import corpus
 from datamentions.corpus import (
     CorpusStore,
     MetadataClient,
@@ -129,9 +131,6 @@ def test_title_match_http_error(monkeypatch) -> None:
 
 def test_store_round_trips_documents_and_pages(tmp_path) -> None:
     store = CorpusStore(tmp_path / "corpus")
-    doc = DocumentRecord(doc_id=DOC, title="T")
-    assert store.add_document(doc)
-    assert not store.add_document(doc)  # idempotent
     summary = store.ingest_pages(
         [
             PageRecord(doc_id=DOC, page_number=2, text="two"),
@@ -140,10 +139,7 @@ def test_store_round_trips_documents_and_pages(tmp_path) -> None:
         ]
     )
     assert (summary.added, summary.skipped) == (2, 1)
-    assert store.page_count() == 2
-    assert store.has_page(DOC, 1)
     assert [p.page_number for p in store.iter_pages()] == [1, 2]
-    assert store.iter_documents() == [doc]
 
 
 def test_store_index_survives_reopen(tmp_path) -> None:
@@ -152,6 +148,26 @@ def test_store_index_survives_reopen(tmp_path) -> None:
     reopened = CorpusStore(root)
     summary = reopened.ingest_pages([PageRecord(doc_id=DOC, page_number=1, text="x")])
     assert (summary.added, summary.skipped) == (0, 1)
+
+
+def test_opening_a_store_and_listing_its_pages_reads_them_once(tmp_path, monkeypatch) -> None:
+    root = tmp_path / "corpus"
+    CorpusStore(root).ingest_pages([PageRecord(doc_id=DOC, page_number=1, text="x")])
+    reads: list[str] = []
+    read = corpus.read_jsonl
+
+    def counted(path):
+        reads.append(Path(path).name)
+        return read(path)
+
+    monkeypatch.setattr(corpus, "read_jsonl", counted)
+    store = CorpusStore(root)
+    assert [p.text for p in store.iter_pages()] == ["x"]
+    assert reads == ["pages.jsonl"]
+    summary = store.ingest_pages([PageRecord(doc_id=DOC, page_number=1, text="x"),
+                                  PageRecord(doc_id=DOC, page_number=2, text="y")])
+    assert (summary.added, summary.skipped) == (1, 1)
+    assert reads == ["pages.jsonl"] * 2  # the index, built by the first ingest
 
 
 def test_ingest_keeps_first_occurrence_and_offer_order(tmp_path) -> None:

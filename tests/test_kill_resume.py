@@ -4,10 +4,9 @@ Each run is a subprocess that calls the CLI's ``main`` after patching the
 checkpoint, seal and statistics writes to kill the process at the n-th one:
 before the checkpoint line that commits an item whose output line is
 already written, halfway through a checkpoint line, halfway through a seal,
-halfway through ``stats.json``, or between ``stats.json`` and its
-fingerprint. Reruns go on
-until one exits 0; the result must equal an uninterrupted run byte for byte,
-and no item committed before a kill may be asked for again after it.
+or halfway through ``stats.json``. Reruns go on until one exits 0; the
+result must equal an uninterrupted run byte for byte, and no item committed
+before a kill may be asked for again after it.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from datamentions.records import PageRecord, write_jsonl
+from datamentions.weaksup import compute_stats
 
 from pipeline_fixtures import pipeline_script, write_script_file
 
@@ -63,14 +63,11 @@ if kind in ("before-ckpt", "torn-ckpt"):
         self._ckpt = DyingFile(self._ckpt)
     weaksup._StageWriter.__init__ = init_dying
 else:
-    target = {"torn-seal": ".seal", "torn-stats": "stats.json",
-              "before-fingerprint": "stats.sha256"}.get(kind)
+    target = {"torn-seal": ".seal", "torn-stats": "stats.json"}.get(kind)
     write_bytes = Path.write_bytes
     def write_bytes_dying(self, data):
         if target not in (self.suffix, self.name):
             return write_bytes(self, data)
-        if kind == "before-fingerprint":  # stats.json is written, its fingerprint not
-            os.kill(os.getpid(), signal.SIGKILL)
         with open(self, "wb") as fh:
             return dying(fh.write, fh.flush)(data)
     Path.write_bytes = write_bytes_dying
@@ -80,7 +77,7 @@ sys.exit(cli.main(sys.argv[3:]))
 
 _TEMPLATE_OF = {"extract": "extractor", "judge": "judge", "reason": "reasoner"}
 _KILLS = ("before-ckpt", "torn-ckpt", "torn-seal", "before-ckpt", "torn-ckpt", "torn-seal",
-          "torn-stats", "before-fingerprint")
+          "torn-stats")
 
 
 def _cases() -> list:
@@ -140,7 +137,7 @@ def _calls(log: Path) -> list[tuple[str, str]]:
 
 def _kept_files(out: Path) -> dict[str, bytes]:
     names = ["extracted.jsonl", "judged.jsonl", "assessed.jsonl", "deadletter.jsonl",
-             "stats.json", "checkpoints/stats.sha256"]
+             "stats.json"]
     names += [f"checkpoints/{stage}.{kind}" for stage in _TEMPLATE_OF for kind in ("ckpt", "seal")]
     return {name: (out / name).read_bytes() for name in names}
 
@@ -159,8 +156,8 @@ def test_killed_generate_resumes_byte_identically(tmp_path, seed, concurrency) -
             seals = out / "checkpoints"
             whole = sum(1 for p in seals.glob("*.seal") if len(p.read_bytes()) == 65)
             n = rng.randint(1, 3 - whole) if whole < 3 else 0
-        elif kind in ("torn-stats", "before-fingerprint"):
-            n = 1  # the run writes them once, at its end: no earlier run got that far
+        elif kind == "torn-stats":
+            n = 1  # the run writes it once, at its end: no earlier run got that far
         else:
             remaining = total - len(_committed(out)) if out.exists() else total
             n = rng.randint(1, remaining) if remaining else 0
@@ -172,6 +169,7 @@ def test_killed_generate_resumes_byte_identically(tmp_path, seed, concurrency) -
     assert _generate(argv) == 0
 
     assert _kept_files(out) == _kept_files(ref_out)
+    assert json.loads(_kept_files(out)["stats.json"]) == compute_stats(out).to_dict()
     calls = _calls(log)
     for logged, committed in kills:
         assert committed.isdisjoint(calls[logged:])

@@ -4,12 +4,13 @@ import hashlib
 import json
 import os
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datamentions import weaksup
+from datamentions import cli, weaksup
 from datamentions import (
     MockChatBackend,
     extract_mentions,
@@ -34,6 +35,7 @@ from datamentions.records import (
     canonical_json,
     parse_mention_block,
     read_jsonl,
+    write_jsonl,
 )
 from datamentions.weaksup import STAGES, StageCheckpoint, compute_stats, export_finetune_records
 from pipeline_fixtures import (
@@ -42,6 +44,7 @@ from pipeline_fixtures import (
     pipeline_script as _pipeline_script,
     reason_response as _reason_response,
     stage_file_bytes as _read_bytes,
+    write_script_file,
 )
 
 DOC = "f" * 40
@@ -335,6 +338,7 @@ def test_run_pipeline_end_to_end(tmp_path) -> None:
     assert stats.mentions_judged_valid == 3
     assert stats.mentions_agent_valid == 2
     assert stats.retention_after_agent == pytest.approx(2 / 3)
+    assert stats == compute_stats(tmp_path / "out")
 
     extracted = list(read_jsonl(tmp_path / "out" / "extracted.jsonl"))
     assert len(extracted) == 5  # one row per page, in (doc_id, page) order
@@ -426,6 +430,7 @@ def test_malformed_item_is_quarantined_not_fatal(tmp_path) -> None:
     backend = MockChatBackend(script)
     stats = run_pipeline(pages, backend, output_dir=tmp_path / "out", item_attempts=3)
     assert stats.pages_processed == 5  # the poisoned page never yields a row
+    assert stats == compute_stats(tmp_path / "out")
 
     dead = list(read_jsonl(tmp_path / "out" / "deadletter.jsonl"))
     assert len(dead) == 1
@@ -554,11 +559,11 @@ def test_a_failed_commit_stops_the_stage_within_the_window(tmp_path, monkeypatch
     pages, script = _many_pages(200)
     commit, commits = weaksup._StageWriter.commit, []
 
-    def full_disk(self, key, line, *, dead=False):
+    def full_disk(self, key, *args):
         commits.append(key)
         if len(commits) == 3:
             raise OSError(28, "No space left on device")
-        commit(self, key, line, dead=dead)
+        commit(self, key, *args)
 
     monkeypatch.setattr(weaksup._StageWriter, "commit", full_disk)
     workers = 4
@@ -634,7 +639,7 @@ def test_torn_checkpoint_tail_is_redone_on_resume(tmp_path) -> None:
 
     # a complete line that is not JSON is damage, not a torn tail
     ckpt.write_bytes(committed + b'{"key": \n')
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(InvalidRecord, match="judge.ckpt"):
         run_pipeline(pages, MockChatBackend(script), output_dir=out)
 
 
@@ -669,6 +674,7 @@ def test_each_judge_and_reason_body_is_encoded_once(tmp_path, monkeypatch) -> No
     # each extracted block becomes a dict for its output line, each judge and
     # reason block once, for its body and its output line alike
     assert len(made) == stats.blocks_extracted + items
+    assert stats == compute_stats(out)
 
 
 def test_given_user_content_sends_the_same_request() -> None:
@@ -731,12 +737,17 @@ def test_a_sealed_rerun_reads_no_stage_input_and_issues_no_call(tmp_path, monkey
     enumerated = _count_enumerations(monkeypatch)
     stats_calls: list[Path] = []
     reads: list[str] = []
+    hashed: list[str] = []
     decoded: list[str] = []
-    read, loads = weaksup.read_jsonl, weaksup.json.loads
+    read, sha256, loads = weaksup.read_jsonl, weaksup._sha256, weaksup.json.loads
 
     def counted_read(path):
         reads.append(Path(path).name)
         return read(path)
+
+    def counted_sha256(path, *args):
+        hashed.append(Path(path).name)
+        return sha256(path, *args)
 
     def counted_loads(text, *args, **kwargs):
         decoded.append(text.decode("utf-8") if isinstance(text, bytes) else text)
@@ -751,6 +762,7 @@ def test_a_sealed_rerun_reads_no_stage_input_and_issues_no_call(tmp_path, monkey
 
     monkeypatch.setattr(weaksup, "compute_stats", stats_calls.append)
     monkeypatch.setattr(weaksup, "read_jsonl", counted_read)
+    monkeypatch.setattr(weaksup, "_sha256", counted_sha256)
     monkeypatch.setattr(weaksup, "_StageWriter", CountedWriter)
     monkeypatch.setattr(weaksup.json, "loads", counted_loads)
     rerun = MockChatBackend(script)
@@ -759,9 +771,10 @@ def test_a_sealed_rerun_reads_no_stage_input_and_issues_no_call(tmp_path, monkey
     assert rerun.calls == []
     assert enumerated == []
     assert reads == [] and stats_calls == []
+    assert sorted(hashed) == ["extracted.jsonl", "judged.jsonl"]  # for seals, not assessed.jsonl
     assert writers == []  # no stage opened its three files
-    # the last line of each checkpoint, for its offsets, and stats.json
-    assert sorted(decoded) == sorted(last_lines + [before["stats.json"].decode("utf-8")])
+    # the last line of each checkpoint, for its offsets and counters
+    assert sorted(decoded) == sorted(last_lines)
     assert stats == compute_stats(out)
     assert _tree(out) == before
     assert all(path.stat().st_mtime_ns == old for path in out.rglob("*"))
@@ -899,9 +912,7 @@ def test_a_damaged_seal_is_ignored_and_rewritten(tmp_path, monkeypatch, damage) 
 
 
 @pytest.mark.parametrize("damage", [
-    "stats deleted", "stats edited", "stats truncated",
-    "fingerprint deleted", "fingerprint garbage", "fingerprint stale",
-    "assessed edited", "extract only",
+    "stats deleted", "stats edited", "stats truncated", "assessed edited", "extract only",
 ])
 def test_stats_are_recomputed_unless_their_fingerprint_matches(tmp_path, monkeypatch,
                                                                damage) -> None:
@@ -910,8 +921,11 @@ def test_stats_are_recomputed_unless_their_fingerprint_matches(tmp_path, monkeyp
     pages = [case[0] for case in cases]
     out = tmp_path / "out"
     run_pipeline(pages, MockChatBackend(script), output_dir=out)
-    stats_path, fingerprint = out / "stats.json", out / "checkpoints" / "stats.sha256"
-    assert len(fingerprint.read_bytes()) == 65 and fingerprint.read_bytes().endswith(b"\n")
+    stats_path = out / "stats.json"
+    written = stats_path.read_bytes()
+    assert not (out / "checkpoints" / "stats.sha256").exists()
+    committed = tmp_path / "committed"
+    shutil.copytree(out, committed)
     stages = STAGES
     if damage == "stats deleted":
         stats_path.unlink()
@@ -920,13 +934,6 @@ def test_stats_are_recomputed_unless_their_fingerprint_matches(tmp_path, monkeyp
                                                                b'"pages_processed": 6'))
     elif damage == "stats truncated":
         stats_path.write_bytes(stats_path.read_bytes()[:40])
-    elif damage == "fingerprint deleted":
-        fingerprint.unlink()
-    elif damage == "fingerprint garbage":
-        fingerprint.write_bytes(b"\xff not a fingerprint \x00")
-    elif damage == "fingerprint stale":  # a well-formed one, of the outputs of another run
-        run_pipeline(pages[:2], MockChatBackend(script), output_dir=tmp_path / "other")
-        fingerprint.write_bytes((tmp_path / "other" / "checkpoints" / "stats.sha256").read_bytes())
     elif damage == "assessed edited":  # the same length, in a committed line no seal covers
         assessed = out / "assessed.jsonl"
         data = assessed.read_bytes()
@@ -936,7 +943,6 @@ def test_stats_are_recomputed_unless_their_fingerprint_matches(tmp_path, monkeyp
         stages = ("extract",)
     bare = tmp_path / "bare"
     shutil.copytree(out, bare)
-    (bare / "checkpoints" / "stats.sha256").unlink(missing_ok=True)
 
     computed: list[Path] = []
     stats_of = weaksup.compute_stats
@@ -949,10 +955,17 @@ def test_stats_are_recomputed_unless_their_fingerprint_matches(tmp_path, monkeyp
     rerun = MockChatBackend(script)
     stats = run_pipeline(pages, rerun, output_dir=out, stages=stages)
     assert rerun.calls == []
-    assert computed == ([] if damage == "extract only" else [out])
     assert stats == run_pipeline(pages, MockChatBackend(script), output_dir=bare, stages=stages)
-    assert stats == compute_stats(out)
-    assert _tree(out) == _tree(bare)  # stats.json and its fingerprint included
+    assert computed == []  # the counters in the checkpoints give the statistics
+    assert stats_path.read_bytes() == written
+    # the statistics are those of what the pipeline committed
+    assert stats == compute_stats(committed)
+    if damage == "assessed edited":  # not those of a hand edit of its output
+        assert compute_stats(out) == replace(stats, mentions_agent_valid=1,
+                                             retention_after_agent=1 / 3)
+    else:
+        assert stats == compute_stats(out)
+    assert _tree(out) == _tree(bare)
 
 
 def test_checkpoint_keys_decode_on_first_use_as_an_eager_parse_would(tmp_path) -> None:
@@ -999,12 +1012,109 @@ def test_an_undecodable_checkpoint_line_raises_before_any_call(tmp_path, stage, 
     before = _tree(out)
 
     backend = MockChatBackend(script)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRecord, match=f"{stage}.ckpt"):
         run_pipeline(pages, backend, output_dir=out)
     assert backend.calls == []
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRecord, match=f"{stage}.ckpt"):
         plan_pipeline(pages, output_dir=out)
     assert _tree(out) == before
+
+
+@pytest.mark.parametrize("lines", [
+    b'{"key": "a"}\n',
+    b'[1, 2]\n',
+    b'{"key": "a", "out": "x", "dead": 0}\n',
+    b'{"key": "a", "out": 0, "dead": 0, "n": 5}\n',
+    b'{"key": "a", "out": 0, "dead": 0, "n": [1]}\n',  # extract keeps three counters
+    b'[1, 2]\n{"key": "b", "out": 0, "dead": 0, "n": [0, 0, 0]}\n',  # a middle line
+], ids=["no offsets", "not an object", "offset not a number", "counters not a list",
+        "counters of another stage", "middle line"])
+def test_a_checkpoint_line_of_the_wrong_shape_stops_the_run_before_any_call(tmp_path,
+                                                                             lines) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    (out / "checkpoints").mkdir(parents=True)
+    (out / "checkpoints" / "extract.ckpt").write_bytes(lines)
+    before = _tree(out)
+    backend = MockChatBackend(script)
+    with pytest.raises(InvalidRecord, match="extract.ckpt"):
+        run_pipeline(pages, backend, output_dir=out)
+    assert backend.calls == []
+    with pytest.raises(InvalidRecord, match="extract.ckpt"):
+        plan_pipeline(pages, output_dir=out)
+    assert _tree(out) == before
+
+    calls = tmp_path / "calls.jsonl"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "backend": {"kind": "mock", "script": str(write_script_file(tmp_path / "script.jsonl",
+                                                                    script)),
+                    "call_log": str(calls)},
+        "paths": {"output": str(out)},
+    }), encoding="utf-8")
+    pages_path = tmp_path / "pages.jsonl"
+    write_jsonl(pages_path, (page.to_dict() for page in pages))
+    assert cli.main(["--config", str(config), "generate", "--pages", str(pages_path)]) == 3
+    assert not calls.exists() or calls.read_bytes() == b""
+    assert _tree(out) == before
+
+
+def _strip_counters_and_reseal(out, pages) -> None:
+    """Rewrite ``out`` as a version without checkpoint counters left it, seals included."""
+    for path in (out / "checkpoints").glob("*.ckpt"):
+        rows = [json.loads(line) for line in path.read_bytes().splitlines()]
+        path.write_text("".join(json.dumps({k: row[k] for k in ("key", "out", "dead")}) + "\n"
+                                for row in rows), encoding="utf-8")
+    checkpoints, _ = weaksup._resume_checkpoints(out)
+    for spec in weaksup._STAGE_SPECS:
+        assert checkpoints[spec.name].counts is None or checkpoints[spec.name].size == 0
+        seal = out / spec.seal_file
+        if seal.exists():
+            _, input_digest = weaksup._stage_source(spec, pages, out, checkpoints)
+            seal.write_bytes(weaksup._seal(spec, input_digest, checkpoints[spec.name]))
+
+
+def test_checkpoints_without_counters_resume_and_give_the_same_stats(tmp_path,
+                                                                      monkeypatch) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    poisoned_page = _page(9, "This page draws a broken reply.")  # one extract dead letter
+    script[("extractor", request_digest("extractor", poisoned_page.text))] = "{not json"
+    pages = [case[0] for case in cases] + [poisoned_page]
+    full = MockChatBackend(script)
+    fresh = tmp_path / "fresh"
+    stats = run_pipeline(pages, full, output_dir=fresh)
+    assert stats == compute_stats(fresh)
+    extract_calls = sum(1 for template, _ in full.calls if template == "extractor")
+
+    finished = tmp_path / "finished"
+    run_pipeline(pages, MockChatBackend(script), output_dir=finished)
+    _strip_counters_and_reseal(finished, pages)
+    (finished / "stats.json").unlink()
+    killed = tmp_path / "killed"  # one judge item committed
+    with pytest.raises(PipelineInterrupted):
+        run_pipeline(pages, _FailsAfter(MockChatBackend(script), extract_calls + 1),
+                     output_dir=killed)
+    assert len((killed / "checkpoints" / "judge.ckpt").read_bytes().splitlines()) == 1
+    _strip_counters_and_reseal(killed, pages)
+
+    enumerated = _count_enumerations(monkeypatch)
+    finished_rerun = MockChatBackend(script)
+    assert run_pipeline(pages, finished_rerun, output_dir=finished) == stats
+    assert finished_rerun.calls == [] and enumerated == []  # the seals still hold
+    killed_rerun = MockChatBackend(script)
+    assert run_pipeline(pages, killed_rerun, output_dir=killed) == stats
+    assert killed_rerun.calls == full.calls[extract_calls + 1:]
+    for out in (finished, killed):
+        assert _read_bytes(out) == _read_bytes(fresh)
+        assert (out / "stats.json").read_bytes() == (fresh / "stats.json").read_bytes()
+    # the judge stage counted its old line once, then carried the counters on
+    ckpts = [{stage: (out / "checkpoints" / f"{stage}.ckpt").read_bytes().splitlines()
+              for stage in ("judge", "reason")} for out in (killed, fresh)]
+    assert ckpts[0]["judge"][1:] == ckpts[1]["judge"][1:]
+    assert ckpts[0]["reason"] == ckpts[1]["reason"]
 
 
 def test_plan_counts_a_sealed_stage_as_done_and_writes_nothing(tmp_path, monkeypatch) -> None:
