@@ -9,13 +9,15 @@ ingested into an append-only store of line-delimited page records with a
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import subprocess
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ConverterFailed,
@@ -147,6 +149,36 @@ def search_paper_by_title(
         raise MalformedResponse(f"metadata match is not a usable document: {exc}") from exc
 
 
+def _unterminated_tail(path: Path) -> tuple[bytes, bytes] | None:
+    """``path`` split before its last line when that line has no newline.
+
+    None when the file is missing, empty or ends with a newline, which
+    costs one read of one byte; only the rare other case reads the file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end == 0:
+                return None
+            fh.seek(end - 1)
+            if fh.read(1) == b"\n":
+                return None
+            fh.seek(0)
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    start = data.rfind(b"\n") + 1
+    return data[:start], data[start:]
+
+
+def _decodes(line: bytes) -> bool:
+    try:
+        json.loads(line.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+        return False
+    return True
+
+
 class CorpusStore:
     """Append-only page store with a (doc_id, page) uniqueness index.
 
@@ -154,6 +186,11 @@ class CorpusStore:
     by doc_id then page number, so two stores with the same content behave
     identically. The index is built from the file the first time
     :meth:`ingest_pages` needs it, so listing the pages decodes it once.
+
+    A last line without its newline that decodes is a whole page: the next
+    append writes the newline first. One that does not decode is the torn
+    tail of an ingest cut short: reads skip it with a warning, and the next
+    append cuts it off.
     """
 
     def __init__(self, root: str | Path):
@@ -162,9 +199,29 @@ class CorpusStore:
         self.pages_path = self.root / "pages.jsonl"
         self._page_index: set[tuple[str, int]] | None = None
 
-    def _append(self, path: Path, lines: list[str]) -> None:
+    def _rows(self) -> Iterator[dict[str, Any]]:
+        """The decoded lines of ``pages.jsonl``, less a torn tail."""
+        rows = read_jsonl(self.pages_path)
+        tail = _unterminated_tail(self.pages_path)
+        if tail is not None and not _decodes(tail[1]):
+            log.warning("%s: skipping a torn last line of %d bytes", self.pages_path, len(tail[1]))
+            head = tail[0].decode("utf-8", "replace").split("\n")
+            rows = islice(rows, sum(1 for line in head if line.strip()))
+        return rows
+
+    def _append(self, lines: list[str]) -> None:
+        path = self.pages_path
         try:
+            tail = _unterminated_tail(path)
+            mend = ""
+            if tail is not None:
+                if _decodes(tail[1]):
+                    mend = "\n"
+                else:
+                    log.warning("%s: cutting off a torn last line of %d bytes", path, len(tail[1]))
+                    os.truncate(path, len(tail[0]))
             with open(path, "a", encoding="utf-8") as fh:
+                fh.write(mend)
                 for line in lines:
                     fh.write(line + "\n")
         except OSError as exc:
@@ -175,7 +232,7 @@ class CorpusStore:
         if self._page_index is None:
             self._page_index = set()
             if self.pages_path.exists():
-                for row in read_jsonl(self.pages_path):
+                for row in self._rows():
                     self._page_index.add((row["doc_id"], int(row["page_number"])))
         added = 0
         skipped = 0
@@ -192,14 +249,14 @@ class CorpusStore:
             fresh.add(key)
             added += 1
         if lines:
-            self._append(self.pages_path, lines)
+            self._append(lines)
             self._page_index.update(fresh)
         return IngestSummary(added=added, skipped=skipped)
 
     def iter_pages(self) -> list[PageRecord]:
         if not self.pages_path.exists():
             return []
-        pages = [PageRecord.from_dict(row) for row in read_jsonl(self.pages_path)]
+        pages = [PageRecord.from_dict(row) for row in self._rows()]
         return sorted(pages, key=lambda p: (p.doc_id, p.page_number))
 
 

@@ -7,6 +7,13 @@ absent are omitted on write, and on read the JSON ``null`` as well as the
 literal strings ``"None"``/``"null"`` normalize to absent — prompts instruct
 models to emit ``None`` for unknown values, and that token must never leak
 into typed fields.
+
+The bytes of an encoding are those of the standard ``json`` module. When
+the optional ``fast`` extra is installed, orjson writes the values it
+encodes identically: prompt records (:func:`canonical_json`) and flat
+record lines such as pages, exports and dead letters (:func:`dumps_line`).
+A value's shape is checked before orjson is loaded, so processes that
+write neither, such as gating and scoring, never import it.
 """
 
 from __future__ import annotations
@@ -531,12 +538,26 @@ def _orjson_safe(value: Any) -> bool:
     return True
 
 
+def _is_flat(value: Any) -> bool:
+    """Whether ``value`` is a dict of str keys to str, int, bool or None values.
+
+    Exact types only, as in :func:`_orjson_safe`; a loop, not ``all``, as
+    every stage line pays for this check before it takes the ``json`` path.
+    """
+    if type(value) is not dict:
+        return False
+    for key, item in value.items():
+        if type(key) is not str or type(item) not in _ORJSON_LEAVES:
+            return False
+    return True
+
+
 def __getattr__(name: str) -> Any:
     """``orjson``, imported on first use; None when it is not installed.
 
-    orjson is the optional ``fast`` extra. Importing it on the first
-    :func:`canonical_json` call keeps it out of processes that never encode
-    a prompt, such as ingest, gating and scoring.
+    orjson is the optional ``fast`` extra. Importing it on the first value
+    it can write keeps it out of processes that never encode a prompt or a
+    flat record, such as gating and scoring.
     """
     if name != "orjson":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -548,6 +569,14 @@ def __getattr__(name: str) -> Any:
     return module
 
 
+def _orjson() -> Any:
+    """The ``orjson`` module, or None; tests hide it by setting ``records.orjson``."""
+    try:
+        return orjson  # a global once __getattr__ has imported it
+    except NameError:
+        return __getattr__("orjson")
+
+
 def canonical_json(value: Any) -> str:
     """Pretty canonical JSON used when a record travels inside a prompt.
 
@@ -556,10 +585,7 @@ def canonical_json(value: Any) -> str:
     surrogates, ints wider than 64 bits and non-str keys with a
     ``TypeError``, and those values take the ``json`` path as well.
     """
-    try:
-        fast = orjson  # a global once __getattr__ has imported it
-    except NameError:
-        fast = __getattr__("orjson")
+    fast = _orjson()
     if fast is not None and _orjson_safe(value):
         try:
             return fast.dumps(value, option=fast.OPT_INDENT_2).decode()
@@ -569,7 +595,26 @@ def canonical_json(value: Any) -> str:
 
 
 def dumps_line(value: Any) -> str:
-    """Compact single-line JSON used for line-delimited record files."""
+    """Compact single-line JSON used for line-delimited record files.
+
+    The text is ``json.dumps(value, ensure_ascii=False, separators=(", ", ": "))``.
+    A flat record (a dict with str keys and str, int, bool or None values,
+    such as a page) is written by orjson when installed: each key and value
+    is encoded on its own and joined with the same separators. orjson
+    escapes strings exactly as ``json`` does without ``ensure_ascii``, and
+    is several times faster on long text. Nested values and floats take the
+    ``json`` path, and so does a lone surrogate or an int wider than 64
+    bits, which orjson refuses with a ``TypeError``.
+    """
+    if _is_flat(value):
+        fast = _orjson()
+        if fast is not None:
+            dumps = fast.dumps
+            try:
+                return (b"{" + b", ".join([dumps(key) + b": " + dumps(item)
+                                           for key, item in value.items()]) + b"}").decode()
+            except TypeError:
+                pass
     return json.dumps(value, ensure_ascii=False, separators=(", ", ": "))
 
 
@@ -584,12 +629,35 @@ def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> int:
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield one parsed object per non-blank line of ``path``."""
+    """Yield one parsed object per non-blank line of ``path``.
+
+    A line that is not UTF-8 raises :class:`InvalidRecord` naming the file
+    and the line number.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        try:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    yield json.loads(line)
+        except UnicodeDecodeError as exc:
+            raise InvalidRecord(f"{path}: line {_undecodable_line(path)} is not UTF-8 "
+                                f"({exc.reason})") from None
+
+
+def _undecodable_line(path: str | Path) -> int | None:
+    """The number of the first line of ``path`` that is not UTF-8.
+
+    Looked up only after decoding failed: the decoder reports an offset
+    within the chunk it was given, not a line.
+    """
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return None
 
 
 __all__ = [

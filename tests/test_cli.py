@@ -11,9 +11,10 @@ import pytest
 import requests
 
 from datamentions.cli import _advisory_lock, main
+from datamentions.corpus import CorpusStore
 from datamentions.errors import InputError
 from datamentions.gate import RemoteGate, filter_pages
-from datamentions.records import PageRecord, read_jsonl, write_jsonl
+from datamentions.records import PageRecord, dumps_line, read_jsonl, write_jsonl
 from datamentions.weaksup import compute_stats
 
 from pipeline_fixtures import pipeline_script, write_script_file
@@ -91,6 +92,30 @@ def test_missing_input_file_exits_3(tmp_path, capsys) -> None:
     )
     assert code == 3
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "ingest"])
+def test_a_pages_file_that_is_not_utf8_exits_3_and_changes_nothing(
+    tmp_path, capsys, command
+) -> None:
+    cfg = _mock_config(tmp_path, pipeline_script(_two_page_cases()))
+    store = tmp_path / "store"
+    CorpusStore(store).ingest_pages([_page(3, "Stored before.")])
+    pages = tmp_path / "latin1.jsonl"
+    pages.write_bytes(
+        (dumps_line(_page(1, "We rely on the LSMS throughout.").to_dict()) + "\n").encode()
+        + b'{"doc_id": "' + DOC.encode() + b'", "page_number": 2, "text": "caf\xe9"}\n'
+    )
+
+    def tree() -> dict[str, bytes | None]:
+        return {str(p.relative_to(tmp_path)): p.read_bytes() if p.is_file() else None
+                for p in tmp_path.rglob("*")}
+
+    before = tree()
+    code = main(["--config", str(cfg), "--corpus-dir", str(store), command, "--pages", str(pages)])
+    assert code == 3
+    assert f"input error: {pages}: line 2 is not UTF-8" in capsys.readouterr().err
+    assert tree() == before
 
 
 # ---------------------------------------------------------------------------

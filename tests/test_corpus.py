@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from datamentions import corpus
+from datamentions import corpus, records
 from datamentions.corpus import (
     CorpusStore,
     MetadataClient,
@@ -191,6 +191,47 @@ def test_ingest_keeps_first_occurrence_and_offer_order(tmp_path) -> None:
     assert {p.page_number: p.text for p in CorpusStore(root).iter_pages()} == {
         1: "one", 2: "two", 3: "three", 5: "stored",
     }
+
+
+@pytest.mark.parametrize(
+    "tail, kept",
+    [
+        (b'{"doc_id": "' + DOC.encode() + b'", "page_number": 1, "text": "one"}', True),
+        (b'{"doc_id": "' + DOC.encode() + b'", "page_nu', False),
+        (b'{"doc_id": "' + DOC.encode() + b'", "page_number": 1, "text": "caf\xc3', False),
+    ],
+    ids=["unterminated", "torn", "torn-mid-character"],
+)
+def test_store_mends_a_last_line_without_its_newline(tmp_path, caplog, tail, kept) -> None:
+    root = tmp_path / "corpus"
+    root.mkdir()
+    first = '{"doc_id": "' + DOC + '", "page_number": 2, "text": "two"}\n'
+    (root / "pages.jsonl").write_bytes(first.encode() + tail)
+    stored = [2, 1] if kept else [2]
+    assert [p.page_number for p in CorpusStore(root).iter_pages()] == sorted(stored)
+    assert kept or "torn last line" in caplog.text
+
+    summary = CorpusStore(root).ingest_pages(
+        [PageRecord(doc_id=DOC, page_number=n, text="new") for n in (1, 3)]
+    )
+    assert (summary.added, summary.skipped) == ((1, 1) if kept else (2, 0))
+    lines = (root / "pages.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[0] == first
+    assert [json.loads(line)["page_number"] for line in lines] == [2, 1, 3]
+    assert all(line.endswith("\n") for line in lines)
+    assert {p.page_number for p in CorpusStore(root).iter_pages()} == {1, 2, 3}
+
+
+def test_ingest_writes_the_same_bytes_without_orjson(tmp_path, monkeypatch) -> None:
+    texts = ["Enquête\u2028 \x7f\x00 \"quoted\" \\ / \U0001d11e\n\t", "plain", ""]
+    pages = [PageRecord(doc_id=DOC, page_number=n, text=t) for n, t in enumerate(texts, 1)]
+    CorpusStore(tmp_path / "fast").ingest_pages(pages)
+    monkeypatch.setattr(records, "orjson", None)
+    CorpusStore(tmp_path / "plain").ingest_pages(pages)
+    fast = (tmp_path / "fast" / "pages.jsonl").read_bytes()
+    assert fast == (tmp_path / "plain" / "pages.jsonl").read_bytes()
+    assert fast == "".join(json.dumps(p.to_dict(), ensure_ascii=False, separators=(", ", ": "))
+                           + "\n" for p in pages).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

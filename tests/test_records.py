@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -259,8 +260,15 @@ def test_dumps_line_is_single_line_utf8() -> None:
     assert "Enquête" in line
 
 
+def test_read_jsonl_names_the_line_that_is_not_utf8(tmp_path) -> None:
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n\n{"b": "caf\xe9"}\n{"c": 3}\n')
+    with pytest.raises(InvalidRecord, match=re.escape(f"{path}: line 3 is not UTF-8")):
+        list(read_jsonl(path))
+
+
 # ---------------------------------------------------------------------------
-# prompt encoding
+# prompt and line encoding
 
 # Text with the characters the two encoders could disagree on: non-BMP
 # text, control characters, DEL, U+2028 and lone surrogates.
@@ -269,12 +277,20 @@ _TEXT = st.one_of(
     st.text(st.sampled_from(["a", "é", "\U0001d11e", "\x00", "\x1f", "\x7f", " ",
                              "\ud800", "\udfff", '"', "\\", "\n", "\t", "/"])),
 )
-_NUMBERS = st.one_of(
+# ints at and beyond the 64-bit edges, which orjson refuses
+_INTEGERS = st.one_of(
     st.integers(),
-    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1]),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**100,
+                     -(2**63), -(2**63) - 1, -(2**100)]),
+)
+_NUMBERS = st.one_of(
+    _INTEGERS,
     st.floats(),
     st.sampled_from([1e16, 5e-05, 0.1, -0.0, 1.0, 1e300]),
 )
+# flat records, which dumps_line hands to orjson unless a value is a float
+_FLAT = st.dictionaries(_TEXT, st.one_of(st.none(), st.booleans(), _NUMBERS, _TEXT),
+                        max_size=5)
 _JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), _NUMBERS, _TEXT),
     lambda children: st.one_of(
@@ -315,18 +331,56 @@ def test_canonical_json_matches_json_dumps(monkeypatch, fast) -> None:
     check()
 
 
-_INGEST_GATE_SCORE = """
-import sys
+@pytest.mark.parametrize("fast", [True, False], ids=["orjson", "json"])
+def test_dumps_line_matches_json_dumps(monkeypatch, fast) -> None:
+    if fast and records.orjson is None:
+        pytest.skip("orjson is not installed")
+    if not fast:
+        monkeypatch.setattr(records, "orjson", None)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(_FLAT, _JSON_VALUES, _BLOCKS))
+    def check(value) -> None:
+        assert dumps_line(value) == json.dumps(value, ensure_ascii=False, separators=(", ", ": "))
+
+    check()
+
+
+def test_dumps_line_writes_flat_records_with_orjson(monkeypatch) -> None:
+    if records.orjson is None:
+        pytest.skip("orjson is not installed")
+    real = records.orjson
+    encoded: list[object] = []
+
+    def dumps(value):
+        encoded.append(value)
+        return real.dumps(value)
+
+    monkeypatch.setattr(records, "orjson", SimpleNamespace(dumps=dumps))
+    page = {"doc_id": DOC, "page_number": 3, "text": "Enquête\u2028\x7f\x1f\"\\", "ok": True,
+            "note": None}
+    assert dumps_line(page) == json.dumps(page, ensure_ascii=False, separators=(", ", ": "))
+    assert encoded == [part for item in page.items() for part in item]
+    encoded.clear()
+    for value in ({**page, "score": 0.5}, {**page, "names": ["LSMS"]}, {1: "x"}, ["x"],
+                  {"text": "\ud800"}, {"n": 2**64}):
+        assert dumps_line(value) == json.dumps(value, ensure_ascii=False, separators=(", ", ": "))
+    assert encoded == ["text", "\ud800", "n", 2**64]  # refused by orjson, then written by json
+
+
+_GATE_SCORE = """
+import json, sys
 from pathlib import Path
 from datamentions import corpus, evalkit, gate, records
 
 doc = "c" * 40
 root = Path(sys.argv[1])
-corpus.CorpusStore(root).ingest_pages(
-    records.PageRecord(doc_id=doc, page_number=n, text=f"We use survey data {n}.")
-    for n in range(1, 4)
-)
-passed, _ = gate.filter_pages(corpus.CorpusStore(root).iter_pages(), gate.KeywordGate())
+with open(root / "pages.jsonl", "w", encoding="utf-8") as fh:
+    for n in range(1, 4):
+        fh.write(json.dumps({"doc_id": doc, "page_number": n, "text": f"We use survey data {n}."}))
+        fh.write("\\n")
+passed, decisions = gate.filter_pages(corpus.CorpusStore(root).iter_pages(), gate.KeywordGate())
+records.write_jsonl(root / "decisions.jsonl", (d.to_dict() for d in decisions))
 report, _ = evalkit.score_records(
     [records.PredictionRecord(doc_id=doc, page_number=1, predicted_names=("survey data",))],
     [records.GroundTruthRecord(doc_id=doc, page_number=1, gold_names=("the survey data",))],
@@ -335,9 +389,9 @@ print(len(passed), report.tp, sys.modules.get("orjson") is not None)
 """
 
 
-def test_ingest_gate_and_scoring_leave_orjson_unimported(tmp_path) -> None:
+def test_gate_and_scoring_leave_orjson_unimported(tmp_path) -> None:
     proc = subprocess.run(
-        [sys.executable, "-c", _INGEST_GATE_SCORE, str(tmp_path)],
+        [sys.executable, "-c", _GATE_SCORE, str(tmp_path)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
