@@ -42,7 +42,7 @@ from .gate import (
     filter_pages,
 )
 from .llm import MockChatBackend, ChatBackend, RemoteChatBackend, load_templates
-from .records import PageRecord, dumps_line, read_jsonl, write_jsonl
+from .records import PageRecord, read_jsonl, write_jsonl
 from .retries import RetryPolicy
 from .splits import SplitSpec, import_annotations, sample_pages, split
 from .weaksup import (
@@ -202,11 +202,14 @@ def _apply_decisions(pages: list[PageRecord], decisions_file: str) -> list[PageR
     path = Path(decisions_file)
     if not path.exists():
         raise InputError(f"decisions file {path} does not exist")
-    passed = {
-        (row["doc_id"], int(row["page_number"]))
-        for row in read_jsonl(path)
-        if row.get("passed")
-    }
+    try:
+        passed = {
+            (row["doc_id"], int(row["page_number"]))
+            for row in read_jsonl(path)
+            if row.get("passed")
+        }
+    except KeyError as exc:
+        raise InputError(f"{path}: a decision lacks {exc}") from None
     return [p for p in pages if (p.doc_id, p.page_number) in passed]
 
 
@@ -377,19 +380,9 @@ def cmd_infer(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         names_by_page[(row["doc_id"], int(row["page_number"]))] = names
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        for page in pages:
-            key = (page.doc_id, page.page_number)
-            fh.write(
-                dumps_line(
-                    {
-                        "doc_id": page.doc_id,
-                        "page_number": page.page_number,
-                        "predicted_names": names_by_page.get(key, []),
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(out, ({"doc_id": page.doc_id, "page_number": page.page_number,
+                       "predicted_names": names_by_page.get((page.doc_id, page.page_number), [])}
+                      for page in pages))
     if args.decisions_out:
         write_jsonl(args.decisions_out, (d.to_dict() for d in decisions))
     print(f"inferred predictions for {len(pages)} pages -> {out}")
@@ -529,7 +522,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UnscriptedInput, NetworkError, BackendError, MalformedResponse) as exc:
         print(f"backend failure: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (DataMentionsError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DataMentionsError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -15,7 +15,6 @@ import os
 import subprocess
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -201,13 +200,11 @@ class CorpusStore:
 
     def _rows(self) -> Iterator[dict[str, Any]]:
         """The decoded lines of ``pages.jsonl``, less a torn tail."""
-        rows = read_jsonl(self.pages_path)
         tail = _unterminated_tail(self.pages_path)
-        if tail is not None and not _decodes(tail[1]):
-            log.warning("%s: skipping a torn last line of %d bytes", self.pages_path, len(tail[1]))
-            head = tail[0].decode("utf-8", "replace").split("\n")
-            rows = islice(rows, sum(1 for line in head if line.strip()))
-        return rows
+        if tail is None or _decodes(tail[1]):
+            return read_jsonl(self.pages_path)
+        log.warning("%s: skipping a torn last line of %d bytes", self.pages_path, len(tail[1]))
+        return read_jsonl(self.pages_path, len(tail[0]))
 
     def _append(self, lines: list[str]) -> None:
         path = self.pages_path

@@ -273,10 +273,7 @@ def import_predictions(path: str | Path, adapter: str = "canonical") -> list[Pre
         raise UnknownAdapter(
             f"unknown adapter {adapter!r}; expected one of {sorted(_ADAPTERS)}"
         ) from None
-    try:
-        return load(Path(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg}", offset=exc.pos) from exc
+    return load(Path(path))
 
 
 # ---------------------------------------------------------------------------

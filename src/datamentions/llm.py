@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 
 from .errors import (
     BackendError,
+    InvalidRecord,
     MalformedResponse,
     MultiplePayloads,
     NoPayloadFound,
@@ -29,7 +30,7 @@ from .errors import (
     UnknownTemplate,
     UnscriptedInput,
 )
-from .records import read_jsonl
+from .records import _has_lone_surrogate, read_jsonl
 from .retries import RetryPolicy, send_with_retries
 
 if TYPE_CHECKING:
@@ -228,13 +229,16 @@ class MockChatBackend:
         """
         templates = templates or load_templates()
         script: dict[tuple[str, str], str] = {}
-        for entry in read_jsonl(path):
-            stage = _STAGE_ALIASES.get(entry["stage"], entry["stage"])
-            if "digest" in entry:
-                digest = entry["digest"]
-            else:
-                digest = request_digest(stage, entry["user_content"])
-            script[(stage, digest)] = entry["response"]
+        try:
+            for entry in read_jsonl(path):
+                stage = _STAGE_ALIASES.get(entry["stage"], entry["stage"])
+                if "digest" in entry:
+                    digest = entry["digest"]
+                else:
+                    digest = request_digest(stage, entry["user_content"])
+                script[(stage, digest)] = entry["response"]
+        except KeyError as exc:
+            raise InvalidRecord(f"{path}: a script line lacks {exc}") from None
         return cls(script, templates=templates, call_log=call_log)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -264,7 +268,20 @@ _TRAILING_COMMA_RE = re.compile(r",(\s*[}\]])")
 
 
 def _loads_lenient(payload: str) -> Any:
-    """Parse JSON with one repair pass that strips trailing commas."""
+    """Parse JSON with one repair pass that strips trailing commas.
+
+    A value holding a lone surrogate, from a ``\\ud800`` escape or in the
+    text itself, raises :class:`ParseError`, as no UTF-8 output line could
+    hold it; only a payload with a ``\\u`` escape or non-ASCII text is
+    checked.
+    """
+    value = _loads_repaired(payload)
+    if ("\\u" in payload or not payload.isascii()) and _has_lone_surrogate(value):
+        raise ParseError("payload holds a lone surrogate, which UTF-8 cannot encode")
+    return value
+
+
+def _loads_repaired(payload: str) -> Any:
     try:
         return json.loads(payload)
     except json.JSONDecodeError as exc:
@@ -274,7 +291,7 @@ def _loads_lenient(payload: str) -> Any:
                 return json.loads(repaired)
             except json.JSONDecodeError:
                 pass
-        offset = len(payload[: exc.pos].encode("utf-8"))
+        offset = len(payload[: exc.pos].encode("utf-8", "surrogatepass"))
         raise ParseError(f"payload is not valid JSON: {exc.msg}", offset=offset) from exc
 
 

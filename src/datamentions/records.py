@@ -19,8 +19,10 @@ write neither, such as gating and scoring, never import it.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -628,36 +630,67 @@ def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> int:
     return count
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
+# Files are read, counted and hashed this many bytes at a time, never whole.
+# Chunks of 64 KiB raised the peak memory of a zero-latency run by 0.13 MB.
+_CHUNK = 1 << 14
+
+
+def _chunks(path: str | Path, size: int | None = None) -> Iterator[bytes]:
+    """The first ``size`` bytes of ``path`` (all of them when None), a chunk at a time."""
+    with open(path, "rb") as fh:
+        left = os.fstat(fh.fileno()).st_size if size is None else size
+        while left > 0 and (chunk := fh.read(min(left, _CHUNK))):
+            yield chunk
+            left -= len(chunk)
+
+
+# The escape of a surrogate code point; the text of a line holding none
+# cannot decode to a lone surrogate. A regular expression finds it about
+# twice as fast as ``in`` on long lines with many escapes, such as pages.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _has_lone_surrogate(value: Any) -> bool:
+    """Whether a decoded JSON value holds a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def read_jsonl(path: str | Path, size: int | None = None) -> Iterator[dict[str, Any]]:
     """Yield one parsed object per non-blank line of ``path``.
 
-    A line that is not UTF-8 raises :class:`InvalidRecord` naming the file
-    and the line number.
+    With ``size``, only the complete lines within the first ``size`` bytes
+    are read: a line cut short there, and whatever follows it, is never
+    decoded. Lines end at ``\\n`` alone, as byte offsets count them. Nothing
+    is read before the first ``next``. A line that is not UTF-8, that is
+    not JSON, or whose strings hold a lone surrogate (a ``\\ud800`` escape,
+    which no UTF-8 file can hold) raises :class:`InvalidRecord` naming the
+    file and the line number. Only a line holding a surrogate escape pays
+    for the check of its decoded value.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
-        except UnicodeDecodeError as exc:
-            raise InvalidRecord(f"{path}: line {_undecodable_line(path)} is not UTF-8 "
-                                f"({exc.reason})") from None
-
-
-def _undecodable_line(path: str | Path) -> int | None:
-    """The number of the first line of ``path`` that is not UTF-8.
-
-    Looked up only after decoding failed: the decoder reports an offset
-    within the chunk it was given, not a line.
-    """
-    with open(path, "rb") as fh:
-        for number, raw in enumerate(fh, 1):
+    # undecodable bytes become lone surrogates, found by the encode below
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        lines = fh if size is None else islice(
+            fh, sum(chunk.count(b"\n") for chunk in _chunks(path, size)))
+        for number, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line:
+                continue
             try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return number
-    return None
+                if not line.isascii():
+                    line.encode("utf-8")
+                row = json.loads(line)
+            except UnicodeEncodeError:
+                raise InvalidRecord(f"{path}: line {number} is not UTF-8") from None
+            except json.JSONDecodeError as exc:
+                raise InvalidRecord(f"{path}: line {number} is not JSON: {exc.msg} "
+                                    f"(column {exc.colno})") from None
+            if _SURROGATE_ESCAPE.search(line) and _has_lone_surrogate(row):
+                raise InvalidRecord(f"{path}: line {number} holds a lone surrogate")
+            yield row
 
 
 __all__ = [

@@ -181,18 +181,19 @@ def _gold_from_row(
 
 def _import_canonical(path: Path, warnings: list[str]) -> list[GroundTruthRecord]:
     records = []
-    for row in read_jsonl(path):
-        if "gold_names" not in row:
-            raise ParseError(f"{path}: record lacks 'gold_names'")
-        records.append(
-            _gold_from_row(
-                str(row["doc_id"]),
-                int(row["page_number"]),
-                [str(n) for n in row["gold_names"]],
-                row.get("labels"),
-                warnings,
+    try:
+        for row in read_jsonl(path):
+            records.append(
+                _gold_from_row(
+                    str(row["doc_id"]),
+                    int(row["page_number"]),
+                    [str(n) for n in row["gold_names"]],
+                    row.get("labels"),
+                    warnings,
+                )
             )
-        )
+    except KeyError as exc:
+        raise ParseError(f"{path}: record lacks {exc}") from None
     return records
 
 

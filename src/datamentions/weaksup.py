@@ -28,10 +28,12 @@ nothing is pending and skips enumerating the stage: no input row is
 decoded and no key digested. Nothing else reads a seal. A torn, stale or
 deleted one only costs that enumeration, after which the stage is sealed
 again, so seals are written without fsync or rename. Loading a checkpoint
-decodes only its last line, for the offsets; its keys are decoded when a
-stage that is not sealed needs them. Before such a stage makes its first
-call, every checkpoint no seal vouches for is decoded, so a damaged line
-still stops the run before it pays for anything.
+decodes only its last line, for the offsets and counters, and hashes its
+committed bytes for the seal check; a stage that ran hashes its checkpoint
+file again for its new seal. Before the first stage that is not sealed
+makes a call, the keys of every checkpoint no seal vouches for are read,
+up to its committed size, so a damaged line stops the run before it pays
+for anything.
 
 Each checkpoint line also carries the stage's running counters after its
 commit, so the statistics in ``stats.json`` are a sum over the three last
@@ -102,8 +104,10 @@ from .records import (
     clean_optional,
     dumps_line,
     parse_mention_block,
+    _chunks,
     read_jsonl,
     validate_mention,
+    write_jsonl,
     CONTEXT_VALUES,
     SPECIFICITY_VALUES,
 )
@@ -480,30 +484,24 @@ def reason_mentions(
 
 @dataclass
 class StageCheckpoint:
-    """Per-stage resume bookkeeping: completed item keys, file offsets and counters.
+    """Per-stage resume bookkeeping: file offsets, counters and committed bytes.
 
+    The offsets and the stage's running ``counts`` are those of the last
+    committed line, the only line :meth:`load` decodes; the item keys are
+    read from the file, up to ``size``, only when a stage is not sealed.
     ``size`` is the length of the checkpoint file up to the end of its last
-    complete line. A last line without its newline is the torn tail of a
-    commit that was cut short; it is ignored, so that item runs again.
-    ``bytes_hash`` hashes the committed lines, those loaded and those
-    committed since. :meth:`load` decodes only the last committed line, for
-    the offsets and the stage's running ``counts``; the keys of the lines it
-    read are decoded the first time ``completed`` is used, and the bytes then
-    dropped. ``counts`` is empty before the first commit and None when the
-    last line predates counters. A line of the wrong shape raises
-    :class:`InvalidRecord` naming the file.
+    complete line, and ``digest`` the sha256 hex digest of those bytes. A
+    last line without its newline is the torn tail of a commit that was cut
+    short; it is ignored, so that item runs again. ``counts`` is empty
+    before the first commit and None when the last line predates counters.
+    A line of the wrong shape raises :class:`InvalidRecord` naming the file.
     """
 
     output_offset: int = 0
     deadletter_offset: int = 0
     size: int = 0
+    digest: str = hashlib.sha256().hexdigest()
     counts: list[int] | None = field(default_factory=list)
-    bytes_hash: Any = field(default_factory=hashlib.sha256, init=False, repr=False,
-                            compare=False)
-    _keys: set[str] | None = field(default_factory=set, init=False, repr=False,
-                                   compare=False)  # None: not decoded from _lines yet
-    _lines: bytes = field(default=b"", init=False, repr=False, compare=False)
-    _path: Path | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def load(cls, path: Path) -> "StageCheckpoint":
@@ -511,7 +509,7 @@ class StageCheckpoint:
         data = path.read_bytes() if path.exists() else b""
         ckpt.size = data.rfind(b"\n") + 1
         committed = data[: ckpt.size]
-        ckpt.bytes_hash.update(committed)
+        ckpt.digest = hashlib.sha256(committed).hexdigest()
         end = ckpt.size
         while end:  # back to the last line that is not blank
             start = committed.rfind(b"\n", 0, end - 1) + 1
@@ -528,25 +526,9 @@ class StageCheckpoint:
                         raise ValueError(f"counters {ckpt.counts!r} are not a list of integers")
                 except (ValueError, KeyError, TypeError) as exc:
                     raise InvalidRecord(f"{path}: damaged checkpoint line: {exc!r}") from exc
-                ckpt._keys, ckpt._lines, ckpt._path = None, committed, path
                 break
             end = start
         return ckpt
-
-    @property
-    def completed(self) -> set[str]:
-        """The keys committed so far; a loaded line that does not decode raises."""
-        if self._keys is None:
-            keys = set()
-            try:
-                for line in self._lines.decode("utf-8").split("\n"):
-                    line = line.strip()
-                    if line:
-                        keys.add(json.loads(line)["key"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise InvalidRecord(f"{self._path}: damaged checkpoint line: {exc!r}") from exc
-            self._keys, self._lines = keys, b""
-        return self._keys
 
 
 def _size(path: Path) -> int:
@@ -591,8 +573,6 @@ class _StageWriter:
                             "dead": ckpt.deadletter_offset, "n": ckpt.counts}) + "\n"
         self._ckpt.write(entry)
         self._ckpt.flush()
-        ckpt.bytes_hash.update(entry.encode())
-        ckpt.completed.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -862,18 +842,25 @@ def _require_inputs(
             )
 
 
-# Files are hashed and counted this many bytes at a time, never read whole.
-# Chunks of 64 KiB raised the peak memory of a zero-latency run by 0.13 MB.
-_CHUNK = 1 << 14
+def _committed_keys(
+    output_dir: Path, checkpoints: Mapping[str, StageCheckpoint], names: Iterable[str]
+) -> dict[str, frozenset[str]]:
+    """The item keys in the committed lines of each named stage's checkpoint.
 
-
-def _chunks(path: Path, size: int | None = None) -> Iterator[bytes]:
-    """The first ``size`` bytes of ``path`` (all of them when None), a chunk at a time."""
-    with open(path, "rb") as fh:
-        left = os.fstat(fh.fileno()).st_size if size is None else size
-        while left > 0 and (chunk := fh.read(min(left, _CHUNK))):
-            yield chunk
-            left -= len(chunk)
+    A line that does not decode, or that carries no key, raises
+    :class:`InvalidRecord` naming the checkpoint.
+    """
+    keys: dict[str, frozenset[str]] = {}
+    for spec in _STAGE_SPECS:
+        if spec.name not in names:
+            continue
+        path, size = output_dir / spec.checkpoint_file, checkpoints[spec.name].size
+        rows = read_jsonl(path, size) if size else ()  # with nothing committed it may be missing
+        try:
+            keys[spec.name] = frozenset(row["key"] for row in rows)
+        except (KeyError, TypeError) as exc:
+            raise InvalidRecord(f"{path}: damaged checkpoint line: {exc!r}") from exc
+    return keys
 
 
 def _sha256(path: Path, size: int | None = None) -> str:
@@ -882,16 +869,6 @@ def _sha256(path: Path, size: int | None = None) -> str:
     for chunk in _chunks(path, size):
         h.update(chunk)
     return h.hexdigest()
-
-
-def _rows(path: Path, size: int) -> Iterator[dict[str, Any]]:
-    """The rows in the first ``size`` bytes of ``path``; nothing is read before the first ``next``.
-
-    ``size`` is a checkpoint offset, so it ends a line, and committed lines
-    are never blank: the newlines before it count the rows to read.
-    """
-    rows = sum(chunk.count(b"\n") for chunk in _chunks(path, size))
-    yield from islice(read_jsonl(path), rows)
 
 
 def _pages_digest(pages: Iterable[PageRecord]) -> str:
@@ -924,7 +901,7 @@ def _stage_source(
     if not path.exists():
         return None
     size = checkpoints[_WRITER_OF[spec.input_file]].output_offset
-    return _rows(path, size), _sha256(path, size)
+    return read_jsonl(path, size), _sha256(path, size)
 
 
 # Bump when the item keys a stage derives from its input change.
@@ -933,8 +910,7 @@ _SEAL_FORMAT = "datamentions-seal-1"
 
 def _seal(spec: _StageSpec, input_digest: str, checkpoint: StageCheckpoint) -> bytes:
     """The seal line of ``spec``: its input and its checkpoint's committed bytes, hashed."""
-    parts = (_SEAL_FORMAT, spec.name, spec.template_id, input_digest,
-             checkpoint.bytes_hash.copy().hexdigest())
+    parts = (_SEAL_FORMAT, spec.name, spec.template_id, input_digest, checkpoint.digest)
     return hashlib.sha256("\n".join(parts).encode()).hexdigest().encode() + b"\n"
 
 
@@ -965,6 +941,7 @@ def _run_stage(
     spec: _StageSpec,
     source: Any,
     writer: _StageWriter,
+    done: frozenset[str],
     backend: ChatBackend,
     stage_kwargs: Mapping[str, Any],
     *,
@@ -976,10 +953,10 @@ def _run_stage(
     Items stream through :func:`windowed_map` at width ``workers``, and
     results are committed strictly in input order regardless of worker
     count, keeping output files deterministic. An item is pending when its
-    key was not completed as the stage started, so a key repeated in the
-    input runs, and commits, each time at any worker count.
+    key is not in ``done``, the keys committed before the stage started, so
+    a key repeated in the input runs, and commits, each time at any worker
+    count.
     """
-    done = frozenset(writer.checkpoint.completed)
     keyed = _keyed_items(spec, source)
     batches = iter(lambda: list(islice(keyed, _ENUMERATION_BATCH)), [])
     pending = (item for batch in batches for item in batch if item[0] not in done)
@@ -1044,6 +1021,7 @@ def run_pipeline(
         "max_output_tokens": max_output_tokens,
     }
     sealed: set[str] = set()
+    done: dict[str, frozenset[str]] | None = None
     for spec in specs:
         source, input_digest = _stage_source(spec, pages, output_dir, checkpoints)
         checkpoint, seal_path = checkpoints[spec.name], output_dir / spec.seal_file
@@ -1055,16 +1033,14 @@ def run_pipeline(
                 if not (output_dir / name).exists():
                     (output_dir / name).touch()
             continue
-        # reading ``completed`` decodes a checkpoint: decode every one no
-        # seal vouches for, so a damaged line stops the run before any call
-        for name in checkpoints.keys() - sealed:
-            checkpoints[name].completed
+        if done is None:  # so a damaged line stops the run before any call
+            done = _committed_keys(output_dir, checkpoints, checkpoints.keys() - sealed)
         if checkpoint.counts is None:  # lines from before counters: count the output once
             stats = compute_stats(output_dir)
             checkpoint.counts = [getattr(stats, name) for name in spec.counters]
         with _StageWriter(checkpoint, output_dir, spec) as writer:
             try:
-                _run_stage(spec, source, writer, backend, stage_kwargs,
+                _run_stage(spec, source, writer, done[spec.name], backend, stage_kwargs,
                            item_attempts=item_attempts, workers=workers)
             except _POISON_ERRORS:
                 # an item's own poison errors are caught per item; one that
@@ -1073,8 +1049,11 @@ def run_pipeline(
             except DataMentionsError as exc:
                 raise PipelineInterrupted(
                     f"pipeline stopped during a stage: {exc}", cause=exc,
-                    progressed=any(c.completed for c in checkpoints.values()),
+                    progressed=any(c.output_offset or c.deadletter_offset
+                                   for c in checkpoints.values()),
                 ) from exc
+        ckpt_path = output_dir / spec.checkpoint_file  # the stage's commits made it longer
+        checkpoint.size, checkpoint.digest = _size(ckpt_path), _sha256(ckpt_path)
         seal_path.write_bytes(_seal(spec, input_digest, checkpoint))
 
     if any(c.counts is None for c in checkpoints.values()):
@@ -1115,6 +1094,8 @@ def plan_pipeline(
     """
     output_dir = Path(output_dir)
     checkpoints, redone = _resume_checkpoints(output_dir)
+    sealed: set[str] = set()
+    done: dict[str, frozenset[str]] | None = None
     plans: list[StagePlan] = []
     for spec in _selected_specs(stages):
         redone_input = _WRITER_OF.get(spec.input_file) in redone
@@ -1125,9 +1106,13 @@ def plan_pipeline(
         source, input_digest = staged
         checkpoint = checkpoints[spec.name]
         pending = calls = 0
-        if not _holds(output_dir / spec.seal_file, _seal(spec, input_digest, checkpoint)):
+        if _holds(output_dir / spec.seal_file, _seal(spec, input_digest, checkpoint)):
+            sealed.add(spec.name)
+        else:
+            if done is None:  # as run_pipeline reads them
+                done = _committed_keys(output_dir, checkpoints, checkpoints.keys() - sealed)
             for key, _, _, user_content, _ in _keyed_items(spec, source):
-                if key not in checkpoint.completed:
+                if key not in done[spec.name]:
                     pending += 1
                     calls += bool(user_content.strip())  # a blank page costs no call
         plans.append(StagePlan(stage=spec.name, pending=pending, backend_calls=calls))
@@ -1170,16 +1155,13 @@ def export_finetune_records(
             mention["context"] = assessment.get("context")
             valid_by_page.setdefault(key, []).append(mention)
 
-    count = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for page in sorted(pages, key=lambda p: (p.doc_id, p.page_number)):
-            mentions = valid_by_page.get((page.doc_id, page.page_number), [])
-            record: dict[str, Any] = {
-                "instruction": f"{DEFAULT_INSTRUCTION_PREAMBLE}\n\n{page.text}",
-                "response": json.dumps(mentions, ensure_ascii=False),
-            }
-            if split_tag is not None:
-                record["split"] = split_tag
-            fh.write(dumps_line(record) + "\n")
-            count += 1
-    return count
+    tag = {} if split_tag is None else {"split": split_tag}
+    return write_jsonl(out_path, (
+        {
+            "instruction": f"{DEFAULT_INSTRUCTION_PREAMBLE}\n\n{page.text}",
+            "response": json.dumps(valid_by_page.get((page.doc_id, page.page_number), []),
+                                   ensure_ascii=False),
+            **tag,
+        }
+        for page in sorted(pages, key=lambda p: (p.doc_id, p.page_number))
+    ))

@@ -94,6 +94,11 @@ def test_missing_input_file_exits_3(tmp_path, capsys) -> None:
     assert "input error" in capsys.readouterr().err
 
 
+def _tree(root: Path) -> dict[str, bytes | None]:
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
 @pytest.mark.parametrize("command", ["generate", "ingest"])
 def test_a_pages_file_that_is_not_utf8_exits_3_and_changes_nothing(
     tmp_path, capsys, command
@@ -106,16 +111,58 @@ def test_a_pages_file_that_is_not_utf8_exits_3_and_changes_nothing(
         (dumps_line(_page(1, "We rely on the LSMS throughout.").to_dict()) + "\n").encode()
         + b'{"doc_id": "' + DOC.encode() + b'", "page_number": 2, "text": "caf\xe9"}\n'
     )
-
-    def tree() -> dict[str, bytes | None]:
-        return {str(p.relative_to(tmp_path)): p.read_bytes() if p.is_file() else None
-                for p in tmp_path.rglob("*")}
-
-    before = tree()
+    before = _tree(tmp_path)
     code = main(["--config", str(cfg), "--corpus-dir", str(store), command, "--pages", str(pages)])
     assert code == 3
     assert f"input error: {pages}: line 2 is not UTF-8" in capsys.readouterr().err
-    assert tree() == before
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["generate", "ingest", "sample", "gate"])
+@pytest.mark.parametrize("line, complaint", [
+    ('{"doc_id": "x", page_number: 2}', "is not JSON"),
+    ('{"doc_id": "' + DOC + '", "page_number": 2, "text": "LSMS\\ud800"}', "holds a lone surrogate"),
+], ids=["not JSON", "lone surrogate"])
+def test_a_bad_pages_line_exits_3_naming_it_and_changes_nothing(tmp_path, capsys, command,
+                                                                line, complaint) -> None:
+    cfg = _mock_config(tmp_path, pipeline_script(_two_page_cases()))
+    store = tmp_path / "store"
+    CorpusStore(store).ingest_pages([_page(3, "Stored before.")])
+    pages = tmp_path / "bad.jsonl"
+    pages.write_text(dumps_line(_page(1, "We rely on the LSMS throughout.").to_dict()) + "\n"
+                     + line + "\n", encoding="utf-8")
+    extra = {"sample": ["-n", "1", "--out", str(tmp_path / "sample.jsonl")],
+             "gate": ["--out", str(tmp_path / "decisions.jsonl")]}.get(command, [])
+    before = _tree(tmp_path)
+    code = main(["--config", str(cfg), "--corpus-dir", str(store), command, "--pages", str(pages)]
+                + extra)
+    assert code == 3
+    assert f"input error: {pages}: line 2 {complaint}" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("damaged", ["decisions", "gold", "script"])
+def test_a_row_without_its_fields_exits_3_naming_the_file(tmp_path, capsys, damaged) -> None:
+    cases = _two_page_cases()
+    cfg = _mock_config(tmp_path, pipeline_script(cases))
+    pages = _pages_file(tmp_path, [c[0] for c in cases])
+    predictions, gold = _score_fixture(tmp_path)
+    decisions = tmp_path / "decisions.jsonl"
+    write_jsonl(decisions, [{"doc_id": DOC, "page_number": 1, "passed": True}])
+    script = tmp_path / "script.jsonl"
+    path = {"decisions": decisions, "gold": gold, "script": script}[damaged]
+    rows = list(read_jsonl(path))
+    del rows[0]["doc_id" if damaged != "script" else "stage"]
+    write_jsonl(path, rows)
+    if damaged == "gold":
+        argv = ["score", "--predictions", str(predictions), "--gold", str(gold)]
+    else:
+        argv = ["--config", str(cfg), "generate", "--pages", str(pages), "--decisions",
+                str(decisions)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"input error: {path}: " in err and "lacks" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

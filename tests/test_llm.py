@@ -88,6 +88,16 @@ def test_parse_error_reports_byte_offset() -> None:
     assert "byte offset 7" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("text", ['["LSMS\\ud800"]', '["LSMS\ud800"]', '{"\\udc00": 1}',
+                                  '["LSMS\ud800",'],
+                         ids=["escaped", "in the text", "escaped in a key", "in broken text"])
+def test_a_payload_holding_a_lone_surrogate_is_a_parse_error(text) -> None:
+    with pytest.raises(ParseError) as excinfo:
+        extract_json_payload(text)
+    str(excinfo.value).encode("utf-8")  # the message itself holds none
+    assert extract_json_payload('["\\ud83d\\ude00", "\u00e9"]') == ["\U0001f600", "\u00e9"]
+
+
 def test_fenced_payload() -> None:
     text = 'Sure, here you go:\n```json\n{"b": [2]}\n```\nHope that helps.'
     assert extract_json_payload(text, "fenced") == {"b": [2]}

@@ -267,6 +267,20 @@ def test_read_jsonl_names_the_line_that_is_not_utf8(tmp_path) -> None:
         list(read_jsonl(path))
 
 
+@pytest.mark.parametrize("line, complaint", [
+    (b'{"b": tru}', "is not JSON: Expecting value (column 7)"),
+    (b'{"b": "LSMS\\ud800"}', "holds a lone surrogate"),
+    (b'{"b": ["x", {"\\udfff": 1}]}', "holds a lone surrogate"),
+], ids=["not JSON", "lone high surrogate", "lone low surrogate in a key"])
+def test_read_jsonl_names_a_line_it_cannot_decode(tmp_path, line, complaint) -> None:
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": "\\ud83d\\ude00 \\u00e9"}\n\n' + line + b'\n{"c": 3}\n')
+    rows = read_jsonl(path)
+    assert next(rows) == {"a": "\U0001f600 \u00e9"}  # a surrogate pair is one character
+    with pytest.raises(InvalidRecord, match=re.escape(f"{path}: line 3 {complaint}")):
+        next(rows)
+
+
 # ---------------------------------------------------------------------------
 # prompt and line encoding
 

@@ -442,6 +442,28 @@ def test_malformed_item_is_quarantined_not_fatal(tmp_path) -> None:
     assert sum(1 for _, d in backend.calls if d == poisoned_digest) == 3
 
 
+def test_a_reply_holding_a_lone_surrogate_is_dead_lettered(tmp_path) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    page = _page(9, "This page draws a reply no UTF-8 file can hold.")
+    script[("extractor", request_digest("extractor", page.text))] = (
+        '[{"raw_name": "LSMS\\ud800", "mentioned_in": "%s"}]' % page.text)
+    pages = [case[0] for case in cases] + [page]
+    out = tmp_path / "out"
+
+    backend = MockChatBackend(script)
+    stats = run_pipeline(pages, backend, output_dir=out)
+    assert stats == compute_stats(out)
+    (dead,) = read_jsonl(out / "deadletter.jsonl")
+    assert (dead["page_number"], dead["error"]) == (9, "ParseError")
+    assert "lone surrogate" in dead["detail"] and "\ud800" not in dead["detail"]
+    assert sum(1 for _, d in backend.calls
+               if d == request_digest("extractor", page.text)) == 3  # retried, then quarantined
+    rerun = MockChatBackend(script)
+    run_pipeline(pages, rerun, output_dir=out)
+    assert rerun.calls == []
+
+
 def test_stage_barriers_require_prior_outputs(tmp_path) -> None:
     from datamentions.errors import InvalidRecord
 
@@ -741,9 +763,9 @@ def test_a_sealed_rerun_reads_no_stage_input_and_issues_no_call(tmp_path, monkey
     decoded: list[str] = []
     read, sha256, loads = weaksup.read_jsonl, weaksup._sha256, weaksup.json.loads
 
-    def counted_read(path):
+    def counted_read(path, *args):  # a read starts at the first ``next``
         reads.append(Path(path).name)
-        return read(path)
+        yield from read(path, *args)
 
     def counted_sha256(path, *args):
         hashed.append(Path(path).name)
@@ -968,26 +990,38 @@ def test_stats_are_recomputed_unless_their_fingerprint_matches(tmp_path, monkeyp
     assert _tree(out) == _tree(bare)
 
 
-def test_checkpoint_keys_decode_on_first_use_as_an_eager_parse_would(tmp_path) -> None:
-    path = tmp_path / "stage.ckpt"
-    text = st.text(st.characters(blacklist_categories=("Cs",)))
+def test_a_prefix_read_equals_an_eager_parse_of_its_complete_lines(tmp_path) -> None:
+    path = tmp_path / "checkpoints" / "extract.ckpt"
+    path.parent.mkdir()
+    key = st.text(st.characters(blacklist_categories=("Cs",)))  # non-ASCII text included
+    blank = st.text(st.sampled_from(" \t\r"), max_size=3)
 
-    @settings(max_examples=60, deadline=None)
-    @given(keys=st.lists(text, max_size=6), ascii_only=st.booleans(), tail=st.binary(max_size=12))
-    def check(keys, ascii_only, tail):
-        lines = [json.dumps({"key": key, "out": 7 * i, "dead": i}, ensure_ascii=ascii_only) + "\n"
-                 for i, key in enumerate(keys, 1)]
-        committed = "".join(lines).encode("utf-8")
-        torn = tail.replace(b"\n", b"")  # the tail of a line cut short by a kill
-        path.write_bytes(committed + torn)
+    def eager(data: bytes) -> list:
+        """The complete lines of ``data``, parsed one by one."""
+        lines = (line.decode("utf-8").strip() for line in data.split(b"\n")[:-1])
+        return [json.loads(line) for line in lines if line]
 
+    @settings(max_examples=80, deadline=None)
+    @given(entries=st.lists(st.one_of(st.tuples(key, st.booleans()), blank), max_size=8),
+           tail=st.binary(max_size=12), data=st.data())
+    def check(entries, tail, data):
+        lines = [json.dumps({"key": e[0], "out": 7 * i, "dead": i}, ensure_ascii=e[1])
+                 if isinstance(e, tuple) else e for i, e in enumerate(entries, 1)]
+        committed = "".join(line + "\n" for line in lines).encode("utf-8")
+        written = committed + tail.replace(b"\n", b"")  # the tail of a line cut short by a kill
+        path.write_bytes(written)
+
+        size = data.draw(st.integers(0, len(written)), label="size")  # mid-line, mid-character
+        assert list(read_jsonl(path, size)) == eager(written[:size])
+
+        rows = eager(committed)
         ckpt = StageCheckpoint.load(path)
-        eager = [json.loads(line) for line in lines]
         assert ckpt.size == len(committed)
-        assert ckpt.bytes_hash.hexdigest() == hashlib.sha256(committed).hexdigest()
+        assert ckpt.digest == hashlib.sha256(committed).hexdigest()
         assert (ckpt.output_offset, ckpt.deadletter_offset) == (
-            (eager[-1]["out"], eager[-1]["dead"]) if eager else (0, 0))
-        assert ckpt.completed == {entry["key"] for entry in eager}
+            (rows[-1]["out"], rows[-1]["dead"]) if rows else (0, 0))
+        assert weaksup._committed_keys(tmp_path, {"extract": ckpt}, {"extract"}) == {
+            "extract": frozenset(row["key"] for row in rows)}
 
     check()
 
