@@ -210,6 +210,8 @@ def _apply_decisions(pages: list[PageRecord], decisions_file: str) -> list[PageR
         }
     except KeyError as exc:
         raise InputError(f"{path}: a decision lacks {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise InputError(f"{path}: a decision's page_number is not an integer: {exc}") from None
     return [p for p in pages if (p.doc_id, p.page_number) in passed]
 
 

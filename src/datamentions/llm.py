@@ -30,7 +30,7 @@ from .errors import (
     UnknownTemplate,
     UnscriptedInput,
 )
-from .records import _has_lone_surrogate, read_jsonl
+from .records import _has_lone_surrogate, _loads_exact, read_jsonl
 from .retries import RetryPolicy, send_with_retries
 
 if TYPE_CHECKING:
@@ -272,9 +272,13 @@ def _loads_lenient(payload: str) -> Any:
 
     A value holding a lone surrogate, from a ``\\ud800`` escape or in the
     text itself, raises :class:`ParseError`, as no UTF-8 output line could
-    hold it; only a payload with a ``\\u`` escape or non-ASCII text is
-    checked.
+    hold it. orjson, when installed, decodes the payload first and refuses
+    such text; of the rest, only a payload with a ``\\u`` escape or
+    non-ASCII text is checked.
     """
+    value = _loads_exact(payload)
+    if value is not None:
+        return value
     value = _loads_repaired(payload)
     if ("\\u" in payload or not payload.isascii()) and _has_lone_surrogate(value):
         raise ParseError("payload holds a lone surrogate, which UTF-8 cannot encode")

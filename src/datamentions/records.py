@@ -8,12 +8,15 @@ literal strings ``"None"``/``"null"`` normalize to absent — prompts instruct
 models to emit ``None`` for unknown values, and that token must never leak
 into typed fields.
 
-The bytes of an encoding are those of the standard ``json`` module. When
-the optional ``fast`` extra is installed, orjson writes the values it
-encodes identically: prompt records (:func:`canonical_json`) and flat
-record lines such as pages, exports and dead letters (:func:`dumps_line`).
-A value's shape is checked before orjson is loaded, so processes that
-write neither, such as gating and scoring, never import it.
+The bytes of an encoding and the value of a decoding are those of the
+standard ``json`` module. When the optional ``fast`` extra is installed,
+orjson writes the values it encodes identically: prompt records
+(:func:`canonical_json`) and flat record lines such as pages, exports and
+dead letters (:func:`dumps_line`). It also decodes every line that
+:func:`read_jsonl` reads and every model reply payload, keeping its value
+only where ``json`` is known to give the same one; every other text is
+decoded, and refused, by ``json`` as before. orjson is imported on the
+first value encoded or line decoded, never by importing the package.
 """
 
 from __future__ import annotations
@@ -520,10 +523,15 @@ class PredictionRecord:
 
 
 _ORJSON_LEAVES = frozenset((str, int, bool, type(None)))
+# Containers nested deeper than this take the json path. json.loads raises
+# RecursionError near the interpreter's recursion limit, where orjson.loads
+# has none, and orjson.dumps refuses values nested 256 deep.
+_ORJSON_DEPTH = 64
 
 
-def _orjson_safe(value: Any) -> bool:
-    """Whether ``value`` holds only dicts, lists, str, int, bool and None.
+def _orjson_safe(value: Any, depth: int = _ORJSON_DEPTH) -> bool:
+    """Whether ``value`` holds only dicts, lists, str, int, bool and None,
+    with containers nested at most ``depth`` deep.
 
     Exact types only: orjson writes floats in another form than ``json``
     (``1e16`` for ``1e+16``) and encodes subclasses, tuples and dataclasses
@@ -534,8 +542,10 @@ def _orjson_safe(value: Any) -> bool:
         value = value.values()
     elif kind is not list:
         return kind in _ORJSON_LEAVES
+    if not depth:
+        return False
     for item in value:
-        if type(item) is not str and not _orjson_safe(item):
+        if type(item) is not str and not _orjson_safe(item, depth - 1):
             return False
     return True
 
@@ -557,9 +567,9 @@ def _is_flat(value: Any) -> bool:
 def __getattr__(name: str) -> Any:
     """``orjson``, imported on first use; None when it is not installed.
 
-    orjson is the optional ``fast`` extra. Importing it on the first value
-    it can write keeps it out of processes that never encode a prompt or a
-    flat record, such as gating and scoring.
+    orjson is the optional ``fast`` extra. It is imported on the first
+    value it can write or the first text it decodes, so importing the
+    package does not load it.
     """
     if name != "orjson":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -659,6 +669,28 @@ def _has_lone_surrogate(value: Any) -> bool:
     return False
 
 
+def _loads_exact(text: str) -> Any:
+    """The value of ``text`` as orjson decodes it, or None to decode it with ``json``.
+
+    The value is kept only when it is what ``json.loads`` gives too: orjson
+    is installed, accepts the text, and the value passes
+    :func:`_orjson_safe`. A float fails it, since orjson 3.8 turns ints
+    wider than 64 bits into floats. orjson refuses, and so leaves to
+    ``json``, every text the callers' own checks or ``json`` treat apart:
+    NaN and infinities, ``1e400``, a BOM, a lone surrogate escape and a
+    ``str`` that is not UTF-8. The text ``null`` takes the ``json`` path
+    as well.
+    """
+    fast = _orjson()
+    if fast is None:
+        return None
+    try:
+        value = fast.loads(text)
+    except fast.JSONDecodeError:
+        return None
+    return value if _orjson_safe(value) else None
+
+
 def read_jsonl(path: str | Path, size: int | None = None) -> Iterator[dict[str, Any]]:
     """Yield one parsed object per non-blank line of ``path``.
 
@@ -666,10 +698,14 @@ def read_jsonl(path: str | Path, size: int | None = None) -> Iterator[dict[str, 
     are read: a line cut short there, and whatever follows it, is never
     decoded. Lines end at ``\\n`` alone, as byte offsets count them. Nothing
     is read before the first ``next``. A line that is not UTF-8, that is
-    not JSON, or whose strings hold a lone surrogate (a ``\\ud800`` escape,
-    which no UTF-8 file can hold) raises :class:`InvalidRecord` naming the
-    file and the line number. Only a line holding a surrogate escape pays
-    for the check of its decoded value.
+    not JSON, whose strings hold a lone surrogate (a ``\\ud800`` escape,
+    which no UTF-8 file can hold), or that is not an object raises
+    :class:`InvalidRecord` naming the file and the line number.
+
+    orjson, when installed, decodes a line first (:func:`_loads_exact`); it
+    refuses the lines the checks above look for, so a line it decoded
+    skips them. Any other line is decoded and checked by ``json``, and only
+    one holding a surrogate escape pays for the check of its decoded value.
     """
     # undecodable bytes become lone surrogates, found by the encode below
     with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
@@ -679,17 +715,21 @@ def read_jsonl(path: str | Path, size: int | None = None) -> Iterator[dict[str, 
             line = line.strip()
             if not line:
                 continue
-            try:
-                if not line.isascii():
-                    line.encode("utf-8")
-                row = json.loads(line)
-            except UnicodeEncodeError:
-                raise InvalidRecord(f"{path}: line {number} is not UTF-8") from None
-            except json.JSONDecodeError as exc:
-                raise InvalidRecord(f"{path}: line {number} is not JSON: {exc.msg} "
-                                    f"(column {exc.colno})") from None
-            if _SURROGATE_ESCAPE.search(line) and _has_lone_surrogate(row):
-                raise InvalidRecord(f"{path}: line {number} holds a lone surrogate")
+            row = _loads_exact(line)
+            if row is None:
+                try:
+                    if not line.isascii():
+                        line.encode("utf-8")
+                    row = json.loads(line)
+                except UnicodeEncodeError:
+                    raise InvalidRecord(f"{path}: line {number} is not UTF-8") from None
+                except json.JSONDecodeError as exc:
+                    raise InvalidRecord(f"{path}: line {number} is not JSON: {exc.msg} "
+                                        f"(column {exc.colno})") from None
+                if _SURROGATE_ESCAPE.search(line) and _has_lone_surrogate(row):
+                    raise InvalidRecord(f"{path}: line {number} holds a lone surrogate")
+            if type(row) is not dict:
+                raise InvalidRecord(f"{path}: line {number} is not a JSON object")
             yield row
 
 

@@ -194,6 +194,8 @@ def _import_canonical(path: Path, warnings: list[str]) -> list[GroundTruthRecord
             )
     except KeyError as exc:
         raise ParseError(f"{path}: record lacks {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"{path}: record has a field of the wrong type: {exc}") from None
     return records
 
 

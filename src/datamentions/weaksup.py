@@ -569,9 +569,10 @@ class _StageWriter:
         ckpt.output_offset, ckpt.deadletter_offset = self._out.tell(), self._dead.tell()
         if counts is not None:
             ckpt.counts = [total + n for total, n in zip(ckpt.counts, counts)]
-        entry = json.dumps({"key": key, "out": ckpt.output_offset,
-                            "dead": ckpt.deadletter_offset, "n": ckpt.counts}) + "\n"
-        self._ckpt.write(entry)
+        # the bytes of json.dumps({"key": key, "out": ..., "dead": ..., "n": counts}) + "\n"
+        self._ckpt.write(f'{{"key": {json.dumps(key)}, "out": {ckpt.output_offset}, '
+                         f'"dead": {ckpt.deadletter_offset}, '
+                         f'"n": [{", ".join(map(str, ckpt.counts))}]}}\n')
         self._ckpt.flush()
 
 

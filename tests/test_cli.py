@@ -165,6 +165,41 @@ def test_a_row_without_its_fields_exits_3_naming_the_file(tmp_path, capsys, dama
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("damaged, line, complaint", [
+    ("decisions", "[1, 2]", "line 1 is not a JSON object"),
+    ("decisions", f'{{"doc_id": "{DOC}", "page_number": "two", "passed": true}}',
+     "page_number is not an integer"),
+    ("gold", "[1, 2]", "line 1 is not a JSON object"),
+    ("gold", "null", "line 1 is not a JSON object"),
+    ("gold", f'{{"doc_id": "{DOC}", "page_number": "two", "gold_names": ["LSMS"]}}',
+     "wrong type"),
+    ("gold", f'{{"doc_id": "{DOC}", "page_number": 1, "gold_names": null}}', "wrong type"),
+    ("script", "[1, 2]", "line 1 is not a JSON object"),
+], ids=["decisions array", "decisions page word", "gold array", "gold null", "gold page word",
+        "gold names null", "script array"])
+def test_a_row_of_the_wrong_shape_exits_3_naming_the_file(tmp_path, capsys, damaged, line,
+                                                         complaint) -> None:
+    cases = _two_page_cases()
+    cfg = _mock_config(tmp_path, pipeline_script(cases))
+    pages = _pages_file(tmp_path, [c[0] for c in cases])
+    predictions, gold = _score_fixture(tmp_path)
+    decisions = tmp_path / "decisions.jsonl"
+    write_jsonl(decisions, [{"doc_id": DOC, "page_number": 1, "passed": True}])
+    path = {"decisions": decisions, "gold": gold, "script": tmp_path / "script.jsonl"}[damaged]
+    path.write_text(line + "\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    if damaged == "gold":
+        argv = ["score", "--predictions", str(predictions), "--gold", str(gold),
+                "--out", str(tmp_path / "report.txt")]
+    else:
+        argv = ["--config", str(cfg), "generate", "--pages", str(pages), "--decisions",
+                str(decisions)]
+    before = _tree(tmp_path)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"input error: {path}: " in err and complaint in err
+    assert _tree(tmp_path) == before
+
+
 # ---------------------------------------------------------------------------
 # score
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -10,8 +11,17 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import datamentions
 from datamentions import records
-from datamentions.errors import BadEnum, InvalidRecord, MissingField, ValidityCouplingViolation
+from datamentions.cli import main
+from datamentions.errors import (
+    BadEnum,
+    InvalidRecord,
+    MissingField,
+    ParseError,
+    ValidityCouplingViolation,
+)
+from datamentions.llm import extract_json_payload
 from datamentions.records import (
     AgentAssessment,
     DatasetMention,
@@ -382,35 +392,53 @@ def test_dumps_line_writes_flat_records_with_orjson(monkeypatch) -> None:
     assert encoded == ["text", "\ud800", "n", 2**64]  # refused by orjson, then written by json
 
 
-_GATE_SCORE = """
-import json, sys
-from pathlib import Path
-from datamentions import corpus, evalkit, gate, records
+_IMPORT_ALL = """
+import importlib, pkgutil, sys
+import datamentions
+from datamentions.gate import KeywordGate
 
-doc = "c" * 40
-root = Path(sys.argv[1])
-with open(root / "pages.jsonl", "w", encoding="utf-8") as fh:
-    for n in range(1, 4):
-        fh.write(json.dumps({"doc_id": doc, "page_number": n, "text": f"We use survey data {n}."}))
-        fh.write("\\n")
-passed, decisions = gate.filter_pages(corpus.CorpusStore(root).iter_pages(), gate.KeywordGate())
-records.write_jsonl(root / "decisions.jsonl", (d.to_dict() for d in decisions))
-report, _ = evalkit.score_records(
-    [records.PredictionRecord(doc_id=doc, page_number=1, predicted_names=("survey data",))],
-    [records.GroundTruthRecord(doc_id=doc, page_number=1, gold_names=("the survey data",))],
-)
-print(len(passed), report.tp, sys.modules.get("orjson") is not None)
+names = [m.name for m in pkgutil.walk_packages(datamentions.__path__, "datamentions.")]
+for name in names:
+    importlib.import_module(name)
+KeywordGate()
+print(len(names), "orjson" in sys.modules)
 """
 
 
-def test_gate_and_scoring_leave_orjson_unimported(tmp_path) -> None:
+def test_importing_leaves_orjson_unloaded_and_gate_and_score_match_without_it(
+        tmp_path, monkeypatch, capsys) -> None:
     proc = subprocess.run(
-        [sys.executable, "-c", _GATE_SCORE, str(tmp_path)],
+        [sys.executable, "-c", _IMPORT_ALL],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "3 1 False\n"
+    modules = list(pkgutil.walk_packages(datamentions.__path__, "datamentions."))
+    assert len(modules) >= 13
+    assert proc.stdout == f"{len(modules)} False\n"
+
+    pages = tmp_path / "pages.jsonl"
+    write_jsonl(pages, [{"doc_id": DOC, "page_number": n, "text": text} for n, text in
+                        enumerate(["We use survey data.", "Enquête \U0001d11e data", "No."], 1)])
+    gold, predictions = tmp_path / "gold.jsonl", tmp_path / "predictions.jsonl"
+    write_jsonl(gold, [{"doc_id": DOC, "page_number": 1, "gold_names": ["the survey data"]}])
+    write_jsonl(predictions, [{"doc_id": DOC, "page_number": 1,
+                               "predicted_names": ["survey data", "Enquête"]}])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gate": {"kind": "keyword"}}), encoding="utf-8")
+
+    decisions = tmp_path / "decisions.jsonl"
+
+    def outputs() -> tuple[bytes, str]:
+        assert main(["--config", str(config), "gate", "--pages", str(pages),
+                     "--out", str(decisions)]) == 0
+        assert main(["score", "--predictions", str(predictions), "--gold", str(gold),
+                     "--format", "json"]) == 0
+        return decisions.read_bytes(), capsys.readouterr().out
+
+    fast = outputs()
+    monkeypatch.setattr(records, "orjson", None)
+    assert outputs() == fast
 
 
 def test_canonical_json_encodes_plain_blocks_with_orjson(monkeypatch) -> None:
@@ -431,3 +459,109 @@ def test_canonical_json_encodes_plain_blocks_with_orjson(monkeypatch) -> None:
     assert encoded == [block]
     canonical_json({**block, "page": 3.0})  # a float takes the json path
     assert encoded == [block]
+
+
+# ---------------------------------------------------------------------------
+# decoding with and without orjson
+
+
+def _nested(depth: int) -> str:
+    return '{"a": ' * depth + "1" + "}" * depth
+
+
+# texts that the two decoders read differently, that orjson refuses, or that
+# a check after decoding refuses
+_ODD_TEXTS = st.sampled_from([
+    "NaN", '{"x": NaN}', '{"x": Infinity}', '{"x": -Infinity}', '{"x": 1e400}', '{"x": 1.5}',
+    '{"x": -0.0}', '{"x": -0}', '{"x": 5e-324}', '{"x": 1E2}',
+    '{"x": 9223372036854775807}', '{"x": 9223372036854775808}', '{"x": -9223372036854775808}',
+    '{"x": -9223372036854775809}', '{"x": 18446744073709551615}', '{"x": 18446744073709551616}',
+    '{"x": 1267650600228229401496703205376}', '{"x": -1267650600228229401496703205376}',
+    '﻿{"x": 1}', '{"x": "\\ud800"}', '{"\\udfff": 1}', '{"x": "\\ude00\\ud83d"}',
+    '{"x": "\\ud83d\\ude00"}', '{"x": "\\ud800\\u0041"}', '{"x": "\udc80"}',
+    '{"x": "a\x01b"}', '{"x": "\x7f \\u0000"}', '\x0c{"x": 1}', '{"x": 1}\x1f',
+    '{"x": 1,}', '[1, 2,]', '{"x": 01}', '{"x": 1}x', '{"x": 1, "x": 2}', "[1, 2]", "null",
+    "3", '"x"', "true", "", "  ", "\t",
+    _nested(10), _nested(64), _nested(65), _nested(200), _nested(5000),
+])
+_OBJECTS = st.dictionaries(_TEXT, _JSON_VALUES, max_size=3)
+_LINES = st.one_of(
+    _ODD_TEXTS.map(lambda text: text.encode("utf-8", "surrogatepass")),
+    # a lone surrogate becomes an escape, or with ensure_ascii off, bytes that are not UTF-8
+    st.one_of(_OBJECTS, _JSON_VALUES).map(lambda value: json.dumps(value).encode()),
+    _OBJECTS.map(lambda value: json.dumps(value, ensure_ascii=False)
+                 .encode("utf-8", "surrogatepass")),
+    st.sampled_from([b'{"x": "caf\xe9"}', b"\xff", b'{"x": "\xed\xa0\x80"}']),
+)
+# payloads, some with trailing commas for the repair pass to strip
+_PAYLOADS = st.one_of(
+    _ODD_TEXTS,
+    _JSON_VALUES.map(json.dumps),
+    _JSON_VALUES.map(lambda value: json.dumps(value, ensure_ascii=False)),
+    _JSON_VALUES.map(lambda value: re.sub(r"(\n *[}\]])", r",\1", json.dumps(value, indent=1))),
+)
+
+
+def _with_and_without_orjson(outcome):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(records, "orjson", None)
+        slow = outcome()
+    return outcome(), slow
+
+
+def test_read_jsonl_reads_the_same_rows_with_and_without_orjson(tmp_path) -> None:
+    if records.orjson is None:
+        pytest.skip("orjson is not installed")
+    loads = records._loads_exact
+    assert loads('{"a": [1, "é", {"b": null}], "c": 18446744073709551615}') == {
+        "a": [1, "é", {"b": None}], "c": 2**64 - 1}
+    assert json.loads(_nested(64)) == loads(_nested(64))
+    for text in ('{"a": 1.5}', '{"a": 18446744073709551616}', _nested(65), '{"a": NaN}',
+                 '"\\ud800"', "﻿{}", "null"):
+        assert loads(text) is None
+    path = tmp_path / "rows.jsonl"
+
+    def rows(size):
+        try:
+            return repr(list(read_jsonl(path, size)))
+        except InvalidRecord as exc:
+            return f"InvalidRecord: {exc}"
+        except RecursionError:
+            return "RecursionError"
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_LINES, max_size=6), st.booleans(), st.data())
+    def check(lines, newline_at_end, data) -> None:
+        content = b"\n".join(lines) + (b"\n" if newline_at_end else b"")
+        path.write_bytes(content)
+        size = data.draw(st.one_of(st.none(), st.integers(0, len(content))))
+        fast, slow = _with_and_without_orjson(lambda: rows(size))
+        assert fast == slow
+
+    check()
+
+
+def test_extract_json_payload_parses_the_same_with_and_without_orjson() -> None:
+    if records.orjson is None:
+        pytest.skip("orjson is not installed")
+
+    def parsed(text, mode):
+        try:
+            return repr(extract_json_payload(text, mode))
+        except datamentions.errors.DataMentionsError as exc:
+            return f"{type(exc).__name__}: {exc} (offset {getattr(exc, 'offset', None)})"
+        except RecursionError:
+            return "RecursionError"
+
+    @settings(max_examples=400, deadline=None)
+    @given(_PAYLOADS, st.sampled_from(["bare", "fenced", "tagged"]))
+    def check(payload, mode) -> None:
+        text = {"bare": payload, "fenced": f"Here:\n```json\n{payload}\n```",
+                "tagged": f"<OUTPUTDATA>\n{payload}\n</OUTPUTDATA> done"}[mode]
+        fast, slow = _with_and_without_orjson(lambda: parsed(text, mode))
+        assert fast == slow
+
+    check()
+    with pytest.raises(ParseError, match=re.escape("Expecting value (byte offset 6)")):
+        extract_json_payload('{"a": NaX}')
+    assert extract_json_payload('{"a": [1, 2,],}') == {"a": [1, 2]}

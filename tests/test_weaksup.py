@@ -1026,6 +1026,32 @@ def test_a_prefix_read_equals_an_eager_parse_of_its_complete_lines(tmp_path) -> 
     check()
 
 
+def test_a_commit_writes_the_checkpoint_line_json_dumps_would(tmp_path) -> None:
+    (tmp_path / "checkpoints").mkdir()
+    spec = weaksup._STAGE_SPECS[0]
+    path = tmp_path / spec.checkpoint_file
+    key = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f é\U0001d11e')))
+    counts = st.lists(st.integers(min_value=0, max_value=2**70), min_size=3, max_size=3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(key, st.text(max_size=5), st.one_of(st.none(), counts)),
+                    min_size=1, max_size=4), counts)
+    def check(commits, start) -> None:
+        for name in (spec.output_file, "deadletter.jsonl", spec.checkpoint_file):
+            (tmp_path / name).unlink(missing_ok=True)
+        ckpt = StageCheckpoint(counts=start)
+        expected = []
+        with weaksup._StageWriter(ckpt, tmp_path, spec) as writer:
+            for item_key, line, added in commits:
+                writer.commit(item_key, line, added)
+                expected.append(json.dumps({"key": item_key, "out": ckpt.output_offset,
+                                            "dead": ckpt.deadletter_offset,
+                                            "n": ckpt.counts}) + "\n")
+        assert path.read_bytes() == "".join(expected).encode("utf-8")
+
+    check()
+
+
 @pytest.mark.parametrize("stage", STAGES)
 @pytest.mark.parametrize("new_page", [False, True])
 def test_an_undecodable_checkpoint_line_raises_before_any_call(tmp_path, stage, new_page) -> None:
