@@ -1,12 +1,14 @@
 """Token-overlap evaluation: Jaccard matching and precision/recall/Fβ.
 
 Predicted and gold dataset names are compared as sets of unique normalized
-tokens. The matcher tokenizes each name once per page and computes every
-(gold, prediction) pair from those sets. A prediction matches a gold name
-when their Jaccard overlap is strictly greater than the configured threshold
-(default 0.5). Pairs are accepted greedily in descending Jaccard order;
-counts are micro-aggregated across pages into precision, recall, and Fβ
-(default β = 0.5, which weights precision twice as heavily as recall).
+tokens. The matcher tokenizes each name once per page and scores only the
+pairs that share a token, found through a token index of the predictions;
+every other pair has Jaccard 0 and can never match. A prediction matches a
+gold name when their Jaccard overlap is strictly greater than the
+configured threshold (default 0.5). Pairs are accepted greedily in
+descending Jaccard order; counts are micro-aggregated across pages into
+precision, recall, and Fβ (default β = 0.5, which weights precision twice
+as heavily as recall).
 """
 
 from __future__ import annotations
@@ -109,15 +111,31 @@ def match_mentions(
 
     All cross pairs above the threshold are candidates; ties break by
     (gold index, prediction index) ascending; each side is used at most once.
-    Each name is tokenized once, not once per pair.
+    Each name is tokenized once, not once per pair, and only pairs that
+    share a token are scored: the predictions are indexed by token, and a
+    gold name counts its shared tokens per prediction by walking the index
+    (ScanCount). A pair sharing no token has Jaccard 0, which no threshold
+    in [0, 1] lets through.
     """
-    predicted_tokens = [normalize_tokens(p) for p in predicted]
+    by_token: dict[str, list[int]] = {}
+    predicted_sizes: list[int] = []
+    for pi, p in enumerate(predicted):
+        p_tokens = normalize_tokens(p)
+        predicted_sizes.append(len(p_tokens))
+        for token in p_tokens:
+            by_token.setdefault(token, []).append(pi)
     threshold = cfg.jaccard_threshold
     candidates: list[tuple[float, int, int]] = []
     for gi, g in enumerate(gold):
         gold_tokens = normalize_tokens(g)
-        for pi, p_tokens in enumerate(predicted_tokens):
-            j = _token_jaccard(p_tokens, gold_tokens)
+        shared: dict[int, int] = {}
+        for token in gold_tokens:
+            for pi in by_token.get(token, ()):
+                shared[pi] = shared.get(pi, 0) + 1
+        gold_size = len(gold_tokens)
+        for pi, n in shared.items():
+            # the integer expression of _token_jaccard, so the float is the same
+            j = n / (predicted_sizes[pi] + gold_size - n)
             if j > threshold:
                 candidates.append((j, gi, pi))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
@@ -243,19 +261,23 @@ def _from_nuextract(path: Path) -> list[PredictionRecord]:
         names: list[str] = []
         mentions = row.get("data_mentions")
         if mentions is None:
-            raise ParseError("prediction line lacks 'data_mentions'")
-        for block in mentions:
-            for dataset in block.get("datasets", []):
-                raw_name = dataset.get("raw_name")
-                if raw_name:
-                    names.append(str(raw_name))
-        records.append(
-            PredictionRecord(
-                doc_id=str(row.get("doc_id") or row.get("source") or ""),
-                page_number=int(row.get("page_number") or row.get("page") or 1),
-                predicted_names=tuple(names),
+            raise ParseError(f"{path}: prediction line lacks 'data_mentions'")
+        try:
+            for block in mentions:
+                for dataset in block.get("datasets", []):
+                    raw_name = dataset.get("raw_name")
+                    if raw_name:
+                        names.append(str(raw_name))
+            records.append(
+                PredictionRecord(
+                    doc_id=str(row.get("doc_id") or row.get("source") or ""),
+                    page_number=int(row.get("page_number") or row.get("page") or 1),
+                    predicted_names=tuple(names),
+                )
             )
-        )
+        except (ValueError, TypeError, AttributeError, IndexError, KeyError) as exc:
+            # int() of a word, a number where a block or a list belongs
+            raise ParseError(f"{path}: record has a field of the wrong type: {exc!r}") from None
     return records
 
 

@@ -21,8 +21,9 @@ warnings, still come out in page order.
 The keyword rule: a page matches when some trigger occurs as a whole word,
 delimited by ``\b``, compared case-insensitively exactly as Python's
 ``re.IGNORECASE`` does, so ``ſurvey`` and ``İndex`` match ``survey`` and
-``index``. Per page this costs one ``str.lower()`` pass plus one substring
-scan per needle; the regex runs only on candidate pages, from the first hit.
+``index``. Per page this costs one ``str.lower()`` pass plus substring
+scans for the needles, and stops at the first confirmed trigger: the regex
+runs anchored at each place a needle occurs, and its first match decides.
 """
 
 from __future__ import annotations
@@ -154,11 +155,12 @@ class KeywordGate:
     A match is ``\\b(?:t1|t2|...)\\b`` under ``re.IGNORECASE``: whole words,
     case folded as Python's ``re`` folds it, so ``ſurvey`` matches
     ``survey`` and ``İndex`` matches ``index``. Scoring lowercases the page
-    once and looks for each needle (a lowercased trigger not covered by a
-    shorter one it starts with) by substring search; a page with no hit
-    scores 0.0 without the regex, and otherwise the regex confirms from the
-    earliest hit. Pages holding ``İ``, ``ı`` or ``ſ``, and gates with a
-    non-ASCII trigger, run the regex over the whole page.
+    once and walks the occurrences of each needle (a lowercased trigger not
+    covered by a shorter one it starts with) by substring search, matching
+    the regex anchored at each; it stops at the first confirmed trigger, and
+    a page where none is confirmed scores 0.0. Pages holding ``İ``, ``ı`` or
+    ``ſ``, and gates with a non-ASCII trigger, run the regex over the whole
+    page.
     """
 
     def __init__(self, triggers: Sequence[str] | None = None):
@@ -177,16 +179,22 @@ class KeywordGate:
         return cls(load_triggers(path))
 
     def score_page(self, text: str) -> float:
-        start = 0
-        if self._needles is not None and (
-            text.isascii() or not any(ch in text for ch in _FOLD_ONLY)
+        if self._needles is None or (
+            not text.isascii() and any(ch in text for ch in _FOLD_ONLY)
         ):
-            folded = text.lower()
-            hits = [i for i in map(folded.find, self._needles) if i >= 0]
-            if not hits:
-                return 0.0
-            start = min(hits)
-        return 1.0 if self._pattern.search(text, start) else 0.0
+            return 1.0 if self._pattern.search(text) else 0.0
+        # Every match starts where some needle occurs in the folded page, and
+        # lower() keeps indices here, so an anchored match at each occurrence
+        # decides the page; \b at pos still looks at text[pos - 1].
+        folded = text.lower()
+        match = self._pattern.match
+        for needle in self._needles:
+            i = folded.find(needle)
+            while i >= 0:
+                if match(text, i):
+                    return 1.0
+                i = folded.find(needle, i + 1)
+        return 0.0
 
 
 @dataclass

@@ -212,29 +212,37 @@ def _import_doccano(path: Path, warnings: list[str]) -> list[GroundTruthRecord]:
         text = row.get("text")
         if text is None:
             raise ParseError(f"{path}: annotation record lacks 'text'")
-        meta = row.get("meta") or {}
-        doc_id = str(row.get("doc_id") or meta.get("doc_id") or "")
-        page_number = int(row.get("page_number") or meta.get("page_number") or 1)
-        names: list[str] = []
-        labels: dict[str, dict[str, str]] = {}
-        for span in row.get("label", []):
-            start, end, span_label = int(span[0]), int(span[1]), str(span[2])
-            name = text[start:end]
-            if not name.strip():
-                warnings.append(f"{doc_id} p{page_number}: empty span {start}:{end} skipped")
-                continue
-            names.append(name)
-            if span_label in CONTEXT_VALUES:
-                labels.setdefault(name, {})["context"] = span_label
-            elif span_label in SPECIFICITY_VALUES:
-                labels.setdefault(name, {})["specificity"] = span_label
-            elif span_label:
-                warnings.append(
-                    f"{doc_id} p{page_number}: span label {span_label!r} is not a "
-                    "context/specificity value; ignored"
-                )
-        records.append(_gold_from_row(doc_id, page_number, names, labels, warnings))
+        try:
+            records.append(_gold_from_doccano(row, text, warnings))
+        except (ValueError, TypeError, AttributeError, IndexError, KeyError) as exc:
+            # int() of a word, a span too short, a mapping where a list belongs
+            raise ParseError(f"{path}: record has a field of the wrong type: {exc!r}") from None
     return records
+
+
+def _gold_from_doccano(row: dict, text: str, warnings: list[str]) -> GroundTruthRecord:
+    meta = row.get("meta") or {}
+    doc_id = str(row.get("doc_id") or meta.get("doc_id") or "")
+    page_number = int(row.get("page_number") or meta.get("page_number") or 1)
+    names: list[str] = []
+    labels: dict[str, dict[str, str]] = {}
+    for span in row.get("label", []):
+        start, end, span_label = int(span[0]), int(span[1]), str(span[2])
+        name = text[start:end]
+        if not name.strip():
+            warnings.append(f"{doc_id} p{page_number}: empty span {start}:{end} skipped")
+            continue
+        names.append(name)
+        if span_label in CONTEXT_VALUES:
+            labels.setdefault(name, {})["context"] = span_label
+        elif span_label in SPECIFICITY_VALUES:
+            labels.setdefault(name, {})["specificity"] = span_label
+        elif span_label:
+            warnings.append(
+                f"{doc_id} p{page_number}: span label {span_label!r} is not a "
+                "context/specificity value; ignored"
+            )
+    return _gold_from_row(doc_id, page_number, names, labels, warnings)
 
 
 _FORMATS = {

@@ -200,6 +200,39 @@ def test_a_row_of_the_wrong_shape_exits_3_naming_the_file(tmp_path, capsys, dama
     assert _tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("side, line, complaint", [
+    ("doccano", '{"page_number": "two", "text": "LSMS", "label": [[0, 4, "x"]]}', "wrong type"),
+    ("doccano", '{"text": "LSMS", "label": [[0]]}', "wrong type"),
+    ("doccano", '{"text": "LSMS", "label": [{"start": 0}]}', "wrong type"),
+    ("doccano", '{"meta": "p1", "text": "LSMS"}', "wrong type"),
+    ("doccano", '{"text": 5, "label": [[0, 4, "x"]]}', "wrong type"),
+    ("nuextract", '{"page_number": "two", "data_mentions": []}', "wrong type"),
+    ("nuextract", '{"data_mentions": [5]}', "wrong type"),
+    ("nuextract", '{"data_mentions": 5}', "wrong type"),
+    ("nuextract", '{"data_mentions": [{"datasets": ["LSMS"]}]}', "wrong type"),
+    ("nuextract", '{"doc_id": "d"}', "lacks 'data_mentions'"),
+], ids=["doccano page word", "doccano short span", "doccano span object", "doccano meta word",
+        "doccano text number", "nuextract page word", "nuextract mention number",
+        "nuextract mentions number", "nuextract dataset word", "nuextract no mentions"])
+def test_a_non_canonical_row_of_the_wrong_shape_exits_3_naming_the_file(
+    tmp_path, capsys, side, line, complaint
+) -> None:
+    predictions, gold = _score_fixture(tmp_path)
+    path = tmp_path / f"{side}.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    argv = ["score", "--predictions", str(predictions), "--gold", str(gold),
+            "--out", str(tmp_path / "report.txt")]
+    if side == "doccano":
+        argv[4:5] = [str(path), "--gold-format", "doccano_export"]
+    else:
+        argv[2:3] = [str(path), "--adapter", "nuextract_template"]
+    before = _tree(tmp_path)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"input error: {path}: " in err and complaint in err
+    assert _tree(tmp_path) == before
+
+
 # ---------------------------------------------------------------------------
 # score
 

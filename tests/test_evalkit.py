@@ -18,7 +18,9 @@ from datamentions.evalkit import (
 )
 from datamentions.records import GroundTruthRecord, PredictionRecord, read_jsonl
 
-from oracles import exhaustive_match_size, oracle_fbeta, oracle_greedy_match, oracle_jaccard
+from oracles import (
+    exhaustive_match_size, oracle_fbeta, oracle_greedy_match, oracle_jaccard, oracle_tokens,
+)
 
 DOC = "c" * 40
 
@@ -125,6 +127,43 @@ _NAMES = st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join) | st.text(m
 def test_match_equals_the_pair_by_pair_reference(predicted, gold, threshold) -> None:
     result = match_mentions(predicted, gold, MatchConfig(jaccard_threshold=threshold))
     assert result == MatchResult(*oracle_greedy_match(predicted, gold, threshold))
+
+
+# Dense pages: many names per side drawn from a few words, so most pairs
+# share a token and many Jaccard values tie.
+_DENSE_NAMES = st.lists(
+    st.sampled_from(["survey", "Census", "data", "2010", "wave", "x", "-"]), max_size=4
+).map(" ".join)
+_DENSE_PAGES = st.tuples(st.lists(_DENSE_NAMES, max_size=15), st.lists(_DENSE_NAMES, max_size=15))
+_THRESHOLDS = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(page=_DENSE_PAGES, threshold=_THRESHOLDS)
+def test_match_equals_the_reference_on_dense_pages(page, threshold) -> None:
+    predicted, gold = page
+    result = match_mentions(predicted, gold, MatchConfig(jaccard_threshold=threshold))
+    assert result == MatchResult(*oracle_greedy_match(predicted, gold, threshold))
+
+
+# a gold record holds no two names with the same tokens
+_DENSE_RECORD_PAGES = st.tuples(
+    st.lists(_DENSE_NAMES, max_size=15),
+    st.lists(_DENSE_NAMES, max_size=15, unique_by=lambda name: frozenset(oracle_tokens(name))),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pages=st.lists(_DENSE_RECORD_PAGES, max_size=12), threshold=_THRESHOLDS)
+def test_score_records_sums_the_reference_over_dense_pages(pages, threshold) -> None:
+    predictions = [PredictionRecord(DOC, n, tuple(p)) for n, (p, _) in enumerate(pages, 1)]
+    gold = [GroundTruthRecord(DOC, n, tuple(g)) for n, (_, g) in enumerate(pages, 1)]
+    report, results = score_records(predictions, gold, MatchConfig(jaccard_threshold=threshold))
+    expected = [MatchResult(*oracle_greedy_match(p, g, threshold)) for p, g in pages]
+    assert list(results.values()) == expected
+    assert (report.tp, report.fp, report.fn) == tuple(
+        sum(getattr(r, field) for r in expected) for field in ("tp", "fp", "fn")
+    )
 
 
 def test_match_tokenizes_each_name_once(monkeypatch) -> None:

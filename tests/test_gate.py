@@ -184,6 +184,12 @@ def test_keyword_gate_matches_reference_regex(case) -> None:
         (["enquête"], "ENQUÊTE nationale", 1.0),
         (["ſurvey"], "SURVEY", 1.0),
         (["λογος"], "ΛΟΓΟΣ λογοσ", 1.0),
+        # each needle's occurrences are tried in turn, and the first one the
+        # regex confirms decides; \b at an occurrence looks at the text before it
+        (["data", "survey"], "metadata and a survey", 1.0),
+        (["data", "survey"], "surveyed metadata", 0.0),
+        (["x", "index"], "indexes x", 1.0),
+        (["data"], "metadata data", 1.0),
     ],
 )
 def test_keyword_gate_fold_cases(triggers, text, expected) -> None:
