@@ -262,7 +262,7 @@ class MockChatBackend:
 # ---------------------------------------------------------------------------
 # payload extraction
 
-_TAG_RE = re.compile(r"<OUTPUTDATA>(.*?)</OUTPUTDATA>", re.DOTALL)
+_OPEN_TAG, _CLOSE_TAG = "<OUTPUTDATA>", "</OUTPUTDATA>"
 _FENCE_RE = re.compile(r"```json[ \t]*\n(.*?)```", re.DOTALL)
 _TRAILING_COMMA_RE = re.compile(r",(\s*[}\]])")
 
@@ -297,6 +297,25 @@ def _loads_repaired(payload: str) -> Any:
                 pass
         offset = len(payload[: exc.pos].encode("utf-8", "surrogatepass"))
         raise ParseError(f"payload is not valid JSON: {exc.msg}", offset=offset) from exc
+
+
+def _tagged_spans(text: str) -> list[str]:
+    """What ``re.findall(r"<OUTPUTDATA>(.*?)</OUTPUTDATA>", text, re.DOTALL)`` returns.
+
+    Each span runs from an open tag to the first close tag after it, and the
+    next open tag is looked for after that close tag, as the lazy pattern
+    matches; an open tag with no close tag after it ends the search.
+    """
+    spans: list[str] = []
+    start = text.find(_OPEN_TAG)
+    while start != -1:
+        start += len(_OPEN_TAG)
+        end = text.find(_CLOSE_TAG, start)
+        if end == -1:
+            break
+        spans.append(text[start:end])
+        start = text.find(_OPEN_TAG, end + len(_CLOSE_TAG))
+    return spans
 
 
 def _strip_fence(text: str) -> str:
@@ -337,7 +356,7 @@ def extract_json_payload(text: str, mode: str = "bare") -> Any:
             raise NoPayloadFound("json code fence is empty")
         return _loads_lenient(payload)
     if mode == "tagged":
-        spans = _TAG_RE.findall(text)
+        spans = _tagged_spans(text)
         if not spans:
             raise NoPayloadFound("no OUTPUTDATA tag pair in response")
         if len(spans) > 1:

@@ -5,8 +5,13 @@ on each mention's validity, and ``reason`` runs a devil's-advocate review
 that may override the judge. Only judge-valid mentions reach the reasoner.
 Every stage appends to its own output file and records per-item progress in
 a checkpoint, so an interrupted run resumes without repeating a single
-backend call and reproduces the uninterrupted output byte for byte; a
-checkpoint line cut short by a kill is ignored and its item done again.
+backend call and reproduces the uninterrupted output byte for byte. An
+item's commit is two unbuffered appends, its output or dead-letter line and
+then its checkpoint line; the checkpoint's offsets are counted from the
+files' sizes when the stage opened them plus the bytes written since. A
+kill between the two appends leaves a line no checkpoint points past, which
+the resume cuts off, and a checkpoint line cut short by a kill is ignored;
+either way the item is done again.
 Items that keep failing after the per-item retry budget are quarantined to a
 dead-letter file rather than blocking the run. A stage whose output file (a
 missing one counts as empty) or the dead-letter file is shorter than its
@@ -64,9 +69,10 @@ import json
 import logging
 import os
 import re
-from contextlib import closing
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -153,10 +159,26 @@ __all__ = [
 # stage operations
 
 
+# The characters a JSON text can begin with, ``json``'s NaN and Infinity included.
+_JSON_FIRST = frozenset('{["-0123456789tfnNI')
+
+
 def _parse_stage_payload(text: str) -> Any:
-    """Parse a stage reply: tags win when present, else bare, else fenced."""
+    """Parse a stage reply: tags win when present, else bare, else fenced.
+
+    A reply whose first non-blank character cannot begin a JSON text (prose
+    before a fence) would fail the bare parse, so it tries the fence first;
+    only when that finds no payload does it take the bare-then-fenced order.
+    Either way it returns the value, or raises the error, of that order.
+    """
     if "<OUTPUTDATA>" in text:
         return extract_json_payload(text, "tagged")
+    head = text.lstrip()[:1]
+    if head and head not in _JSON_FIRST:
+        try:
+            return extract_json_payload(text, "fenced")
+        except NoPayloadFound:
+            pass
     try:
         return extract_json_payload(text, "bare")
     except (ParseError, NoPayloadFound) as bare_error:
@@ -244,8 +266,9 @@ def _blocks_from_extractor_payload(
                 continue
             seen.add(key)
             kept.append(mention)
-        if kept:
-            blocks.append(replace(block, datasets=tuple(kept)))
+        if kept:  # the parsed block itself when every mention survives
+            blocks.append(block if len(kept) == len(block.datasets)
+                          else replace(block, datasets=tuple(kept)))
     return blocks
 
 
@@ -445,7 +468,6 @@ def reason_mentions(
 
         _warn_on_echo(entry, mention, "agent")
 
-        updated = mention
         if "harmonized_name" in entry:
             harmonized = clean_optional(entry.get("harmonized_name"))
         else:
@@ -456,19 +478,14 @@ def reason_mentions(
                 harmonized,
             )
             harmonized = None
-        updated = replace(updated, harmonized_name=harmonized)
-        for source_key, attr in (
-            ("acronym", "acronym"),
-            ("producer", "producer"),
-            ("year", "year"),
-            ("data_type", "data_type"),
-        ):
-            if source_key in entry:
-                updated = replace(updated, **{attr: clean_optional(entry[source_key])})
+        changes = {"harmonized_name": harmonized}
+        for key in ("acronym", "producer", "year", "data_type"):
+            if key in entry:
+                changes[key] = clean_optional(entry[key])
 
         assessments.append(
             AgentAssessment(
-                mention=updated,
+                mention=replace(mention, **changes),
                 valid=valid,
                 invalid_reason=invalid_reason,
                 specificity=specificity,
@@ -542,38 +559,63 @@ def _truncate(path: Path, size: int) -> None:
         os.truncate(path, size)
 
 
+def _write_all(write: Callable[[bytes], int], data: bytes) -> None:
+    """Write all of ``data`` through an unbuffered file's ``write``.
+
+    That is one call, unless the system writes short; the rest then follows,
+    and a full disk raises.
+    """
+    written = write(data)
+    while written < len(data):
+        written += write(data[written:])
+
+
 class _StageWriter:
-    """Append-only writer committing (output, dead-letter, checkpoint) per item."""
+    """Append-only writer committing (output, dead-letter, checkpoint) per item.
+
+    The three files are opened unbuffered, so a commit is two appends: the
+    output or dead-letter line, then the checkpoint line with the offsets it
+    commits. A kill between them, or halfway through either, leaves a line
+    no checkpoint points past, which a resume cuts off. The offsets are the
+    files' sizes at open plus the bytes written since; nothing else writes
+    to the files while the writer is open.
+    """
 
     def __init__(self, checkpoint: StageCheckpoint, output_dir: Path, spec: _StageSpec):
         self.checkpoint = checkpoint
-        self._out = open(output_dir / spec.output_file, "a", encoding="utf-8")
-        self._dead = open(output_dir / _DEADLETTER_FILE, "a", encoding="utf-8")
-        self._ckpt = open(output_dir / spec.checkpoint_file, "a", encoding="utf-8")
+        with ExitStack() as files:  # closes what it opened if a later open fails
+            self._out, self._dead, self._ckpt = [
+                files.enter_context(open(output_dir / name, "ab", buffering=0))
+                for name in (spec.output_file, _DEADLETTER_FILE, spec.checkpoint_file)
+            ]
+            self._files = files.pop_all()
+        self._out_end = os.fstat(self._out.fileno()).st_size
+        self._dead_end = os.fstat(self._dead.fileno()).st_size
 
     def __enter__(self) -> "_StageWriter":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self._out.close()
-        self._dead.close()
-        self._ckpt.close()
+        self._files.close()
 
     def commit(self, key: str, line: str, counts: Sequence[int] | None = None) -> None:
         """Append ``line`` to the output, or without ``counts`` to the dead-letter file, then
         checkpoint ``key`` with the stage's counters, ``counts`` added."""
-        fh = self._dead if counts is None else self._out
-        fh.write(line + "\n")
-        fh.flush()
+        data = (line + "\n").encode("utf-8")
         ckpt = self.checkpoint
-        ckpt.output_offset, ckpt.deadletter_offset = self._out.tell(), self._dead.tell()
-        if counts is not None:
+        if counts is None:
+            _write_all(self._dead.write, data)
+            self._dead_end += len(data)
+        else:
+            _write_all(self._out.write, data)
+            self._out_end += len(data)
             ckpt.counts = [total + n for total, n in zip(ckpt.counts, counts)]
+        ckpt.output_offset, ckpt.deadletter_offset = self._out_end, self._dead_end
         # the bytes of json.dumps({"key": key, "out": ..., "dead": ..., "n": counts}) + "\n"
-        self._ckpt.write(f'{{"key": {json.dumps(key)}, "out": {ckpt.output_offset}, '
-                         f'"dead": {ckpt.deadletter_offset}, '
-                         f'"n": [{", ".join(map(str, ckpt.counts))}]}}\n')
-        self._ckpt.flush()
+        _write_all(self._ckpt.write, (
+            f'{{"key": {encode_basestring_ascii(key)}, "out": {self._out_end}, '
+            f'"dead": {self._dead_end}, "n": [{", ".join(map(str, ckpt.counts))}]}}\n'
+        ).encode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +742,9 @@ def _reason_items(
         survivors = tuple(
             _enriched_mention(m, v) for m, v in zip(block.datasets, verdicts) if v.valid
         )
-        if survivors:
-            yield _block_item(replace(block, datasets=survivors))
+        if survivors:  # the decoded block itself when no mention changed
+            yield _block_item(block if survivors == block.datasets
+                              else replace(block, datasets=survivors))
 
 
 def _produce_extract(

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from datamentions import ChatResponse, MockChatBackend, RemoteChatBackend
+from datamentions import ChatResponse, MockChatBackend, RemoteChatBackend, llm
 from datamentions.errors import (
     BackendError,
     MalformedResponse,
@@ -126,6 +128,21 @@ def test_tagged_payload_requires_exactly_one_pair() -> None:
     doubled = '<OUTPUTDATA>{"a": 1}</OUTPUTDATA><OUTPUTDATA>{"b": 2}</OUTPUTDATA>'
     with pytest.raises(MultiplePayloads):
         extract_json_payload(doubled, "tagged")
+
+
+def test_tag_search_returns_what_the_lazy_regex_finds() -> None:
+    pieces = st.sampled_from(["<OUTPUTDATA>", "</OUTPUTDATA>", "<OUTPUT", "DATA>", "</", "<",
+                              ">", "/", "OUTPUTDATA", "x", "\n", "{}", "é"])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(pieces, max_size=12).map("".join))
+    def check(text) -> None:
+        assert llm._tagged_spans(text) == re.findall(
+            r"<OUTPUTDATA>(.*?)</OUTPUTDATA>", text, re.DOTALL)
+
+    check()
+    nested = "<OUTPUTDATA>a<OUTPUTDATA>b</OUTPUTDATA>c</OUTPUTDATA><OUTPUTDATA>d"
+    assert llm._tagged_spans(nested) == ["a<OUTPUTDATA>b"]
 
 
 def test_unknown_mode_rejected() -> None:

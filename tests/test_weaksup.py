@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import shutil
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,14 +23,23 @@ from datamentions import (
 )
 from datamentions.errors import (
     ArityMismatch,
+    DataMentionsError,
     InvalidRecord,
     MissingField,
+    NoPayloadFound,
+    ParseError,
     PipelineInterrupted,
     RetriesExhausted,
     UnscriptedInput,
     ValidityCouplingViolation,
 )
-from datamentions.llm import ChatRequest, ChatResponse, load_templates, request_digest
+from datamentions.llm import (
+    ChatRequest,
+    ChatResponse,
+    extract_json_payload,
+    load_templates,
+    request_digest,
+)
 from datamentions.records import (
     MentionBlock,
     PageRecord,
@@ -139,6 +150,77 @@ def test_extract_parses_fenced_reply_as_fallback() -> None:
     )
     blocks = extract_mentions(page, backend)
     assert blocks[0].datasets[0].raw_name == "X"
+
+
+def _bare_then_fenced(text: str):
+    """The reply parse as it was before prose-first replies tried the fence first."""
+    if "<OUTPUTDATA>" in text:
+        return extract_json_payload(text, "tagged")
+    try:
+        return extract_json_payload(text, "bare")
+    except (ParseError, NoPayloadFound) as bare_error:
+        try:
+            return extract_json_payload(text, "fenced")
+        except NoPayloadFound:
+            raise bare_error from None
+
+
+def _outcome(parse, text: str) -> tuple:
+    """The value parsed (by repr, so NaN equals NaN), or the error class and message."""
+    try:
+        return "value", repr(parse(text))
+    except DataMentionsError as exc:
+        return "error", type(exc), str(exc)
+
+
+_REPLY_CASES = [
+    'Here are the mentions:\n```json\n[{"raw_name": "X"}]\n```',
+    "Sure.\n```json\n[1, 2,]\n```\nDone.",
+    "Prose first:\n```json\n{not json\n```",
+    "Prose and no fence at all.",
+    "Prose then a ```python\nfence\n``` only.",
+    '[{"raw_name": "X", "mentioned_in": "s"}]',
+    '  {"a": [1, 2,]}  ',
+    "NaN", "Infinity", "-Infinity", "[NaN, -Infinity]",
+    '\xa0\u3000 {"a": 1}', "\ufeff[1]", "\ufeff```json\n[1]\n```", "\ufeff",
+    "```json```", "```json\n```", "Two fences:\n```json\n[1]\n```\nthen\n```json\n[2]\n```",
+    '"```json\\n[1]\\n```"', 'A string holds a fence: "```json\n[1]\n```"',
+    "", " \n\t", "\xa0",
+]
+
+
+@pytest.mark.parametrize("text", _REPLY_CASES)
+def test_a_stage_reply_parses_as_the_bare_then_fenced_order_does(text) -> None:
+    assert _outcome(weaksup._parse_stage_payload, text) == _outcome(_bare_then_fenced, text)
+
+
+def test_stage_reply_parsing_matches_the_bare_then_fenced_order() -> None:
+    pieces = st.sampled_from([
+        " ", "\n", "\t", "\xa0", "\ufeff", "\u3000", "Here:", "ok ", "```json\n", "```json```",
+        "```", "\n```", '{"a": 1}', "[1, 2,]", "NaN", "Infinity", "-Infinity", "-", "1e5",
+        "true", "nul", '"', '"```json\\n[1]\\n```"', "{", "]", ",", "x", "é", "<OUTPUTDATA>",
+        "</OUTPUTDATA>",
+    ])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(pieces, max_size=8).map("".join), st.text(max_size=12)))
+    def check(text) -> None:
+        assert _outcome(weaksup._parse_stage_payload, text) == _outcome(_bare_then_fenced, text)
+
+    check()
+
+
+def test_a_prose_first_fenced_reply_is_parsed_once(monkeypatch) -> None:
+    modes = []
+
+    def counted(text, mode="bare"):
+        modes.append(mode)
+        return extract_json_payload(text, mode)
+
+    monkeypatch.setattr(weaksup, "extract_json_payload", counted)
+    assert weaksup._parse_stage_payload('Here:\n```json\n[1]\n```') == [1]
+    assert weaksup._parse_stage_payload(' [2]') == [2]
+    assert modes == ["fenced", "bare"]
 
 
 # ---------------------------------------------------------------------------
@@ -1050,6 +1132,59 @@ def test_a_commit_writes_the_checkpoint_line_json_dumps_would(tmp_path) -> None:
         assert path.read_bytes() == "".join(expected).encode("utf-8")
 
     check()
+
+
+def test_commit_offsets_are_the_file_sizes_across_a_resume(tmp_path) -> None:
+    (tmp_path / "checkpoints").mkdir()
+    spec = weaksup._STAGE_SPECS[1]  # judge: the dead letters may open with extract's lines
+    out, dead = tmp_path / spec.output_file, tmp_path / "deadletter.jsonl"
+    ckpt_path = tmp_path / spec.checkpoint_file
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+    commits = st.lists(st.tuples(text, text, st.booleans()), max_size=4)
+
+    def run(ckpt: StageCheckpoint, items) -> None:
+        with weaksup._StageWriter(ckpt, tmp_path, spec) as writer:
+            for key, line, kept in items:
+                writer.commit(key, line, [1] if kept else None)
+                assert (ckpt.output_offset, ckpt.deadletter_offset) == (
+                    out.stat().st_size, dead.stat().st_size)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(text, max_size=3), commits, st.binary(max_size=6), commits)
+    def check(earlier, first, torn, second) -> None:
+        for path in (out, dead, ckpt_path):
+            path.unlink(missing_ok=True)
+        earlier = "".join(line + "\n" for line in earlier).encode("utf-8")
+        dead.write_bytes(earlier)
+        run(StageCheckpoint(counts=[0]), first)
+        for path in (out, dead, ckpt_path):  # what a kill halfway through a commit leaves
+            with open(path, "ab") as fh:
+                fh.write(torn.replace(b"\n", b""))
+        ckpt = StageCheckpoint.load(ckpt_path)
+        ckpt.counts = ckpt.counts or [0]
+        # cut back as run_pipeline does, where extract's checkpoint covers its dead letters
+        weaksup._truncate(out, ckpt.output_offset)
+        weaksup._truncate(dead, max(ckpt.deadletter_offset, len(earlier)))
+        weaksup._truncate(ckpt_path, ckpt.size)
+        run(ckpt, second)
+
+    check()
+
+
+def test_a_writer_that_fails_to_open_closes_the_files_it_opened(tmp_path) -> None:
+    spec = weaksup._STAGE_SPECS[0]
+    (tmp_path / spec.checkpoint_file).mkdir(parents=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            weaksup._StageWriter(StageCheckpoint(), tmp_path, spec)
+        except IsADirectoryError:
+            pass
+        else:
+            pytest.fail("a directory opened as the checkpoint file")
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert (tmp_path / spec.output_file).exists() and (tmp_path / "deadletter.jsonl").exists()
 
 
 @pytest.mark.parametrize("stage", STAGES)
