@@ -321,15 +321,20 @@ def cmd_split(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     records_path = Path(args.records)
     if not records_path.exists():
         raise InputError(f"records file {records_path} does not exist")
-    lines = [
-        line for line in records_path.read_text(encoding="utf-8").splitlines() if line.strip()
-    ]
+    try:
+        text = records_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"records file {records_path} is not UTF-8: {exc}") from None
+    lines = [line for line in text.splitlines() if line.strip()]
     seed = cfg.seed if args.seed is None else args.seed
     if args.ratios is not None:
-        parts = [float(x) for x in args.ratios.split(",")]
-        if len(parts) != 3:
-            raise InputError(f"--ratios needs three comma-separated numbers, got {args.ratios!r}")
-        spec = SplitSpec.from_ratios(*parts, seed=seed)
+        try:  # a word, or other than three parts
+            train, val, test = (float(x) for x in args.ratios.split(","))
+        except ValueError:
+            raise InputError(
+                f"--ratios needs three comma-separated numbers, got {args.ratios!r}"
+            ) from None
+        spec = SplitSpec.from_ratios(train, val, test, seed=seed)
     else:
         if None in (args.train, args.val, args.test):
             raise InputError("supply --train/--val/--test counts or --ratios")

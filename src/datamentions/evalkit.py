@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .errors import InvalidRecord, ParseError, UnknownAdapter
-from .records import GroundTruthRecord, PredictionRecord, read_jsonl
+from .records import GroundTruthRecord, PredictionRecord, frozen_record, read_jsonl
 from .textnorm import normalize_tokens
 
 __all__ = [
@@ -56,7 +56,7 @@ class MatchConfig:
             raise InvalidRecord(f"beta must be positive, got {self.beta}")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class MatchResult:
     """Matching outcome for one page: counts plus the accepted pairs.
 

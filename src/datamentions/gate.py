@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
 from .errors import InvalidRecord, MalformedScore, MissingLabel, NetworkError
 from .evalkit import fbeta, precision_recall
-from .records import PageRecord
+from .records import PageRecord, frozen_record
 from .window import windowed_map
 
 if TYPE_CHECKING:
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class GateDecision:
     doc_id: str
     page_number: int
@@ -230,7 +230,7 @@ class RemoteGate:
         except ValueError:
             try:
                 score = float(response.json()["score"])
-            except Exception as exc:
+            except (ValueError, KeyError, TypeError) as exc:  # not JSON, no score, not a number
                 raise MalformedScore(f"gate response is not a score: {body[:80]!r}") from exc
         if not 0.0 <= score <= 1.0:
             raise MalformedScore(f"gate score {score} outside [0, 1]")

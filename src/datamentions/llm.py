@@ -30,7 +30,7 @@ from .errors import (
     UnknownTemplate,
     UnscriptedInput,
 )
-from .records import _has_lone_surrogate, _loads_exact, read_jsonl
+from .records import _has_lone_surrogate, _loads_exact, frozen_record, read_jsonl
 from .retries import RetryPolicy, send_with_retries
 
 if TYPE_CHECKING:
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ChatRequest:
     model_name: str
     system_prompt: str
@@ -73,7 +73,7 @@ class ChatRequest:
             raise ValueError("max_output_tokens must be positive")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ChatResponse:
     text: str
     token_usage: Mapping[str, int] | None = None

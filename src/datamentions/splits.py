@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from math import floor
+from math import floor, isfinite
 from pathlib import Path
 from typing import Any, Iterable, Sequence, TypeVar
 
@@ -43,8 +43,9 @@ __all__ = [
 class SplitSpec:
     """Partition sizes as explicit counts or ratios, plus the shuffle seed.
 
-    Exactly one of ``counts``/``ratios`` must be present; ratios must sum
-    to at most 1 and resolve to counts by largest-remainder rounding.
+    Exactly one of ``counts``/``ratios`` must be present; ratios must be
+    finite, non-negative and sum to at most 1, and resolve to counts by
+    largest-remainder rounding.
     """
 
     seed: int
@@ -58,8 +59,8 @@ class SplitSpec:
             if len(self.counts) != 3 or any(c < 0 for c in self.counts):
                 raise InvalidSpec(f"counts must be three non-negative integers, got {self.counts}")
         if self.ratios is not None:
-            if len(self.ratios) != 3 or any(r < 0 for r in self.ratios):
-                raise InvalidSpec(f"ratios must be three non-negative numbers, got {self.ratios}")
+            if len(self.ratios) != 3 or not all(isfinite(r) and r >= 0 for r in self.ratios):
+                raise InvalidSpec(f"ratios must be three finite non-negative numbers, got {self.ratios}")
             if sum(self.ratios) > 1 + 1e-9:
                 raise InvalidSpec(f"ratios must sum to at most 1, got {sum(self.ratios)}")
 

@@ -1185,19 +1185,30 @@ def export_finetune_records(
     and the page text; the response is the serialized list of agent-valid
     mentions, with the agent's final labels applied — an empty array for
     mention-free pages. Returns the number of records written.
+
+    Every assessed row is read before ``out_path`` is opened; a row of the
+    wrong shape raises :class:`ParseError` naming the file, and nothing is
+    written.
     """
-    rows = assessed if not isinstance(assessed, (str, Path)) else read_jsonl(assessed)
+    is_path = isinstance(assessed, (str, Path))
+    rows = read_jsonl(assessed) if is_path else assessed
     valid_by_page: dict[tuple[str, int], list[dict[str, Any]]] = {}
     for row in rows:
-        block = row["block"]
-        key = (block["source"], int(block["page"]))
-        for assessment in row.get("assessments", []):
-            if not assessment.get("valid"):
-                continue
-            mention = dict(assessment["mention"])
-            mention["specificity"] = assessment.get("specificity")
-            mention["context"] = assessment.get("context")
-            valid_by_page.setdefault(key, []).append(mention)
+        try:
+            block = row["block"]
+            key = (block["source"], int(block["page"]))
+            for assessment in row.get("assessments", []):
+                if not assessment.get("valid"):
+                    continue
+                mention = dict(assessment["mention"])
+                mention["specificity"] = assessment.get("specificity")
+                mention["context"] = assessment.get("context")
+                valid_by_page.setdefault(key, []).append(mention)
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+            # a missing key, int() of a word, a list or number where an object belongs
+            where = assessed if is_path else "assessed rows"
+            raise ParseError(f"{where}: assessed row has a field of the wrong shape: "
+                             f"{exc!r}") from None
 
     tag = {} if split_tag is None else {"split": split_tag}
     return write_jsonl(out_path, (

@@ -654,6 +654,29 @@ def test_split_requires_counts_or_ratios(tmp_path, capsys) -> None:
     assert "supply --train/--val/--test counts or --ratios" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "records_bytes, ratios, message",
+    [
+        (b'{"id": 1}\n', "0.8,x,0.1", "--ratios needs three comma-separated numbers"),
+        (b'{"id": 1}\n', "0.5,0.5", "--ratios needs three comma-separated numbers"),
+        (b'{"id": 1}\n', "0.8,0.1,nan", "ratios must be three finite non-negative numbers"),
+        (b'{"id": 1}\n', "0.5,inf,0.1", "ratios must be three finite non-negative numbers"),
+        (b'{"id": "caf\xe9"}\n', "0.8,0.1,0.1", "records.jsonl is not UTF-8"),
+    ],
+    ids=["word", "two-parts", "nan", "inf", "not-utf8"],
+)
+def test_split_refuses_bad_ratios_and_records_with_exit_3(
+    tmp_path, capsys, records_bytes, ratios, message
+) -> None:
+    records = tmp_path / "records.jsonl"
+    records.write_bytes(records_bytes)
+    out_dir = tmp_path / "splits"
+    code = main(["split", "--records", str(records), "--ratios", ratios, "--out-dir", str(out_dir)])
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # export-finetune
 
@@ -690,6 +713,36 @@ def test_export_finetune_requires_assessed_file(tmp_path, capsys) -> None:
     code = main(["--config", str(cfg), "export-finetune", "--pages", str(pages)])
     assert code == 3
     assert "run generate first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"x": 1},
+        {"block": {"source": DOC, "page": "two"}, "assessments": []},
+        {"block": {"source": DOC, "page": 1}, "assessments": [{"valid": True}]},
+    ],
+    ids=["no-block", "page-not-a-number", "assessment-without-mention"],
+)
+def test_export_finetune_refuses_an_assessed_row_of_the_wrong_shape(tmp_path, capsys, row) -> None:
+    cases = _two_page_cases()
+    cfg = _mock_config(tmp_path, pipeline_script(cases))
+    pages = _pages_file(tmp_path, [c[0] for c in cases])
+    assessed = tmp_path / "assessed.jsonl"
+    write_jsonl(assessed, [row])
+    out = tmp_path / "finetune.jsonl"
+    code = main(
+        [
+            "--config", str(cfg),
+            "export-finetune",
+            "--pages", str(pages),
+            "--assessed", str(assessed),
+            "--out", str(out),
+        ]
+    )
+    assert code == 3
+    assert f"{assessed}: assessed row has a field of the wrong shape" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

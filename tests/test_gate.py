@@ -240,6 +240,33 @@ def test_remote_gate_rejects_out_of_range_and_garbage() -> None:
             RemoteGate(endpoint=server.url).score_page("text")
 
 
+@pytest.mark.parametrize("body", ["{}", "[0.5]", '{"score": "x"}', "not json"])
+def test_remote_gate_fails_open_on_a_malformed_score(body) -> None:
+    with StubServer([{"body": body}]) as server:
+        passed, decisions = filter_pages(
+            [_page(1, "text")], RemoteGate(endpoint=server.url), threshold=0.9
+        )
+    assert [p.page_number for p in passed] == [1]
+    assert [(d.score, d.passed) for d in decisions] == [(1.0, True)]
+
+
+def test_remote_gate_lets_a_bug_in_the_response_propagate() -> None:
+    class BrokenResponse:
+        status_code = 200
+        text = '{"score": 0.5}'
+
+        def json(self) -> object:
+            raise RuntimeError("bug in the response object")
+
+    class Session:
+        def post(self, *args: object, **kwargs: object) -> BrokenResponse:
+            return BrokenResponse()
+
+    gate = RemoteGate(endpoint="http://gate.invalid", session=Session())
+    with pytest.raises(RuntimeError, match="bug in the response object"):
+        filter_pages([_page(1, "text")], gate, threshold=0.5)
+
+
 def test_remote_gate_http_error_is_network_error() -> None:
     with StubServer([{"status": 500}]) as server:
         with pytest.raises(NetworkError):
