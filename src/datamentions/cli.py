@@ -366,7 +366,6 @@ def cmd_export_finetune(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     if not assessed.exists():
         raise InputError(f"assessed file {assessed} does not exist; run generate first")
     out = Path(args.out) if args.out else cfg.output_dir / "finetune.jsonl"
-    out.parent.mkdir(parents=True, exist_ok=True)
     count = export_finetune_records(pages, assessed, out, args.split_tag)
     print(f"exported {count} instruction/response records -> {out}")
     return EXIT_OK

@@ -30,6 +30,8 @@ def _check_keys(section: Mapping[str, Any], allowed: set[str], where: str) -> No
 
 @dataclass
 class PipelineConfig:
+    """Every pipeline setting, with its default; :func:`load_config` fills it from a file."""
+
     # chat endpoint
     base_url: str = DEFAULT_BASE_URL
     model_name: str = "gpt-4o-mini-2024-07-18"

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import logging
 import os
-import subprocess
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -52,12 +52,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IngestSummary:
+    """Pages added to the store by one ingest, and pages skipped as already stored."""
+
     added: int
     skipped: int
 
 
 @dataclass(frozen=True)
 class StoredFileReport:
+    """A downloaded PDF: the document it belongs to, where it was saved and its size."""
+
     doc_id: str
     path: Path
     size_bytes: int
@@ -254,7 +258,7 @@ class CorpusStore:
         if not self.pages_path.exists():
             return []
         pages = [PageRecord.from_dict(row) for row in self._rows()]
-        return sorted(pages, key=lambda p: (p.doc_id, p.page_number))
+        return sorted(pages, key=attrgetter("doc_id", "page_number"))
 
 
 def fetch_pdf(
@@ -303,6 +307,8 @@ def convert_pdf_to_pages(
     with pages separated by :data:`PAGE_DELIMITER` (form feed, the common
     convention for text extractors).
     """
+    import subprocess  # loaded by the first conversion, not when the module is
+
     pdf_path = Path(pdf_path)
     if not pdf_path.exists():
         raise ConverterFailed(f"PDF file {pdf_path} does not exist")

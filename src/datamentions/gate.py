@@ -62,6 +62,8 @@ __all__ = [
 
 @frozen_record
 class GateDecision:
+    """A page's gate score against the threshold, and whether the page passed."""
+
     doc_id: str
     page_number: int
     score: float
@@ -294,6 +296,8 @@ def filter_pages(
 
 @dataclass(frozen=True)
 class GateEvalReport:
+    """Gate precision, recall and F1 on the has-mention class, with the confusion counts."""
+
     precision: float
     recall: float
     f1: float

@@ -58,6 +58,8 @@ __all__ = [
 
 @frozen_record
 class ChatRequest:
+    """One chat call: the model, its system and user prompts, and the decoding settings."""
+
     model_name: str
     system_prompt: str
     user_content: str
@@ -75,6 +77,8 @@ class ChatRequest:
 
 @frozen_record
 class ChatResponse:
+    """A model reply with its token usage, latency in seconds and retry count."""
+
     text: str
     token_usage: Mapping[str, int] | None = None
     latency: float = 0.0
@@ -83,6 +87,8 @@ class ChatResponse:
 
 @dataclass(frozen=True)
 class PromptTemplate:
+    """The prompt text of one pipeline stage, named by its template id."""
+
     template_id: str
     body: str
 

@@ -24,6 +24,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RetryPolicy:
+    """How many times to try a call, and the exponential backoff between tries."""
+
     attempts: int = 5
     base_delay: float = 1.0
     factor: float = 2.0

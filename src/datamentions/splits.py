@@ -13,6 +13,7 @@ import logging
 import random
 from dataclasses import dataclass
 from math import floor, isfinite
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence, TypeVar
 
@@ -113,7 +114,7 @@ def sample_pages(
     drawing, so the same store content and seed always select the same
     pages; the sample itself keeps that sorted order.
     """
-    population = sorted(pages, key=lambda p: (p.doc_id, p.page_number))
+    population = sorted(pages, key=attrgetter("doc_id", "page_number"))
     if n < 0:
         raise InvalidSpec(f"sample size must be non-negative, got {n}")
     if n > len(population):

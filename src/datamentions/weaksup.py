@@ -73,6 +73,7 @@ from contextlib import ExitStack, closing
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -624,6 +625,8 @@ class _StageWriter:
 
 @dataclass(frozen=True)
 class PipelineStats:
+    """Counts of pages, blocks and mentions through the stages, from the outputs on disk."""
+
     pages_processed: int = 0
     blocks_extracted: int = 0
     mentions_extracted: int = 0
@@ -939,7 +942,7 @@ def _stage_source(
     None while the input file is missing.
     """
     if spec.input_file is None:
-        pages = sorted(pages, key=lambda p: (p.doc_id, p.page_number))
+        pages = sorted(pages, key=attrgetter("doc_id", "page_number"))
         return pages, _pages_digest(pages)
     path = output_dir / spec.input_file
     if not path.exists():
@@ -1186,9 +1189,9 @@ def export_finetune_records(
     mentions, with the agent's final labels applied — an empty array for
     mention-free pages. Returns the number of records written.
 
-    Every assessed row is read before ``out_path`` is opened; a row of the
-    wrong shape raises :class:`ParseError` naming the file, and nothing is
-    written.
+    Every assessed row is read before ``out_path`` and its missing parent
+    directories are made; a row of the wrong shape raises
+    :class:`ParseError` naming the file, and nothing is written.
     """
     is_path = isinstance(assessed, (str, Path))
     rows = read_jsonl(assessed) if is_path else assessed
@@ -1211,6 +1214,7 @@ def export_finetune_records(
                              f"{exc!r}") from None
 
     tag = {} if split_tag is None else {"split": split_tag}
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     return write_jsonl(out_path, (
         {
             "instruction": f"{DEFAULT_INSTRUCTION_PREAMBLE}\n\n{page.text}",
@@ -1218,5 +1222,5 @@ def export_finetune_records(
                                    ensure_ascii=False),
             **tag,
         }
-        for page in sorted(pages, key=lambda p: (p.doc_id, p.page_number))
+        for page in sorted(pages, key=attrgetter("doc_id", "page_number"))
     ))

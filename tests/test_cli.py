@@ -745,6 +745,20 @@ def test_export_finetune_refuses_an_assessed_row_of_the_wrong_shape(tmp_path, ca
     assert not out.exists()
 
 
+def test_export_finetune_refusal_leaves_no_output_directory(tmp_path, capsys) -> None:
+    cases = _two_page_cases()
+    cfg = _mock_config(tmp_path, pipeline_script(cases))
+    pages = _pages_file(tmp_path, [c[0] for c in cases])
+    assessed = tmp_path / "assessed.jsonl"
+    write_jsonl(assessed, [{"x": 1}])
+    out_dir = tmp_path / "newdir"
+    code = main(["--config", str(cfg), "export-finetune", "--pages", str(pages),
+                 "--assessed", str(assessed), "--out", str(out_dir / "finetune.jsonl")])
+    assert code == 3
+    assert "assessed row has a field of the wrong shape" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # infer
 

@@ -1,10 +1,11 @@
 """``records.frozen_record`` against stock frozen dataclasses.
 
-Every class the decorator makes is rebuilt here from its own body with
-``@dataclass(frozen=True)``. The two must agree on signature, fields,
-equality, hashing, ``repr``, ``dataclasses.replace``, pickling, copying,
-immutability and the error each ``__post_init__`` raises, for
-hypothesis-drawn field values, valid and invalid alike.
+Every class the decorator makes is rebuilt here from its own body and its
+fields with ``@dataclass(frozen=True, slots=True)``. The two must agree on
+signature, fields, slots, equality, hashing, ``repr``,
+``dataclasses.replace``, pickling, copying, immutability and the error each
+``__post_init__`` raises, for hypothesis-drawn field values, valid and
+invalid alike.
 """
 
 from __future__ import annotations
@@ -39,15 +40,27 @@ from datamentions.records import (
     frozen_record,
 )
 
+
+@frozen_record
+class Undocumented:
+    name: str
+    count: int = 0
+
+
+# every class in the package has a docstring of its own; Undocumented checks
+# the one the decorator writes in its place
 DECORATED = (
     DocumentRecord, PageRecord, DatasetMention, MentionBlock, JudgeVerdict, AgentAssessment,
     GroundTruthRecord, PredictionRecord, ChatRequest, ChatResponse, GateDecision, MatchResult,
+    Undocumented,
 )
 
-# what @dataclass writes into a class; everything else is the class's own body
+# what @dataclass writes into a class, besides one slot descriptor per
+# field; everything else is the class's own body
 _GENERATED = frozenset((
     "__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
     "__dataclass_fields__", "__dataclass_params__", "__match_args__", "__dict__", "__weakref__",
+    "__slots__", "__getstate__", "__setstate__",
 ))
 
 # pickle finds a class by module and qualified name, so the stock twins live
@@ -61,11 +74,17 @@ def _auto_doc(cls: type) -> str:
 
 
 def _stock_twin(cls: type) -> type:
-    namespace = {k: v for k, v in vars(cls).items() if k not in _GENERATED}
+    record_fields = dataclasses.fields(cls)
+    names = {f.name for f in record_fields}
+    namespace = {k: v for k, v in vars(cls).items() if k not in _GENERATED and k not in names}
+    # a slotted class keeps its slot descriptors under the field names, so
+    # the defaults come from the fields
+    namespace.update((f.name, f.default) for f in record_fields
+                     if f.default is not dataclasses.MISSING)
     namespace["__module__"] = _STOCK_MODULE.__name__
     if cls.__doc__ == _auto_doc(cls):
         namespace["__doc__"] = None  # let the stock dataclass write its own
-    twin = dataclass(frozen=True)(type(cls.__name__, (), namespace))
+    twin = dataclass(frozen=True, slots=True)(type(cls.__name__, (), namespace))
     setattr(_STOCK_MODULE, cls.__qualname__, twin)
     return twin
 
@@ -143,7 +162,7 @@ def _outcome(call, *args, **kwargs) -> tuple:
 
 
 def _state(record: object) -> list:
-    return list(vars(record).items())
+    return [(f.name, getattr(record, f.name)) for f in dataclasses.fields(record)]
 
 
 @pytest.mark.parametrize("cls", DECORATED, ids=lambda cls: cls.__name__)
@@ -160,6 +179,7 @@ def test_signature_fields_and_doc_match_the_stock_dataclass(cls) -> None:
         for f in dataclasses.fields(stock)
     ]
     assert cls.__match_args__ == stock.__match_args__
+    assert cls.__slots__ == stock.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
     assert cls.__doc__ == stock.__doc__
     assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
 
@@ -177,6 +197,7 @@ def test_records_behave_as_stock_frozen_dataclasses(cls, data) -> None:
         return
     record, twin = built[1], stock_built[1]
     assert type(record) is cls and type(twin) is stock
+    assert not hasattr(record, "__dict__") and not hasattr(twin, "__dict__")
     assert _state(record) == _state(twin)
     assert repr(record) == repr(twin)
     assert dataclasses.asdict(record) == dataclasses.asdict(twin)

@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -392,6 +393,111 @@ def test_dumps_line_writes_flat_records_with_orjson(monkeypatch) -> None:
     assert encoded == ["text", "\ud800", "n", 2**64]  # refused by orjson, then written by json
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _TEXT, _TEXT.map(_Str), _INTEGERS, _INTEGERS.map(_Int),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324]),
+    st.just(b"bytes"),  # not JSON: both raise TypeError
+)
+_KEYS = st.one_of(_TEXT, _TEXT.map(_Str), _INTEGERS, st.floats(), st.booleans(), st.none(),
+                  st.just(("a", "tuple")))  # not a JSON key: both raise TypeError
+_NESTED = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _deep(draw) -> object:
+    """A value wrapped in 1 to 80 lists, tuples and one-key dicts."""
+    value = draw(_NESTED)
+    for kind in draw(st.lists(st.sampled_from(["list", "tuple", "dict"]),
+                              min_size=1, max_size=80)):
+        value = [value] if kind == "list" else (value,) if kind == "tuple" else {"k": value}
+    return value
+
+
+def _encoded(encode, value) -> tuple:
+    """``("ok", text)`` or ``("raised", error class)``."""
+    try:
+        return "ok", encode(value)
+    except Exception as exc:
+        return "raised", type(exc)
+
+
+def _json_line(value) -> str:
+    return json.dumps(value, ensure_ascii=False, separators=(", ", ": "))
+
+
+@pytest.mark.parametrize("mode", ["orjson", "json", "no-accelerator"])
+def test_dumps_line_gives_json_dumps_text_or_error(monkeypatch, mode) -> None:
+    if mode == "orjson" and records.orjson is None:
+        pytest.skip("orjson is not installed")
+    if mode != "orjson":
+        monkeypatch.setattr(records, "orjson", None)
+    if mode == "no-accelerator":
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(records, "_ENCODE_LINE", records._line_encoder())
+        assert records._ENCODE_LINE is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_NESTED, _deep()))
+    def check(value) -> None:
+        assert _encoded(dumps_line, value) == _encoded(_json_line, value)
+
+    check()
+
+
+def test_threads_sharing_the_line_encoder_get_the_same_text() -> None:
+    values = [{"page": n, "blocks": [{"name": f"LSMS {n}", "score": n / 7, "ids": (n, -n)}],
+               "note": None if n % 2 else "Enquête \U0001d11e"} for n in range(300)]
+    expected = [_json_line(value) for value in values]
+    barrier = threading.Barrier(4)
+    results: list[list[str]] = []
+
+    def encode() -> None:
+        barrier.wait(timeout=30)
+        results.append([dumps_line(value) for _ in range(5) for value in values])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=encode) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected * 5] * 4
+
+
+def test_dumps_line_raises_recursion_error_on_a_list_holding_itself(monkeypatch) -> None:
+    looped: list = []
+    looped.append(looped)
+    with pytest.raises(RecursionError):
+        dumps_line(looped)
+    # without the C accelerator, json.dumps finds the cycle itself
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(records, "_ENCODE_LINE", records._line_encoder())
+    with pytest.raises(ValueError, match="Circular reference"):
+        dumps_line(looped)
+
+
 _IMPORT_ALL = """
 import importlib, pkgutil, sys
 import datamentions
@@ -401,7 +507,7 @@ names = [m.name for m in pkgutil.walk_packages(datamentions.__path__, "datamenti
 for name in names:
     importlib.import_module(name)
 KeywordGate()
-print(len(names), "orjson" in sys.modules)
+print(len(names), "orjson" in sys.modules, "subprocess" in sys.modules)
 """
 
 
@@ -415,7 +521,7 @@ def test_importing_leaves_orjson_unloaded_and_gate_and_score_match_without_it(
     assert proc.returncode == 0, proc.stderr
     modules = list(pkgutil.walk_packages(datamentions.__path__, "datamentions."))
     assert len(modules) >= 13
-    assert proc.stdout == f"{len(modules)} False\n"
+    assert proc.stdout == f"{len(modules)} False False\n"
 
     pages = tmp_path / "pages.jsonl"
     write_jsonl(pages, [{"doc_id": DOC, "page_number": n, "text": text} for n, text in
