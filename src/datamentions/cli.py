@@ -27,6 +27,7 @@ from .errors import (
     DataMentionsError,
     InputError,
     MalformedResponse,
+    MissingField,
     NetworkError,
     PipelineInterrupted,
     UnscriptedInput,
@@ -42,7 +43,7 @@ from .gate import (
     filter_pages,
 )
 from .llm import MockChatBackend, ChatBackend, RemoteChatBackend, load_templates
-from .records import PageRecord, read_jsonl, write_jsonl
+from .records import PageRecord, _coerce_bool, _coerce_int, _require, read_jsonl, write_jsonl
 from .retries import RetryPolicy
 from .splits import SplitSpec, import_annotations, sample_pages, split
 from .weaksup import (
@@ -202,16 +203,16 @@ def _apply_decisions(pages: list[PageRecord], decisions_file: str) -> list[PageR
     path = Path(decisions_file)
     if not path.exists():
         raise InputError(f"decisions file {path} does not exist")
+    where = f"{path}: decision"
     try:
         passed = {
-            (row["doc_id"], int(row["page_number"]))
+            (_require(row, "doc_id", where),
+             _coerce_int(_require(row, "page_number", where), "page_number", where))
             for row in read_jsonl(path)
-            if row.get("passed")
+            if _coerce_bool(_require(row, "passed", where), "passed", where)
         }
-    except KeyError as exc:
-        raise InputError(f"{path}: a decision lacks {exc}") from None
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"{path}: a decision's page_number is not an integer: {exc}") from None
+    except MissingField as exc:
+        raise InputError(f"{path}: a decision lacks {exc.field!r}") from None
     return [p for p in pages if (p.doc_id, p.page_number) in passed]
 
 

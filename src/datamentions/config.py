@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import yaml
 
@@ -103,6 +103,13 @@ class PipelineConfig:
 _SECTIONS = {"endpoint", "backend", "execution", "gate", "match", "metadata", "paths", "seed"}
 
 
+def _value(section: Mapping[str, Any], key: str, convert: Callable[[Any], Any],
+           default: Any) -> Any:
+    """``convert(section[key])``, or ``default`` when the key is absent or null."""
+    value = section.get(key)
+    return default if value is None else convert(value)
+
+
 def _from_mapping(raw: Mapping[str, Any], base_dir: Path) -> PipelineConfig:
     if not isinstance(raw, Mapping):
         raise ConfigError("configuration root must be a mapping")
@@ -116,61 +123,52 @@ def _from_mapping(raw: Mapping[str, Any], base_dir: Path) -> PipelineConfig:
     endpoint = raw.get("endpoint") or {}
     _check_keys(endpoint, {"base_url", "model", "api_key_env", "temperature",
                            "max_output_tokens"}, "endpoint")
-    cfg.base_url = str(endpoint.get("base_url", cfg.base_url))
-    cfg.model_name = str(endpoint.get("model", cfg.model_name))
-    cfg.api_key_env = str(endpoint.get("api_key_env", cfg.api_key_env))
-    cfg.temperature = float(endpoint.get("temperature", cfg.temperature))
-    cfg.max_output_tokens = int(endpoint.get("max_output_tokens", cfg.max_output_tokens))
+    cfg.base_url = _value(endpoint, "base_url", str, cfg.base_url)
+    cfg.model_name = _value(endpoint, "model", str, cfg.model_name)
+    cfg.api_key_env = _value(endpoint, "api_key_env", str, cfg.api_key_env)
+    cfg.temperature = _value(endpoint, "temperature", float, cfg.temperature)
+    cfg.max_output_tokens = _value(endpoint, "max_output_tokens", int, cfg.max_output_tokens)
 
     backend = raw.get("backend") or {}
     if isinstance(backend, str):
         backend = {"kind": backend}
     _check_keys(backend, {"kind", "script", "call_log"}, "backend")
-    cfg.backend = str(backend.get("kind", cfg.backend))
-    if backend.get("script") is not None:
-        cfg.mock_script = path_of(backend["script"])
-    if backend.get("call_log") is not None:
-        cfg.mock_call_log = path_of(backend["call_log"])
+    cfg.backend = _value(backend, "kind", str, cfg.backend)
+    cfg.mock_script = _value(backend, "script", path_of, cfg.mock_script)
+    cfg.mock_call_log = _value(backend, "call_log", path_of, cfg.mock_call_log)
 
     execution = raw.get("execution") or {}
     _check_keys(execution, {"concurrency", "retry_attempts", "retry_base_delay",
                             "retry_factor", "item_attempts"}, "execution")
-    cfg.concurrency = int(execution.get("concurrency", cfg.concurrency))
-    cfg.retry_attempts = int(execution.get("retry_attempts", cfg.retry_attempts))
-    cfg.retry_base_delay = float(execution.get("retry_base_delay", cfg.retry_base_delay))
-    cfg.retry_factor = float(execution.get("retry_factor", cfg.retry_factor))
-    cfg.item_attempts = int(execution.get("item_attempts", cfg.item_attempts))
+    cfg.concurrency = _value(execution, "concurrency", int, cfg.concurrency)
+    cfg.retry_attempts = _value(execution, "retry_attempts", int, cfg.retry_attempts)
+    cfg.retry_base_delay = _value(execution, "retry_base_delay", float, cfg.retry_base_delay)
+    cfg.retry_factor = _value(execution, "retry_factor", float, cfg.retry_factor)
+    cfg.item_attempts = _value(execution, "item_attempts", int, cfg.item_attempts)
 
     gate = raw.get("gate") or {}
     _check_keys(gate, {"kind", "threshold", "triggers_file", "endpoint"}, "gate")
-    cfg.gate_kind = str(gate.get("kind", cfg.gate_kind))
-    cfg.gate_threshold = float(gate.get("threshold", cfg.gate_threshold))
-    if gate.get("triggers_file") is not None:
-        cfg.gate_triggers_file = path_of(gate["triggers_file"])
-    if gate.get("endpoint") is not None:
-        cfg.gate_endpoint = str(gate["endpoint"])
+    cfg.gate_kind = _value(gate, "kind", str, cfg.gate_kind)
+    cfg.gate_threshold = _value(gate, "threshold", float, cfg.gate_threshold)
+    cfg.gate_triggers_file = _value(gate, "triggers_file", path_of, cfg.gate_triggers_file)
+    cfg.gate_endpoint = _value(gate, "endpoint", str, cfg.gate_endpoint)
 
     match = raw.get("match") or {}
     _check_keys(match, {"jaccard_threshold", "beta"}, "match")
-    cfg.jaccard_threshold = float(match.get("jaccard_threshold", cfg.jaccard_threshold))
-    cfg.beta = float(match.get("beta", cfg.beta))
+    cfg.jaccard_threshold = _value(match, "jaccard_threshold", float, cfg.jaccard_threshold)
+    cfg.beta = _value(match, "beta", float, cfg.beta)
 
     metadata = raw.get("metadata") or {}
     _check_keys(metadata, {"base_url", "api_key_env"}, "metadata")
-    cfg.metadata_base_url = str(metadata.get("base_url", cfg.metadata_base_url))
-    cfg.metadata_api_key_env = str(metadata.get("api_key_env", cfg.metadata_api_key_env))
+    cfg.metadata_base_url = _value(metadata, "base_url", str, cfg.metadata_base_url)
+    cfg.metadata_api_key_env = _value(metadata, "api_key_env", str, cfg.metadata_api_key_env)
 
     paths = raw.get("paths") or {}
     _check_keys(paths, {"corpus", "output", "prompts"}, "paths")
-    if paths.get("corpus") is not None:
-        cfg.corpus_dir = path_of(paths["corpus"])
-    if paths.get("output") is not None:
-        cfg.output_dir = path_of(paths["output"])
-    if paths.get("prompts") is not None:
-        cfg.prompts_dir = path_of(paths["prompts"])
-
-    if raw.get("seed") is not None:
-        cfg.seed = int(raw["seed"])
+    cfg.corpus_dir = _value(paths, "corpus", path_of, cfg.corpus_dir)
+    cfg.output_dir = _value(paths, "output", path_of, cfg.output_dir)
+    cfg.prompts_dir = _value(paths, "prompts", path_of, cfg.prompts_dir)
+    cfg.seed = _value(raw, "seed", int, cfg.seed)
     return cfg
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .errors import InvalidRecord, ParseError, UnknownAdapter
-from .records import GroundTruthRecord, PredictionRecord, frozen_record, read_jsonl
+from .records import GroundTruthRecord, PredictionRecord, _coerce_int, frozen_record, read_jsonl
 from .textnorm import normalize_tokens
 
 __all__ = [
@@ -271,12 +271,13 @@ def _from_nuextract(path: Path) -> list[PredictionRecord]:
             records.append(
                 PredictionRecord(
                     doc_id=str(row.get("doc_id") or row.get("source") or ""),
-                    page_number=int(row.get("page_number") or row.get("page") or 1),
+                    page_number=_coerce_int(row.get("page_number") or row.get("page") or 1,
+                                            "page_number", "prediction line"),
                     predicted_names=tuple(names),
                 )
             )
-        except (ValueError, TypeError, AttributeError, IndexError, KeyError) as exc:
-            # int() of a word, a number where a block or a list belongs
+        except (InvalidRecord, TypeError, AttributeError, IndexError, KeyError) as exc:
+            # a page number that is not an integer, a number where a block or a list belongs
             raise ParseError(f"{path}: record has a field of the wrong type: {exc!r}") from None
     return records
 

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
 from .errors import InvalidRecord, MalformedScore, MissingLabel, NetworkError
 from .evalkit import fbeta, precision_recall
-from .records import PageRecord, frozen_record
+from .records import PageRecord, _coerce_bool, _coerce_int, frozen_record
 from .window import windowed_map
 
 if TYPE_CHECKING:
@@ -87,10 +87,10 @@ class GateDecision:
     def from_dict(cls, payload: Mapping) -> "GateDecision":
         return cls(
             doc_id=payload["doc_id"],
-            page_number=int(payload["page_number"]),
+            page_number=_coerce_int(payload["page_number"], "page_number", "gate decision"),
             score=float(payload["score"]),
             threshold=float(payload["threshold"]),
-            passed=bool(payload["passed"]),
+            passed=_coerce_bool(payload["passed"], "passed", "gate decision"),
         )
 
 

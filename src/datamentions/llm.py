@@ -231,20 +231,21 @@ class MockChatBackend:
         """Build from a line-delimited script.
 
         Each line carries ``stage``, ``response``, and either ``digest`` or
-        ``user_content`` (digested here for convenience).
+        ``user_content`` (digested here for convenience), all strings.
         """
         templates = templates or load_templates()
         script: dict[tuple[str, str], str] = {}
-        try:
-            for entry in read_jsonl(path):
-                stage = _STAGE_ALIASES.get(entry["stage"], entry["stage"])
-                if "digest" in entry:
-                    digest = entry["digest"]
-                else:
-                    digest = request_digest(stage, entry["user_content"])
-                script[(stage, digest)] = entry["response"]
-        except KeyError as exc:
-            raise InvalidRecord(f"{path}: a script line lacks {exc}") from None
+        for entry in read_jsonl(path):
+            keyed = "digest" in entry
+            for key in ("stage", "response", "digest" if keyed else "user_content"):
+                if key not in entry:
+                    raise InvalidRecord(f"{path}: a script line lacks {key!r}")
+                if not isinstance(entry[key], str):
+                    raise InvalidRecord(f"{path}: a script line's {key} is not a string: "
+                                        f"{type(entry[key]).__name__}")
+            stage = _STAGE_ALIASES.get(entry["stage"], entry["stage"])
+            digest = entry["digest"] if keyed else request_digest(stage, entry["user_content"])
+            script[(stage, digest)] = entry["response"]
         return cls(script, templates=templates, call_log=call_log)
 
     def complete(self, request: ChatRequest) -> ChatResponse:

@@ -8,6 +8,12 @@ literal strings ``"None"``/``"null"`` normalize to absent — prompts instruct
 models to emit ``None`` for unknown values, and that token must never leak
 into typed fields.
 
+Each record shape has one parser and each field one rule: a mention or a
+block, from a model reply or a stored row, is read by
+:func:`parse_mention_block`; labels by :func:`_label`, flags by
+:func:`_coerce_bool`, page numbers by :func:`_coerce_int` and name lists
+by :func:`_names`.
+
 The bytes of an encoding and the value of a decoding are those of the
 standard ``json`` module. A line is encoded by one C encoder, the one
 ``json.dumps`` would build for the call, made once at import and shared by
@@ -84,21 +90,39 @@ def _require(payload: dict, key: str, where: str) -> Any:
 
 
 def _coerce_int(value: Any, key: str, where: str) -> int:
-    if isinstance(value, bool):
-        raise InvalidRecord(f"{where}: field {key!r} must be an integer, got {value!r}")
-    if isinstance(value, int):
+    """An int, or a string of digits; a bool or a float is refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and value.strip().isdigit():
         return int(value.strip())
-    raise InvalidRecord(f"{where}: field {key!r} must be an integer, got {value!r}")
+    raise InvalidRecord(f"{where}: {key} is not an integer: {value!r}")
 
 
 def _coerce_bool(value: Any, key: str, where: str) -> bool:
+    """A bool, or the string ``"true"`` or ``"false"`` in any case."""
     if isinstance(value, bool):
         return value
     if isinstance(value, str) and value.strip().lower() in ("true", "false"):
         return value.strip().lower() == "true"
-    raise InvalidRecord(f"{where}: field {key!r} must be a boolean, got {value!r}")
+    raise InvalidRecord(f"{where}: {key} is not a boolean: {value!r}")
+
+
+def _label(payload: dict, key: str, allowed: tuple[str, ...]) -> str | None:
+    """The payload's ``key`` label: absent, or one of ``allowed`` (else :class:`BadEnum`)."""
+    value = clean_optional(payload.get(key))
+    if value is None or value in allowed:
+        return value
+    raise BadEnum(key, value)
+
+
+def _names(payload: dict, key: str, where: str) -> tuple[str, ...]:
+    """The payload's ``key`` list of names; anything but a list of strings is refused."""
+    if key not in payload:
+        raise MissingField(key, where)
+    names = payload[key]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise InvalidRecord(f"{where}: {key} is not a list of strings")
+    return tuple(names)
 
 
 def frozen_record(cls: type) -> type:
@@ -292,18 +316,7 @@ class DatasetMention:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "DatasetMention":
-        return cls(
-            raw_name=str(_require(payload, "raw_name", "dataset mention")),
-            mentioned_in=str(_require(payload, "mentioned_in", "dataset mention")),
-            harmonized_name=clean_optional(payload.get("harmonized_name")),
-            acronym=clean_optional(payload.get("acronym")),
-            producer=clean_optional(payload.get("producer")),
-            year=clean_optional(payload.get("year")),
-            data_type=clean_optional(payload.get("data_type")),
-            context=clean_optional(payload.get("context")),
-            specificity=clean_optional(payload.get("specificity")),
-            relevance=clean_optional(payload.get("relevance")),
-        )
+        return _parse_mention_payload(payload, None, [])
 
 
 def validate_mention(mention: DatasetMention) -> list[str]:
@@ -352,54 +365,45 @@ class MentionBlock:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "MentionBlock":
-        where = "mention block"
-        raw = _require(payload, "datasets", where)
-        if not isinstance(raw, list):
-            raise InvalidRecord(f"{where}: 'datasets' must be a list")
-        return cls(
-            mentioned_in=str(_require(payload, "mentioned_in", where)),
-            datasets=tuple(DatasetMention.from_dict(d) for d in raw),
-            source=str(_require(payload, "source", where)),
-            page=_coerce_int(_require(payload, "page", where), "page", where),
-        )
+        return parse_mention_block(payload)[0]
 
 
 _MENTION_FIELDS = frozenset(f.name for f in fields(DatasetMention))
-_BLOCK_FIELDS = frozenset(("mentioned_in", "datasets", "source", "page"))
-_ENUM_SETS = {
-    "context": CONTEXT_VALUES,
-    "specificity": SPECIFICITY_VALUES,
-    "relevance": RELEVANCE_VALUES,
-}
+_BLOCK_FIELDS = frozenset(f.name for f in fields(MentionBlock))
 
 
 def _parse_mention_payload(
-    payload: dict[str, Any],
-    block_sentence: str,
+    payload: Any,
+    block_sentence: str | None,
     warnings: list[str],
 ) -> DatasetMention:
+    """A mention from a reply entry or a stored row; its own sentence wins over the block's."""
     if not isinstance(payload, dict):
         raise InvalidRecord(f"dataset entry must be an object, got {type(payload).__name__}")
-    raw_name = _require(payload, "raw_name", "dataset entry")
-    kwargs: dict[str, Any] = {
-        "raw_name": str(raw_name),
-        "mentioned_in": str(payload.get("mentioned_in") or block_sentence),
-    }
-    for key in ("harmonized_name", "acronym", "producer", "year", "data_type"):
-        kwargs[key] = clean_optional(payload.get(key))
-    for key, allowed in _ENUM_SETS.items():
-        value = clean_optional(payload.get(key))
-        if value is not None and value not in allowed:
-            raise BadEnum(key, value)
-        kwargs[key] = value
+    raw_name = str(_require(payload, "raw_name", "dataset entry"))
+    mentioned_in = payload.get("mentioned_in") or block_sentence
+    if mentioned_in is None:
+        raise MissingField("mentioned_in", "dataset entry")
     for key in payload:
         if key not in _MENTION_FIELDS:
             warnings.append(f"unknown dataset field {key!r} ignored")
-    return DatasetMention(**kwargs)
+    get = payload.get
+    return DatasetMention(
+        raw_name,
+        str(mentioned_in),
+        clean_optional(get("harmonized_name")),
+        clean_optional(get("acronym")),
+        clean_optional(get("producer")),
+        clean_optional(get("year")),
+        clean_optional(get("data_type")),
+        _label(payload, "context", CONTEXT_VALUES),
+        _label(payload, "specificity", SPECIFICITY_VALUES),
+        _label(payload, "relevance", RELEVANCE_VALUES),
+    )
 
 
 def parse_mention_block(payload: Any) -> tuple[MentionBlock, list[str]]:
-    """Strictly parse a structured value into a :class:`MentionBlock`.
+    """Strictly parse a reply's or a stored row's value into a :class:`MentionBlock`.
 
     Missing optional fields become absent; unknown extra fields are ignored
     but reported in the returned warning list. Raises :class:`MissingField`
@@ -419,10 +423,10 @@ def parse_mention_block(payload: Any) -> tuple[MentionBlock, list[str]]:
         if key not in _BLOCK_FIELDS:
             warnings.append(f"unknown block field {key!r} ignored")
     block = MentionBlock(
-        mentioned_in=sentence,
-        datasets=datasets,
-        source=str(_require(payload, "source", "mention block")),
-        page=_coerce_int(_require(payload, "page", "mention block"), "page", "mention block"),
+        sentence,
+        datasets,
+        str(_require(payload, "source", "mention block")),
+        _coerce_int(_require(payload, "page", "mention block"), "page", "mention block"),
     )
     return block, warnings
 
@@ -521,8 +525,8 @@ class AgentAssessment:
             mention=DatasetMention.from_dict(_require(payload, "mention", where)),
             valid=_coerce_bool(_require(payload, "valid", where), "valid", where),
             invalid_reason=clean_optional(payload.get("invalid_reason")),
-            specificity=clean_optional(payload.get("specificity")),
-            context=clean_optional(payload.get("context")),
+            specificity=_label(payload, "specificity", SPECIFICITY_VALUES),
+            context=_label(payload, "context", CONTEXT_VALUES),
         )
 
 
@@ -542,6 +546,8 @@ class GroundTruthRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.gold_names, tuple):
             object.__setattr__(self, "gold_names", tuple(self.gold_names))
+        if self.labels is not None and not isinstance(self.labels, dict):
+            raise InvalidRecord(f"gold labels is not an object: {type(self.labels).__name__}")
         seen: set[frozenset[str]] = set()
         for name in self.gold_names:
             tokens = normalize_tokens(name)
@@ -564,13 +570,10 @@ class GroundTruthRecord:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "GroundTruthRecord":
         where = "ground truth record"
-        names = _require(payload, "gold_names", where)
-        if not isinstance(names, list):
-            raise InvalidRecord(f"{where}: 'gold_names' must be a list")
         return cls(
             doc_id=str(_require(payload, "doc_id", where)),
             page_number=_coerce_int(_require(payload, "page_number", where), "page_number", where),
-            gold_names=tuple(str(n) for n in names),
+            gold_names=_names(payload, "gold_names", where),
             labels=payload.get("labels"),
         )
 
@@ -597,13 +600,10 @@ class PredictionRecord:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "PredictionRecord":
         where = "prediction record"
-        names = _require(payload, "predicted_names", where)
-        if not isinstance(names, list):
-            raise InvalidRecord(f"{where}: 'predicted_names' must be a list")
         return cls(
             doc_id=str(_require(payload, "doc_id", where)),
             page_number=_coerce_int(_require(payload, "page_number", where), "page_number", where),
-            predicted_names=tuple(str(n) for n in names),
+            predicted_names=_names(payload, "predicted_names", where),
         )
 
 

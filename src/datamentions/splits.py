@@ -17,12 +17,22 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence, TypeVar
 
-from .errors import InvalidSpec, ParseError, PopulationTooSmall, UnknownFormat
+from .errors import (
+    InvalidRecord,
+    InvalidSpec,
+    MissingField,
+    ParseError,
+    PopulationTooSmall,
+    UnknownFormat,
+)
 from .records import (
     CONTEXT_VALUES,
     SPECIFICITY_VALUES,
     GroundTruthRecord,
     PageRecord,
+    _coerce_int,
+    _names,
+    _require,
     read_jsonl,
 )
 from .textnorm import normalize_tokens
@@ -158,7 +168,7 @@ def _gold_from_row(
     doc_id: str,
     page_number: int,
     names: Iterable[str],
-    labels: dict[str, dict[str, str]] | None,
+    labels: Any,
     warnings: list[str],
 ) -> GroundTruthRecord:
     unique: list[str] = []
@@ -177,27 +187,27 @@ def _gold_from_row(
         doc_id=doc_id,
         page_number=page_number,
         gold_names=tuple(unique),
-        labels=labels or None,
+        # an empty object means no labels; any other non-object is the record's to refuse
+        labels=(labels or None) if isinstance(labels, dict) else labels,
     )
 
 
 def _import_canonical(path: Path, warnings: list[str]) -> list[GroundTruthRecord]:
+    where = "ground truth record"
     records = []
-    try:
-        for row in read_jsonl(path):
-            records.append(
-                _gold_from_row(
-                    str(row["doc_id"]),
-                    int(row["page_number"]),
-                    [str(n) for n in row["gold_names"]],
-                    row.get("labels"),
-                    warnings,
-                )
-            )
-    except KeyError as exc:
-        raise ParseError(f"{path}: record lacks {exc}") from None
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"{path}: record has a field of the wrong type: {exc}") from None
+    for row in read_jsonl(path):
+        try:
+            records.append(_gold_from_row(
+                str(_require(row, "doc_id", where)),
+                _coerce_int(_require(row, "page_number", where), "page_number", where),
+                _names(row, "gold_names", where),
+                row.get("labels"),
+                warnings,
+            ))
+        except MissingField as exc:
+            raise ParseError(f"{path}: record lacks {exc.field!r}") from None
+        except InvalidRecord as exc:
+            raise ParseError(f"{path}: record has a field of the wrong type: {exc}") from None
     return records
 
 
@@ -216,8 +226,8 @@ def _import_doccano(path: Path, warnings: list[str]) -> list[GroundTruthRecord]:
             raise ParseError(f"{path}: annotation record lacks 'text'")
         try:
             records.append(_gold_from_doccano(row, text, warnings))
-        except (ValueError, TypeError, AttributeError, IndexError, KeyError) as exc:
-            # int() of a word, a span too short, a mapping where a list belongs
+        except (InvalidRecord, ValueError, TypeError, AttributeError, IndexError, KeyError) as exc:
+            # a word for a number, a span too short, a mapping where a list belongs
             raise ParseError(f"{path}: record has a field of the wrong type: {exc!r}") from None
     return records
 
@@ -225,7 +235,8 @@ def _import_doccano(path: Path, warnings: list[str]) -> list[GroundTruthRecord]:
 def _gold_from_doccano(row: dict, text: str, warnings: list[str]) -> GroundTruthRecord:
     meta = row.get("meta") or {}
     doc_id = str(row.get("doc_id") or meta.get("doc_id") or "")
-    page_number = int(row.get("page_number") or meta.get("page_number") or 1)
+    page_number = _coerce_int(row.get("page_number") or meta.get("page_number") or 1,
+                              "page_number", "annotation record")
     names: list[str] = []
     labels: dict[str, dict[str, str]] = {}
     for span in row.get("label", []):

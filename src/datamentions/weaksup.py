@@ -112,6 +112,10 @@ from .records import (
     dumps_line,
     parse_mention_block,
     _chunks,
+    _coerce_bool,
+    _coerce_int,
+    _label,
+    _require,
     read_jsonl,
     validate_mention,
     write_jsonl,
@@ -296,20 +300,6 @@ def extract_mentions(
     return _blocks_from_extractor_payload(payload, page.doc_id, page.page_number)
 
 
-def _valid_flag(entry: Mapping[str, Any], where: str, label: str) -> bool:
-    """The entry's ``valid`` as a bool; ``"true"``/``"false"`` strings count."""
-    if "valid" not in entry or entry["valid"] is None:
-        raise MissingField("valid", where)
-    valid = entry["valid"]
-    if isinstance(valid, str):
-        if valid.strip().lower() not in ("true", "false"):
-            raise InvalidRecord(f"{label} 'valid' is not boolean: {valid!r}")
-        valid = valid.strip().lower() == "true"
-    if not isinstance(valid, bool):
-        raise InvalidRecord(f"{label} 'valid' is not boolean: {valid!r}")
-    return valid
-
-
 def _warn_on_echo(entry: Mapping[str, Any], mention: DatasetMention, label: str) -> None:
     echoed = entry.get("raw_name")
     if echoed is not None and echoed != mention.raw_name:
@@ -364,7 +354,7 @@ def judge_mentions(
     for mention, entry in zip(block.datasets, payload):
         if not isinstance(entry, dict):
             raise InvalidRecord("judge verdict entries must be objects")
-        valid = _valid_flag(entry, "judge verdict", "judge verdict")
+        valid = _coerce_bool(_require(entry, "valid", "judge verdict"), "valid", "judge verdict")
         reason = entry.get("reason") or entry.get("explanation")
         if not reason or not str(reason).strip():
             raise MissingField("reason", "judge verdict")
@@ -439,14 +429,10 @@ def reason_mentions(
     for mention, entry in zip(block.datasets, entries):
         if not isinstance(entry, dict):
             raise InvalidRecord("agent dataset entries must be objects")
-        valid = _valid_flag(entry, "agent dataset entry", "agent")
-
-        specificity = clean_optional(entry.get("specificity"))
-        if specificity is not None and specificity not in SPECIFICITY_VALUES:
-            raise BadEnum("specificity", specificity)
-        context = clean_optional(entry.get("context"))
-        if context is not None and context not in CONTEXT_VALUES:
-            raise BadEnum("context", context)
+        where = "agent dataset entry"
+        valid = _coerce_bool(_require(entry, "valid", where), "valid", where)
+        specificity = _label(entry, "specificity", SPECIFICITY_VALUES)
+        context = _label(entry, "context", CONTEXT_VALUES)
         invalid_reason = clean_optional(entry.get("invalid_reason"))
 
         if not valid and (specificity is not None or context is not None):
@@ -1199,16 +1185,14 @@ def export_finetune_records(
     for row in rows:
         try:
             block = row["block"]
-            key = (block["source"], int(block["page"]))
-            for assessment in row.get("assessments", []):
-                if not assessment.get("valid"):
-                    continue
-                mention = dict(assessment["mention"])
-                mention["specificity"] = assessment.get("specificity")
-                mention["context"] = assessment.get("context")
-                valid_by_page.setdefault(key, []).append(mention)
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
-            # a missing key, int() of a word, a list or number where an object belongs
+            key = (block["source"], _coerce_int(block["page"], "page", "assessed block"))
+            for assessment in map(AgentAssessment.from_dict, row.get("assessments", [])):
+                if assessment.valid:
+                    valid_by_page.setdefault(key, []).append(
+                        {**assessment.mention.to_dict(), "specificity": assessment.specificity,
+                         "context": assessment.context})
+        except (KeyError, TypeError, AttributeError, DataMentionsError) as exc:
+            # a missing key, an assessment the record refuses, a number where an object belongs
             where = assessed if is_path else "assessed rows"
             raise ParseError(f"{where}: assessed row has a field of the wrong shape: "
                              f"{exc!r}") from None

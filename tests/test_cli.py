@@ -175,8 +175,31 @@ def test_a_row_without_its_fields_exits_3_naming_the_file(tmp_path, capsys, dama
      "wrong type"),
     ("gold", f'{{"doc_id": "{DOC}", "page_number": 1, "gold_names": null}}', "wrong type"),
     ("script", "[1, 2]", "line 1 is not a JSON object"),
+    ("decisions", f'{{"doc_id": "{DOC}", "page_number": 1.9, "passed": true}}',
+     "page_number is not an integer"),
+    ("decisions", f'{{"doc_id": "{DOC}", "page_number": 1, "passed": "maybe"}}',
+     "passed is not a boolean"),
+    ("gold", f'{{"doc_id": "{DOC}", "page_number": 1, "gold_names": "DHS survey"}}',
+     "wrong type"),
+    ("gold", f'{{"doc_id": "{DOC}", "page_number": 1, "gold_names": ["LSMS", null]}}',
+     "wrong type"),
+    ("gold", f'{{"doc_id": "{DOC}", "page_number": 1.9, "gold_names": ["LSMS"]}}', "wrong type"),
+    ("gold", f'{{"doc_id": "{DOC}", "page_number": true, "gold_names": ["LSMS"]}}',
+     "wrong type"),
+    ("gold", f'{{"doc_id": "{DOC}", "page_number": 1, "gold_names": [], "labels": ["LSMS"]}}',
+     "wrong type"),
+    ("script", '{"stage": 5, "user_content": "x", "response": "r"}', "stage is not a string"),
+    ("script", '{"stage": "extractor", "user_content": "x", "response": 5}',
+     "response is not a string"),
+    ("script", '{"stage": "extractor", "digest": 5, "response": "r"}', "digest is not a string"),
+    ("script", '{"stage": "extractor", "user_content": 5, "response": "r"}',
+     "user_content is not a string"),
 ], ids=["decisions array", "decisions page word", "gold array", "gold null", "gold page word",
-        "gold names null", "script array"])
+        "gold names null", "script array", "decisions page float", "decisions passed word",
+        "gold names string", "gold name null", "gold page float", "gold page bool",
+        "gold labels list",
+        "script stage number", "script response number", "script digest number",
+        "script content number"])
 def test_a_row_of_the_wrong_shape_exits_3_naming_the_file(tmp_path, capsys, damaged, line,
                                                          complaint) -> None:
     cases = _two_page_cases()
@@ -200,6 +223,25 @@ def test_a_row_of_the_wrong_shape_exits_3_naming_the_file(tmp_path, capsys, dama
     assert _tree(tmp_path) == before
 
 
+def test_a_stored_mention_with_an_unknown_label_exits_3_like_a_reply(tmp_path, capsys) -> None:
+    cases = _two_page_cases()
+    cfg = _mock_config(tmp_path, pipeline_script(cases))
+    pages = _pages_file(tmp_path, [c[0] for c in cases])
+    argv = ["--config", str(cfg), "generate", "--pages", str(pages)]
+    assert main(argv + ["--stage", "extract"]) == 0
+    extracted = tmp_path / "out" / "extracted.jsonl"
+    text = extracted.read_text(encoding="utf-8")
+    # a hand edit of the same length, so the committed line is still read whole
+    old = '"raw_name": "LSMS", "mentioned_in": "We rely on the LSMS throughout."'
+    new = '"raw_name": "LSMS", "context": "bogus", "mentioned_in": "We use LSMS"'
+    assert len(old) == len(new) and old in text
+    extracted.write_text(text.replace(old, new), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "field 'context' has unknown value 'bogus'" in capsys.readouterr().err
+    assert (tmp_path / "out" / "judged.jsonl").read_bytes() == b""
+
+
 @pytest.mark.parametrize("side, line, complaint", [
     ("doccano", '{"page_number": "two", "text": "LSMS", "label": [[0, 4, "x"]]}', "wrong type"),
     ("doccano", '{"text": "LSMS", "label": [[0]]}', "wrong type"),
@@ -211,9 +253,12 @@ def test_a_row_of_the_wrong_shape_exits_3_naming_the_file(tmp_path, capsys, dama
     ("nuextract", '{"data_mentions": 5}', "wrong type"),
     ("nuextract", '{"data_mentions": [{"datasets": ["LSMS"]}]}', "wrong type"),
     ("nuextract", '{"doc_id": "d"}', "lacks 'data_mentions'"),
+    ("doccano", '{"page_number": 1.9, "text": "LSMS", "label": [[0, 4, "x"]]}', "wrong type"),
+    ("nuextract", '{"page_number": 1.9, "data_mentions": []}', "wrong type"),
 ], ids=["doccano page word", "doccano short span", "doccano span object", "doccano meta word",
         "doccano text number", "nuextract page word", "nuextract mention number",
-        "nuextract mentions number", "nuextract dataset word", "nuextract no mentions"])
+        "nuextract mentions number", "nuextract dataset word", "nuextract no mentions",
+        "doccano page float", "nuextract page float"])
 def test_a_non_canonical_row_of_the_wrong_shape_exits_3_naming_the_file(
     tmp_path, capsys, side, line, complaint
 ) -> None:
@@ -465,6 +510,18 @@ def test_generate_respects_gate_decisions(tmp_path, capsys) -> None:
     assert stats["pages_processed"] == 1
     assert stats == compute_stats(tmp_path / "out").to_dict()
     assert len(list(read_jsonl(tmp_path / "calls.jsonl"))) == 3
+
+
+def test_generate_reads_passed_flags_written_as_strings(tmp_path, capsys) -> None:
+    cases = _two_page_cases()
+    cfg = _mock_config(tmp_path, pipeline_script(cases))
+    pages = _pages_file(tmp_path, [c[0] for c in cases])
+    decisions = tmp_path / "decisions.jsonl"
+    write_jsonl(decisions, [{"doc_id": DOC, "page_number": 1, "passed": "true"},
+                            {"doc_id": DOC, "page_number": 2, "passed": "false"}])
+    argv = ["--config", str(cfg), "generate", "--pages", str(pages), "--decisions", str(decisions)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["pages_processed"] == 1
 
 
 def test_generate_dry_run_prints_plan(tmp_path, capsys) -> None:
@@ -721,8 +778,12 @@ def test_export_finetune_requires_assessed_file(tmp_path, capsys) -> None:
         {"x": 1},
         {"block": {"source": DOC, "page": "two"}, "assessments": []},
         {"block": {"source": DOC, "page": 1}, "assessments": [{"valid": True}]},
+        {"block": {"source": DOC, "page": 1.9}, "assessments": []},
+        {"block": {"source": DOC, "page": 1},
+         "assessments": [{"valid": "maybe", "mention": {"raw_name": "LSMS"}}]},
     ],
-    ids=["no-block", "page-not-a-number", "assessment-without-mention"],
+    ids=["no-block", "page-not-a-number", "assessment-without-mention", "page-float",
+         "valid-word"],
 )
 def test_export_finetune_refuses_an_assessed_row_of_the_wrong_shape(tmp_path, capsys, row) -> None:
     cases = _two_page_cases()

@@ -141,3 +141,20 @@ def test_prompts_dir_must_exist(tmp_path) -> None:
     cfg = PipelineConfig(prompts_dir=Path(tmp_path / "nope"))
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+def test_an_explicit_null_counts_as_an_absent_key(tmp_path) -> None:
+    config_path = tmp_path / "c.yaml"
+    config_path.write_text(
+        "endpoint:\n  base_url: null\n  model: null\n  temperature: null\n"
+        "execution:\n  concurrency: null\n"
+        "gate:\n  kind: null\n  endpoint: null\n"
+        "metadata:\n  base_url: null\n"
+        "paths:\n  output: null\n"
+        "seed: null\n",
+        encoding="utf-8",
+    )
+    defaults = PipelineConfig()
+    cfg = load_config(config_path)
+    assert cfg == defaults
+    assert (cfg.base_url, cfg.model_name) == (defaults.base_url, defaults.model_name)

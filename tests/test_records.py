@@ -31,6 +31,7 @@ from datamentions.records import (
     JudgeVerdict,
     MentionBlock,
     PageRecord,
+    PredictionRecord,
     canonical_json,
     clean_optional,
     dumps_line,
@@ -185,6 +186,26 @@ def test_mention_block_round_trip() -> None:
     assert MentionBlock.from_dict(block.to_dict()) == block
 
 
+@pytest.mark.parametrize("key", ["context", "specificity", "relevance"])
+def test_a_stored_block_with_an_unknown_label_is_refused_like_a_reply(key) -> None:
+    stored = MentionBlock("We use X.", (_mention(raw_name="X", mentioned_in="We use X."),),
+                          DOC, 1).to_dict()
+    stored["datasets"][0][key] = "bogus"
+    with pytest.raises(BadEnum) as excinfo:
+        MentionBlock.from_dict(stored)
+    assert (excinfo.value.field, excinfo.value.value) == (key, "bogus")
+    with pytest.raises(BadEnum):
+        DatasetMention.from_dict(stored["datasets"][0])
+
+
+def test_a_stored_mention_needs_its_own_sentence() -> None:
+    with pytest.raises(MissingField, match="mentioned_in"):
+        DatasetMention.from_dict({"raw_name": "X"})
+    block = MentionBlock.from_dict(
+        {"mentioned_in": "We use X.", "datasets": [{"raw_name": "X"}], "source": DOC, "page": 1})
+    assert block.datasets[0].mentioned_in == "We use X."
+
+
 # ---------------------------------------------------------------------------
 # verdicts and assessments
 
@@ -252,6 +273,25 @@ def test_ground_truth_rejects_normalized_duplicates() -> None:
 def test_ground_truth_allows_distinct_names() -> None:
     rec = GroundTruthRecord(doc_id=DOC, page_number=1, gold_names=("Census", "Survey"))
     assert GroundTruthRecord.from_dict(rec.to_dict()) == rec
+
+
+@pytest.mark.parametrize("cls, key", [(GroundTruthRecord, "gold_names"),
+                                      (PredictionRecord, "predicted_names")])
+@pytest.mark.parametrize("page_number, names", [
+    (1, "DHS survey"), (1, None), (1, {"DHS": 1}), (1, ["DHS", None]), (1, ["DHS", 5]),
+    (1.9, ["DHS"]), (True, ["DHS"]),
+])
+def test_a_name_record_of_the_wrong_shape_is_refused(cls, key, page_number, names) -> None:
+    with pytest.raises(InvalidRecord):
+        cls.from_dict({"doc_id": DOC, "page_number": page_number, key: names})
+    with pytest.raises(MissingField, match=key):
+        cls.from_dict({"doc_id": DOC, "page_number": 1})
+
+
+def test_ground_truth_labels_must_be_an_object() -> None:
+    with pytest.raises(InvalidRecord, match="labels"):
+        GroundTruthRecord.from_dict(
+            {"doc_id": DOC, "page_number": 1, "gold_names": ["DHS"], "labels": ["DHS"]})
 
 
 # ---------------------------------------------------------------------------

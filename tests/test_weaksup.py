@@ -23,6 +23,7 @@ from datamentions import (
 )
 from datamentions.errors import (
     ArityMismatch,
+    BadEnum,
     DataMentionsError,
     InvalidRecord,
     MissingField,
@@ -346,6 +347,32 @@ def test_reason_valid_without_labels_is_rejected() -> None:
     response = f'<OUTPUTDATA>{json.dumps({"datasets": [entry]})}</OUTPUTDATA>'
     with pytest.raises(ValidityCouplingViolation):
         _reasoned(block, response)
+
+
+@pytest.mark.parametrize("key, value", [("specificity", "kinda"), ("context", "sideways")])
+def test_reason_refuses_an_unknown_label_naming_field_and_value(key, value) -> None:
+    block = _block_for(_page(1, "We use X."), ["X"])
+    entry = {"raw_name": "X", "valid": True, "specificity": "properly_named",
+             "context": "primary", key: value}
+    response = f'<OUTPUTDATA>{json.dumps({"datasets": [entry]})}</OUTPUTDATA>'
+    with pytest.raises(BadEnum) as excinfo:
+        _reasoned(block, response)
+    assert str(excinfo.value) == f"field {key!r} has unknown value {value!r}"
+    assert (excinfo.value.field, excinfo.value.value) == (key, value)
+
+
+@pytest.mark.parametrize("stage", ["judge", "reason"])
+@pytest.mark.parametrize("flag, error", [
+    ("maybe", InvalidRecord), (1, InvalidRecord), (None, MissingField),
+])
+def test_a_valid_flag_that_is_not_a_boolean_is_refused(stage, flag, error) -> None:
+    block = _block_for(_page(1, "We use A."), ["A"])
+    entry = {"raw_name": "A", "valid": flag, "reason": "r", "invalid_reason": "r"}
+    with pytest.raises(error, match="valid"):
+        if stage == "judge":
+            _judged(block, json.dumps([entry]))
+        else:
+            _reasoned(block, f'<OUTPUTDATA>{json.dumps({"datasets": [entry]})}</OUTPUTDATA>')
 
 
 def test_reason_arity_mismatch() -> None:
