@@ -287,7 +287,15 @@ def cmd_generate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     stages = STAGES if args.stage == "all" else (args.stage,)
 
     if args.dry_run:
-        plans = plan_pipeline(pages, output_dir=cfg.output_dir, stages=stages)
+        plans = plan_pipeline(
+            pages,
+            output_dir=cfg.output_dir,
+            stages=stages,
+            templates=load_templates(cfg.prompts_dir),
+            model_name=cfg.model_name,
+            temperature=cfg.temperature,
+            max_output_tokens=cfg.max_output_tokens,
+        )
         total: int | None = 0
         for plan in plans:
             if plan.pending is None:

@@ -14,11 +14,12 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence
 
 from .errors import (
     BackendError,
@@ -202,13 +203,16 @@ class MockChatBackend:
     The template id is recovered from the system prompt, so requests built
     from the shipped prompts resolve without extra plumbing. Unknown system
     prompts or unscripted digests fail fast with :class:`UnscriptedInput`.
-    An optional call log appends one line per completion, which lets tests
-    count backend calls across process boundaries.
+    A digest scripted with a list of replies is given them in the order it
+    is asked, the last one repeating; one scripted with a string is always
+    given that string. An optional call log appends one line per
+    completion, which lets tests count backend calls across process
+    boundaries.
     """
 
     def __init__(
         self,
-        script: Mapping[tuple[str, str], str],
+        script: Mapping[tuple[str, str], str | Sequence[str]],
         templates: Mapping[str, PromptTemplate] | None = None,
         call_log: str | Path | None = None,
     ):
@@ -220,6 +224,8 @@ class MockChatBackend:
         self._prompt_to_template = {t.body: t.template_id for t in templates.values()}
         self.call_log = Path(call_log) if call_log is not None else None
         self.calls: list[tuple[str, str]] = []
+        self._served: dict[tuple[str, str], int] = {}  # replies given, for digests with several
+        self._lock = threading.Lock()
 
     @classmethod
     def from_script_file(
@@ -231,10 +237,13 @@ class MockChatBackend:
         """Build from a line-delimited script.
 
         Each line carries ``stage``, ``response``, and either ``digest`` or
-        ``user_content`` (digested here for convenience), all strings.
+        ``user_content`` (digested here for convenience), all strings. A
+        digest on several lines is given their replies in file order, the
+        last one repeating, so a pipeline's ``replies.jsonl`` is a script
+        that replays its run.
         """
         templates = templates or load_templates()
-        script: dict[tuple[str, str], str] = {}
+        script: dict[tuple[str, str], str | list[str]] = {}
         for entry in read_jsonl(path):
             keyed = "digest" in entry
             for key in ("stage", "response", "digest" if keyed else "user_content"):
@@ -245,7 +254,13 @@ class MockChatBackend:
                                         f"{type(entry[key]).__name__}")
             stage = _STAGE_ALIASES.get(entry["stage"], entry["stage"])
             digest = entry["digest"] if keyed else request_digest(stage, entry["user_content"])
-            script[(stage, digest)] = entry["response"]
+            earlier = script.get((stage, digest))
+            if earlier is None:
+                script[(stage, digest)] = entry["response"]
+            elif isinstance(earlier, str):
+                script[(stage, digest)] = [earlier, entry["response"]]
+            else:
+                earlier.append(entry["response"])
         return cls(script, templates=templates, call_log=call_log)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -263,6 +278,11 @@ class MockChatBackend:
             raise UnscriptedInput(
                 f"no scripted response for stage {template_id!r}, digest {digest}"
             ) from None
+        if not isinstance(text, str):
+            with self._lock:
+                served = self._served.get((template_id, digest), 0)
+                self._served[(template_id, digest)] = served + 1
+            text = text[min(served, len(text) - 1)]
         return ChatResponse(text=text, latency=0.0)
 
 

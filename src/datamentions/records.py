@@ -759,6 +759,17 @@ def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> int:
     return count
 
 
+def _write_all(write: Callable[[bytes], int], data: bytes) -> None:
+    """Write all of ``data`` through an unbuffered file's ``write``.
+
+    That is one call, unless the system writes short; the rest then follows,
+    and a full disk raises.
+    """
+    written = write(data)
+    while written < len(data):
+        written += write(data[written:])
+
+
 # Files are read, counted and hashed this many bytes at a time, never whole.
 # Chunks of 64 KiB raised the peak memory of a zero-latency run by 0.13 MB.
 _CHUNK = 1 << 14

@@ -5,13 +5,11 @@ on each mention's validity, and ``reason`` runs a devil's-advocate review
 that may override the judge. Only judge-valid mentions reach the reasoner.
 Every stage appends to its own output file and records per-item progress in
 a checkpoint, so an interrupted run resumes without repeating a single
-backend call and reproduces the uninterrupted output byte for byte. An
-item's commit is two unbuffered appends, its output or dead-letter line and
-then its checkpoint line; the checkpoint's offsets are counted from the
-files' sizes when the stage opened them plus the bytes written since. A
-kill between the two appends leaves a line no checkpoint points past, which
-the resume cuts off, and a checkpoint line cut short by a kill is ignored;
-either way the item is done again.
+backend call and reproduces the uninterrupted output byte for byte. Commits
+are grouped (:class:`_StageWriter`): a kill before the checkpoint lines of a
+group are written leaves lines no checkpoint points past, which the resume
+cuts off, and a checkpoint line cut short by a kill is ignored; either way
+those items are done again, from the reply ledger.
 Items that keep failing after the per-item retry budget are quarantined to a
 dead-letter file rather than blocking the run. A stage whose output file (a
 missing one counts as empty) or the dead-letter file is shorter than its
@@ -46,20 +44,24 @@ lines, and no output row is decoded for them. ``stats.json`` is written
 only when its bytes change. Checkpoints written before lines carried
 counters are counted from the stage outputs instead.
 
+Every reply the backend gives is recorded in the reply ledger
+(:mod:`datamentions.ledger`), and an attempt whose reply is there makes no
+call. The ledger is read when the first stage that is not sealed starts,
+so a sealed rerun never opens it.
+
 A stage streams its pending items through one bounded in-flight window:
 with ``workers`` threads, at most ``2 * workers`` items are submitted ahead
 of the one being committed. Only those, and the rest of one batch of
 enumerated items, are held in memory, never the stage's whole input. An
 error that stops the run, a backend error (the first in input order) or a
 failed commit, stops the stage at once: queued items are cancelled and
-only the calls already running finish, so a stopped run has paid for the
-replies of at most ``2 * workers`` items it did not commit.
+only the calls already running finish; the ledger keeps their replies.
 
 One table of stage specs drives both :func:`run_pipeline` and
 :func:`plan_pipeline`, so they walk the same items under the same keys and
-``generate --dry-run`` counts exactly the calls a run would issue (beyond
-those, a reply that fails to parse is asked for again, up to the per-item
-retry budget).
+``generate --dry-run`` counts exactly the calls a run would issue, none
+for an item whose first reply is in the ledger (beyond those, a reply that
+fails to parse is asked for again, up to the per-item retry budget).
 """
 
 from __future__ import annotations
@@ -69,13 +71,14 @@ import json
 import logging
 import os
 import re
+import threading
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -116,6 +119,7 @@ from .records import (
     _coerce_int,
     _label,
     _require,
+    _write_all,
     read_jsonl,
     validate_mention,
     write_jsonl,
@@ -123,6 +127,9 @@ from .records import (
     SPECIFICITY_VALUES,
 )
 from .window import windowed_map
+
+if TYPE_CHECKING:
+    from .ledger import ReplyLedger
 
 log = logging.getLogger(__name__)
 
@@ -546,26 +553,15 @@ def _truncate(path: Path, size: int) -> None:
         os.truncate(path, size)
 
 
-def _write_all(write: Callable[[bytes], int], data: bytes) -> None:
-    """Write all of ``data`` through an unbuffered file's ``write``.
-
-    That is one call, unless the system writes short; the rest then follows,
-    and a full disk raises.
-    """
-    written = write(data)
-    while written < len(data):
-        written += write(data[written:])
-
-
 class _StageWriter:
-    """Append-only writer committing (output, dead-letter, checkpoint) per item.
+    """Append-only writer committing (output, dead-letter, checkpoint) lines in groups.
 
-    The three files are opened unbuffered, so a commit is two appends: the
-    output or dead-letter line, then the checkpoint line with the offsets it
-    commits. A kill between them, or halfway through either, leaves a line
-    no checkpoint points past, which a resume cuts off. The offsets are the
-    files' sizes at open plus the bytes written since; nothing else writes
-    to the files while the writer is open.
+    A commit buffers the item's output or dead-letter line and its
+    checkpoint line. Every :data:`_ENUMERATION_BATCH` commits, and on any
+    exit, :meth:`flush` appends the outputs and dead letters, then the
+    checkpoint lines, through the unbuffered files. The offsets are the
+    files' sizes at open plus the bytes committed since; nothing else
+    writes to the files while the writer is open.
     """
 
     def __init__(self, checkpoint: StageCheckpoint, output_dir: Path, spec: _StageSpec):
@@ -578,31 +574,50 @@ class _StageWriter:
             self._files = files.pop_all()
         self._out_end = os.fstat(self._out.fileno()).st_size
         self._dead_end = os.fstat(self._dead.fileno()).st_size
+        self._out_lines: list[bytes] = []
+        self._dead_lines: list[bytes] = []
+        self._ckpt_lines: list[bytes] = []
 
     def __enter__(self) -> "_StageWriter":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self._files.close()
+        with self._files:  # closed even if the flush raises
+            self.flush()
 
     def commit(self, key: str, line: str, counts: Sequence[int] | None = None) -> None:
-        """Append ``line`` to the output, or without ``counts`` to the dead-letter file, then
+        """Add ``line`` to the output, or without ``counts`` to the dead-letter file, then
         checkpoint ``key`` with the stage's counters, ``counts`` added."""
         data = (line + "\n").encode("utf-8")
         ckpt = self.checkpoint
         if counts is None:
-            _write_all(self._dead.write, data)
+            self._dead_lines.append(data)
             self._dead_end += len(data)
         else:
-            _write_all(self._out.write, data)
+            self._out_lines.append(data)
             self._out_end += len(data)
             ckpt.counts = [total + n for total, n in zip(ckpt.counts, counts)]
         ckpt.output_offset, ckpt.deadletter_offset = self._out_end, self._dead_end
         # the bytes of json.dumps({"key": key, "out": ..., "dead": ..., "n": counts}) + "\n"
-        _write_all(self._ckpt.write, (
+        self._ckpt_lines.append((
             f'{{"key": {encode_basestring_ascii(key)}, "out": {self._out_end}, '
             f'"dead": {self._dead_end}, "n": [{", ".join(map(str, ckpt.counts))}]}}\n'
         ).encode("ascii"))
+        if len(self._ckpt_lines) == _ENUMERATION_BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        """Append the buffered lines: outputs and dead letters, then their checkpoint lines.
+
+        The buffers are emptied first, so a failed flush is not made again
+        on the way out; its bytes lie past every committed offset.
+        """
+        pending = ((self._out, self._out_lines), (self._dead, self._dead_lines),
+                   (self._ckpt, self._ckpt_lines))
+        self._out_lines, self._dead_lines, self._ckpt_lines = [], [], []
+        for file, lines in pending:
+            if lines:
+                _write_all(file.write, b"".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +648,12 @@ class PipelineStats:
         return d
 
 
+def _counted_valid(entry: Mapping[str, Any]) -> bool:
+    """An output row's ``valid`` flag, read as every flag is; absent or null counts as false."""
+    value = entry.get("valid")
+    return value is not None and _coerce_bool(value, "valid", "stage output row")
+
+
 def compute_stats(output_dir: str | Path) -> PipelineStats:
     """Recompute statistics from whatever stage outputs exist on disk."""
     output_dir = Path(output_dir)
@@ -647,11 +668,11 @@ def compute_stats(output_dir: str | Path) -> PipelineStats:
     judged = output_dir / "judged.jsonl"
     if judged.exists():
         for row in read_jsonl(judged):
-            judged_valid += sum(1 for v in row.get("verdicts", []) if v.get("valid"))
+            judged_valid += sum(map(_counted_valid, row.get("verdicts", [])))
     assessed = output_dir / "assessed.jsonl"
     if assessed.exists():
         for row in read_jsonl(assessed):
-            agent_valid += sum(1 for a in row.get("assessments", []) if a.get("valid"))
+            agent_valid += sum(map(_counted_valid, row.get("assessments", [])))
     retention = agent_valid / judged_valid if judged_valid > 0 else None
     return PipelineStats(
         pages_processed=pages,
@@ -825,17 +846,19 @@ def _resume_checkpoints(output_dir: Path) -> tuple[dict[str, StageCheckpoint], s
     A stage the module's redo rule hits comes back empty. So each offset
     returned lies within its file, and truncating to it only drops
     uncommitted bytes. Each checkpoint's ``counts`` is one per counter of
-    its stage, or None for lines from before counters.
+    its stage, or None for lines from before counters. An offset that does
+    not end a line raises :class:`InvalidRecord` (:func:`_check_line_ends`).
     """
-    dead_size = _size(output_dir / _DEADLETTER_FILE)
+    sizes = {_DEADLETTER_FILE: _size(output_dir / _DEADLETTER_FILE)}
     checkpoints: dict[str, StageCheckpoint] = {}
     redone: set[str] = set()
     for spec in _STAGE_SPECS:
         path = output_dir / spec.checkpoint_file
         ckpt = StageCheckpoint.load(path)
+        sizes[spec.output_file] = _size(output_dir / spec.output_file)
         if redone or (
-            _size(output_dir / spec.output_file) < ckpt.output_offset
-            or dead_size < ckpt.deadletter_offset
+            sizes[spec.output_file] < ckpt.output_offset
+            or sizes[_DEADLETTER_FILE] < ckpt.deadletter_offset
         ):
             if not redone:
                 log.warning("%s: %s or %s is shorter than its checkpoint; redoing this stage "
@@ -848,7 +871,30 @@ def _resume_checkpoints(output_dir: Path) -> tuple[dict[str, StageCheckpoint], s
             raise InvalidRecord(f"{path}: damaged checkpoint line: {len(ckpt.counts)} "
                                 f"counters, the {spec.name} stage keeps {len(spec.counters)}")
         checkpoints[spec.name] = ckpt
+    ends = {spec.output_file: checkpoints[spec.name].output_offset for spec in _STAGE_SPECS}
+    ends[_DEADLETTER_FILE] = max(c.deadletter_offset for c in checkpoints.values())
+    _check_line_ends(output_dir, ends, sizes)
     return checkpoints, redone
+
+
+def _check_line_ends(output_dir: Path, ends: Mapping[str, int], sizes: Mapping[str, int]) -> None:
+    """Raise :class:`InvalidRecord` naming a file whose committed bytes do not end a line.
+
+    A committed line edited to another length moves the lines after it off
+    their offsets; every state a kill leaves passes. One byte is read from
+    each file longer than its offset; an edit that keeps the length is not seen.
+    """
+    for name, offset in ends.items():
+        if 0 < offset < sizes[name]:
+            fd = os.open(output_dir / name, os.O_RDONLY)
+            try:
+                last = os.pread(fd, 1, offset - 1)
+            finally:
+                os.close(fd)
+            if last != b"\n":
+                raise InvalidRecord(
+                    f"{output_dir / name}: byte {offset} does not end a line, but the "
+                    f"checkpoints commit the file up to it; was a committed line edited?")
 
 
 def _require_inputs(
@@ -978,6 +1024,8 @@ def _run_stage(
     backend: ChatBackend,
     stage_kwargs: Mapping[str, Any],
     *,
+    ledger: ReplyLedger,
+    settings: str,
     item_attempts: int,
     workers: int,
 ) -> None:
@@ -988,21 +1036,37 @@ def _run_stage(
     count, keeping output files deterministic. An item is pending when its
     key is not in ``done``, the keys committed before the stage started, so
     a key repeated in the input runs, and commits, each time at any worker
-    count.
+    count. An attempt takes its reply from ``ledger`` under ``settings``
+    when it is there, else asks ``backend`` and records the reply.
     """
     keyed = _keyed_items(spec, source)
     batches = iter(lambda: list(islice(keyed, _ENUMERATION_BATCH)), [])
     pending = (item for batch in batches for item in batch if item[0] not in done)
+    from .ledger import LedgerBackend
+
+    vias: dict[int, LedgerBackend] = {}  # by thread
+    recorded = ledger.reply if ledger.index else None
 
     def attempt(
         item: tuple[str, str, int, str, Any],
     ) -> tuple[Any, tuple[str, list[int]] | None, Exception | None]:
-        last: Exception | None = None
-        for _ in range(item_attempts):
+        via = vias.get(threading.get_ident())
+        if via is None:
+            via = vias[threading.get_ident()] = LedgerBackend(backend)
+        key, last = item[0], None
+        for n in range(item_attempts):
+            via.recorded = None if recorded is None else recorded(settings, key, n)
+            via.reply = None
             try:
-                return item, spec.produce(item[4], item[3], backend, stage_kwargs), None
+                produced = spec.produce(item[4], item[3], via, stage_kwargs)
             except _POISON_ERRORS as exc:
-                last = exc
+                produced, last = None, exc
+            reply = via.reply
+            if reply is not None:
+                ledger.record(settings, key, n, spec.template_id, reply,
+                              "ok" if produced else type(last).__name__)
+            if produced:
+                return item, produced, None
         return item, None, last
 
     with closing(windowed_map(attempt, pending, workers)) as outcomes:
@@ -1055,39 +1119,49 @@ def run_pipeline(
     }
     sealed: set[str] = set()
     done: dict[str, frozenset[str]] | None = None
-    for spec in specs:
-        source, input_digest = _stage_source(spec, pages, output_dir, checkpoints)
-        checkpoint, seal_path = checkpoints[spec.name], output_dir / spec.seal_file
-        if _holds(seal_path, _seal(spec, input_digest, checkpoint)):
-            sealed.add(spec.name)
-            # a file the redo rule let go missing can only have been empty;
-            # create it, as the writer's append-mode open would have
-            for name in (spec.output_file, _DEADLETTER_FILE, spec.checkpoint_file):
-                if not (output_dir / name).exists():
-                    (output_dir / name).touch()
-            continue
-        if done is None:  # so a damaged line stops the run before any call
-            done = _committed_keys(output_dir, checkpoints, checkpoints.keys() - sealed)
-        if checkpoint.counts is None:  # lines from before counters: count the output once
-            stats = compute_stats(output_dir)
-            checkpoint.counts = [getattr(stats, name) for name in spec.counters]
-        with _StageWriter(checkpoint, output_dir, spec) as writer:
-            try:
-                _run_stage(spec, source, writer, done[spec.name], backend, stage_kwargs,
-                           item_attempts=item_attempts, workers=workers)
-            except _POISON_ERRORS:
-                # an item's own poison errors are caught per item; one that
-                # reaches here comes from reading the stage input
-                raise
-            except DataMentionsError as exc:
-                raise PipelineInterrupted(
-                    f"pipeline stopped during a stage: {exc}", cause=exc,
-                    progressed=any(c.output_offset or c.deadletter_offset
-                                   for c in checkpoints.values()),
-                ) from exc
-        ckpt_path = output_dir / spec.checkpoint_file  # the stage's commits made it longer
-        checkpoint.size, checkpoint.digest = _size(ckpt_path), _sha256(ckpt_path)
-        seal_path.write_bytes(_seal(spec, input_digest, checkpoint))
+    with ExitStack() as opened:
+        for spec in specs:
+            source, input_digest = _stage_source(spec, pages, output_dir, checkpoints)
+            checkpoint, seal_path = checkpoints[spec.name], output_dir / spec.seal_file
+            if _holds(seal_path, _seal(spec, input_digest, checkpoint)):
+                sealed.add(spec.name)
+                # a file the redo rule let go missing can only have been empty;
+                # create it, as the writer's append-mode open would have
+                for name in (spec.output_file, _DEADLETTER_FILE, spec.checkpoint_file):
+                    if not (output_dir / name).exists():
+                        (output_dir / name).touch()
+                continue
+            if done is None:  # so a damaged line stops the run before any call
+                done = _committed_keys(output_dir, checkpoints, checkpoints.keys() - sealed)
+                # loaded by the first stage that runs, so a sealed rerun never loads it
+                from .ledger import LEDGER_FILE, ReplyLedger, settings_digest
+
+                ledger = ReplyLedger.load(output_dir / LEDGER_FILE)
+                ledger.open()
+                opened.callback(ledger.close)
+            if checkpoint.counts is None:  # lines from before counters: count the output once
+                stats = compute_stats(output_dir)
+                checkpoint.counts = [getattr(stats, name) for name in spec.counters]
+            settings = settings_digest(templates[spec.template_id], model_name, temperature,
+                                       max_output_tokens)
+            with _StageWriter(checkpoint, output_dir, spec) as writer:
+                try:
+                    _run_stage(spec, source, writer, done[spec.name], backend, stage_kwargs,
+                               ledger=ledger, settings=settings,
+                               item_attempts=item_attempts, workers=workers)
+                except _POISON_ERRORS:
+                    # an item's own poison errors are caught per item; one that
+                    # reaches here comes from reading the stage input
+                    raise
+                except DataMentionsError as exc:
+                    raise PipelineInterrupted(
+                        f"pipeline stopped during a stage: {exc}", cause=exc,
+                        progressed=any(c.output_offset or c.deadletter_offset
+                                       for c in checkpoints.values()),
+                    ) from exc
+            ckpt_path = output_dir / spec.checkpoint_file  # the stage's commits made it longer
+            checkpoint.size, checkpoint.digest = _size(ckpt_path), _sha256(ckpt_path)
+            seal_path.write_bytes(_seal(spec, input_digest, checkpoint))
 
     if any(c.counts is None for c in checkpoints.values()):
         stats = compute_stats(output_dir)  # a checkpoint from before counters
@@ -1116,6 +1190,10 @@ def plan_pipeline(
     *,
     output_dir: str | Path,
     stages: Sequence[str] = STAGES,
+    templates: Mapping[str, PromptTemplate] | None = None,
+    model_name: str = DEFAULT_MODEL,
+    temperature: float = 0.0,
+    max_output_tokens: int = 4096,
 ) -> list[StagePlan]:
     """Describe pending work per stage without touching any backend.
 
@@ -1123,7 +1201,9 @@ def plan_pipeline(
     checkpoints: completed keys are excluded, a stage the run would redo
     counts all its items, a sealed stage has nothing pending, and stages
     whose input file has not been produced yet, or will be written again
-    because its stage is redone, report unknown amounts. Nothing is written.
+    because its stage is redone, report unknown amounts. A pending item
+    whose first reply is in the ledger under the given settings costs no
+    call. Nothing is written.
     """
     output_dir = Path(output_dir)
     checkpoints, redone = _resume_checkpoints(output_dir)
@@ -1144,10 +1224,17 @@ def plan_pipeline(
         else:
             if done is None:  # as run_pipeline reads them
                 done = _committed_keys(output_dir, checkpoints, checkpoints.keys() - sealed)
+                from .ledger import LEDGER_FILE, ReplyLedger, settings_digest
+
+                recorded = ReplyLedger.load(output_dir / LEDGER_FILE).index
+                templates = templates or load_templates()
+            settings = settings_digest(templates[spec.template_id], model_name, temperature,
+                                       max_output_tokens)
             for key, _, _, user_content, _ in _keyed_items(spec, source):
                 if key not in done[spec.name]:
                     pending += 1
-                    calls += bool(user_content.strip())  # a blank page costs no call
+                    # a blank page costs no call, nor does a recorded reply
+                    calls += bool(user_content.strip()) and (settings, key, 0) not in recorded
         plans.append(StagePlan(stage=spec.name, pending=pending, backend_calls=calls))
     return plans
 

@@ -2,9 +2,11 @@
 
 :func:`windowed_map` is the one way the library overlaps calls to a remote
 service, the gate's page classifier and the pipeline's chat backend alike.
-At most ``2 * width`` calls are queued or running at any time, so a run that
-stops early pays for at most that many calls it throws away, and only the
-window's items are held in memory, never the whole input.
+At most ``2 * width`` calls are queued or running at any time, and only the
+window's items are held in memory, never the whole input. A run that stops
+early has made at most that many calls whose results it does not use: the
+gate throws those scores away, while the pipeline has recorded those
+replies in its ledger and is given them again when it resumes.
 """
 
 from __future__ import annotations

@@ -14,10 +14,18 @@ from datamentions.cli import _advisory_lock, main
 from datamentions.corpus import CorpusStore
 from datamentions.errors import InputError
 from datamentions.gate import RemoteGate, filter_pages
+from datamentions.llm import request_digest
 from datamentions.records import PageRecord, dumps_line, read_jsonl, write_jsonl
 from datamentions.weaksup import compute_stats
 
-from pipeline_fixtures import pipeline_script, write_script_file
+from pipeline_fixtures import (
+    block_for,
+    extractor_response,
+    judge_response,
+    pipeline_script,
+    reason_response,
+    write_script_file,
+)
 from stubserver import StubServer
 
 DOC = "f" * 40
@@ -587,6 +595,104 @@ def test_generate_partial_progress_exits_5_then_resumes(tmp_path, capsys) -> Non
     repeats = {entry for entry in logged if logged.count(entry) > 1}
     failed_extract = extract_entries[1][0]
     assert repeats == {failed_extract}
+
+
+def _planned_total(capsys) -> int:
+    out = capsys.readouterr().out
+    return int(out.rsplit("total backend calls: ", 1)[1].split()[0])
+
+
+def test_dry_run_after_an_interrupted_run_counts_the_calls_its_resume_issues(
+    tmp_path, capsys
+) -> None:
+    pages = [_page(n, f"Page {n} names no data.") for n in range(1, 41)]
+    script = pipeline_script([(page, [], [], []) for page in pages])
+    # page 24 is unscripted: the run stops there, with the replies of up to
+    # 2 * concurrency items after it in the ledger and none of them committed
+    down = ("extractor", request_digest("extractor", pages[23].text))
+    cfg = _mock_config(tmp_path, {key: text for key, text in script.items() if key != down})
+    config = json.loads(cfg.read_text(encoding="utf-8"))
+    config["execution"] = {"concurrency": 4}
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["--config", str(cfg), "generate", "--pages", str(_pages_file(tmp_path, pages)),
+            "--stage", "extract"]
+    assert main(argv) == 5
+    capsys.readouterr()
+    recorded = len(list(read_jsonl(tmp_path / "out" / "replies.jsonl")))
+    committed = len(list(read_jsonl(tmp_path / "out" / "extracted.jsonl")))
+    assert recorded > committed == 23
+
+    write_script_file(tmp_path / "script.jsonl", script)
+    assert main(argv + ["--dry-run"]) == 0
+    planned = _planned_total(capsys)
+    calls_before = len(list(read_jsonl(tmp_path / "calls.jsonl")))
+    assert main(argv) == 0
+    issued = len(list(read_jsonl(tmp_path / "calls.jsonl"))) - calls_before
+    assert planned == issued == len(pages) - recorded
+
+
+def test_a_lengthened_committed_line_exits_3_and_changes_nothing(tmp_path, capsys) -> None:
+    cases = _two_page_cases()
+    cfg = _mock_config(tmp_path, pipeline_script(cases))
+    pages = _pages_file(tmp_path, [c[0] for c in cases])
+    argv = ["--config", str(cfg), "generate", "--pages", str(pages)]
+    assert main(argv + ["--stage", "extract"]) == 0
+    extracted = tmp_path / "out" / "extracted.jsonl"
+    data = extracted.read_bytes()
+    extracted.write_bytes(data.replace(b'"mentioned_in"', b'"context": "primary", "mentioned_in"', 1))
+    before = _tree(tmp_path / "out")
+    capsys.readouterr()
+
+    for extra in (["--dry-run"], []):
+        assert main(argv + extra) == 3
+        assert "extracted.jsonl" in capsys.readouterr().err
+        assert _tree(tmp_path / "out") == before
+
+
+def _completion(text: str) -> dict:
+    return {"body": {"choices": [{"message": {"content": text}}],
+                     "usage": {"prompt_tokens": 11, "completion_tokens": 7}}}
+
+
+def test_a_remote_run_replayed_from_its_ledger_gives_the_same_bytes(
+    tmp_path, monkeypatch, capsys
+) -> None:
+    monkeypatch.setenv("TEST_CHAT_KEY", "sk-test")
+    kept, retried = _page(1, "We rely on the LSMS throughout."), _page(2, "The DHS informs this work.")
+    garbled = _page(3, "This page draws garbled replies.")
+    blocks = [block_for(kept, ["LSMS"]), block_for(retried, ["DHS"])]
+    replies = [  # in the order a one-worker run asks
+        extractor_response(["LSMS"], kept.text),
+        "{not json", extractor_response(["DHS"], retried.text),  # parsed at the second attempt
+        "{not json", "[{", "{not json",  # a dead letter
+        judge_response(blocks[0], [True]), judge_response(blocks[1], [True]),
+        reason_response(blocks[0], [True]), reason_response(blocks[1], [False]),
+    ]
+    pages = _pages_file(tmp_path, [kept, retried, garbled])
+    with StubServer([_completion(text) for text in replies]) as server:
+        remote = _config_file(tmp_path, {
+            "endpoint": {"base_url": server.url, "api_key_env": "TEST_CHAT_KEY"},
+            "backend": {"kind": "remote"},
+            "paths": {"output": str(tmp_path / "remote")},
+        })
+        assert main(["--config", str(remote), "generate", "--pages", str(pages)]) == 0
+        assert len(server.requests) == len(replies)
+    ledger = list(read_jsonl(tmp_path / "remote" / "replies.jsonl"))
+    assert [line["response"] for line in ledger] == replies
+    assert all(line["usage"] == {"prompt_tokens": 11, "completion_tokens": 7}
+               and line["latency_s"] > 0 for line in ledger)
+
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({
+        "backend": {"kind": "mock", "script": str(tmp_path / "remote" / "replies.jsonl")},
+        "paths": {"output": str(tmp_path / "replayed")},
+    }), encoding="utf-8")
+    assert main(["--config", str(replay), "generate", "--pages", str(pages)]) == 0
+    for name in ("extracted.jsonl", "judged.jsonl", "assessed.jsonl", "deadletter.jsonl",
+                 "stats.json"):
+        assert (tmp_path / "replayed" / name).read_bytes() == (
+            tmp_path / "remote" / name).read_bytes(), name
+    assert len((tmp_path / "remote" / "deadletter.jsonl").read_bytes().splitlines()) == 1
 
 
 def test_generate_locked_output_dir_exits_3(tmp_path, capsys) -> None:

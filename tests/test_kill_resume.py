@@ -1,12 +1,15 @@
-"""SIGKILL a ``generate`` process at seeded commit and seal points, then resume.
+"""SIGKILL a ``generate`` process at seeded commit, ledger and seal points, then resume.
 
 Each run is a subprocess that calls the CLI's ``main`` after patching the
-checkpoint, seal and statistics writes to kill the process at the n-th one:
-before the checkpoint line that commits an item whose output line is
-already written, halfway through a checkpoint line, halfway through a seal,
-or halfway through ``stats.json``. Reruns go on until one exits 0; the
-result must equal an uninterrupted run byte for byte, and no item committed
-before a kill may be asked for again after it.
+checkpoint, ledger, seal and statistics writes to kill the process at the
+n-th one: before the checkpoint lines of a group commit whose output lines
+are already written, halfway through those checkpoint lines, before or
+halfway through the append of a reply to ``replies.jsonl`` (inside a group
+commit, so the stage's committed items are lost with it), halfway through
+a seal, or halfway through ``stats.json``. Reruns go on until one exits 0;
+the result must equal an uninterrupted run byte for byte, and no item
+committed and no reply whole in the ledger before a kill may be asked for
+again after it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ DOC2 = "b" * 40
 _KILLABLE_GENERATE = r"""
 import os, signal, sys
 from pathlib import Path
-from datamentions import cli, weaksup
+from datamentions import cli, ledger, weaksup
 
 kind, n = sys.argv[1], int(sys.argv[2])
 seen = 0
@@ -62,6 +65,12 @@ if kind in ("before-ckpt", "torn-ckpt"):
         init(self, *args)
         self._ckpt = DyingFile(self._ckpt)
     weaksup._StageWriter.__init__ = init_dying
+elif kind in ("before-ledger", "torn-ledger"):
+    open_ledger = ledger.ReplyLedger.open
+    def open_dying(self):
+        open_ledger(self)
+        self._file = DyingFile(self._file)
+    ledger.ReplyLedger.open = open_dying
 else:
     target = {"torn-seal": ".seal", "torn-stats": "stats.json"}.get(kind)
     write_bytes = Path.write_bytes
@@ -76,8 +85,8 @@ sys.exit(cli.main(sys.argv[3:]))
 """
 
 _TEMPLATE_OF = {"extract": "extractor", "judge": "judge", "reason": "reasoner"}
-_KILLS = ("before-ckpt", "torn-ckpt", "torn-seal", "before-ckpt", "torn-ckpt", "torn-seal",
-          "torn-stats")
+_KILLS = ("torn-ledger", "before-ckpt", "before-ledger", "torn-ckpt", "torn-ledger",
+          "before-ledger", "torn-ckpt", "before-ckpt", "torn-seal", "torn-seal", "torn-stats")
 
 
 def _cases() -> list:
@@ -117,15 +126,25 @@ def _generate(argv: list[str], kind: str = "none", n: int = 0) -> int:
     return proc.returncode
 
 
+def _whole_lines(path: Path) -> list[dict]:
+    data = path.read_bytes() if path.exists() else b""
+    return [json.loads(line) for line in data[: data.rfind(b"\n") + 1].splitlines()]
+
+
 def _committed(out: Path) -> set[tuple[str, str]]:
     """(template, digest) of every item whose checkpoint line is complete."""
-    done = set()
-    for stage, template in _TEMPLATE_OF.items():
-        path = out / "checkpoints" / f"{stage}.ckpt"
-        data = path.read_bytes() if path.exists() else b""
-        for line in data[: data.rfind(b"\n") + 1].splitlines():
-            done.add((template, json.loads(line)["key"].rsplit(":", 1)[1]))
-    return done
+    return {(template, row["key"].rsplit(":", 1)[1]) for stage, template in _TEMPLATE_OF.items()
+            for row in _whole_lines(out / "checkpoints" / f"{stage}.ckpt")}
+
+
+def _recorded(out: Path) -> set[tuple[str, str]]:
+    """(template, digest) of every reply whose ledger line is complete."""
+    return {(row["stage"], row["digest"]) for row in _whole_lines(out / "replies.jsonl")}
+
+
+def _items(out: Path) -> dict[str, int]:
+    """The committed items of each stage."""
+    return {stage: len(_whole_lines(out / "checkpoints" / f"{stage}.ckpt")) for stage in _TEMPLATE_OF}
 
 
 def _calls(log: Path) -> list[tuple[str, str]]:
@@ -146,11 +165,11 @@ def _kept_files(out: Path) -> dict[str, bytes]:
 def test_killed_generate_resumes_byte_identically(tmp_path, seed, concurrency) -> None:
     reference, ref_out, ref_log = _setup(tmp_path, "reference", concurrency)
     assert _generate(reference) == 0
-    total = len(_committed(ref_out))
+    ref_items, replies = _items(ref_out), len(_whole_lines(ref_out / "replies.jsonl"))
 
     argv, out, log = _setup(tmp_path, "killed", concurrency)
     rng = random.Random(seed)
-    kills: list[tuple[int, set]] = []  # (calls logged so far, items committed) at each kill
+    kills: list[tuple[int, set]] = []  # (calls logged so far, items kept) at each kill
     for kind in _KILLS:
         if kind == "torn-seal":
             seals = out / "checkpoints"
@@ -158,23 +177,28 @@ def test_killed_generate_resumes_byte_identically(tmp_path, seed, concurrency) -
             n = rng.randint(1, 3 - whole) if whole < 3 else 0
         elif kind == "torn-stats":
             n = 1  # the run writes it once, at its end: no earlier run got that far
-        else:
-            remaining = total - len(_committed(out)) if out.exists() else total
-            n = rng.randint(1, remaining) if remaining else 0
+        elif kind.endswith("ckpt"):  # a stage of fewer than 64 items flushes once
+            flushes = sum(_items(out)[stage] < ref_items[stage] for stage in _TEMPLATE_OF)
+            n = rng.randint(1, flushes) if flushes else 0
+        else:  # each reply not yet in the ledger is asked for and appended once
+            appends = replies - len(_whole_lines(out / "replies.jsonl"))
+            n = rng.randint(1, appends) if appends else 0
         if n == 0:
             continue
         assert _generate(argv, kind, n) == -signal.SIGKILL, kind
-        kills.append((len(_calls(log)), _committed(out)))
+        kills.append((len(_calls(log)), _committed(out) | _recorded(out)))
     assert len(kills) >= 3
     assert _generate(argv) == 0
 
     assert _kept_files(out) == _kept_files(ref_out)
     assert json.loads(_kept_files(out)["stats.json"]) == compute_stats(out).to_dict()
     calls = _calls(log)
-    for logged, committed in kills:
-        assert committed.isdisjoint(calls[logged:])
+    for logged, kept in kills:
+        assert kept.isdisjoint(calls[logged:])
     assert sorted(set(calls)) == sorted(set(_calls(ref_log)))
 
+    ledger = (out / "replies.jsonl").read_bytes()
     assert _generate(argv) == 0  # a sealed no-op
     assert _calls(log) == calls
     assert _kept_files(out) == _kept_files(ref_out)
+    assert (out / "replies.jsonl").read_bytes() == ledger

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +233,54 @@ def test_mock_backend_from_script_file_and_call_log(tmp_path) -> None:
     )
     logged = [json.loads(line) for line in log_path.read_text().splitlines()]
     assert [entry["stage"] for entry in logged] == ["extractor", "judge"]
+
+
+def test_a_digest_on_several_script_lines_is_given_them_in_order(tmp_path) -> None:
+    templates = load_templates()
+    script_path = tmp_path / "script.jsonl"
+    lines = [{"stage": "extract", "user_content": "page one", "response": text}
+             for text in ("first", "second", "third")]
+    lines.insert(1, {"stage": "judge", "user_content": "block one", "response": "only"})
+    script_path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    backend = MockChatBackend.from_script_file(script_path, templates=templates)
+    assert backend.script[("judge", request_digest("judge", "block one"))] == "only"
+
+    def ask(template_id: str, user_content: str) -> str:
+        return backend.complete(ChatRequest(
+            model_name="m", system_prompt=templates[template_id].body,
+            user_content=user_content)).text
+
+    assert [ask("extractor", "page one") for _ in range(5)] == [
+        "first", "second", "third", "third", "third"]  # the last one repeats
+    assert [ask("judge", "block one") for _ in range(2)] == ["only", "only"]
+
+
+def test_a_digest_with_several_replies_gives_each_once_to_many_threads() -> None:
+    templates = load_templates()
+    replies = [f"reply {i}" for i in range(60)]
+    backend = MockChatBackend({("extract", request_digest("extractor", "page")): replies},
+                              templates=templates)
+    request = ChatRequest(model_name="m", system_prompt=templates["extractor"].body,
+                          user_content="page")
+    given: list[str] = []
+
+    def ask() -> None:
+        for _ in range(30):
+            given.append(backend.complete(request).text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    # a lost update of the served count would give an earlier reply twice
+    assert sorted(given) == sorted(replies + replies[-1:] * (8 * 30 - len(replies)))
 
 
 # ---------------------------------------------------------------------------

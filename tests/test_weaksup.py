@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datamentions import cli, weaksup
+from datamentions import cli, ledger, weaksup
 from datamentions import (
     MockChatBackend,
     extract_mentions,
@@ -35,8 +36,10 @@ from datamentions.errors import (
     ValidityCouplingViolation,
 )
 from datamentions.llm import (
+    DEFAULT_MODEL,
     ChatRequest,
     ChatResponse,
+    PromptTemplate,
     extract_json_payload,
     load_templates,
     request_digest,
@@ -615,6 +618,22 @@ def test_missing_output_file_restarts_the_stage(tmp_path) -> None:
     redone = MockChatBackend(script)
     run_pipeline(pages, redone, output_dir=out, stages=("extract",))
     assert (out / "extracted.jsonl").read_bytes() == snapshot
+    assert redone.calls == []  # the ledger holds every reply the stage was given
+
+
+def test_missing_output_file_without_its_ledger_asks_every_page_again(tmp_path) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out, stages=("extract",))
+    snapshot = (out / "extracted.jsonl").read_bytes()
+
+    (out / "extracted.jsonl").unlink()
+    (out / "replies.jsonl").unlink()
+    redone = MockChatBackend(script)
+    run_pipeline(pages, redone, output_dir=out, stages=("extract",))
+    assert (out / "extracted.jsonl").read_bytes() == snapshot
     assert len(redone.calls) == 4  # one per page with text; the blank page is free
 
 
@@ -765,13 +784,34 @@ def test_torn_checkpoint_tail_is_redone_on_resume(tmp_path) -> None:
 
     resumed = MockChatBackend(script)
     run_pipeline(pages, resumed, output_dir=out)
-    assert resumed.calls == [("judge", torn_key.rsplit(":", 1)[1])]
+    assert resumed.calls == []  # the torn item's reply is in the ledger
     assert _outputs(out) == _outputs(uninterrupted)
 
     # a complete line that is not JSON is damage, not a torn tail
     ckpt.write_bytes(committed + b'{"key": \n')
     with pytest.raises(InvalidRecord, match="judge.ckpt"):
         run_pipeline(pages, MockChatBackend(script), output_dir=out)
+
+
+def test_torn_checkpoint_tail_without_the_ledger_asks_its_item_again(tmp_path) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    uninterrupted = tmp_path / "full"
+    run_pipeline(pages, MockChatBackend(script), output_dir=uninterrupted)
+
+    out = tmp_path / "torn"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    ckpt = out / "checkpoints" / "judge.ckpt"
+    committed = ckpt.read_bytes()
+    ckpt.write_bytes(committed[:-7])  # a kill in the middle of the last commit
+    torn_key = json.loads(committed.splitlines()[-1])["key"]
+    (out / "replies.jsonl").unlink()
+
+    resumed = MockChatBackend(script)
+    run_pipeline(pages, resumed, output_dir=out)
+    assert resumed.calls == [("judge", torn_key.rsplit(":", 1)[1])]
+    assert _outputs(out) == _outputs(uninterrupted)
 
 
 def test_each_judge_and_reason_body_is_encoded_once(tmp_path, monkeypatch) -> None:
@@ -1172,7 +1212,11 @@ def test_commit_offsets_are_the_file_sizes_across_a_resume(tmp_path) -> None:
     def run(ckpt: StageCheckpoint, items) -> None:
         with weaksup._StageWriter(ckpt, tmp_path, spec) as writer:
             for key, line, kept in items:
+                sizes = (out.stat().st_size, dead.stat().st_size, ckpt_path.stat().st_size)
                 writer.commit(key, line, [1] if kept else None)
+                assert (out.stat().st_size, dead.stat().st_size,
+                        ckpt_path.stat().st_size) == sizes  # held until the flush
+                writer.flush()
                 assert (ckpt.output_offset, ckpt.deadletter_offset) == (
                     out.stat().st_size, dead.stat().st_size)
 
@@ -1363,7 +1407,7 @@ def test_plan_counts_a_sealed_stage_as_done_and_writes_nothing(tmp_path, monkeyp
 # damaged outputs and checkpoint reads
 
 
-@pytest.mark.parametrize(
+_SHORT_FILES = pytest.mark.parametrize(
     "damaged, keep, redone",
     [
         ("extracted.jsonl", None, ("extractor", "judge", "reasoner")),  # None: deleted
@@ -1371,7 +1415,11 @@ def test_plan_counts_a_sealed_stage_as_done_and_writes_nothing(tmp_path, monkeyp
         ("deadletter.jsonl", 0.5, ("extractor", "judge", "reasoner")),
     ],
 )
-def test_short_file_redoes_its_stage_and_every_later_one(tmp_path, damaged, keep, redone) -> None:
+
+
+def _resume_a_short_file(tmp_path, damaged, keep, *, ledger: bool):
+    """The calls of a full run, and of a resume after ``damaged`` is cut short (or, with
+    ``ledger`` false, after the ledger is deleted too), with the resumed directory."""
     cases = _standard_cases()
     script = _pipeline_script(cases)
     poisoned_page = _page(9, "This page draws a broken reply.")  # one extract dead letter
@@ -1387,12 +1435,28 @@ def test_short_file_redoes_its_stage_and_every_later_one(tmp_path, damaged, keep
         path.unlink()
     else:
         path.write_bytes(path.read_bytes()[: int(path.stat().st_size * keep)])
+    if not ledger:
+        (out / "replies.jsonl").unlink()
 
     resumed = MockChatBackend(script)
     run_pipeline(pages, resumed, output_dir=out)
-    assert resumed.calls == [call for call in full.calls if call[0] in redone]
     assert _outputs(out) == _outputs(tmp_path / "full")
+    return full.calls, resumed.calls, out
+
+
+@_SHORT_FILES
+def test_short_file_redoes_its_stage_and_every_later_one(tmp_path, damaged, keep, redone) -> None:
+    _, resumed, out = _resume_a_short_file(tmp_path, damaged, keep, ledger=True)
+    assert resumed == []  # every redone item's replies are in the ledger
     assert all(b"\0" not in data for data in _outputs(out).values())
+
+
+@_SHORT_FILES
+def test_short_file_without_the_ledger_asks_its_stage_and_every_later_one_again(
+    tmp_path, damaged, keep, redone
+) -> None:
+    full, resumed, _ = _resume_a_short_file(tmp_path, damaged, keep, ledger=False)
+    assert resumed == [call for call in full if call[0] in redone]
 
 
 def _tree(directory) -> dict[str, bytes]:
@@ -1480,7 +1544,233 @@ def test_each_checkpoint_is_read_once_per_call(tmp_path, monkeypatch) -> None:
 
 
 # ---------------------------------------------------------------------------
+# group commit and the reply ledger
+
+
+def _lines(path: Path) -> int:
+    return len(path.read_bytes().splitlines())
+
+
+def test_a_writer_flushes_every_batch_and_on_every_exit(tmp_path) -> None:
+    (tmp_path / "checkpoints").mkdir()
+    spec = weaksup._STAGE_SPECS[0]
+    out, ckpt_path = tmp_path / spec.output_file, tmp_path / spec.checkpoint_file
+    batch = weaksup._ENUMERATION_BATCH
+    with weaksup._StageWriter(StageCheckpoint(counts=[0, 0, 0]), tmp_path, spec) as writer:
+        for i in range(batch + 2):
+            writer.commit(f"k{i}", f'"{i}"', [1, 0, 0])
+            flushed = (i + 1) // batch * batch
+            assert (_lines(out), _lines(ckpt_path)) == (flushed, flushed)
+    assert (_lines(out), _lines(ckpt_path)) == (batch + 2, batch + 2)
+
+    # an error on the way out: what was committed before it is written
+    with pytest.raises(RuntimeError, match="stop"):
+        with weaksup._StageWriter(StageCheckpoint.load(ckpt_path), tmp_path, spec) as writer:
+            writer.commit("last", '"last"', [1, 0, 0])
+            raise RuntimeError("stop")
+    assert all(fh.closed for fh in (writer._out, writer._dead, writer._ckpt))
+    assert (_lines(out), _lines(ckpt_path)) == (batch + 3, batch + 3)
+
+    # a flush that fails: the outputs went first, no checkpoint commits them,
+    # and the files are closed all the same
+    class FullDisk:
+        def write(self, data):
+            raise OSError(28, "No space left on device")
+
+    size, ckpt_size = out.stat().st_size, ckpt_path.stat().st_size
+    with pytest.raises(OSError):
+        with weaksup._StageWriter(StageCheckpoint.load(ckpt_path), tmp_path, spec) as writer:
+            ckpt_file, writer._ckpt = writer._ckpt, FullDisk()
+            writer.commit("lost", '"lost"', [1, 0, 0])
+    assert ckpt_file.closed and writer._out.closed and writer._dead.closed
+    assert out.stat().st_size > size and ckpt_path.stat().st_size == ckpt_size
+    assert StageCheckpoint.load(ckpt_path).output_offset == size
+
+
+def _ledger(directory: Path) -> list[dict]:
+    return list(read_jsonl(directory / "replies.jsonl"))
+
+
+def test_the_ledger_records_each_reply_as_its_attempt_ends(tmp_path) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    poisoned_page = _page(9, "This page draws a broken reply.")
+    poisoned = request_digest("extractor", poisoned_page.text)
+    script[("extractor", poisoned)] = "{not json"
+    pages = [case[0] for case in cases] + [poisoned_page]
+    backend = MockChatBackend(script)
+    run_pipeline(pages, backend, output_dir=tmp_path / "out")
+
+    lines = _ledger(tmp_path / "out")
+    assert [(line["stage"], line["digest"]) for line in lines] == backend.calls  # a blank page none
+    fields = ["config", "key", "n", "stage", "digest", "response", "latency_s", "retries",
+              "usage", "outcome"]
+    assert all(list(line) == fields for line in lines)
+    assert [(line["n"], line["outcome"]) for line in lines if line["digest"] == poisoned] == [
+        (0, "ParseError"), (1, "ParseError"), (2, "ParseError")]
+    assert all((line["n"], line["outcome"]) == (0, "ok")
+               for line in lines if line["digest"] != poisoned)
+    assert all(line["key"].endswith(":" + line["digest"])
+               and line["response"] == script[(line["stage"], line["digest"])] for line in lines)
+    templates = load_templates()
+    for template_id in ("extractor", "judge", "reasoner"):
+        assert {line["config"] for line in lines if line["stage"] == template_id} == {
+            ledger.settings_digest(templates[template_id], DEFAULT_MODEL, 0.0, 4096)}
+
+    # a backend error brings no reply and writes nothing
+    out = tmp_path / "stopped"
+    with pytest.raises(PipelineInterrupted):
+        run_pipeline(pages, _FailsAfter(MockChatBackend(script), budget=2), output_dir=out)
+    assert [line["digest"] for line in _ledger(out)] == [d for _, d in backend.calls[:2]]
+
+
+def _with_ledger_of(source: Path, directory: Path, data: bytes | None = None) -> Path:
+    """``directory``, made to hold ``data``, or the ledger of ``source``, and nothing else."""
+    directory.mkdir()
+    (directory / "replies.jsonl").write_bytes(
+        (source / "replies.jsonl").read_bytes() if data is None else data)
+    return directory
+
+
+@pytest.mark.parametrize("change", ["prompt", "temperature", "model"])
+def test_a_changed_setting_misses_the_ledger(tmp_path, change) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    full = MockChatBackend(script)
+    run_pipeline(pages, full, output_dir=tmp_path / "full")
+    templates = load_templates()
+    settings: dict = {"templates": templates}
+    if change == "prompt":  # one byte more in the judge's prompt
+        judge = PromptTemplate("judge", templates["judge"].body + " ")
+        settings["templates"] = {**templates, "judge": judge}
+    elif change == "temperature":
+        settings["temperature"] = 0.7
+    else:
+        settings["model_name"] = "another-model"
+
+    same = MockChatBackend(script)
+    run_pipeline(pages, same, output_dir=_with_ledger_of(tmp_path / "full", tmp_path / "same"))
+    assert same.calls == []
+
+    out = _with_ledger_of(tmp_path / "full", tmp_path / "changed")
+    changed = MockChatBackend(script, templates=settings["templates"])
+    run_pipeline(pages, changed, output_dir=out, **settings)
+    missed = ("judge",) if change == "prompt" else ("extractor", "judge", "reasoner")
+    assert changed.calls == [call for call in full.calls if call[0] in missed]
+    assert _read_bytes(out) == _read_bytes(tmp_path / "full")
+
+
+def test_a_torn_last_ledger_line_is_cut_off_and_its_call_asked_again(tmp_path) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    full = tmp_path / "full"
+    run_pipeline(pages, MockChatBackend(script), output_dir=full)
+    replies = (full / "replies.jsonl").read_bytes()
+    last = json.loads(replies.splitlines()[-1])
+
+    # a kill halfway through the last append
+    out = _with_ledger_of(full, tmp_path / "torn", replies[: -len(replies.splitlines()[-1]) // 2])
+    resumed = MockChatBackend(script)
+    run_pipeline(pages, resumed, output_dir=out)
+    assert resumed.calls == [(last["stage"], last["digest"])]
+    assert (out / "replies.jsonl").read_bytes() == replies  # the fragment cut off, the line whole
+    assert _outputs(out) == _outputs(full)
+
+
+def test_a_damaged_ledger_line_costs_only_its_call(tmp_path, caplog) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    full = tmp_path / "full"
+    run_pipeline(pages, MockChatBackend(script), output_dir=full)
+    lines = (full / "replies.jsonl").read_bytes().splitlines(keepends=True)
+    damaged = json.loads(lines[1])
+    lines[1] = lines[1].replace(b'"response":', b'"response":0,"_":', 1)  # no longer text
+
+    out = _with_ledger_of(full, tmp_path / "damaged", b"".join(lines))
+    resumed = MockChatBackend(script)
+    run_pipeline(pages, resumed, output_dir=out)
+    assert resumed.calls == [(damaged["stage"], damaged["digest"])]
+    assert "1 damaged lines left out" in caplog.text
+    assert _outputs(out) == _outputs(full)
+
+
+def test_a_ledger_run_gives_the_same_bytes_at_any_worker_count(tmp_path) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    poisoned_page = _page(9, "This page draws a broken reply.")
+    script[("extractor", request_digest("extractor", poisoned_page.text))] = "{not json"
+    pages = [case[0] for case in cases] + [poisoned_page]
+    full = tmp_path / "full"
+    run_pipeline(pages, MockChatBackend(script), output_dir=full)
+    replies = (full / "replies.jsonl").read_bytes()
+
+    for workers in (1, 2):
+        fresh = tmp_path / f"fresh{workers}"
+        run_pipeline(pages, MockChatBackend(script), output_dir=fresh, workers=workers)
+        assert _outputs(fresh) == _outputs(full)
+        assert sorted((fresh / "replies.jsonl").read_bytes().splitlines()) == sorted(
+            replies.splitlines())  # the same lines, in the order they arrived
+
+        out = _with_ledger_of(full, tmp_path / f"w{workers}")
+        replayed = MockChatBackend(script)
+        run_pipeline(pages, replayed, output_dir=out, workers=workers)
+        assert replayed.calls == []
+        assert _outputs(out) == _outputs(full)
+        assert (out / "replies.jsonl").read_bytes() == replies
+
+
+def test_replies_from_many_threads_each_reach_the_ledger_whole(tmp_path) -> None:
+    pages, script = _many_pages(300)
+    backend = MockChatBackend(script)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_pipeline(pages, backend, output_dir=tmp_path / "out", stages=("extract",), workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    lines = _ledger(tmp_path / "out")  # every line decodes: no two appends interleaved
+    assert sorted((line["stage"], line["digest"]) for line in lines) == sorted(backend.calls)
+    assert len({line["key"] for line in lines}) == len(pages)
+
+
+def test_a_sealed_rerun_never_opens_the_ledger(tmp_path, monkeypatch) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    before = _tree(out)
+    loaded: list[Path] = []
+    load = ledger.ReplyLedger.load.__func__
+
+    def counted(cls, path):
+        loaded.append(path)
+        return load(cls, path)
+
+    monkeypatch.setattr(ledger.ReplyLedger, "load", classmethod(counted))
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    plan_pipeline(pages, output_dir=out)
+    assert loaded == []
+    assert _tree(out) == before
+
+
+# ---------------------------------------------------------------------------
 # statistics and export
+
+
+def test_compute_stats_reads_valid_flags_as_the_stages_do(tmp_path) -> None:
+    flags = [{"valid": "false"}, {"valid": " TRUE "}, {"valid": True}, {"valid": None}, {}]
+    write_jsonl(tmp_path / "judged.jsonl", [{"block": {}, "verdicts": flags}])
+    write_jsonl(tmp_path / "assessed.jsonl", [{"block": {}, "assessments": flags[::-1]}])
+    stats = compute_stats(tmp_path)
+    assert (stats.mentions_judged_valid, stats.mentions_agent_valid) == (2, 2)
+
+    write_jsonl(tmp_path / "judged.jsonl", [{"block": {}, "verdicts": [{"valid": "maybe"}]}])
+    with pytest.raises(InvalidRecord, match="valid"):
+        compute_stats(tmp_path)
 
 
 def test_compute_stats_on_empty_directory(tmp_path) -> None:
