@@ -27,7 +27,6 @@ from .errors import (
     DataMentionsError,
     InputError,
     MalformedResponse,
-    MissingField,
     NetworkError,
     PipelineInterrupted,
     UnscriptedInput,
@@ -43,7 +42,7 @@ from .gate import (
     filter_pages,
 )
 from .llm import MockChatBackend, ChatBackend, RemoteChatBackend, load_templates
-from .records import PageRecord, _coerce_bool, _coerce_int, _require, read_jsonl, write_jsonl
+from .records import PageRecord, _coerce_bool, _coerce_int, _require, read_rows, write_jsonl
 from .retries import RetryPolicy
 from .splits import SplitSpec, import_annotations, sample_pages, split
 from .weaksup import (
@@ -176,7 +175,7 @@ def _load_pages(cfg: PipelineConfig, pages_file: str | None) -> list[PageRecord]
         path = Path(pages_file)
         if not path.exists():
             raise InputError(f"pages file {path} does not exist")
-        return [PageRecord.from_dict(row) for row in read_jsonl(path)]
+        return list(read_rows(path, PageRecord.from_dict))
     return CorpusStore(cfg.corpus_dir).iter_pages()
 
 
@@ -199,20 +198,19 @@ def _run_locked(
         )
 
 
+def _decision(row: dict) -> tuple[tuple[str, int], bool]:
+    """A gate decision row: its page's key and whether the page passed."""
+    where = "decision"
+    passed = _coerce_bool(_require(row, "passed", where), "passed", where)
+    return (_require(row, "doc_id", where),
+            _coerce_int(_require(row, "page_number", where), "page_number", where)), passed
+
+
 def _apply_decisions(pages: list[PageRecord], decisions_file: str) -> list[PageRecord]:
     path = Path(decisions_file)
     if not path.exists():
         raise InputError(f"decisions file {path} does not exist")
-    where = f"{path}: decision"
-    try:
-        passed = {
-            (_require(row, "doc_id", where),
-             _coerce_int(_require(row, "page_number", where), "page_number", where))
-            for row in read_jsonl(path)
-            if _coerce_bool(_require(row, "passed", where), "passed", where)
-        }
-    except MissingField as exc:
-        raise InputError(f"{path}: a decision lacks {exc.field!r}") from None
+    passed = {key for key, ok in read_rows(path, _decision) if ok}
     return [p for p in pages if (p.doc_id, p.page_number) in passed]
 
 
@@ -252,7 +250,7 @@ def cmd_ingest(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     store = CorpusStore(cfg.corpus_dir)
     added = skipped = 0
     if args.pages is not None:
-        pages = (PageRecord.from_dict(row) for row in read_jsonl(args.pages))
+        pages = read_rows(args.pages, PageRecord.from_dict)
         summary = store.ingest_pages(pages)
         added, skipped = summary.added, summary.skipped
     else:
@@ -380,19 +378,19 @@ def cmd_export_finetune(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _extracted_names(row: dict) -> tuple[tuple[str, int], list[str]]:
+    """An extraction row: its page's key and the raw names of its mentions."""
+    names = [str(d["raw_name"]) for block in row.get("blocks", [])
+             for d in block.get("datasets", [])]
+    return (row["doc_id"], int(row["page_number"])), names
+
+
 def cmd_infer(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     pages = _load_pages(cfg, args.pages)
     passed, decisions = _gate_pages(cfg, pages)
     infer_dir = cfg.output_dir / "infer"
     _run_locked(cfg, passed, infer_dir, ("extract",))
-    names_by_page: dict[tuple[str, int], list[str]] = {}
-    for row in read_jsonl(infer_dir / "extracted.jsonl"):
-        names = [
-            str(d["raw_name"])
-            for block in row.get("blocks", [])
-            for d in block.get("datasets", [])
-        ]
-        names_by_page[(row["doc_id"], int(row["page_number"]))] = names
+    names_by_page = dict(read_rows(infer_dir / "extracted.jsonl", _extracted_names))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_jsonl(out, ({"doc_id": page.doc_id, "page_number": page.page_number,

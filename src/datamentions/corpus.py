@@ -28,7 +28,8 @@ from .errors import (
     NonPdfContent,
     StoreWriteError,
 )
-from .records import DocumentRecord, PageRecord, dumps_line, read_jsonl
+# read_jsonl is not called here, but perfbench/tracing.py patches it by this name
+from .records import DocumentRecord, PageRecord, dumps_line, read_jsonl, read_rows  # noqa: F401
 from .retries import RetryPolicy, send_with_retries
 
 if TYPE_CHECKING:
@@ -202,13 +203,13 @@ class CorpusStore:
         self.pages_path = self.root / "pages.jsonl"
         self._page_index: set[tuple[str, int]] | None = None
 
-    def _rows(self) -> Iterator[dict[str, Any]]:
-        """The decoded lines of ``pages.jsonl``, less a torn tail."""
+    def _rows(self, parse: Callable[[dict[str, Any]], Any]) -> Iterator[Any]:
+        """``parse`` of each line of ``pages.jsonl``, less a torn tail (:func:`read_rows`)."""
         tail = _unterminated_tail(self.pages_path)
         if tail is None or _decodes(tail[1]):
-            return read_jsonl(self.pages_path)
+            return read_rows(self.pages_path, parse)
         log.warning("%s: skipping a torn last line of %d bytes", self.pages_path, len(tail[1]))
-        return read_jsonl(self.pages_path, len(tail[0]))
+        return read_rows(self.pages_path, parse, len(tail[0]))
 
     def _append(self, lines: list[str]) -> None:
         path = self.pages_path
@@ -233,8 +234,8 @@ class CorpusStore:
         if self._page_index is None:
             self._page_index = set()
             if self.pages_path.exists():
-                for row in self._rows():
-                    self._page_index.add((row["doc_id"], int(row["page_number"])))
+                self._page_index.update(
+                    self._rows(lambda row: (row["doc_id"], int(row["page_number"]))))
         added = 0
         skipped = 0
         lines: list[str] = []
@@ -257,8 +258,7 @@ class CorpusStore:
     def iter_pages(self) -> list[PageRecord]:
         if not self.pages_path.exists():
             return []
-        pages = [PageRecord.from_dict(row) for row in self._rows()]
-        return sorted(pages, key=attrgetter("doc_id", "page_number"))
+        return sorted(self._rows(PageRecord.from_dict), key=attrgetter("doc_id", "page_number"))
 
 
 def fetch_pdf(

@@ -17,7 +17,7 @@ class ConfigError(DataMentionsError):
 
 
 class InputError(DataMentionsError):
-    """A user-supplied input file or argument is unusable."""
+    """An input file is missing, an argument is unusable, or the output directory is locked."""
 
 
 # --- network / backend ------------------------------------------------------
@@ -57,7 +57,7 @@ class MalformedResponse(DataMentionsError):
 # --- structured-payload parsing --------------------------------------------
 
 class ParseError(DataMentionsError):
-    """Payload text is not valid JSON.
+    """A reply's payload text is not valid JSON.
 
     ``offset`` is the byte offset of the first undecodable position within
     the payload, when known.
@@ -86,6 +86,7 @@ class MissingField(DataMentionsError):
     def __init__(self, field: str, where: str = "payload"):
         super().__init__(f"required field {field!r} missing from {where}")
         self.field = field
+        self.where = where
 
 
 class BadEnum(DataMentionsError):

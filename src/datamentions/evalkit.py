@@ -18,8 +18,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .errors import InvalidRecord, ParseError, UnknownAdapter
-from .records import GroundTruthRecord, PredictionRecord, _coerce_int, frozen_record, read_jsonl
+from .errors import InvalidRecord, UnknownAdapter
+from .records import (
+    GroundTruthRecord,
+    PredictionRecord,
+    _coerce_int,
+    _require,
+    frozen_record,
+    read_rows,
+)
 from .textnorm import normalize_tokens
 
 __all__ = [
@@ -250,53 +257,33 @@ def score_records(
 # prediction-file adapters
 
 
-def _from_canonical(path: Path) -> list[PredictionRecord]:
-    return [PredictionRecord.from_dict(row) for row in read_jsonl(path)]
-
-
-def _from_nuextract(path: Path) -> list[PredictionRecord]:
-    """Flatten sliding-template payloads: data_mentions[].datasets[].raw_name."""
-    records = []
-    for row in read_jsonl(path):
-        names: list[str] = []
-        mentions = row.get("data_mentions")
-        if mentions is None:
-            raise ParseError(f"{path}: prediction line lacks 'data_mentions'")
-        try:
-            for block in mentions:
-                for dataset in block.get("datasets", []):
-                    raw_name = dataset.get("raw_name")
-                    if raw_name:
-                        names.append(str(raw_name))
-            records.append(
-                PredictionRecord(
-                    doc_id=str(row.get("doc_id") or row.get("source") or ""),
-                    page_number=_coerce_int(row.get("page_number") or row.get("page") or 1,
-                                            "page_number", "prediction line"),
-                    predicted_names=tuple(names),
-                )
-            )
-        except (InvalidRecord, TypeError, AttributeError, IndexError, KeyError) as exc:
-            # a page number that is not an integer, a number where a block or a list belongs
-            raise ParseError(f"{path}: record has a field of the wrong type: {exc!r}") from None
-    return records
+def _from_nuextract(row: dict[str, Any]) -> PredictionRecord:
+    """Flatten a sliding-template payload: data_mentions[].datasets[].raw_name."""
+    mentions = _require(row, "data_mentions", "prediction line")
+    page = next(p for p in (row.get("page_number"), row.get("page"), 1) if p is not None)
+    return PredictionRecord(
+        doc_id=str(row.get("doc_id") or row.get("source") or ""),
+        page_number=_coerce_int(page, "page_number", "prediction line"),
+        predicted_names=tuple(str(dataset["raw_name"]) for block in mentions
+                              for dataset in block.get("datasets", []) if dataset.get("raw_name")),
+    )
 
 
 _ADAPTERS = {
-    "canonical": _from_canonical,
+    "canonical": PredictionRecord.from_dict,
     "nuextract_template": _from_nuextract,
 }
 
 
 def import_predictions(path: str | Path, adapter: str = "canonical") -> list[PredictionRecord]:
-    """Load a prediction file through the named format adapter."""
+    """Load a prediction file through the named format adapter, one record per row."""
     try:
-        load = _ADAPTERS[adapter]
+        parse = _ADAPTERS[adapter]
     except KeyError:
         raise UnknownAdapter(
             f"unknown adapter {adapter!r}; expected one of {sorted(_ADAPTERS)}"
         ) from None
-    return load(Path(path))
+    return list(read_rows(path, parse))
 
 
 # ---------------------------------------------------------------------------

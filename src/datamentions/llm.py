@@ -25,13 +25,14 @@ from .errors import (
     BackendError,
     InvalidRecord,
     MalformedResponse,
+    MissingField,
     MultiplePayloads,
     NoPayloadFound,
     ParseError,
     UnknownTemplate,
     UnscriptedInput,
 )
-from .records import _has_lone_surrogate, _loads_exact, frozen_record, read_jsonl
+from .records import _has_lone_surrogate, _loads_exact, frozen_record, read_rows
 from .retries import RetryPolicy, send_with_retries
 
 if TYPE_CHECKING:
@@ -197,6 +198,19 @@ class RemoteChatBackend:
         )
 
 
+def _script_entry(entry: dict[str, Any]) -> tuple[tuple[str, str], str]:
+    """A mock script line's (template id, digest) and its reply."""
+    keyed = "digest" in entry
+    for key in ("stage", "response", "digest" if keyed else "user_content"):
+        if key not in entry:
+            raise MissingField(key, "script line")
+        if not isinstance(entry[key], str):
+            raise InvalidRecord(f"script line: {key} is not a string: {type(entry[key]).__name__}")
+    stage = _STAGE_ALIASES.get(entry["stage"], entry["stage"])
+    digest = entry["digest"] if keyed else request_digest(stage, entry["user_content"])
+    return (stage, digest), entry["response"]
+
+
 class MockChatBackend:
     """Deterministic backend scripted by (template id, request digest).
 
@@ -243,25 +257,11 @@ class MockChatBackend:
         that replays its run.
         """
         templates = templates or load_templates()
-        script: dict[tuple[str, str], str | list[str]] = {}
-        for entry in read_jsonl(path):
-            keyed = "digest" in entry
-            for key in ("stage", "response", "digest" if keyed else "user_content"):
-                if key not in entry:
-                    raise InvalidRecord(f"{path}: a script line lacks {key!r}")
-                if not isinstance(entry[key], str):
-                    raise InvalidRecord(f"{path}: a script line's {key} is not a string: "
-                                        f"{type(entry[key]).__name__}")
-            stage = _STAGE_ALIASES.get(entry["stage"], entry["stage"])
-            digest = entry["digest"] if keyed else request_digest(stage, entry["user_content"])
-            earlier = script.get((stage, digest))
-            if earlier is None:
-                script[(stage, digest)] = entry["response"]
-            elif isinstance(earlier, str):
-                script[(stage, digest)] = [earlier, entry["response"]]
-            else:
-                earlier.append(entry["response"])
-        return cls(script, templates=templates, call_log=call_log)
+        script: dict[tuple[str, str], list[str]] = {}
+        for scripted, response in read_rows(path, _script_entry):
+            script.setdefault(scripted, []).append(response)
+        return cls({key: replies[0] if len(replies) == 1 else replies
+                    for key, replies in script.items()}, templates=templates, call_log=call_log)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         template_id = self._prompt_to_template.get(request.system_prompt)

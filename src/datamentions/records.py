@@ -21,7 +21,7 @@ all threads, where ``json.dumps`` builds a new one for every call
 (:func:`dumps_line`). When the optional ``fast`` extra is installed, orjson
 writes the values it encodes identically: prompt records
 (:func:`canonical_json`) and flat record lines such as pages, exports and
-dead letters. It also decodes every line that :func:`read_jsonl` reads and
+dead letters. It also decodes every line that :func:`read_rows` reads and
 every model reply payload, keeping its value only where ``json`` is known
 to give the same one; every other text is decoded, and refused, by
 ``json`` as before. orjson is imported on the first value encoded or line
@@ -52,6 +52,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadEnum,
+    DataMentionsError,
     InvalidRecord,
     MissingField,
     ValidityCouplingViolation,
@@ -821,16 +822,36 @@ def _loads_exact(text: str) -> Any:
     return value if _orjson_safe(value) else None
 
 
-def read_jsonl(path: str | Path, size: int | None = None) -> Iterator[dict[str, Any]]:
-    """Yield one parsed object per non-blank line of ``path``.
+# What a row's ``parse`` may raise for a row of the wrong shape: a record's
+# own refusal, a missing key or index, a value of the wrong type or form.
+_ROW_ERRORS = (DataMentionsError, LookupError, TypeError, ValueError, AttributeError)
+
+
+def _row_fault(exc: Exception) -> str:
+    """What :func:`read_rows` says ``parse`` found wrong with a row."""
+    if isinstance(exc, MissingField):
+        return f"{exc.where} lacks {exc.field!r}"
+    if isinstance(exc, KeyError) and isinstance(exc.args[0], str):  # JSON keys are strings
+        return f"the row lacks {exc.args[0]!r}"
+    detail = exc if isinstance(exc, DataMentionsError) else repr(exc)
+    return f"the row has a field of the wrong type or value: {detail}"
+
+
+def read_rows(
+    path: str | Path, parse: Callable[[dict[str, Any]], Any] | None, size: int | None = None
+) -> Iterator[Any]:
+    """Yield ``parse(row)`` for each object on a non-blank line of ``path``.
 
     With ``size``, only the complete lines within the first ``size`` bytes
     are read: a line cut short there, and whatever follows it, is never
     decoded. Lines end at ``\\n`` alone, as byte offsets count them. Nothing
-    is read before the first ``next``. A line that is not UTF-8, that is
-    not JSON, whose strings hold a lone surrogate (a ``\\ud800`` escape,
-    which no UTF-8 file can hold), or that is not an object raises
-    :class:`InvalidRecord` naming the file and the line number.
+    is read before the first ``next``. Every fault of a line raises
+    :class:`InvalidRecord` that reads ``<path>: line <n> ...``, ``n`` the
+    line's number in the file: a line that is not UTF-8, that is not JSON,
+    whose strings hold a lone surrogate (a ``\\ud800`` escape, which no
+    UTF-8 file can hold) or that is not an object, and any error in
+    :data:`_ROW_ERRORS` that ``parse`` raises. With ``parse`` None the rows
+    themselves are yielded.
 
     orjson, when installed, decodes a line first (:func:`_loads_exact`); it
     refuses the lines the checks above look for, so a line it decoded
@@ -860,7 +881,17 @@ def read_jsonl(path: str | Path, size: int | None = None) -> Iterator[dict[str, 
                     raise InvalidRecord(f"{path}: line {number} holds a lone surrogate")
             if type(row) is not dict:
                 raise InvalidRecord(f"{path}: line {number} is not a JSON object")
+            if parse is not None:
+                try:
+                    row = parse(row)
+                except _ROW_ERRORS as exc:
+                    raise InvalidRecord(f"{path}: line {number}: {_row_fault(exc)}") from exc
             yield row
+
+
+def read_jsonl(path: str | Path, size: int | None = None) -> Iterator[dict[str, Any]]:
+    """The rows of ``path`` as :func:`read_rows` reads them, each as decoded."""
+    return read_rows(path, None, size)
 
 
 __all__ = [
@@ -883,6 +914,7 @@ __all__ = [
     "is_doc_id",
     "parse_mention_block",
     "read_jsonl",
+    "read_rows",
     "validate_mention",
     "write_jsonl",
 ]

@@ -17,14 +17,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence, TypeVar
 
-from .errors import (
-    InvalidRecord,
-    InvalidSpec,
-    MissingField,
-    ParseError,
-    PopulationTooSmall,
-    UnknownFormat,
-)
+from .errors import InvalidSpec, PopulationTooSmall, UnknownFormat
 from .records import (
     CONTEXT_VALUES,
     SPECIFICITY_VALUES,
@@ -33,7 +26,7 @@ from .records import (
     _coerce_int,
     _names,
     _require,
-    read_jsonl,
+    read_rows,
 )
 from .textnorm import normalize_tokens
 
@@ -192,51 +185,30 @@ def _gold_from_row(
     )
 
 
-def _import_canonical(path: Path, warnings: list[str]) -> list[GroundTruthRecord]:
+def _gold_from_canonical(row: dict, warnings: list[str]) -> GroundTruthRecord:
     where = "ground truth record"
-    records = []
-    for row in read_jsonl(path):
-        try:
-            records.append(_gold_from_row(
-                str(_require(row, "doc_id", where)),
-                _coerce_int(_require(row, "page_number", where), "page_number", where),
-                _names(row, "gold_names", where),
-                row.get("labels"),
-                warnings,
-            ))
-        except MissingField as exc:
-            raise ParseError(f"{path}: record lacks {exc.field!r}") from None
-        except InvalidRecord as exc:
-            raise ParseError(f"{path}: record has a field of the wrong type: {exc}") from None
-    return records
+    return _gold_from_row(
+        str(_require(row, "doc_id", where)),
+        _coerce_int(_require(row, "page_number", where), "page_number", where),
+        _names(row, "gold_names", where),
+        row.get("labels"),
+        warnings,
+    )
 
 
-def _import_doccano(path: Path, warnings: list[str]) -> list[GroundTruthRecord]:
-    """Map span-annotation exports to gold names.
+def _gold_from_doccano(row: dict, warnings: list[str]) -> GroundTruthRecord:
+    """Map a span-annotation export row to gold names.
 
-    Each line carries the page text and labeled character spans
+    The row carries the page text and labeled character spans
     ``[start, end, label]``; the spanned substrings become gold names.
     A span label matching a known context or specificity value is recorded
     as that per-name label; other labels are ignored with a warning.
     """
-    records = []
-    for row in read_jsonl(path):
-        text = row.get("text")
-        if text is None:
-            raise ParseError(f"{path}: annotation record lacks 'text'")
-        try:
-            records.append(_gold_from_doccano(row, text, warnings))
-        except (InvalidRecord, ValueError, TypeError, AttributeError, IndexError, KeyError) as exc:
-            # a word for a number, a span too short, a mapping where a list belongs
-            raise ParseError(f"{path}: record has a field of the wrong type: {exc!r}") from None
-    return records
-
-
-def _gold_from_doccano(row: dict, text: str, warnings: list[str]) -> GroundTruthRecord:
+    text = _require(row, "text", "annotation record")
     meta = row.get("meta") or {}
     doc_id = str(row.get("doc_id") or meta.get("doc_id") or "")
-    page_number = _coerce_int(row.get("page_number") or meta.get("page_number") or 1,
-                              "page_number", "annotation record")
+    page = next(p for p in (row.get("page_number"), meta.get("page_number"), 1) if p is not None)
+    page_number = _coerce_int(page, "page_number", "annotation record")
     names: list[str] = []
     labels: dict[str, dict[str, str]] = {}
     for span in row.get("label", []):
@@ -259,8 +231,8 @@ def _gold_from_doccano(row: dict, text: str, warnings: list[str]) -> GroundTruth
 
 
 _FORMATS = {
-    "canonical": _import_canonical,
-    "doccano_export": _import_doccano,
+    "canonical": _gold_from_canonical,
+    "doccano_export": _gold_from_doccano,
 }
 
 
@@ -270,13 +242,13 @@ def import_annotations(
 ) -> tuple[list[GroundTruthRecord], list[str]]:
     """Load ground truth through the named format; returns (records, warnings)."""
     try:
-        load = _FORMATS[fmt]
+        parse = _FORMATS[fmt]
     except KeyError:
         raise UnknownFormat(
             f"unknown annotation format {fmt!r}; expected one of {sorted(_FORMATS)}"
         ) from None
     warnings: list[str] = []
-    records = load(Path(path), warnings)
+    records = list(read_rows(path, lambda row: parse(row, warnings)))
     for warning in warnings:
         log.warning("%s", warning)
     return records, warnings

@@ -61,7 +61,9 @@ One table of stage specs drives both :func:`run_pipeline` and
 :func:`plan_pipeline`, so they walk the same items under the same keys and
 ``generate --dry-run`` counts exactly the calls a run would issue, none
 for an item whose first reply is in the ledger (beyond those, a reply that
-fails to parse is asked for again, up to the per-item retry budget).
+fails to parse is asked for again, up to the per-item retry budget); it
+reports a stage's calls as unknown while an earlier stage has yet to write
+its input.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from contextlib import ExitStack, closing
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -120,7 +122,8 @@ from .records import (
     _label,
     _require,
     _write_all,
-    read_jsonl,
+    read_jsonl,  # noqa: F401 -- not called here, but perfbench/tracing.py patches it by this name
+    read_rows,
     validate_mention,
     write_jsonl,
     CONTEXT_VALUES,
@@ -654,33 +657,32 @@ def _counted_valid(entry: Mapping[str, Any]) -> bool:
     return value is not None and _coerce_bool(value, "valid", "stage output row")
 
 
+def _block_counts(row: Mapping[str, Any]) -> tuple[int, int]:
+    """An extraction row's blocks and mentions."""
+    blocks = row.get("blocks", [])
+    return len(blocks), sum(len(block.get("datasets", [])) for block in blocks)
+
+
 def compute_stats(output_dir: str | Path) -> PipelineStats:
     """Recompute statistics from whatever stage outputs exist on disk."""
     output_dir = Path(output_dir)
-    pages = blocks = mentions = judged_valid = agent_valid = 0
-    extracted = output_dir / "extracted.jsonl"
-    if extracted.exists():
-        for row in read_jsonl(extracted):
-            pages += 1
-            for block in row.get("blocks", []):
-                blocks += 1
-                mentions += len(block.get("datasets", []))
-    judged = output_dir / "judged.jsonl"
-    if judged.exists():
-        for row in read_jsonl(judged):
-            judged_valid += sum(map(_counted_valid, row.get("verdicts", [])))
-    assessed = output_dir / "assessed.jsonl"
-    if assessed.exists():
-        for row in read_jsonl(assessed):
-            agent_valid += sum(map(_counted_valid, row.get("assessments", [])))
-    retention = agent_valid / judged_valid if judged_valid > 0 else None
+
+    def rows(name: str, parse: Callable[[dict[str, Any]], Any]) -> Iterable[Any]:
+        path = output_dir / name
+        return read_rows(path, parse) if path.exists() else ()
+
+    extracted = list(rows("extracted.jsonl", _block_counts))
+    judged_valid = sum(rows("judged.jsonl",
+                            lambda row: sum(map(_counted_valid, row.get("verdicts", [])))))
+    agent_valid = sum(rows("assessed.jsonl",
+                           lambda row: sum(map(_counted_valid, row.get("assessments", [])))))
     return PipelineStats(
-        pages_processed=pages,
-        blocks_extracted=blocks,
-        mentions_extracted=mentions,
+        pages_processed=len(extracted),
+        blocks_extracted=sum(blocks for blocks, _ in extracted),
+        mentions_extracted=sum(mentions for _, mentions in extracted),
         mentions_judged_valid=judged_valid,
         mentions_agent_valid=agent_valid,
-        retention_after_agent=retention,
+        retention_after_agent=agent_valid / judged_valid if judged_valid > 0 else None,
     )
 
 
@@ -727,34 +729,35 @@ def _extract_items(pages: Iterable[PageRecord]) -> Iterator[tuple[str, int, str,
         yield page.doc_id, page.page_number, page.text, page
 
 
-def _block_item(block: MentionBlock) -> tuple[str, int, str, tuple[MentionBlock, dict]]:
-    payload = block.to_dict()
-    return block.source, block.page, canonical_json(payload), (block, payload)
+def _extracted_blocks(row: dict[str, Any]) -> list[MentionBlock]:
+    """An extraction row's blocks that hold a mention, one judge item each."""
+    return [block for block in map(MentionBlock.from_dict, row.get("blocks", []))
+            if block.datasets]
 
 
-def _judge_items(
-    extracted: Iterable[dict[str, Any]],
+def _judged_survivors(row: dict[str, Any]) -> list[MentionBlock]:
+    """A judged row's block cut to its judge-valid mentions, enriched by the judge.
+
+    One reason item, or none when no mention survives.
+    """
+    block = MentionBlock.from_dict(row["block"])
+    verdicts = [JudgeVerdict.from_dict(v) for v in row.get("verdicts", [])]
+    survivors = tuple(
+        _enriched_mention(m, v) for m, v in zip(block.datasets, verdicts) if v.valid
+    )
+    if not survivors:
+        return []
+    # the decoded block itself when no mention changed
+    return [block if survivors == block.datasets else replace(block, datasets=survivors)]
+
+
+def _block_items(
+    rows: Iterable[list[MentionBlock]],
 ) -> Iterator[tuple[str, int, str, tuple[MentionBlock, dict]]]:
-    for row in extracted:
-        for block_payload in row.get("blocks", []):
-            block = MentionBlock.from_dict(block_payload)
-            if block.datasets:
-                yield _block_item(block)
-
-
-def _reason_items(
-    judged: Iterable[dict[str, Any]],
-) -> Iterator[tuple[str, int, str, tuple[MentionBlock, dict]]]:
-    """The judge-valid mentions of each block, enriched by the judge."""
-    for row in judged:
-        block = MentionBlock.from_dict(row["block"])
-        verdicts = [JudgeVerdict.from_dict(v) for v in row.get("verdicts", [])]
-        survivors = tuple(
-            _enriched_mention(m, v) for m, v in zip(block.datasets, verdicts) if v.valid
-        )
-        if survivors:  # the decoded block itself when no mention changed
-            yield _block_item(block if survivors == block.datasets
-                              else replace(block, datasets=survivors))
+    for blocks in rows:
+        for block in blocks:
+            payload = block.to_dict()
+            yield block.source, block.page, canonical_json(payload), (block, payload)
 
 
 def _produce_extract(
@@ -795,18 +798,21 @@ def _produce_reason(
 class _StageSpec:
     """One stage of the pipeline: what it reads, what it writes, one item's work.
 
+    ``parse`` reads one row of the input file, and ``items`` turns the
+    pages, or what ``parse`` made of the rows, into items.
     ``produce(subject, user_content, backend, stage_kwargs)`` returns the
     item's output line and what it adds to each of the stage's ``counters``,
     the :class:`PipelineStats` fields the stage counts; ``user_content`` is
-    the text ``items`` yielded for the item's key. ``items`` and ``produce``
-    reach the stage functions and record helpers through this module's
-    globals at call time, never through references taken at import.
+    the text ``items`` yielded for the item's key. ``parse``, ``items`` and
+    ``produce`` reach the stage functions and record helpers through this
+    module's globals at call time, never through references taken at import.
     """
 
     name: str
     template_id: str
     input_file: str | None  # None: the stage reads the pages passed in
     output_file: str
+    parse: Callable[[dict[str, Any]], Any] | None
     items: Callable[[Any], Iterator[tuple[str, int, str, Any]]]
     produce: Callable[[Any, str, ChatBackend, Mapping[str, Any]], tuple[str, list[int]]]
     counters: tuple[str, ...]
@@ -822,12 +828,12 @@ class _StageSpec:
 
 _STAGE_SPECS = (
     _StageSpec("extract", _STAGE_ALIASES["extract"], None, "extracted.jsonl",
-               _extract_items, _produce_extract,
+               None, _extract_items, _produce_extract,
                ("pages_processed", "blocks_extracted", "mentions_extracted")),
     _StageSpec("judge", _STAGE_ALIASES["judge"], "extracted.jsonl", "judged.jsonl",
-               _judge_items, _produce_judge, ("mentions_judged_valid",)),
+               _extracted_blocks, _block_items, _produce_judge, ("mentions_judged_valid",)),
     _StageSpec("reason", _STAGE_ALIASES["reason"], "judged.jsonl", "assessed.jsonl",
-               _reason_items, _produce_reason, ("mentions_agent_valid",)),
+               _judged_survivors, _block_items, _produce_reason, ("mentions_agent_valid",)),
 )
 _WRITER_OF = {spec.output_file: spec.name for spec in _STAGE_SPECS}
 
@@ -934,11 +940,8 @@ def _committed_keys(
         if spec.name not in names:
             continue
         path, size = output_dir / spec.checkpoint_file, checkpoints[spec.name].size
-        rows = read_jsonl(path, size) if size else ()  # with nothing committed it may be missing
-        try:
-            keys[spec.name] = frozenset(row["key"] for row in rows)
-        except (KeyError, TypeError) as exc:
-            raise InvalidRecord(f"{path}: damaged checkpoint line: {exc!r}") from exc
+        # with nothing committed it may be missing
+        keys[spec.name] = frozenset(read_rows(path, itemgetter("key"), size) if size else ())
     return keys
 
 
@@ -980,7 +983,7 @@ def _stage_source(
     if not path.exists():
         return None
     size = checkpoints[_WRITER_OF[spec.input_file]].output_offset
-    return read_jsonl(path, size), _sha256(path, size)
+    return read_rows(path, spec.parse, size), _sha256(path, size)
 
 
 # Bump when the item keys a stage derives from its input change.
@@ -1181,7 +1184,7 @@ class StagePlan:
     """What one stage would do if run now."""
 
     stage: str
-    pending: int | None  # None when the stage's input does not exist yet or will be redone
+    pending: int | None  # None when the stage's input is missing or will be written again
     backend_calls: int | None
 
 
@@ -1199,22 +1202,24 @@ def plan_pipeline(
 
     Walks the same items as :func:`run_pipeline` and keeps the same
     checkpoints: completed keys are excluded, a stage the run would redo
-    counts all its items, a sealed stage has nothing pending, and stages
-    whose input file has not been produced yet, or will be written again
-    because its stage is redone, report unknown amounts. A pending item
-    whose first reply is in the ledger under the given settings costs no
-    call. Nothing is written.
+    counts all its items, and a sealed stage has nothing pending. A stage
+    reports unknown amounts when its input file has not been produced yet,
+    or when the stage that writes it will write it again: it is redone, or
+    it is planned with pending items or unknown amounts itself. A pending
+    item whose first reply is in the ledger under the given settings costs
+    no call. Nothing is written.
     """
     output_dir = Path(output_dir)
     checkpoints, redone = _resume_checkpoints(output_dir)
     sealed: set[str] = set()
     done: dict[str, frozenset[str]] | None = None
-    plans: list[StagePlan] = []
+    plans: dict[str, StagePlan] = {}
     for spec in _selected_specs(stages):
-        redone_input = _WRITER_OF.get(spec.input_file) in redone
-        staged = None if redone_input else _stage_source(spec, pages, output_dir, checkpoints)
+        writer = _WRITER_OF.get(spec.input_file)
+        written_again = writer in redone or (writer in plans and plans[writer].pending != 0)
+        staged = None if written_again else _stage_source(spec, pages, output_dir, checkpoints)
         if staged is None:
-            plans.append(StagePlan(stage=spec.name, pending=None, backend_calls=None))
+            plans[spec.name] = StagePlan(stage=spec.name, pending=None, backend_calls=None)
             continue
         source, input_digest = staged
         checkpoint = checkpoints[spec.name]
@@ -1235,8 +1240,8 @@ def plan_pipeline(
                     pending += 1
                     # a blank page costs no call, nor does a recorded reply
                     calls += bool(user_content.strip()) and (settings, key, 0) not in recorded
-        plans.append(StagePlan(stage=spec.name, pending=pending, backend_calls=calls))
-    return plans
+        plans[spec.name] = StagePlan(stage=spec.name, pending=pending, backend_calls=calls)
+    return list(plans.values())
 
 
 # ---------------------------------------------------------------------------
@@ -1249,9 +1254,17 @@ DEFAULT_INSTRUCTION_PREAMBLE = (
 )
 
 
+def _valid_mentions(row: dict[str, Any]) -> tuple[tuple[str, int], list[dict[str, Any]]]:
+    """An assessed row's page key and its agent-valid mentions, with the agent's labels."""
+    block = row["block"]
+    key = (block["source"], _coerce_int(block["page"], "page", "assessed block"))
+    return key, [{**a.mention.to_dict(), "specificity": a.specificity, "context": a.context}
+                 for a in map(AgentAssessment.from_dict, row.get("assessments", [])) if a.valid]
+
+
 def export_finetune_records(
     pages: Iterable[PageRecord],
-    assessed: str | Path | Iterable[Mapping[str, Any]],
+    assessed: str | Path,
     out_path: str | Path,
     split_tag: str | None = None,
 ) -> int:
@@ -1264,25 +1277,11 @@ def export_finetune_records(
 
     Every assessed row is read before ``out_path`` and its missing parent
     directories are made; a row of the wrong shape raises
-    :class:`ParseError` naming the file, and nothing is written.
+    :class:`InvalidRecord` naming the file and the line, and nothing is written.
     """
-    is_path = isinstance(assessed, (str, Path))
-    rows = read_jsonl(assessed) if is_path else assessed
     valid_by_page: dict[tuple[str, int], list[dict[str, Any]]] = {}
-    for row in rows:
-        try:
-            block = row["block"]
-            key = (block["source"], _coerce_int(block["page"], "page", "assessed block"))
-            for assessment in map(AgentAssessment.from_dict, row.get("assessments", [])):
-                if assessment.valid:
-                    valid_by_page.setdefault(key, []).append(
-                        {**assessment.mention.to_dict(), "specificity": assessment.specificity,
-                         "context": assessment.context})
-        except (KeyError, TypeError, AttributeError, DataMentionsError) as exc:
-            # a missing key, an assessment the record refuses, a number where an object belongs
-            where = assessed if is_path else "assessed rows"
-            raise ParseError(f"{where}: assessed row has a field of the wrong shape: "
-                             f"{exc!r}") from None
+    for key, mentions in read_rows(assessed, _valid_mentions):
+        valid_by_page.setdefault(key, []).extend(mentions)
 
     tag = {} if split_tag is None else {"split": split_tag}
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)

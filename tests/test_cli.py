@@ -3,6 +3,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +11,27 @@ from pathlib import Path
 import pytest
 import requests
 
-from datamentions.cli import _advisory_lock, main
+from datamentions.cli import _advisory_lock, _apply_decisions, _load_pages, main
 from datamentions.corpus import CorpusStore
-from datamentions.errors import InputError
+from datamentions.errors import InputError, InvalidRecord
+from datamentions.evalkit import import_predictions
 from datamentions.gate import RemoteGate, filter_pages
-from datamentions.llm import request_digest
-from datamentions.records import PageRecord, dumps_line, read_jsonl, write_jsonl
-from datamentions.weaksup import compute_stats
+from datamentions.llm import MockChatBackend, request_digest
+from datamentions.records import (
+    PageRecord,
+    canonical_json,
+    dumps_line,
+    parse_mention_block,
+    read_jsonl,
+    write_jsonl,
+)
+from datamentions.splits import import_annotations
+from datamentions.weaksup import (
+    compute_stats,
+    export_finetune_records,
+    plan_pipeline,
+    run_pipeline,
+)
 
 from pipeline_fixtures import (
     block_for,
@@ -284,6 +299,185 @@ def test_a_non_canonical_row_of_the_wrong_shape_exits_3_naming_the_file(
     err = capsys.readouterr().err
     assert f"input error: {path}: " in err and complaint in err
     assert _tree(tmp_path) == before
+
+
+def _row_file(path: Path, good: dict, bad: dict) -> Path:
+    """A file whose line 1 is ``good``, line 2 blank and line 3 ``bad``."""
+    path.write_text(dumps_line(good) + "\n\n" + dumps_line(bad) + "\n", encoding="utf-8")
+    return path
+
+
+def _bad_third_line(path: Path, bad: dict) -> Path:
+    """Rewrite a two-line stage file as its line 1, a blank line and ``bad``, in as many bytes.
+
+    Every offset a checkpoint commits still ends a line, so a run reads the file.
+    """
+    first, second = path.read_bytes().splitlines()
+    room = len(second) - 1 - len(dumps_line({**bad, "pad": ""}))
+    assert room >= 0
+    path.write_bytes(first + b"\n\n" + dumps_line({**bad, "pad": "x" * room}).encode() + b"\n")
+    return path
+
+
+_GOOD_PAGE = {"doc_id": DOC, "page_number": 1, "text": "We rely on the LSMS throughout."}
+_STAGE_READS = ["generate", "generate --dry-run"]
+
+
+def _reader_case(reader: str, tmp_path: Path, cfg: Path, pages: Path):
+    """(the file, its library-level reads, the commands that read it) for ``reader``."""
+    store, out = tmp_path / "store", tmp_path / "out"
+    cases = _two_page_cases()
+    page_list = [c[0] for c in cases]
+    script = pipeline_script(cases)
+    _, gold = _score_fixture(tmp_path)
+    predictions = tmp_path / "predictions.jsonl"
+    score = ["score", "--predictions", str(predictions), "--gold", str(gold)]
+    run = [lambda: run_pipeline(page_list, MockChatBackend(script), output_dir=out),
+           lambda: plan_pipeline(page_list, output_dir=out)]
+    if reader == "decisions":
+        path = _row_file(tmp_path / "decisions.jsonl",
+                         {"doc_id": DOC, "page_number": 1, "passed": True},
+                         {"doc_id": DOC, "page_number": "two", "passed": True})
+        return path, [lambda: _apply_decisions([], str(path))], [
+            f"generate --pages {pages} --decisions {path}"]
+    if reader == "pages":
+        path = _row_file(tmp_path / "bad-pages.jsonl", _GOOD_PAGE,
+                         {"doc_id": DOC, "page_number": 2})
+        return path, [lambda: _load_pages(None, str(path))], [
+            f"generate --pages {path}", f"gate --pages {path} --out {tmp_path / 'd.jsonl'}",
+            f"sample --pages {path} -n 1 --out {tmp_path / 's.jsonl'}", f"ingest --pages {path}",
+            f"infer --pages {path} --out {tmp_path / 'p.jsonl'}",
+            f"export-finetune --pages {path}"]
+    if reader == "store":
+        path = _row_file(CorpusStore(store).pages_path, _GOOD_PAGE,
+                         {"doc_id": DOC, "page_number": "two", "text": "x"})
+        return path, [lambda: CorpusStore(store).iter_pages(),
+                      lambda: CorpusStore(store).ingest_pages([_page(3, "x")])], [
+            "generate", f"gate --out {tmp_path / 'd.jsonl'}", f"ingest --pages {pages}"]
+    if reader in ("canonical", "nuextract_template"):
+        good, bad = {"doc_id": DOC, "page_number": 2, "predicted_names": []}, {
+            "doc_id": DOC, "page_number": 1, "predicted_names": "LSMS"}
+        if reader == "nuextract_template":
+            good, bad = {"doc_id": DOC, "data_mentions": []}, {"data_mentions": 5}
+        path = _row_file(predictions, good, bad)
+        return path, [lambda: import_predictions(path, reader)], [
+            " ".join(score + ["--adapter", reader])]
+    if reader in ("gold", "doccano_export"):
+        good, bad = {"doc_id": DOC, "page_number": 2, "gold_names": []}, {
+            "doc_id": DOC, "page_number": 1, "gold_names": "DHS survey"}
+        fmt = "canonical"
+        if reader == "doccano_export":
+            good, bad = {"text": "LSMS", "label": [[0, 4, "x"]]}, {"text": "LSMS", "label": [[0]]}
+            fmt = reader
+        path = _row_file(gold, good, bad)
+        return path, [lambda: import_annotations(path, fmt)], [
+            " ".join(score + ["--gold-format", fmt])]
+    if reader == "script":
+        path = _row_file(tmp_path / "script.jsonl",
+                         {"stage": "extractor", "user_content": "x", "response": "[]"},
+                         {"stage": 5, "user_content": "x", "response": "r"})
+        return path, [lambda: MockChatBackend.from_script_file(path)], [f"generate --pages {pages}"]
+    if reader == "assessed":
+        path = _row_file(tmp_path / "assessed.jsonl",
+                         {"block": {"source": DOC, "page": 1}, "assessments": []}, {"x": 1})
+        return path, [lambda: export_finetune_records([], path, tmp_path / "ft.jsonl")], [
+            f"export-finetune --pages {pages} --assessed {path} --out {tmp_path / 'ft.jsonl'}"]
+    if reader == "infer":
+        assert main(["--config", str(cfg), "infer", "--pages", str(pages),
+                     "--out", str(predictions)]) == 0
+        path = _bad_third_line(out / "infer" / "extracted.jsonl",
+                               {"doc_id": DOC, "page_number": 2, "blocks": 5})
+        return path, [], [f"infer --pages {pages} --out {predictions}"]
+    assert main(["--config", str(cfg), "generate", "--pages", str(pages)]) == 0
+    if reader == "checkpoint":
+        ckpt = out / "checkpoints" / "extract.ckpt"
+        last = json.loads(ckpt.read_bytes().splitlines()[1])
+        del last["key"]  # the offsets and counters stay for the checkpoint's load
+        return _bad_third_line(ckpt, last), run, [f"{c} --pages {pages}" for c in _STAGE_READS]
+    stats = lambda: compute_stats(out)  # noqa: E731
+    if reader == "extracted":
+        path = _bad_third_line(out / "extracted.jsonl",
+                               {"doc_id": DOC, "page_number": 2, "blocks": 5})
+        return path, run + [stats], [f"{c} --pages {pages}" for c in _STAGE_READS]
+    if reader == "judged":
+        path = _bad_third_line(out / "judged.jsonl", {"block": 5, "verdicts": 5})
+        return path, run + [stats], [f"{c} --pages {pages}" for c in _STAGE_READS]
+    assert reader == "stage-assessed"
+    path = _bad_third_line(out / "assessed.jsonl", {"block": 5, "assessments": 5})
+    return path, [stats], [f"export-finetune --pages {pages}"]
+
+
+@pytest.mark.parametrize("reader", [
+    "decisions", "pages", "store", "canonical", "nuextract_template", "gold", "doccano_export",
+    "script", "assessed", "infer", "checkpoint", "extracted", "judged", "stage-assessed",
+])
+def test_every_row_reader_names_the_file_and_the_line_of_a_bad_row(tmp_path, capsys,
+                                                                   reader) -> None:
+    cfg = _mock_config(tmp_path, pipeline_script(_two_page_cases()))
+    pages = _pages_file(tmp_path, [c[0] for c in _two_page_cases()])
+    path, reads, commands = _reader_case(reader, tmp_path, cfg, pages)
+    for read in reads:
+        with pytest.raises(InvalidRecord, match=re.escape(f"{path}: line 3: ")):
+            read()
+    capsys.readouterr()
+    for command in commands:
+        argv = ["--config", str(cfg), "--corpus-dir", str(tmp_path / "store"), *command.split()]
+        assert main(argv) == 3, command
+        assert f"input error: {path}: line 3: " in capsys.readouterr().err, command
+
+
+@pytest.mark.parametrize("page", [0, ""])
+@pytest.mark.parametrize("side", ["nuextract_template", "doccano_export"])
+def test_an_adapter_reads_a_page_number_as_the_canonical_readers_do(tmp_path, side,
+                                                                    page) -> None:
+    path = tmp_path / f"{side}.jsonl"
+    if side == "nuextract_template":
+        row = {"doc_id": DOC, "page_number": page, "page": 3, "data_mentions": []}
+        canonical = {"doc_id": DOC, "page_number": page, "predicted_names": []}
+        read = lambda p, fmt: import_predictions(p, fmt)  # noqa: E731
+    else:
+        row = {"doc_id": DOC, "page_number": page, "meta": {"page_number": 3}, "text": ""}
+        canonical = {"doc_id": DOC, "page_number": page, "gold_names": []}
+        read = lambda p, fmt: import_annotations(p, fmt)[0]  # noqa: E731
+    write_jsonl(path, [row])
+    write_jsonl(tmp_path / "canonical.jsonl", [canonical])
+    if page == "":  # not an integer, in either format
+        for fmt, source in ((side, path), ("canonical", tmp_path / "canonical.jsonl")):
+            with pytest.raises(InvalidRecord, match="page_number is not an integer"):
+                read(source, fmt)
+    else:
+        (record,) = read(path, side)
+        (expected,) = read(tmp_path / "canonical.jsonl", "canonical")
+        assert record.page_number == expected.page_number == 0
+
+
+def test_a_same_length_edit_of_a_stored_label_exits_3_naming_the_line(tmp_path, capsys) -> None:
+    page = _page(1, "We rely on the LSMS throughout.")
+    labelled = {"raw_name": "LSMS", "context": "primary"}
+    block, _ = parse_mention_block({"mentioned_in": page.text, "datasets": [labelled],
+                                    "source": DOC, "page": 1})
+    block_key = request_digest("judge", canonical_json(block.to_dict()))
+    script = {
+        ("extractor", request_digest("extractor", page.text)):
+            json.dumps([{**labelled, "mentioned_in": page.text}]),
+        ("judge", block_key): judge_response(block, [True]),
+        ("reasoner", request_digest("reasoner", canonical_json(block.to_dict()))):
+            reason_response(block, [True]),
+    }
+    cfg = _mock_config(tmp_path, script)
+    argv = ["--config", str(cfg), "generate", "--pages", str(_pages_file(tmp_path, [page]))]
+    assert main(argv) == 0
+    extracted = tmp_path / "out" / "extracted.jsonl"
+    text = extracted.read_text(encoding="utf-8")
+    assert text.count('"context": "primary"') == 1
+    extracted.write_text(text.replace('"primary"', '"zzzzzzz"'), encoding="utf-8")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"input error: {extracted}: line 1: " in err
+    assert "field 'context' has unknown value 'zzzzzzz'" in err
+    assert _tree(tmp_path) == before  # no call logged, no byte changed
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +752,25 @@ def test_generate_dry_run_marks_downstream_stages_unknown(tmp_path, capsys) -> N
     assert code == 0
     assert "input not available yet" in out
     assert "total backend calls: unknown" in out
+
+
+def test_generate_dry_run_marks_stages_unknown_while_their_input_will_grow(tmp_path,
+                                                                          capsys) -> None:
+    cases = [(_page(n, f"Page {n} relies on the LSMS."), ["LSMS"], [True], [True])
+             for n in (1, 2, 3, 4)]
+    cfg = _mock_config(tmp_path, pipeline_script(cases))
+    argv = ["--config", str(cfg), "generate", "--pages"]
+    assert main(argv + [str(_pages_file(tmp_path, [c[0] for c in cases[:2]]))]) == 0
+    pages = str(_pages_file(tmp_path, [c[0] for c in cases]))
+    capsys.readouterr()
+    assert main(argv + [pages, "--dry-run"]) == 0
+    out = capsys.readouterr().out
+    assert "stage extract — 2 pending items, 2 backend calls" in out
+    assert "total backend calls: unknown" in out
+    calls = tmp_path / "calls.jsonl"
+    before = len(calls.read_text(encoding="utf-8").splitlines())
+    assert main(argv + [pages]) == 0
+    assert len(calls.read_text(encoding="utf-8").splitlines()) - before == 6
 
 
 def test_generate_unscripted_backend_exits_4(tmp_path, capsys) -> None:
@@ -908,7 +1121,7 @@ def test_export_finetune_refuses_an_assessed_row_of_the_wrong_shape(tmp_path, ca
         ]
     )
     assert code == 3
-    assert f"{assessed}: assessed row has a field of the wrong shape" in capsys.readouterr().err
+    assert f"input error: {assessed}: line 1: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -922,7 +1135,7 @@ def test_export_finetune_refusal_leaves_no_output_directory(tmp_path, capsys) ->
     code = main(["--config", str(cfg), "export-finetune", "--pages", str(pages),
                  "--assessed", str(assessed), "--out", str(out_dir / "finetune.jsonl")])
     assert code == 3
-    assert "assessed row has a field of the wrong shape" in capsys.readouterr().err
+    assert f"input error: {assessed}: line 1: the row lacks 'block'" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

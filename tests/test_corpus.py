@@ -154,13 +154,13 @@ def test_opening_a_store_and_listing_its_pages_reads_them_once(tmp_path, monkeyp
     root = tmp_path / "corpus"
     CorpusStore(root).ingest_pages([PageRecord(doc_id=DOC, page_number=1, text="x")])
     reads: list[str] = []
-    read = corpus.read_jsonl
+    read = corpus.read_rows
 
-    def counted(path):
+    def counted(path, *args):
         reads.append(Path(path).name)
-        return read(path)
+        return read(path, *args)
 
-    monkeypatch.setattr(corpus, "read_jsonl", counted)
+    monkeypatch.setattr(corpus, "read_rows", counted)
     store = CorpusStore(root)
     assert [p.text for p in store.iter_pages()] == ["x"]
     assert reads == ["pages.jsonl"]

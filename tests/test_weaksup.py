@@ -653,6 +653,24 @@ def test_plan_pipeline_counts_pending_calls(tmp_path) -> None:
     assert all(p.pending == 0 and p.backend_calls == 0 for p in plans)
 
 
+def test_plan_leaves_a_stage_unknown_while_an_earlier_stage_will_extend_its_input(
+    tmp_path,
+) -> None:
+    cases = [(_page(n, f"Page {n} relies on the LSMS."), ["LSMS"], [True], [True])
+             for n in (1, 2, 3, 4)]
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages[:2], MockChatBackend(script), output_dir=out)
+
+    plans = plan_pipeline(pages, output_dir=out)
+    assert [(p.stage, p.pending, p.backend_calls) for p in plans] == [
+        ("extract", 2, 2), ("judge", None, None), ("reason", None, None)]
+    backend = MockChatBackend(script)
+    run_pipeline(pages, backend, output_dir=out)
+    assert len(backend.calls) == 6  # the two new pages through all three stages
+
+
 def test_unknown_stage_names_are_rejected_by_run_and_plan(tmp_path) -> None:
     with pytest.raises(InvalidRecord):
         plan_pipeline([], output_dir=tmp_path / "out", stages=("bogus",))
@@ -910,7 +928,7 @@ def test_a_sealed_rerun_reads_no_stage_input_and_issues_no_call(tmp_path, monkey
     reads: list[str] = []
     hashed: list[str] = []
     decoded: list[str] = []
-    read, sha256, loads = weaksup.read_jsonl, weaksup._sha256, weaksup.json.loads
+    read, sha256, loads = weaksup.read_rows, weaksup._sha256, weaksup.json.loads
 
     def counted_read(path, *args):  # a read starts at the first ``next``
         reads.append(Path(path).name)
@@ -932,7 +950,7 @@ def test_a_sealed_rerun_reads_no_stage_input_and_issues_no_call(tmp_path, monkey
             super().__init__(checkpoint, output_dir, spec)
 
     monkeypatch.setattr(weaksup, "compute_stats", stats_calls.append)
-    monkeypatch.setattr(weaksup, "read_jsonl", counted_read)
+    monkeypatch.setattr(weaksup, "read_rows", counted_read)
     monkeypatch.setattr(weaksup, "_sha256", counted_sha256)
     monkeypatch.setattr(weaksup, "_StageWriter", CountedWriter)
     monkeypatch.setattr(weaksup.json, "loads", counted_loads)
@@ -1806,8 +1824,10 @@ def test_export_finetune_records(tmp_path) -> None:
 
 def test_export_without_split_tag_omits_the_field(tmp_path) -> None:
     page = _page(1, "empty")
+    assessed = tmp_path / "assessed.jsonl"
+    assessed.write_bytes(b"")
     export_path = tmp_path / "finetune.jsonl"
-    count = export_finetune_records([page], [], export_path)
+    count = export_finetune_records([page], assessed, export_path)
     assert count == 1
     (row,) = read_jsonl(export_path)
     assert "split" not in row
