@@ -382,7 +382,7 @@ def _extracted_names(row: dict) -> tuple[tuple[str, int], list[str]]:
     """An extraction row: its page's key and the raw names of its mentions."""
     names = [str(d["raw_name"]) for block in row.get("blocks", [])
              for d in block.get("datasets", [])]
-    return (row["doc_id"], int(row["page_number"])), names
+    return (row["doc_id"], _coerce_int(row["page_number"], "page_number", "extraction row")), names
 
 
 def cmd_infer(cfg: PipelineConfig, args: argparse.Namespace) -> int:

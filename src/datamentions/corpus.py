@@ -5,6 +5,12 @@ title-match HTTP endpoint), their open-access PDFs downloaded, converted to
 page-delimited text by a user-configured external command, and their pages
 ingested into an append-only store of line-delimited page records with a
 (doc_id, page) uniqueness index.
+
+Ingest streams: fresh pages are appended in batches as they are offered,
+so its memory is one batch, not the page file. An ingest that raises
+leaves the store as it was. One that is killed leaves whole pages and at
+most a torn last line; running it again skips the pages stored, cuts off
+the torn line and ends with the bytes an uninterrupted ingest writes.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ConverterFailed,
@@ -28,8 +34,19 @@ from .errors import (
     NonPdfContent,
     StoreWriteError,
 )
-# read_jsonl is not called here, but perfbench/tracing.py patches it by this name
-from .records import DocumentRecord, PageRecord, dumps_line, read_jsonl, read_rows  # noqa: F401
+# perfbench/tracing.py patches read_jsonl and dumps_line by these names: read_jsonl is
+# not called here, and dumps_line must stay the name the ingest encodes through
+from .records import (  # noqa: F401
+    _CHUNK,
+    _LINE_BATCH,
+    DocumentRecord,
+    PageRecord,
+    _coerce_int,
+    _write_all,
+    dumps_line,
+    read_jsonl,
+    read_rows,
+)
 from .retries import RetryPolicy, send_with_retries
 
 if TYPE_CHECKING:
@@ -153,11 +170,12 @@ def search_paper_by_title(
         raise MalformedResponse(f"metadata match is not a usable document: {exc}") from exc
 
 
-def _unterminated_tail(path: Path) -> tuple[bytes, bytes] | None:
-    """``path`` split before its last line when that line has no newline.
+def _unterminated_tail(path: Path) -> tuple[int, bytes] | None:
+    """The size of ``path`` before its last line, and that line, when it has no newline.
 
     None when the file is missing, empty or ends with a newline, which
-    costs one read of one byte; only the rare other case reads the file.
+    costs one read of one byte. Only the rare other case reads more: the
+    file backwards, a chunk at a time, to the newline before the last line.
     """
     try:
         with open(path, "rb") as fh:
@@ -167,12 +185,19 @@ def _unterminated_tail(path: Path) -> tuple[bytes, bytes] | None:
             fh.seek(end - 1)
             if fh.read(1) == b"\n":
                 return None
-            fh.seek(0)
-            data = fh.read()
+            start = end
+            while start > 0:
+                step = min(start, _CHUNK)
+                fh.seek(start - step)
+                newline = fh.read(step).rfind(b"\n")
+                if newline >= 0:
+                    start += newline + 1 - step
+                    break
+                start -= step
+            fh.seek(start)
+            return start, fh.read()
     except FileNotFoundError:
         return None
-    start = data.rfind(b"\n") + 1
-    return data[:start], data[start:]
 
 
 def _decodes(line: bytes) -> bool:
@@ -183,6 +208,62 @@ def _decodes(line: bytes) -> bool:
     return True
 
 
+def _stored_key(row: dict[str, Any]) -> tuple[str, int]:
+    """A stored line's (doc_id, page), the page number read as :class:`PageRecord` reads it."""
+    return row["doc_id"], _coerce_int(row["page_number"], "page_number", "page record")
+
+
+class _PageAppend:
+    """Appends batches of lines to a page file, all or nothing.
+
+    The file is opened by the first batch, so an ingest that adds nothing
+    opens nothing for writing. A last line without its newline that decodes
+    gets its newline first; the torn tail of an ingest cut short is cut off.
+    If the ``with`` block raises, the file is cut back to its size before
+    the first batch and a torn tail cut off is put back: it holds the bytes
+    it held before.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._file: BinaryIO | None = None
+        self._start = 0
+        self._torn = b""
+
+    def __enter__(self) -> "_PageAppend":
+        return self
+
+    def __exit__(self, exc_type: type[BaseException] | None, *exc_info: object) -> None:
+        if self._file is None:
+            return
+        with self._file:
+            if exc_type is not None:
+                self._file.truncate(self._start)
+                _write_all(self._file.write, self._torn)
+
+    def write(self, data: bytes) -> None:
+        try:
+            if self._file is None:
+                self._open()
+            _write_all(self._file.write, data)
+        except OSError as exc:
+            raise StoreWriteError(f"cannot append to {self.path}: {exc}") from exc
+
+    def _open(self) -> None:
+        self._file = file = open(self.path, "ab", buffering=0)
+        self._start = os.fstat(file.fileno()).st_size
+        tail = _unterminated_tail(self.path)
+        if tail is None:
+            return
+        head, last = tail
+        if _decodes(last):
+            _write_all(file.write, b"\n")
+        else:
+            log.warning("%s: cutting off a torn last line of %d bytes", self.path, len(last))
+            file.truncate(head)
+            self._start, self._torn = head, last
+
+
 class CorpusStore:
     """Append-only page store with a (doc_id, page) uniqueness index.
 
@@ -191,10 +272,15 @@ class CorpusStore:
     identically. The index is built from the file the first time
     :meth:`ingest_pages` needs it, so listing the pages decodes it once.
 
-    A last line without its newline that decodes is a whole page: the next
-    append writes the newline first. One that does not decode is the torn
-    tail of an ingest cut short: reads skip it with a warning, and the next
-    append cuts it off.
+    :meth:`ingest_pages` streams: it appends the fresh pages in batches of
+    64 lines as they come, so an ingest's memory is one batch, and it is
+    all or nothing: one that raises leaves ``pages.jsonl`` and the index as
+    they were. A killed ingest leaves whole pages and at most a torn last
+    line. A last line without its newline that decodes is a whole page: the
+    next append writes the newline first. One that does not decode is the
+    torn tail of an ingest cut short: reads skip it with a warning, and the
+    next append cuts it off, so the same ingest run again skips the pages
+    stored and ends with the bytes an uninterrupted one writes.
     """
 
     def __init__(self, root: str | Path):
@@ -209,51 +295,53 @@ class CorpusStore:
         if tail is None or _decodes(tail[1]):
             return read_rows(self.pages_path, parse)
         log.warning("%s: skipping a torn last line of %d bytes", self.pages_path, len(tail[1]))
-        return read_rows(self.pages_path, parse, len(tail[0]))
+        return read_rows(self.pages_path, parse, tail[0])
 
-    def _append(self, lines: list[str]) -> None:
-        path = self.pages_path
-        try:
-            tail = _unterminated_tail(path)
-            mend = ""
-            if tail is not None:
-                if _decodes(tail[1]):
-                    mend = "\n"
-                else:
-                    log.warning("%s: cutting off a torn last line of %d bytes", path, len(tail[1]))
-                    os.truncate(path, len(tail[0]))
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(mend)
-                for line in lines:
-                    fh.write(line + "\n")
-        except OSError as exc:
-            raise StoreWriteError(f"cannot append to {path}: {exc}") from exc
+    def _index(self) -> set[tuple[str, int]]:
+        """The (doc_id, page) keys stored, read from the file the first time."""
+        if self._page_index is None:
+            index: set[tuple[str, int]] = set()
+            if self.pages_path.exists():
+                index.update(self._rows(_stored_key))
+            self._page_index = index
+        return self._page_index
 
     def ingest_pages(self, pages: Iterable[PageRecord]) -> IngestSummary:
-        """Append fresh pages; duplicates are skipped and counted."""
-        if self._page_index is None:
-            self._page_index = set()
-            if self.pages_path.exists():
-                self._page_index.update(
-                    self._rows(lambda row: (row["doc_id"], int(row["page_number"]))))
-        added = 0
-        skipped = 0
-        lines: list[str] = []
+        """Append fresh pages; duplicates are skipped and counted.
+
+        Each fresh page is encoded once to a UTF-8 line, and the lines are
+        appended ``records._LINE_BATCH`` at a time through
+        :class:`_PageAppend` as the pages come. A page whose text holds a
+        lone surrogate, which UTF-8 cannot store, raises
+        :class:`InvalidRecord`; like any other error, it leaves the store
+        and its index as they were.
+        """
+        index = self._index()
         fresh: set[tuple[str, int]] = set()
-        for page in pages:
-            if not isinstance(page, PageRecord):
-                page = PageRecord.from_dict(page)
-            key = (page.doc_id, page.page_number)
-            if key in self._page_index or key in fresh:
-                skipped += 1
-                continue
-            lines.append(dumps_line(page.to_dict()))
-            fresh.add(key)
-            added += 1
-        if lines:
-            self._append(lines)
-            self._page_index.update(fresh)
-        return IngestSummary(added=added, skipped=skipped)
+        skipped = 0
+        batch: list[bytes] = []
+        with _PageAppend(self.pages_path) as out:
+            for page in pages:
+                if not isinstance(page, PageRecord):
+                    page = PageRecord.from_dict(page)
+                key = (page.doc_id, page.page_number)
+                if key in index or key in fresh:
+                    skipped += 1
+                    continue
+                try:
+                    batch.append((dumps_line(page.to_dict()) + "\n").encode())
+                except UnicodeEncodeError:
+                    raise InvalidRecord(
+                        f"page {page.page_number} of document {page.doc_id} holds a lone "
+                        "surrogate, which UTF-8 cannot store") from None
+                fresh.add(key)
+                if len(batch) == _LINE_BATCH:
+                    out.write(b"".join(batch))
+                    batch = []
+            if batch:
+                out.write(b"".join(batch))
+        index.update(fresh)
+        return IngestSummary(added=len(fresh), skipped=skipped)
 
     def iter_pages(self) -> list[PageRecord]:
         if not self.pages_path.exists():
@@ -305,7 +393,9 @@ def convert_pdf_to_pages(
     ``converter`` is an argv template; every occurrence of ``{pdf}`` is
     replaced with the PDF path. The command must print page text to stdout
     with pages separated by :data:`PAGE_DELIMITER` (form feed, the common
-    convention for text extractors).
+    convention for text extractors), in UTF-8: other bytes raise
+    :class:`ConverterFailed` naming the PDF. Line ends ``\r\n`` and ``\r``
+    read as ``\n``.
     """
     import subprocess  # loaded by the first conversion, not when the module is
 
@@ -314,16 +404,22 @@ def convert_pdf_to_pages(
         raise ConverterFailed(f"PDF file {pdf_path} does not exist")
     argv = [part.replace("{pdf}", str(pdf_path)) for part in converter]
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, check=False)
+        proc = subprocess.run(argv, capture_output=True, check=False)
     except OSError as exc:
         raise ConverterFailed(f"cannot run converter {argv[0]!r}: {exc}") from exc
     if proc.returncode != 0:
         raise ConverterFailed(
             f"converter exited with status {proc.returncode}",
             returncode=proc.returncode,
-            stderr=proc.stderr[-2000:],
+            stderr=proc.stderr.decode("utf-8", "replace")[-2000:],
         )
-    chunks = proc.stdout.split(PAGE_DELIMITER)
+    try:
+        text = proc.stdout.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConverterFailed(f"converter printed bytes that are not UTF-8 for {pdf_path}: "
+                              f"{exc.reason} at byte {exc.start}") from None
+    # line ends read as a text-mode pipe reads them
+    chunks = text.replace("\r\n", "\n").replace("\r", "\n").split(PAGE_DELIMITER)
     if chunks and chunks[-1].strip() == "":
         chunks.pop()  # extractors commonly emit a trailing delimiter
     if not chunks or all(not c.strip() for c in chunks):

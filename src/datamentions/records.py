@@ -750,13 +750,27 @@ def dumps_line(value: Any) -> str:
     return "".join(_ENCODE_LINE(value, 0))
 
 
+# Line files are written this many lines at a time: one write per batch, and
+# memory for one batch, however long the file.
+_LINE_BATCH = 64
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> int:
-    """Write ``rows`` as one JSON object per line; returns the row count."""
+    """Write ``rows`` as one JSON object per line; returns the row count.
+
+    Each line is encoded to UTF-8 once, and the lines are written
+    :data:`_LINE_BATCH` at a time through an unbuffered file.
+    """
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    batch: list[bytes] = []
+    with open(path, "wb", buffering=0) as fh:
         for row in rows:
-            fh.write(dumps_line(row) + "\n")
+            batch.append((dumps_line(row) + "\n").encode())
             count += 1
+            if len(batch) == _LINE_BATCH:
+                _write_all(fh.write, b"".join(batch))
+                batch = []
+        _write_all(fh.write, b"".join(batch))
     return count
 
 

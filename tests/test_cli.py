@@ -164,6 +164,49 @@ def test_a_bad_pages_line_exits_3_naming_it_and_changes_nothing(tmp_path, capsys
     assert _tree(tmp_path) == before
 
 
+def test_a_bad_pages_line_after_a_whole_batch_exits_3_and_changes_no_stored_byte(
+    tmp_path, capsys
+) -> None:
+    store = tmp_path / "store"
+    CorpusStore(store).ingest_pages([_page(1, "Stored before.")])
+    before = _tree(store)
+    pages = tmp_path / "pages.jsonl"
+    pages.write_text("".join(dumps_line(_page(n, f"Page {n}.").to_dict()) + "\n"
+                             for n in range(2, 102)) + "{not json\n", encoding="utf-8")
+    assert main(["--corpus-dir", str(store), "ingest", "--pages", str(pages)]) == 3
+    assert f"input error: {pages}: line 101 is not JSON" in capsys.readouterr().err
+    assert _tree(store) == before
+
+
+@pytest.mark.parametrize("page", ["1.9", "true"])
+@pytest.mark.parametrize("command", ["ingest", "infer"])
+def test_a_stored_page_number_that_is_not_an_integer_exits_3_naming_the_line(
+    tmp_path, capsys, command, page
+) -> None:
+    cases = _two_page_cases()
+    cfg = _mock_config(tmp_path, pipeline_script(cases))
+    pages = _pages_file(tmp_path, [c[0] for c in cases])
+    store = tmp_path / "store"
+    argv = ["--config", str(cfg), "--corpus-dir", str(store), command, "--pages", str(pages)]
+    if command == "ingest":
+        path = CorpusStore(store).pages_path
+        path.write_text(f'{{"doc_id": "{DOC}", "page_number": {page}, "text": "x"}}\n',
+                        encoding="utf-8")
+    else:
+        argv += ["--out", str(tmp_path / "predictions.jsonl")]
+        assert main(argv) == 0
+        path = _bad_third_line(tmp_path / "out" / "infer" / "extracted.jsonl",
+                               {"doc_id": DOC, "page_number": json.loads(page), "blocks": []})
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    line = 1 if command == "ingest" else 3
+    assert f"input error: {path}: line {line}: " in err
+    assert f"page_number is not an integer: {json.loads(page)!r}" in err
+    assert _tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("damaged", ["decisions", "gold", "script"])
 def test_a_row_without_its_fields_exits_3_naming_the_file(tmp_path, capsys, damaged) -> None:
     cases = _two_page_cases()
@@ -1263,3 +1306,20 @@ def test_ingest_pdf_directory_with_custom_converter(tmp_path, capsys) -> None:
     )
     assert code == 0
     assert "ingested 2 pages, skipped 0" in capsys.readouterr().out
+
+
+def test_ingest_pdf_directory_exits_3_when_the_converter_prints_bytes_that_are_not_utf8(
+    tmp_path, capsys
+) -> None:
+    pdf_dir = tmp_path / "pdfs"
+    pdf_dir.mkdir()
+    (pdf_dir / f"{DOC2}.pdf").write_bytes(b"%PDF fake")
+    converter = tmp_path / "latin1_pdftotext.py"
+    converter.write_text("import sys\nsys.stdout.buffer.write(b'page \\xff\\x0c')\n",
+                         encoding="utf-8")
+    code = main(["--corpus-dir", str(tmp_path / "store"), "ingest", "--pdf-dir", str(pdf_dir),
+                 "--converter", f"{sys.executable} {converter} {{pdf}}"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"printed bytes that are not UTF-8 for {pdf_dir / DOC2}.pdf" in err
+    assert not (tmp_path / "store" / "pages.jsonl").exists()

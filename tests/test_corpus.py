@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -17,10 +18,12 @@ from datamentions.corpus import (
 from datamentions.errors import (
     ConverterFailed,
     EmptyOutput,
+    InvalidRecord,
     MalformedResponse,
     NetworkError,
     NoPdfUrl,
     NonPdfContent,
+    StoreWriteError,
 )
 from datamentions.records import DocumentRecord, PageRecord
 from datamentions.retries import RetryPolicy
@@ -222,6 +225,22 @@ def test_store_mends_a_last_line_without_its_newline(tmp_path, caplog, tail, kep
     assert {p.page_number for p in CorpusStore(root).iter_pages()} == {1, 2, 3}
 
 
+@pytest.mark.parametrize("head", [b"", b"a\n", b"b" * records._CHUNK + b"\n"],
+                         ids=["one-line", "short-head", "long-head"])
+@pytest.mark.parametrize("tail_size", [1, records._CHUNK - 1, records._CHUNK, records._CHUNK + 1,
+                                       2 * records._CHUNK + 3])
+def test_the_last_line_without_its_newline_is_found_reading_backwards(tmp_path, head,
+                                                                      tail_size) -> None:
+    path = tmp_path / "pages.jsonl"
+    path.write_bytes(head + b"t" * tail_size)
+    assert corpus._unterminated_tail(path) == (len(head), b"t" * tail_size)
+    path.write_bytes(head + b"t" * tail_size + b"\n")
+    assert corpus._unterminated_tail(path) is None
+    path.write_bytes(b"")
+    assert corpus._unterminated_tail(path) is None
+    assert corpus._unterminated_tail(tmp_path / "missing.jsonl") is None
+
+
 def test_ingest_writes_the_same_bytes_without_orjson(tmp_path, monkeypatch) -> None:
     texts = ["Enquête\u2028 \x7f\x00 \"quoted\" \\ / \U0001d11e\n\t", "plain", ""]
     pages = [PageRecord(doc_id=DOC, page_number=n, text=t) for n, t in enumerate(texts, 1)]
@@ -232,6 +251,113 @@ def test_ingest_writes_the_same_bytes_without_orjson(tmp_path, monkeypatch) -> N
     assert fast == (tmp_path / "plain" / "pages.jsonl").read_bytes()
     assert fast == "".join(json.dumps(p.to_dict(), ensure_ascii=False, separators=(", ", ": "))
                            + "\n" for p in pages).encode("utf-8")
+
+
+def _numbered_pages(count: int, start: int = 1) -> list[PageRecord]:
+    return [PageRecord(doc_id=DOC, page_number=n, text=f"page {n} \u00e9t\u00e9 " * 20)
+            for n in range(start, start + count)]
+
+
+def _stored_keys(path: Path) -> list[tuple[str, int]]:
+    return [(row["doc_id"], row["page_number"])
+            for row in map(json.loads, path.read_bytes().splitlines())]
+
+
+@pytest.mark.parametrize("cut", ["after-a-batch", "mid-line", "before-a-newline"])
+def test_an_interrupted_ingest_run_again_ends_with_the_uninterrupted_bytes(tmp_path, cut) -> None:
+    offered = _numbered_pages(150) + _numbered_pages(20, start=141)  # ten repeat a key
+    CorpusStore(tmp_path / "whole").ingest_pages(offered)
+    whole = (tmp_path / "whole" / "pages.jsonl").read_bytes()
+    ends = [i + 1 for i, byte in enumerate(whole) if byte == ord("\n")]
+    assert len(ends) == 160 and records._LINE_BATCH == 64
+    # what a kill leaves: whole batches, then at most part of the next
+    size = {"after-a-batch": ends[63], "mid-line": (ends[63] + ends[64]) // 2,
+            "before-a-newline": ends[100] - 1}[cut]
+    root = tmp_path / "killed"
+    root.mkdir()
+    (root / "pages.jsonl").write_bytes(whole[:size])
+
+    summary = CorpusStore(root).ingest_pages(offered)
+    assert (root / "pages.jsonl").read_bytes() == whole
+    stored = 101 if cut == "before-a-newline" else 64  # a last line that decodes is a page
+    assert (summary.added, summary.skipped) == (160 - stored, 170 - 160 + stored)
+    assert len(set(_stored_keys(root / "pages.jsonl"))) == 160
+
+
+def test_ingest_appends_batch_by_batch_as_the_pages_come(tmp_path, monkeypatch) -> None:
+    total = 10 * records._LINE_BATCH + 5
+    pulled = 0
+    writes: list[tuple[int, int]] = []  # (pages pulled so far, lines written)
+
+    def offered():
+        nonlocal pulled
+        for page in _numbered_pages(total):
+            pulled += 1
+            yield page
+
+    def write_all(write, data):
+        writes.append((pulled, data.count(b"\n")))
+        return records._write_all(write, data)
+
+    monkeypatch.setattr(corpus, "_write_all", write_all)
+    summary = CorpusStore(tmp_path).ingest_pages(offered())
+    assert summary.added == total
+    assert writes[0] == (records._LINE_BATCH, records._LINE_BATCH)
+    assert max(lines for _, lines in writes) == records._LINE_BATCH
+    assert sum(lines for _, lines in writes) == total and len(writes) == 11
+    assert _stored_keys(tmp_path / "pages.jsonl") == [(DOC, n) for n in range(1, total + 1)]
+
+
+@pytest.mark.parametrize("tail", [b"", b'{"doc_id": "x", "page_number": 7, "text": "kept"}',
+                                  b'{"doc_id": "x", "page_nu'],
+                         ids=["whole", "unterminated", "torn"])
+@pytest.mark.parametrize("fault", ["surrogate", "input", "interrupt", "disk"])
+def test_an_ingest_that_raises_leaves_the_store_and_its_index_as_they_were(
+        tmp_path, monkeypatch, fault, tail) -> None:
+    store = CorpusStore(tmp_path)
+    first = b'{"doc_id": "x", "page_number": 1, "text": "one"}\n'
+    store.pages_path.write_bytes(first + tail)
+    store.ingest_pages([])  # builds the index, writes nothing
+    before, index = store.pages_path.read_bytes(), set(store._page_index)
+    assert before == first + tail
+
+    good = _numbered_pages(99)
+    batches = 0
+
+    def offered():
+        yield from good
+        if fault == "surrogate":
+            yield PageRecord(doc_id=DOC, page_number=100, text="lone \ud800 half")
+        elif fault == "input":
+            raise InvalidRecord("pages.jsonl: line 100 is not JSON")
+        elif fault == "interrupt":
+            raise KeyboardInterrupt
+        yield from _numbered_pages(100, start=100)
+
+    def write_all(write, data):
+        nonlocal batches
+        if data.count(b"\n") > 1:  # not the newline that mends an unterminated line
+            batches += 1
+            if fault == "disk" and batches == 2:
+                raise OSError(28, "No space left on device")
+        return records._write_all(write, data)
+
+    monkeypatch.setattr(corpus, "_write_all", write_all)
+    error = {"surrogate": InvalidRecord, "input": InvalidRecord, "interrupt": KeyboardInterrupt,
+             "disk": StoreWriteError}[fault]
+    with pytest.raises(error) as excinfo:
+        store.ingest_pages(offered())
+    assert batches >= 1  # a batch was appended before the fault
+    if fault == "surrogate":
+        assert f"page 100 of document {DOC} holds a lone surrogate" in str(excinfo.value)
+    assert store.pages_path.read_bytes() == before
+    assert store._page_index == index
+
+    # the same store object takes the good pages once, and then no page twice
+    assert store.ingest_pages(good).added == 99
+    assert store.ingest_pages(good + _numbered_pages(1)).added == 0
+    keys = _stored_keys(store.pages_path)
+    assert len(keys) == len(set(keys)) == len(index) + 99
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +405,23 @@ def test_convert_splits_on_form_feeds(tmp_path) -> None:
     )
     pages = list(convert_pdf_to_pages(DOC, pdf, argv))
     assert [(p.page_number, p.text) for p in pages] == [(1, "page one"), (2, "page two")]
+
+
+def test_convert_reads_line_ends_as_a_text_pipe_does(tmp_path) -> None:
+    pdf = tmp_path / "in.pdf"
+    pdf.write_bytes(b"%PDF fake")
+    argv = _fake_converter(tmp_path, "import sys\n"
+                           "sys.stdout.buffer.write('one\\r\\ntwo\\rr\u00e9sum\u00e9\\x0c'.encode())\n")
+    assert [p.text for p in convert_pdf_to_pages(DOC, pdf, argv)] == ["one\ntwo\nr\u00e9sum\u00e9"]
+
+
+def test_convert_refuses_output_that_is_not_utf8(tmp_path) -> None:
+    pdf = tmp_path / "in.pdf"
+    pdf.write_bytes(b"%PDF fake")
+    argv = _fake_converter(tmp_path, "import sys\nsys.stdout.buffer.write(b'caf\\xe9\\x0c')\n")
+    with pytest.raises(ConverterFailed, match=f"not UTF-8 for {re.escape(str(pdf))}: ") as excinfo:
+        list(convert_pdf_to_pages(DOC, pdf, argv))
+    assert "at byte 3" in str(excinfo.value)
 
 
 def test_convert_requires_existing_pdf(tmp_path) -> None:

@@ -305,6 +305,32 @@ def test_jsonl_round_trip(tmp_path) -> None:
     assert list(read_jsonl(path)) == rows
 
 
+@pytest.mark.parametrize("fast", [True, False], ids=["orjson", "json"])
+def test_write_jsonl_writes_the_json_dumps_lines_a_batch_at_a_time(tmp_path, monkeypatch,
+                                                                   fast) -> None:
+    if fast and records.orjson is None:
+        pytest.skip("orjson is not installed")
+    if not fast:
+        monkeypatch.setattr(records, "orjson", None)
+    rows = [{"doc_id": "d", "page_number": n, "text": "Enqu\u00eate\u2028 \"q\" \U0001d11e"}
+            if n % 2 else {"n": n, "nested": {"score": 0.5, "names": ["LSMS"]}}
+            for n in range(150)]
+    write_all, writes = records._write_all, []
+
+    def counting(write, data):
+        writes.append(data.count(b"\n"))
+        write_all(write, data)
+
+    monkeypatch.setattr(records, "_write_all", counting)
+    path = tmp_path / "rows.jsonl"
+    assert write_jsonl(path, iter(rows)) == 150
+    assert path.read_bytes() == "".join(
+        json.dumps(row, ensure_ascii=False, separators=(", ", ": ")) + "\n" for row in rows
+    ).encode("utf-8")
+    assert writes == [64, 64, 22]
+    assert write_jsonl(path, []) == 0 and path.read_bytes() == b""
+
+
 def test_dumps_line_is_single_line_utf8() -> None:
     line = dumps_line({"name": "Enquête", "n": 1})
     assert "\n" not in line
