@@ -7,10 +7,10 @@ backend, so a reply that was paid for before a stop, a kill or a redo is
 given again without a call, and the run's outputs are the same bytes.
 
 A reply is keyed by (stage settings, item key, attempt). The stage settings
-are :func:`settings_digest` of the prompt body, the model and the decoding
-settings, so a changed prompt, model or setting never reuses a reply. The
-item key holds the page and the request digest, so items do not share
-replies, which keeps the key exact at any temperature.
+are the :meth:`~datamentions.llm.StageCall.digest` of the prompt body, the
+model and the decoding settings, so a changed prompt, model or setting never
+reuses a reply. The item key holds the page and the request digest, so
+items do not share replies, which keeps the key exact at any temperature.
 
 The ledger is a log, not an output: its lines follow the order replies
 arrived in, it stays out of the byte-identical outputs, and deleting it is
@@ -21,7 +21,6 @@ also replays its run through :class:`~datamentions.llm.MockChatBackend`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -29,26 +28,12 @@ import threading
 from pathlib import Path
 from typing import Any
 
-from .llm import ChatBackend, ChatRequest, ChatResponse, PromptTemplate
+from .llm import ChatBackend, ChatRequest, ChatResponse
 from .records import _orjson, _write_all
 
 log = logging.getLogger(__name__)
 
 LEDGER_FILE = "replies.jsonl"
-
-
-def settings_digest(
-    template: PromptTemplate, model_name: str, temperature: float, max_output_tokens: int
-) -> str:
-    """The sha256 hex digest of what, besides a request's body, decides a stage's reply.
-
-    That is the stage's prompt body, ``model_name``, ``temperature`` and
-    ``max_output_tokens``; a change to any of them gives another digest.
-    """
-    settings = json.dumps({"prompt": template.body, "model_name": model_name,
-                           "temperature": float(temperature),
-                           "max_output_tokens": max_output_tokens}, sort_keys=True)
-    return hashlib.sha256(settings.encode("ascii")).hexdigest()
 
 
 def _line(entry: dict[str, Any]) -> bytes:
@@ -68,8 +53,8 @@ class ReplyLedger:
 
     :meth:`record` appends the line in one unbuffered write under a lock; a
     backend error that brought no reply writes nothing. A line holds
-    ``config`` (the stage's :func:`settings_digest`), ``key`` (the item
-    key), ``n`` (the attempt, from 0), ``stage`` (the template id),
+    ``config`` (the stage's :meth:`~datamentions.llm.StageCall.digest`),
+    ``key`` (the item key), ``n`` (the attempt, from 0), ``stage`` (the template id),
     ``digest`` (the request digest a mock script is keyed by),
     ``response``, ``latency_s``, ``retries``, ``usage`` (the token usage)
     and ``outcome`` (``ok``, or the class of the error the reply raised).
@@ -156,19 +141,18 @@ class ReplyLedger:
 
 
 class LedgerBackend:
-    """The backend as a stage's attempts on one thread see it: a recorded reply, else a call.
+    """The backend as one stage attempt sees it: a recorded reply, else a call.
 
-    Before each attempt, ``recorded`` is set to the reply the ledger holds
-    for it, which :meth:`complete` returns without a call, or to None, and
-    then :meth:`complete` asks ``backend`` and keeps its response in
-    ``reply``. A thread runs one attempt at a time, so each thread has one.
+    ``recorded`` is the reply the ledger holds for the attempt, which
+    :meth:`complete` returns without a call; when it is None,
+    :meth:`complete` asks ``backend`` and keeps its response in ``reply``.
     """
 
     __slots__ = ("backend", "recorded", "reply")
 
-    def __init__(self, backend: ChatBackend):
+    def __init__(self, backend: ChatBackend, recorded: str | None):
         self.backend = backend
-        self.recorded: str | None = None
+        self.recorded = recorded
         self.reply: ChatResponse | None = None
 
     def complete(self, request: ChatRequest) -> ChatResponse:

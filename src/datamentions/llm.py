@@ -51,6 +51,7 @@ __all__ = [
     "MockChatBackend",
     "PromptTemplate",
     "RemoteChatBackend",
+    "StageCall",
     "TEMPLATE_IDS",
     "extract_json_payload",
     "load_templates",
@@ -99,6 +100,29 @@ class PromptTemplate:
             raise UnknownTemplate(f"unknown template id {self.template_id!r}")
         if not self.body:
             raise ValueError(f"template {self.template_id!r} has an empty body")
+
+
+@frozen_record
+class StageCall:
+    """What, besides a request's body, decides a stage's reply: its prompt, model and decoding."""
+
+    template: PromptTemplate
+    model_name: str = DEFAULT_MODEL
+    temperature: float = 0.0
+    max_output_tokens: int = 4096
+
+    def request(self, user_content: str) -> ChatRequest:
+        """The chat call that sends ``user_content`` under these settings."""
+        return ChatRequest(self.model_name, self.template.body, user_content,
+                           self.temperature, self.max_output_tokens)
+
+    def digest(self) -> str:
+        """The sha256 hex digest of the prompt body, ``model_name``, ``temperature`` and
+        ``max_output_tokens``; a change to any of them gives another digest."""
+        settings = json.dumps({"prompt": self.template.body, "model_name": self.model_name,
+                               "temperature": float(self.temperature),
+                               "max_output_tokens": self.max_output_tokens}, sort_keys=True)
+        return hashlib.sha256(settings.encode("ascii")).hexdigest()
 
 
 def load_templates(prompts_dir: str | Path | None = None) -> dict[str, PromptTemplate]:
@@ -301,13 +325,18 @@ def _loads_lenient(payload: str) -> Any:
     text itself, raises :class:`ParseError`, as no UTF-8 output line could
     hold it. orjson, when installed, decodes the payload first and refuses
     such text; of the rest, only a payload with a ``\\u`` escape or
-    non-ASCII text is checked.
+    non-ASCII text is checked. A value nested deeper than Python's recursion
+    limit raises :class:`ParseError` too.
     """
-    value = _loads_exact(payload)
-    if value is not None:
-        return value
-    value = _loads_repaired(payload)
-    if ("\\u" in payload or not payload.isascii()) and _has_lone_surrogate(value):
+    try:
+        value = _loads_exact(payload)
+        if value is not None:
+            return value
+        value = _loads_repaired(payload)
+        surrogate = ("\\u" in payload or not payload.isascii()) and _has_lone_surrogate(value)
+    except RecursionError:
+        raise ParseError("payload is nested deeper than the recursion limit") from None
+    if surrogate:
         raise ParseError("payload holds a lone surrogate, which UTF-8 cannot encode")
     return value
 

@@ -42,7 +42,7 @@ Each checkpoint line also carries the stage's running counters after its
 commit, so the statistics in ``stats.json`` are a sum over the three last
 lines, and no output row is decoded for them. ``stats.json`` is written
 only when its bytes change. Checkpoints written before lines carried
-counters are counted from the stage outputs instead.
+counters are seeded once, as a run starts, from the stage outputs.
 
 Every reply the backend gives is recorded in the reply ledger
 (:mod:`datamentions.ledger`), and an attempt whose reply is there makes no
@@ -73,7 +73,6 @@ import json
 import logging
 import os
 import re
-import threading
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -98,9 +97,9 @@ from .errors import (
 )
 from .llm import (
     ChatBackend,
-    ChatRequest,
     DEFAULT_MODEL,
     PromptTemplate,
+    StageCall,
     _STAGE_ALIASES,
     extract_json_payload,
     load_templates,
@@ -203,22 +202,6 @@ def _parse_stage_payload(text: str) -> Any:
             raise bare_error from None
 
 
-def _request(
-    template: PromptTemplate,
-    user_content: str,
-    model_name: str,
-    temperature: float,
-    max_output_tokens: int,
-) -> ChatRequest:
-    return ChatRequest(
-        model_name=model_name,
-        system_prompt=template.body,
-        user_content=user_content,
-        temperature=temperature,
-        max_output_tokens=max_output_tokens,
-    )
-
-
 def _blocks_from_extractor_payload(
     payload: Any, doc_id: str, page_number: int
 ) -> list[MentionBlock]:
@@ -291,21 +274,18 @@ def extract_mentions(
     page: PageRecord,
     backend: ChatBackend,
     *,
-    templates: Mapping[str, PromptTemplate] | None = None,
-    model_name: str = DEFAULT_MODEL,
-    temperature: float = 0.0,
-    max_output_tokens: int = 4096,
+    call: StageCall | None = None,
 ) -> list[MentionBlock]:
     """Run the extraction stage on one page.
 
+    ``call`` holds the prompt, model and decoding settings; by default the
+    packaged ``extractor`` prompt with the default model and settings.
     Empty pages short-circuit to an empty list without a backend call.
     """
     if not page.text.strip():
         return []
-    templates = templates or load_templates()
-    response = backend.complete(
-        _request(templates["extractor"], page.text, model_name, temperature, max_output_tokens)
-    )
+    call = call or StageCall(load_templates()["extractor"])
+    response = backend.complete(call.request(page.text))
     payload = _parse_stage_payload(response.text)
     return _blocks_from_extractor_payload(payload, page.doc_id, page.page_number)
 
@@ -326,25 +306,21 @@ def judge_mentions(
     block: MentionBlock,
     backend: ChatBackend,
     *,
-    templates: Mapping[str, PromptTemplate] | None = None,
-    model_name: str = DEFAULT_MODEL,
-    temperature: float = 0.0,
-    max_output_tokens: int = 4096,
+    call: StageCall | None = None,
     user_content: str | None = None,
 ) -> list[JudgeVerdict]:
     """Run the judge stage on one block; verdicts align with its datasets.
 
+    ``call`` is as for :func:`extract_mentions`, with the ``judge`` prompt.
     ``user_content`` is the request body, ``canonical_json(block.to_dict())``,
     made here unless the caller already has it.
     """
     if not block.datasets:
         raise InvalidRecord("judge stage requires a block with at least one dataset")
-    templates = templates or load_templates()
+    call = call or StageCall(load_templates()["judge"])
     if user_content is None:
         user_content = canonical_json(block.to_dict())
-    response = backend.complete(
-        _request(templates["judge"], user_content, model_name, temperature, max_output_tokens)
-    )
+    response = backend.complete(call.request(user_content))
     payload = _parse_stage_payload(response.text)
     if isinstance(payload, dict):
         for key in _VERDICT_LIST_KEYS:
@@ -397,10 +373,7 @@ def reason_mentions(
     block: MentionBlock,
     backend: ChatBackend,
     *,
-    templates: Mapping[str, PromptTemplate] | None = None,
-    model_name: str = DEFAULT_MODEL,
-    temperature: float = 0.0,
-    max_output_tokens: int = 4096,
+    call: StageCall | None = None,
     user_content: str | None = None,
 ) -> list[AgentAssessment]:
     """Run the reasoning agent on one block; one assessment per dataset.
@@ -411,16 +384,16 @@ def reason_mentions(
     always come from the input block, which keeps them byte-identical to the
     extraction-stage values. A reply that marks a mention invalid yet keeps
     its labels is repaired by nulling the labels, with a logged warning.
-    ``user_content`` is the request body, as for :func:`judge_mentions`.
+    ``call`` is as for :func:`extract_mentions`, with the ``reasoner``
+    prompt, and ``user_content`` is the request body, as for
+    :func:`judge_mentions`.
     """
     if not block.datasets:
         raise InvalidRecord("reason stage requires a block with at least one dataset")
-    templates = templates or load_templates()
+    call = call or StageCall(load_templates()["reasoner"])
     if user_content is None:
         user_content = canonical_json(block.to_dict())
-    response = backend.complete(
-        _request(templates["reasoner"], user_content, model_name, temperature, max_output_tokens)
-    )
+    response = backend.complete(call.request(user_content))
     payload = extract_json_payload(response.text, "tagged")
     if isinstance(payload, dict):
         entries = payload.get("datasets")
@@ -761,9 +734,9 @@ def _block_items(
 
 
 def _produce_extract(
-    page: PageRecord, user_content: str, backend: ChatBackend, kwargs: Mapping[str, Any]
+    page: PageRecord, user_content: str, backend: ChatBackend, call: StageCall
 ) -> tuple[str, list[int]]:
-    blocks = extract_mentions(page, backend, **kwargs)  # user_content is page.text
+    blocks = extract_mentions(page, backend, call=call)  # user_content is page.text
     line = dumps_line(
         {
             "doc_id": page.doc_id,
@@ -775,21 +748,19 @@ def _produce_extract(
 
 
 def _produce_judge(
-    subject: tuple[MentionBlock, dict], user_content: str, backend: ChatBackend,
-    kwargs: Mapping[str, Any],
+    subject: tuple[MentionBlock, dict], user_content: str, backend: ChatBackend, call: StageCall
 ) -> tuple[str, list[int]]:
     block, payload = subject
-    verdicts = judge_mentions(block, backend, user_content=user_content, **kwargs)
+    verdicts = judge_mentions(block, backend, call=call, user_content=user_content)
     line = dumps_line({"block": payload, "verdicts": [v.to_dict() for v in verdicts]})
     return line, [sum(v.valid for v in verdicts)]
 
 
 def _produce_reason(
-    subject: tuple[MentionBlock, dict], user_content: str, backend: ChatBackend,
-    kwargs: Mapping[str, Any],
+    subject: tuple[MentionBlock, dict], user_content: str, backend: ChatBackend, call: StageCall
 ) -> tuple[str, list[int]]:
     block, payload = subject
-    assessments = reason_mentions(block, backend, user_content=user_content, **kwargs)
+    assessments = reason_mentions(block, backend, call=call, user_content=user_content)
     line = dumps_line({"block": payload, "assessments": [a.to_dict() for a in assessments]})
     return line, [sum(a.valid for a in assessments)]
 
@@ -800,7 +771,7 @@ class _StageSpec:
 
     ``parse`` reads one row of the input file, and ``items`` turns the
     pages, or what ``parse`` made of the rows, into items.
-    ``produce(subject, user_content, backend, stage_kwargs)`` returns the
+    ``produce(subject, user_content, backend, call)`` returns the
     item's output line and what it adds to each of the stage's ``counters``,
     the :class:`PipelineStats` fields the stage counts; ``user_content`` is
     the text ``items`` yielded for the item's key. ``parse``, ``items`` and
@@ -814,7 +785,7 @@ class _StageSpec:
     output_file: str
     parse: Callable[[dict[str, Any]], Any] | None
     items: Callable[[Any], Iterator[tuple[str, int, str, Any]]]
-    produce: Callable[[Any, str, ChatBackend, Mapping[str, Any]], tuple[str, list[int]]]
+    produce: Callable[[Any, str, ChatBackend, StageCall], tuple[str, list[int]]]
     counters: tuple[str, ...]
 
     @property
@@ -1025,10 +996,9 @@ def _run_stage(
     writer: _StageWriter,
     done: frozenset[str],
     backend: ChatBackend,
-    stage_kwargs: Mapping[str, Any],
+    call: StageCall,
     *,
     ledger: ReplyLedger,
-    settings: str,
     item_attempts: int,
     workers: int,
 ) -> None:
@@ -1039,34 +1009,29 @@ def _run_stage(
     count, keeping output files deterministic. An item is pending when its
     key is not in ``done``, the keys committed before the stage started, so
     a key repeated in the input runs, and commits, each time at any worker
-    count. An attempt takes its reply from ``ledger`` under ``settings``
-    when it is there, else asks ``backend`` and records the reply.
+    count. An attempt takes its reply from ``ledger`` under ``call``'s
+    digest when it is there, else asks ``backend`` and records the reply.
     """
     keyed = _keyed_items(spec, source)
     batches = iter(lambda: list(islice(keyed, _ENUMERATION_BATCH)), [])
     pending = (item for batch in batches for item in batch if item[0] not in done)
     from .ledger import LedgerBackend
 
-    vias: dict[int, LedgerBackend] = {}  # by thread
+    settings = call.digest()
     recorded = ledger.reply if ledger.index else None
 
     def attempt(
         item: tuple[str, str, int, str, Any],
     ) -> tuple[Any, tuple[str, list[int]] | None, Exception | None]:
-        via = vias.get(threading.get_ident())
-        if via is None:
-            via = vias[threading.get_ident()] = LedgerBackend(backend)
         key, last = item[0], None
         for n in range(item_attempts):
-            via.recorded = None if recorded is None else recorded(settings, key, n)
-            via.reply = None
+            via = LedgerBackend(backend, None if recorded is None else recorded(settings, key, n))
             try:
-                produced = spec.produce(item[4], item[3], via, stage_kwargs)
+                produced = spec.produce(item[4], item[3], via, call)
             except _POISON_ERRORS as exc:
                 produced, last = None, exc
-            reply = via.reply
-            if reply is not None:
-                ledger.record(settings, key, n, spec.template_id, reply,
+            if via.reply is not None:
+                ledger.record(settings, key, n, spec.template_id, via.reply,
                               "ok" if produced else type(last).__name__)
             if produced:
                 return item, produced, None
@@ -1113,13 +1078,12 @@ def run_pipeline(
         _truncate(output_dir / spec.checkpoint_file, checkpoints[spec.name].size)
     _truncate(output_dir / _DEADLETTER_FILE,
               max(c.deadletter_offset for c in checkpoints.values()))
+    if any(c.counts is None for c in checkpoints.values()):  # lines from before counters
+        stats = compute_stats(output_dir)
+        for spec in _STAGE_SPECS:
+            if checkpoints[spec.name].counts is None:
+                checkpoints[spec.name].counts = [getattr(stats, name) for name in spec.counters]
 
-    stage_kwargs = {
-        "templates": templates,
-        "model_name": model_name,
-        "temperature": temperature,
-        "max_output_tokens": max_output_tokens,
-    }
     sealed: set[str] = set()
     done: dict[str, frozenset[str]] | None = None
     with ExitStack() as opened:
@@ -1137,21 +1101,17 @@ def run_pipeline(
             if done is None:  # so a damaged line stops the run before any call
                 done = _committed_keys(output_dir, checkpoints, checkpoints.keys() - sealed)
                 # loaded by the first stage that runs, so a sealed rerun never loads it
-                from .ledger import LEDGER_FILE, ReplyLedger, settings_digest
+                from .ledger import LEDGER_FILE, ReplyLedger
 
                 ledger = ReplyLedger.load(output_dir / LEDGER_FILE)
                 ledger.open()
                 opened.callback(ledger.close)
-            if checkpoint.counts is None:  # lines from before counters: count the output once
-                stats = compute_stats(output_dir)
-                checkpoint.counts = [getattr(stats, name) for name in spec.counters]
-            settings = settings_digest(templates[spec.template_id], model_name, temperature,
-                                       max_output_tokens)
+            call = StageCall(templates[spec.template_id], model_name, temperature,
+                             max_output_tokens)
             with _StageWriter(checkpoint, output_dir, spec) as writer:
                 try:
-                    _run_stage(spec, source, writer, done[spec.name], backend, stage_kwargs,
-                               ledger=ledger, settings=settings,
-                               item_attempts=item_attempts, workers=workers)
+                    _run_stage(spec, source, writer, done[spec.name], backend, call,
+                               ledger=ledger, item_attempts=item_attempts, workers=workers)
                 except _POISON_ERRORS:
                     # an item's own poison errors are caught per item; one that
                     # reaches here comes from reading the stage input
@@ -1166,13 +1126,10 @@ def run_pipeline(
             checkpoint.size, checkpoint.digest = _size(ckpt_path), _sha256(ckpt_path)
             seal_path.write_bytes(_seal(spec, input_digest, checkpoint))
 
-    if any(c.counts is None for c in checkpoints.values()):
-        stats = compute_stats(output_dir)  # a checkpoint from before counters
-    else:
-        totals = {name: n for spec in _STAGE_SPECS
-                  for name, n in zip(spec.counters, checkpoints[spec.name].counts)}
-        judged, agent = totals["mentions_judged_valid"], totals["mentions_agent_valid"]
-        stats = PipelineStats(**totals, retention_after_agent=agent / judged if judged else None)
+    totals = {name: n for spec in _STAGE_SPECS
+              for name, n in zip(spec.counters, checkpoints[spec.name].counts)}
+    judged, agent = totals["mentions_judged_valid"], totals["mentions_agent_valid"]
+    stats = PipelineStats(**totals, retention_after_agent=agent / judged if judged else None)
     data = (json.dumps(stats.to_dict(), ensure_ascii=False, indent=2) + "\n").encode("utf-8")
     if not _holds(output_dir / "stats.json", data):
         (output_dir / "stats.json").write_bytes(data)
@@ -1229,12 +1186,12 @@ def plan_pipeline(
         else:
             if done is None:  # as run_pipeline reads them
                 done = _committed_keys(output_dir, checkpoints, checkpoints.keys() - sealed)
-                from .ledger import LEDGER_FILE, ReplyLedger, settings_digest
+                from .ledger import LEDGER_FILE, ReplyLedger
 
                 recorded = ReplyLedger.load(output_dir / LEDGER_FILE).index
                 templates = templates or load_templates()
-            settings = settings_digest(templates[spec.template_id], model_name, temperature,
-                                       max_output_tokens)
+            settings = StageCall(templates[spec.template_id], model_name, temperature,
+                                 max_output_tokens).digest()
             for key, _, _, user_content, _ in _keyed_items(spec, source):
                 if key not in done[spec.name]:
                     pending += 1

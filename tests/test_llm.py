@@ -18,7 +18,14 @@ from datamentions.errors import (
     RetriesExhausted,
     UnscriptedInput,
 )
-from datamentions.llm import ChatRequest, extract_json_payload, load_templates, request_digest
+from datamentions.llm import (
+    ChatRequest,
+    PromptTemplate,
+    StageCall,
+    extract_json_payload,
+    load_templates,
+    request_digest,
+)
 from datamentions.retries import RetryPolicy
 
 from stubserver import StubServer
@@ -67,6 +74,18 @@ def test_request_digest_is_stable_and_distinct() -> None:
     assert d1 != request_digest("extractor", "other text")
 
 
+@pytest.mark.parametrize("temperature, digest", [
+    (0.0, "50ac72b70d67ff05a664aef2d4d7b8e45cc0b4e620bb3e19ea46ab0ca195d253"),
+    (0, "50ac72b70d67ff05a664aef2d4d7b8e45cc0b4e620bb3e19ea46ab0ca195d253"),
+    (0.7, "51f3eaae81f511134010ce236dc1cef8bbaab706e5389162bdde993e2f99b2a6"),
+])
+def test_the_stage_digest_keeps_the_bytes_of_written_ledgers(temperature, digest) -> None:
+    # the ``config`` of every reply ledger line written so far; another value
+    # would send a rerun back to the backend for every recorded reply
+    call = StageCall(PromptTemplate("judge", "p"), "m", temperature, 4096)
+    assert call.digest() == digest
+
+
 # ---------------------------------------------------------------------------
 # payload extraction
 
@@ -100,6 +119,15 @@ def test_a_payload_holding_a_lone_surrogate_is_a_parse_error(text) -> None:
         extract_json_payload(text)
     str(excinfo.value).encode("utf-8")  # the message itself holds none
     assert extract_json_payload('["\\ud83d\\ude00", "\u00e9"]') == ["\U0001f600", "\u00e9"]
+
+
+@pytest.mark.parametrize("mode, wrap", [("bare", "{}"), ("fenced", "```json\n{}\n```"),
+                                        ("tagged", "<OUTPUTDATA>{}</OUTPUTDATA>")])
+def test_a_payload_nested_past_the_recursion_limit_is_a_parse_error(mode, wrap) -> None:
+    deep = "[" * 5000 + "]" * 5000
+    for payload in (deep, deep[:-1] + ",]"):  # the second takes the repair pass
+        with pytest.raises(ParseError, match="nested deeper"):
+            extract_json_payload(wrap.format(payload), mode)
 
 
 def test_fenced_payload() -> None:

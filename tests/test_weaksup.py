@@ -40,6 +40,7 @@ from datamentions.llm import (
     ChatRequest,
     ChatResponse,
     PromptTemplate,
+    StageCall,
     extract_json_payload,
     load_templates,
     request_digest,
@@ -879,6 +880,57 @@ def test_given_user_content_sends_the_same_request() -> None:
         assert given.calls == made.calls and len(made.calls) == 1
 
 
+class _Recording:
+    """A backend that keeps each request and answers every one with ``text``."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.requests: list[ChatRequest] = []
+
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        self.requests.append(request)
+        return ChatResponse(text=self.text)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_a_stage_call_is_the_request_the_backend_gets(stage) -> None:
+    page = _page(1, "We use A.")
+    block = _block_for(page, ["A"])
+    block_body = canonical_json(block.to_dict())
+    stage_fn, subject, reply, template_id, body = {
+        "extract": (extract_mentions, page, "[]", "extractor", page.text),
+        "judge": (judge_mentions, block, _judge_response(block, [True]), "judge", block_body),
+        "reason": (reason_mentions, block, _reason_response(block, [True]), "reasoner",
+                   block_body),
+    }[stage]
+    backend = _Recording(reply)
+    stage_fn(subject, backend, call=StageCall(PromptTemplate(template_id, "Our own prompt."),
+                                              "another-model", 0.7, 321))
+    stage_fn(subject, backend)  # the packaged prompt and the default settings
+    assert backend.requests == [
+        ChatRequest("another-model", "Our own prompt.", body, 0.7, 321),
+        ChatRequest(DEFAULT_MODEL, load_templates()[template_id].body, body, 0.0, 4096)]
+
+
+def test_the_pipeline_sends_each_stage_its_prompt_and_settings(tmp_path) -> None:
+    cases = _standard_cases()
+    templates = {template_id: PromptTemplate(template_id, f"Our own {template_id} prompt.")
+                 for template_id in ("extractor", "judge", "reasoner")}
+    mock = MockChatBackend(_pipeline_script(cases), templates=templates)
+    requests: list[ChatRequest] = []
+
+    class Kept:
+        def complete(self, request: ChatRequest) -> ChatResponse:
+            requests.append(request)
+            return mock.complete(request)
+
+    run_pipeline([case[0] for case in cases], Kept(), output_dir=tmp_path / "out",
+                 templates=templates, model_name="another-model", temperature=0.7,
+                 max_output_tokens=321)
+    assert {(r.system_prompt, r.model_name, r.temperature, r.max_output_tokens)
+            for r in requests} == {(t.body, "another-model", 0.7, 321) for t in templates.values()}
+
+
 # ---------------------------------------------------------------------------
 # seals
 
@@ -1633,7 +1685,7 @@ def test_the_ledger_records_each_reply_as_its_attempt_ends(tmp_path) -> None:
     templates = load_templates()
     for template_id in ("extractor", "judge", "reasoner"):
         assert {line["config"] for line in lines if line["stage"] == template_id} == {
-            ledger.settings_digest(templates[template_id], DEFAULT_MODEL, 0.0, 4096)}
+            StageCall(templates[template_id], DEFAULT_MODEL, 0.0, 4096).digest()}
 
     # a backend error brings no reply and writes nothing
     out = tmp_path / "stopped"
@@ -1650,7 +1702,27 @@ def _with_ledger_of(source: Path, directory: Path, data: bytes | None = None) ->
     return directory
 
 
-@pytest.mark.parametrize("change", ["prompt", "temperature", "model"])
+def test_a_reply_nested_past_the_recursion_limit_is_dead_lettered(tmp_path) -> None:
+    page = _page(1, "This page draws a deeply nested reply.")
+    script = {("extractor", request_digest("extractor", page.text)): "[" * 5000 + "]" * 5000}
+    backend = MockChatBackend(script)
+    out = tmp_path / "out"
+    stats = run_pipeline([page], backend, output_dir=out, item_attempts=2)
+    assert len(backend.calls) == 2 and stats.pages_processed == 0
+    assert [(line["n"], line["outcome"]) for line in _ledger(out)] == [
+        (0, "ParseError"), (1, "ParseError")]
+    assert [(row["stage"], row["error"]) for row in read_jsonl(out / "deadletter.jsonl")] == [
+        ("extract", "ParseError")]
+
+    # the paid replies are kept: a run on the ledger alone makes no call
+    again = MockChatBackend(script)
+    run_pipeline([page], again, output_dir=_with_ledger_of(out, tmp_path / "again"),
+                 item_attempts=2)
+    assert again.calls == []
+    assert _outputs(tmp_path / "again") == _outputs(out)
+
+
+@pytest.mark.parametrize("change", ["prompt", "temperature", "model", "max_output_tokens"])
 def test_a_changed_setting_misses_the_ledger(tmp_path, change) -> None:
     cases = _standard_cases()
     script = _pipeline_script(cases)
@@ -1664,8 +1736,10 @@ def test_a_changed_setting_misses_the_ledger(tmp_path, change) -> None:
         settings["templates"] = {**templates, "judge": judge}
     elif change == "temperature":
         settings["temperature"] = 0.7
-    else:
+    elif change == "model":
         settings["model_name"] = "another-model"
+    else:
+        settings["max_output_tokens"] = 4095
 
     same = MockChatBackend(script)
     run_pipeline(pages, same, output_dir=_with_ledger_of(tmp_path / "full", tmp_path / "same"))
