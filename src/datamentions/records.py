@@ -73,11 +73,18 @@ def is_doc_id(value: Any) -> bool:
     return isinstance(value, str) and bool(_DOC_ID.match(value))
 
 
-def clean_optional(value: Any) -> str | None:
-    """Normalize an optional text field: null-ish values become absent."""
+def clean_optional(value: Any, key: str = "a text field") -> str | None:
+    """Normalize an optional text field: null-ish values become absent.
+
+    A number or a boolean becomes its ``str``; an object or an array, which
+    has no text form, raises :class:`InvalidRecord` naming ``key``.
+    """
     if value is None:
         return None
     if not isinstance(value, str):
+        if isinstance(value, (dict, list)):
+            kind = "an object" if isinstance(value, dict) else "an array"
+            raise InvalidRecord(f"{key} is {kind}, not text")
         value = str(value)
     if value.strip().lower() in _ABSENT_STRINGS:
         return None
@@ -110,7 +117,7 @@ def _coerce_bool(value: Any, key: str, where: str) -> bool:
 
 def _label(payload: dict, key: str, allowed: tuple[str, ...]) -> str | None:
     """The payload's ``key`` label: absent, or one of ``allowed`` (else :class:`BadEnum`)."""
-    value = clean_optional(payload.get(key))
+    value = clean_optional(payload.get(key), key)
     if value is None or value in allowed:
         return value
     raise BadEnum(key, value)
@@ -239,7 +246,7 @@ class DocumentRecord:
             source_corpus=payload.get("source_corpus") or "other",
             year=None if year is None else _coerce_int(year, "year", where),
             is_open_access=_coerce_bool(payload.get("is_open_access", False), "is_open_access", where),
-            pdf_url=clean_optional(payload.get("pdf_url")),
+            pdf_url=clean_optional(payload.get("pdf_url"), "pdf_url"),
             citation_count=None if citations is None else _coerce_int(citations, "citation_count", where),
         )
 
@@ -392,11 +399,11 @@ def _parse_mention_payload(
     return DatasetMention(
         raw_name,
         str(mentioned_in),
-        clean_optional(get("harmonized_name")),
-        clean_optional(get("acronym")),
-        clean_optional(get("producer")),
-        clean_optional(get("year")),
-        clean_optional(get("data_type")),
+        clean_optional(get("harmonized_name"), "harmonized_name"),
+        clean_optional(get("acronym"), "acronym"),
+        clean_optional(get("producer"), "producer"),
+        clean_optional(get("year"), "year"),
+        clean_optional(get("data_type"), "data_type"),
         _label(payload, "context", CONTEXT_VALUES),
         _label(payload, "specificity", SPECIFICITY_VALUES),
         _label(payload, "relevance", RELEVANCE_VALUES),
@@ -468,9 +475,11 @@ class JudgeVerdict:
             raw_name=str(_require(payload, "raw_name", where)),
             valid=_coerce_bool(_require(payload, "valid", where), "valid", where),
             reason=str(_require(payload, "reason", where)),
-            inferred_year=clean_optional(payload.get("inferred_year")),
-            inferred_producer=clean_optional(payload.get("inferred_producer")),
-            inferred_data_type=clean_optional(payload.get("inferred_data_type")),
+            inferred_year=clean_optional(payload.get("inferred_year"), "inferred_year"),
+            inferred_producer=clean_optional(payload.get("inferred_producer"),
+                                             "inferred_producer"),
+            inferred_data_type=clean_optional(payload.get("inferred_data_type"),
+                                              "inferred_data_type"),
         )
 
 
@@ -525,7 +534,7 @@ class AgentAssessment:
         return cls(
             mention=DatasetMention.from_dict(_require(payload, "mention", where)),
             valid=_coerce_bool(_require(payload, "valid", where), "valid", where),
-            invalid_reason=clean_optional(payload.get("invalid_reason")),
+            invalid_reason=clean_optional(payload.get("invalid_reason"), "invalid_reason"),
             specificity=_label(payload, "specificity", SPECIFICITY_VALUES),
             context=_label(payload, "context", CONTEXT_VALUES),
         )

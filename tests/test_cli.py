@@ -308,6 +308,32 @@ def test_a_stored_mention_with_an_unknown_label_exits_3_like_a_reply(tmp_path, c
     assert (tmp_path / "out" / "judged.jsonl").read_bytes() == b""
 
 
+def test_a_stored_label_that_is_an_object_or_an_array_exits_3_naming_the_line(
+        tmp_path, capsys) -> None:
+    cases = _two_page_cases()
+    cfg = _mock_config(tmp_path, pipeline_script(cases))
+    pages = _pages_file(tmp_path, [c[0] for c in cases])
+    argv = ["--config", str(cfg), "generate", "--pages", str(pages)]
+    assert main(argv + ["--stage", "extract"]) == 0
+    extracted = tmp_path / "out" / "extracted.jsonl"
+    text = extracted.read_text(encoding="utf-8")
+    # the labels of a reply that would be dead-lettered, in a hand edit of the same length
+    old = '"raw_name": "LSMS", "mentioned_in": "We rely on the LSMS throughout."'
+    new = '"raw_name": "LSMS", "producer": [[1]], "year": {"a": 1}, "n": ""'
+    new = new[:-1] + "x" * (len(old) - len(new)) + '"'  # an unknown field, ignored
+    assert len(old) == len(new) and text.count(old) == 1
+    extracted.write_text(text.replace(old, new), encoding="utf-8")
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"input error: {extracted}: line 1: " in err
+    assert "producer is an array, not text" in err
+    after = _tree(tmp_path)  # the judge stage opened its files, then read its first row
+    assert after.pop("out/judged.jsonl") == after.pop("out/checkpoints/judge.ckpt") == b""
+    assert after == before  # no call logged, no byte changed
+
+
 @pytest.mark.parametrize("side, line, complaint", [
     ("doccano", '{"page_number": "two", "text": "LSMS", "label": [[0, 4, "x"]]}', "wrong type"),
     ("doccano", '{"text": "LSMS", "label": [[0]]}', "wrong type"),

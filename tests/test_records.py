@@ -71,6 +71,17 @@ def test_clean_optional_keeps_text_and_coerces() -> None:
     assert clean_optional("2020") == "2020"
     assert clean_optional(2020) == "2020"
     assert clean_optional("Nonexistent") == "Nonexistent"
+    assert clean_optional(True) == "True" and clean_optional(1.5) == "1.5"
+
+
+@pytest.mark.parametrize("value, kind", [({"a": 1}, "an object"), ([[1]], "an array"),
+                                         ({}, "an object"), ([], "an array")])
+def test_clean_optional_refuses_an_object_or_an_array_naming_the_field(value, kind) -> None:
+    with pytest.raises(InvalidRecord, match=f"^year is {kind}, not text$"):
+        clean_optional(value, "year")
+    with pytest.raises(InvalidRecord, match=f"^producer is {kind}, not text$"):
+        parse_mention_block({"mentioned_in": "s", "source": "f" * 40, "page": 1,
+                             "datasets": [{"raw_name": "X", "producer": value}]})
 
 
 # ---------------------------------------------------------------------------

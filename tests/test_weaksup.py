@@ -46,6 +46,9 @@ from datamentions.llm import (
     request_digest,
 )
 from datamentions.records import (
+    CONTEXT_VALUES,
+    RELEVANCE_VALUES,
+    SPECIFICITY_VALUES,
     MentionBlock,
     PageRecord,
     canonical_json,
@@ -1722,6 +1725,28 @@ def test_a_reply_nested_past_the_recursion_limit_is_dead_lettered(tmp_path) -> N
     assert _outputs(tmp_path / "again") == _outputs(out)
 
 
+_OBJECT_LABELS = ('[{"mentioned_in": "deep page", "raw_name": "X", "producer": [[1]], '
+                  '"year": {"a": 1}}]')
+
+
+def test_a_reply_whose_label_is_an_object_or_an_array_is_dead_lettered(tmp_path) -> None:
+    page = _page(1, "deep page")
+    script = {("extractor", request_digest("extractor", page.text)): _OBJECT_LABELS}
+    backend = MockChatBackend(script)
+    out = tmp_path / "out"
+    stats = run_pipeline([page], backend, output_dir=out, item_attempts=3)
+    assert len(backend.calls) == 3 and stats.pages_processed == 0
+    assert (out / "extracted.jsonl").read_bytes() == b""
+    assert [(line["n"], line["outcome"]) for line in _ledger(out)] == [
+        (0, "InvalidRecord"), (1, "InvalidRecord"), (2, "InvalidRecord")]
+    (dead,) = read_jsonl(out / "deadletter.jsonl")
+    assert (dead["stage"], dead["error"]) == ("extract", "InvalidRecord")
+    assert dead["detail"] == "producer is an array, not text"
+    again = MockChatBackend(script)
+    run_pipeline([page], again, output_dir=out, item_attempts=3)
+    assert again.calls == []
+
+
 @pytest.mark.parametrize("change", ["prompt", "temperature", "model", "max_output_tokens"])
 def test_a_changed_setting_misses_the_ledger(tmp_path, change) -> None:
     cases = _standard_cases()
@@ -1847,6 +1872,201 @@ def test_a_sealed_rerun_never_opens_the_ledger(tmp_path, monkeypatch) -> None:
     plan_pipeline(pages, output_dir=out)
     assert loaded == []
     assert _tree(out) == before
+
+
+# ---------------------------------------------------------------------------
+# handoff between stages
+
+
+_TEXT = st.text(max_size=8)
+_OPTIONAL_TEXT = st.one_of(
+    st.none(), _TEXT, st.sampled_from(["None", " null ", "NULL", "", "  "]),
+    st.integers(-2**70, 2**70), st.floats(), st.booleans(),
+)
+_MENTION_ENTRY = st.fixed_dictionaries(
+    {"raw_name": st.one_of(_TEXT, st.integers())},
+    optional={
+        "mentioned_in": st.one_of(st.none(), st.sampled_from(["s", "The LSMS."]), _TEXT),
+        **{key: _OPTIONAL_TEXT for key in ("harmonized_name", "acronym", "producer", "year",
+                                           "data_type")},
+        "context": st.sampled_from([None, "None", *CONTEXT_VALUES]),
+        "specificity": st.sampled_from([None, *SPECIFICITY_VALUES]),
+        "relevance": st.sampled_from([None, *RELEVANCE_VALUES]),
+        "note": _TEXT,
+    },
+)
+_SENTENCE = st.one_of(st.sampled_from(["s", "The LSMS."]), _TEXT)
+_EXTRACTOR_PAYLOAD = st.one_of(
+    st.lists(_MENTION_ENTRY, max_size=4),  # flat, each entry with its own sentence
+    _MENTION_ENTRY,  # a single mention
+    st.lists(st.fixed_dictionaries({"mentioned_in": _SENTENCE,  # block-shaped
+                                    "datasets": st.lists(_MENTION_ENTRY, max_size=3)}),
+             max_size=3),
+).flatmap(lambda payload: st.one_of(  # bare, or inside a wrapper object
+    st.just(payload),
+    st.sampled_from(["data_mentions", "mentions", "blocks", "extractions"]).map(
+        lambda key: {key: payload} if isinstance(payload, list) else payload),
+))
+_VERDICT_ENTRY = st.fixed_dictionaries(
+    {"valid": st.one_of(st.booleans(), st.sampled_from(["true", " FALSE ", "True"])),
+     "reason": st.one_of(_TEXT, st.integers())},
+    optional={
+        "explanation": _TEXT,
+        "raw_name": _TEXT,
+        **{key: _OPTIONAL_TEXT for key in ("inferred_year", "year", "inferred_producer",
+                                           "producer", "inferred_data_type", "data_type")},
+    },
+)
+
+
+def _reply(payload, wrapping: str) -> str:
+    body = json.dumps(payload)
+    if wrapping == "fenced":
+        return f"Here they are:\n```json\n{body}\n```"
+    return f"<OUTPUTDATA>{body}</OUTPUTDATA>" if wrapping == "tagged" else body
+
+
+def _committed_value(path: Path, writer, reader, subject, user_content, reply):
+    """What the ``writer`` stage hands over for its line, and the ``reader`` stage's
+    ``parse`` of that line as read back; None when the reply makes the item a poison
+    item, which commits no line."""
+    call = StageCall(load_templates()[writer.template_id])
+    try:
+        line, _, value = writer.produce(subject, user_content, _Recording(reply), call)
+    except weaksup._POISON_ERRORS:
+        return None
+    path.write_bytes((line + "\n").encode("utf-8"))
+    (parsed,) = weaksup.read_rows(path, reader.parse)
+    return value, parsed
+
+
+def test_the_value_handed_over_is_the_parse_of_the_committed_line(tmp_path) -> None:
+    extract, judge, reason = weaksup._STAGE_SPECS
+    wrappings = st.sampled_from(["bare", "fenced", "tagged"])
+    committed = {"extract": 0, "judge": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), payload=_EXTRACTOR_PAYLOAD, wrapping=wrappings,
+           page_number=st.integers(1, 2**70))
+    def check(data, payload, wrapping, page_number) -> None:
+        page = _page(page_number, "a page")
+        pair = _committed_value(tmp_path / "extracted.jsonl", extract, judge, page, page.text,
+                                _reply(payload, wrapping))
+        if pair is None:
+            return
+        blocks, parsed = pair
+        assert blocks == parsed
+        committed["extract"] += 1
+        for block in blocks:
+            body = block.to_dict()
+            verdicts = data.draw(st.lists(_VERDICT_ENTRY, min_size=len(block.datasets),
+                                          max_size=len(block.datasets)))
+            verdicts = data.draw(st.sampled_from([
+                verdicts, *({key: verdicts} for key in weaksup._VERDICT_LIST_KEYS)]))
+            pair = _committed_value(tmp_path / "judged.jsonl", judge, reason, (block, body),
+                                    canonical_json(body),
+                                    _reply(verdicts, data.draw(wrappings)))
+            if pair is not None:
+                assert pair[0] == pair[1]
+                committed["judge"] += 1
+
+    check()
+    assert committed["extract"] > 30 and committed["judge"] > 30  # not only poison items
+
+
+def _handoff_cases():
+    """The standard cases, a page whose extraction and one whose judgment is dead-lettered."""
+    cases = _standard_cases() + [(_page(5, "Page on the GHS and the MICS."), ["GHS", "MICS"],
+                                  [True, True], [True, False]),
+                                 (_page(6, "Page on the LFS."), ["LFS"], [True], [True])]
+    script = _pipeline_script(cases)
+    broken = _page(9, "This page draws a broken reply.")
+    script[("extractor", request_digest("extractor", broken.text))] = "{not json"
+    lfs = _block_for(cases[-1][0], ["LFS"])
+    script[("judge", request_digest("judge", canonical_json(lfs.to_dict())))] = "{not json"
+    return [case[0] for case in cases] + [broken], script
+
+
+def _every_output(directory: Path) -> dict[str, bytes]:
+    return {**_outputs(directory), **_seals(directory)}
+
+
+def _count_decoded_rows(monkeypatch) -> dict[str, int]:
+    """Patch the stages' row reader to count the rows it decodes, by file name."""
+    decoded: dict[str, int] = {}
+    read = weaksup.read_rows
+
+    def counted(path, parse, *args):
+        def parse_counted(row):
+            decoded[Path(path).name] = decoded.get(Path(path).name, 0) + 1
+            return parse(row)
+
+        return read(path, parse_counted, *args)
+
+    monkeypatch.setattr(weaksup, "read_rows", counted)
+    return decoded
+
+
+def _run_by_path(path: str, out: Path, pages, script, workers: int, extract_calls: int,
+                 monkeypatch) -> None:
+    """Leave ``out`` as ``path`` has it before its last, full run."""
+    if path == "extract first":
+        run_pipeline(pages, MockChatBackend(script), output_dir=out, stages=("extract",),
+                     workers=workers)
+    elif path == "cap below the first row":
+        monkeypatch.setattr(weaksup, "_HANDOFF_CAP", 0)
+    elif path == "interrupted mid-judge":
+        with pytest.raises(PipelineInterrupted):
+            run_pipeline(pages, _FailsAfter(MockChatBackend(script), extract_calls + 1),
+                         output_dir=out, workers=workers)
+        assert _lines(out / "judged.jsonl") == 1 and not (out / "checkpoints/judge.seal").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("path", ["full", "extract first", "cap below the first row",
+                                  "interrupted mid-judge"])
+def test_every_path_between_stages_writes_the_same_bytes(tmp_path, monkeypatch, path,
+                                                         workers) -> None:
+    pages, script = _handoff_cases()
+    reference = tmp_path / "reference"  # each stage alone reads all of its input back
+    backends = {stage: MockChatBackend(script) for stage in STAGES}
+    for stage in STAGES:
+        run_pipeline(pages, backends[stage], output_dir=reference, stages=(stage,))
+    assert _lines(reference / "deadletter.jsonl") == 2
+
+    out = tmp_path / "out"
+    _run_by_path(path, out, pages, script, workers, len(backends["extract"].calls), monkeypatch)
+    run_pipeline(pages, MockChatBackend(script), output_dir=out, workers=workers)
+    assert _every_output(out) == _every_output(reference)
+
+
+@pytest.mark.parametrize("path", ["full", "interrupted mid-judge", "cap below the first row",
+                                  "cap at the extracted bytes", "cap below the extracted bytes"])
+def test_a_run_decodes_only_the_rows_committed_before_it_started(tmp_path, monkeypatch,
+                                                                 path) -> None:
+    pages, script = _handoff_cases()
+    full = MockChatBackend(script)
+    reference = tmp_path / "reference"
+    run_pipeline(pages, full, output_dir=reference)
+    sizes = {name: (reference / name).stat().st_size
+             for name in ("extracted.jsonl", "judged.jsonl")}
+    extract_calls = sum(1 for template, _ in full.calls if template == "extractor")
+
+    out = tmp_path / "out"
+    _run_by_path(path, out, pages, script, 1, extract_calls, monkeypatch)
+    if "extracted bytes" in path:
+        monkeypatch.setattr(weaksup, "_HANDOFF_CAP", sizes["extracted.jsonl"] - ("below" in path))
+    cap = weaksup._HANDOFF_CAP
+    before = {name: _lines(out / name) if (out / name).exists() else 0 for name in sizes}
+    decoded = _count_decoded_rows(monkeypatch)
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    # a stage whose lines of this run pass the cap hands over none of them
+    expected = {name: _lines(out / name) if sizes[name] > cap else before[name]
+                for name in sizes}
+    assert {name: decoded.get(name, 0) for name in sizes} == expected
+    if path == "full":
+        assert expected == {"extracted.jsonl": 0, "judged.jsonl": 0}
+    assert _every_output(out) == _every_output(reference)
 
 
 # ---------------------------------------------------------------------------
