@@ -17,7 +17,7 @@ import shlex
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence, TypeVar
 
 from .config import PipelineConfig, load_config
 from .corpus import CorpusStore, MetadataClient, convert_pdf_to_pages, search_paper_by_title
@@ -41,8 +41,8 @@ from .gate import (
     RemoteGate,
     filter_pages,
 )
-from .llm import MockChatBackend, ChatBackend, RemoteChatBackend, load_templates
-from .records import PageRecord, _coerce_bool, _coerce_int, _require, read_rows, write_jsonl
+from .llm import ChatBackend, MockChatBackend, PromptTemplate, RemoteChatBackend, load_templates
+from .records import PageRecord, _coerce_bool, _coerce_int, _require, _text, read_rows, write_jsonl
 from .retries import RetryPolicy
 from .splits import SplitSpec, import_annotations, sample_pages, split
 from .weaksup import (
@@ -137,13 +137,18 @@ def _closing_session(client: _Client) -> Iterator[_Client]:
             session.close()
 
 
-def _build_backend(cfg: PipelineConfig) -> ChatBackend:
+def _stage_settings(cfg: PipelineConfig) -> dict[str, Any]:
+    """What fixes each stage's call, as keyword arguments of :func:`run_pipeline` and
+    :func:`plan_pipeline`: the prompts, read once per invocation, the model and the
+    decoding settings."""
+    return {"templates": load_templates(cfg.prompts_dir), "model_name": cfg.model_name,
+            "temperature": cfg.temperature, "max_output_tokens": cfg.max_output_tokens}
+
+
+def _build_backend(cfg: PipelineConfig, templates: Mapping[str, PromptTemplate]) -> ChatBackend:
     if cfg.backend == "mock":
         return MockChatBackend.from_script_file(
-            cfg.mock_script,
-            templates=load_templates(cfg.prompts_dir),
-            call_log=cfg.mock_call_log,
-        )
+            cfg.mock_script, templates=templates, call_log=cfg.mock_call_log)
     return RemoteChatBackend(
         base_url=cfg.base_url,
         api_key_env=cfg.api_key_env,
@@ -183,26 +188,18 @@ def _run_locked(
     cfg: PipelineConfig, pages: list[PageRecord], output_dir: Path, stages: Sequence[str]
 ) -> PipelineStats:
     """Run ``stages`` on ``pages`` into ``output_dir`` under its advisory lock."""
-    with _closing_session(_build_backend(cfg)) as backend, _advisory_lock(output_dir):
-        return run_pipeline(
-            pages,
-            backend,
-            output_dir=output_dir,
-            stages=stages,
-            templates=load_templates(cfg.prompts_dir),
-            model_name=cfg.model_name,
-            temperature=cfg.temperature,
-            max_output_tokens=cfg.max_output_tokens,
-            item_attempts=cfg.item_attempts,
-            workers=cfg.concurrency,
-        )
+    settings = _stage_settings(cfg)
+    with (_closing_session(_build_backend(cfg, settings["templates"])) as backend,
+          _advisory_lock(output_dir)):
+        return run_pipeline(pages, backend, output_dir=output_dir, stages=stages, **settings,
+                            item_attempts=cfg.item_attempts, workers=cfg.concurrency)
 
 
 def _decision(row: dict) -> tuple[tuple[str, int], bool]:
     """A gate decision row: its page's key and whether the page passed."""
     where = "decision"
     passed = _coerce_bool(_require(row, "passed", where), "passed", where)
-    return (_require(row, "doc_id", where),
+    return (_text(_require(row, "doc_id", where), "doc_id"),
             _coerce_int(_require(row, "page_number", where), "page_number", where)), passed
 
 
@@ -285,15 +282,8 @@ def cmd_generate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     stages = STAGES if args.stage == "all" else (args.stage,)
 
     if args.dry_run:
-        plans = plan_pipeline(
-            pages,
-            output_dir=cfg.output_dir,
-            stages=stages,
-            templates=load_templates(cfg.prompts_dir),
-            model_name=cfg.model_name,
-            temperature=cfg.temperature,
-            max_output_tokens=cfg.max_output_tokens,
-        )
+        plans = plan_pipeline(pages, output_dir=cfg.output_dir, stages=stages,
+                              **_stage_settings(cfg))
         total: int | None = 0
         for plan in plans:
             if plan.pending is None:
@@ -317,8 +307,7 @@ def cmd_generate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_sample(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     pages = _load_pages(cfg, args.pages)
-    seed = cfg.seed if args.seed is None else args.seed
-    sampled = sample_pages(pages, args.count, seed)
+    sampled = sample_pages(pages, args.count, cfg.seed)
     write_jsonl(args.out, (p.to_dict() for p in sampled))
     print(f"sampled {len(sampled)} of {len(pages)} pages -> {args.out}")
     return EXIT_OK
@@ -333,7 +322,6 @@ def cmd_split(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     except UnicodeDecodeError as exc:
         raise InputError(f"records file {records_path} is not UTF-8: {exc}") from None
     lines = [line for line in text.splitlines() if line.strip()]
-    seed = cfg.seed if args.seed is None else args.seed
     if args.ratios is not None:
         try:  # a word, or other than three parts
             train, val, test = (float(x) for x in args.ratios.split(","))
@@ -341,11 +329,11 @@ def cmd_split(cfg: PipelineConfig, args: argparse.Namespace) -> int:
             raise InputError(
                 f"--ratios needs three comma-separated numbers, got {args.ratios!r}"
             ) from None
-        spec = SplitSpec.from_ratios(train, val, test, seed=seed)
+        spec = SplitSpec.from_ratios(train, val, test, seed=cfg.seed)
     else:
         if None in (args.train, args.val, args.test):
             raise InputError("supply --train/--val/--test counts or --ratios")
-        spec = SplitSpec.from_counts(args.train, args.val, args.test, seed=seed)
+        spec = SplitSpec.from_counts(args.train, args.val, args.test, seed=cfg.seed)
     result = split(lines, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -380,7 +368,7 @@ def cmd_export_finetune(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 def _extracted_names(row: dict) -> tuple[tuple[str, int], list[str]]:
     """An extraction row: its page's key and the raw names of its mentions."""
-    names = [str(d["raw_name"]) for block in row.get("blocks", [])
+    names = [_text(d["raw_name"], "raw_name") for block in row.get("blocks", [])
              for d in block.get("datasets", [])]
     return (row["doc_id"], _coerce_int(row["page_number"], "page_number", "extraction row")), names
 

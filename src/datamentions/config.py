@@ -100,75 +100,60 @@ class PipelineConfig:
             raise ConfigError(f"prompts dir {self.prompts_dir} does not exist")
 
 
-_SECTIONS = {"endpoint", "backend", "execution", "gate", "match", "metadata", "paths", "seed"}
+def _path(value: Any) -> Path:
+    return Path(str(value))
 
 
-def _value(section: Mapping[str, Any], key: str, convert: Callable[[Any], Any],
-           default: Any) -> Any:
-    """``convert(section[key])``, or ``default`` when the key is absent or null."""
-    value = section.get(key)
-    return default if value is None else convert(value)
+# section -> key -> (PipelineConfig field, conversion); a path that is not
+# absolute is read against the configuration file's directory
+_SECTIONS: dict[str, dict[str, tuple[str, Callable[[Any], Any]]]] = {
+    "endpoint": {"base_url": ("base_url", str), "model": ("model_name", str),
+                 "api_key_env": ("api_key_env", str), "temperature": ("temperature", float),
+                 "max_output_tokens": ("max_output_tokens", int)},
+    "backend": {"kind": ("backend", str), "script": ("mock_script", _path),
+                "call_log": ("mock_call_log", _path)},
+    "execution": {"concurrency": ("concurrency", int),
+                  "retry_attempts": ("retry_attempts", int),
+                  "retry_base_delay": ("retry_base_delay", float),
+                  "retry_factor": ("retry_factor", float),
+                  "item_attempts": ("item_attempts", int)},
+    "gate": {"kind": ("gate_kind", str), "threshold": ("gate_threshold", float),
+             "triggers_file": ("gate_triggers_file", _path), "endpoint": ("gate_endpoint", str)},
+    "match": {"jaccard_threshold": ("jaccard_threshold", float), "beta": ("beta", float)},
+    "metadata": {"base_url": ("metadata_base_url", str),
+                 "api_key_env": ("metadata_api_key_env", str)},
+    "paths": {"corpus": ("corpus_dir", _path), "output": ("output_dir", _path),
+              "prompts": ("prompts_dir", _path)},
+}
+_TOP_LEVEL = {"seed": ("seed", int)}
+
+
+def _read(section: Mapping[str, Any], keys: Mapping[str, tuple[str, Callable[[Any], Any]]],
+          cfg: PipelineConfig, base_dir: Path) -> None:
+    """Set each field whose key ``section`` holds; an absent or null key keeps the default."""
+    for key, (field, convert) in keys.items():
+        value = section.get(key)
+        if value is not None:
+            value = convert(value)
+            if isinstance(value, Path) and not value.is_absolute():
+                value = base_dir / value
+            setattr(cfg, field, value)
 
 
 def _from_mapping(raw: Mapping[str, Any], base_dir: Path) -> PipelineConfig:
     if not isinstance(raw, Mapping):
         raise ConfigError("configuration root must be a mapping")
-    _check_keys(raw, _SECTIONS, "top-level")
+    _check_keys(raw, {*_SECTIONS, *_TOP_LEVEL}, "top-level")
     cfg = PipelineConfig()
-
-    def path_of(value: Any) -> Path:
-        p = Path(str(value))
-        return p if p.is_absolute() else base_dir / p
-
-    endpoint = raw.get("endpoint") or {}
-    _check_keys(endpoint, {"base_url", "model", "api_key_env", "temperature",
-                           "max_output_tokens"}, "endpoint")
-    cfg.base_url = _value(endpoint, "base_url", str, cfg.base_url)
-    cfg.model_name = _value(endpoint, "model", str, cfg.model_name)
-    cfg.api_key_env = _value(endpoint, "api_key_env", str, cfg.api_key_env)
-    cfg.temperature = _value(endpoint, "temperature", float, cfg.temperature)
-    cfg.max_output_tokens = _value(endpoint, "max_output_tokens", int, cfg.max_output_tokens)
-
-    backend = raw.get("backend") or {}
-    if isinstance(backend, str):
-        backend = {"kind": backend}
-    _check_keys(backend, {"kind", "script", "call_log"}, "backend")
-    cfg.backend = _value(backend, "kind", str, cfg.backend)
-    cfg.mock_script = _value(backend, "script", path_of, cfg.mock_script)
-    cfg.mock_call_log = _value(backend, "call_log", path_of, cfg.mock_call_log)
-
-    execution = raw.get("execution") or {}
-    _check_keys(execution, {"concurrency", "retry_attempts", "retry_base_delay",
-                            "retry_factor", "item_attempts"}, "execution")
-    cfg.concurrency = _value(execution, "concurrency", int, cfg.concurrency)
-    cfg.retry_attempts = _value(execution, "retry_attempts", int, cfg.retry_attempts)
-    cfg.retry_base_delay = _value(execution, "retry_base_delay", float, cfg.retry_base_delay)
-    cfg.retry_factor = _value(execution, "retry_factor", float, cfg.retry_factor)
-    cfg.item_attempts = _value(execution, "item_attempts", int, cfg.item_attempts)
-
-    gate = raw.get("gate") or {}
-    _check_keys(gate, {"kind", "threshold", "triggers_file", "endpoint"}, "gate")
-    cfg.gate_kind = _value(gate, "kind", str, cfg.gate_kind)
-    cfg.gate_threshold = _value(gate, "threshold", float, cfg.gate_threshold)
-    cfg.gate_triggers_file = _value(gate, "triggers_file", path_of, cfg.gate_triggers_file)
-    cfg.gate_endpoint = _value(gate, "endpoint", str, cfg.gate_endpoint)
-
-    match = raw.get("match") or {}
-    _check_keys(match, {"jaccard_threshold", "beta"}, "match")
-    cfg.jaccard_threshold = _value(match, "jaccard_threshold", float, cfg.jaccard_threshold)
-    cfg.beta = _value(match, "beta", float, cfg.beta)
-
-    metadata = raw.get("metadata") or {}
-    _check_keys(metadata, {"base_url", "api_key_env"}, "metadata")
-    cfg.metadata_base_url = _value(metadata, "base_url", str, cfg.metadata_base_url)
-    cfg.metadata_api_key_env = _value(metadata, "api_key_env", str, cfg.metadata_api_key_env)
-
-    paths = raw.get("paths") or {}
-    _check_keys(paths, {"corpus", "output", "prompts"}, "paths")
-    cfg.corpus_dir = _value(paths, "corpus", path_of, cfg.corpus_dir)
-    cfg.output_dir = _value(paths, "output", path_of, cfg.output_dir)
-    cfg.prompts_dir = _value(paths, "prompts", path_of, cfg.prompts_dir)
-    cfg.seed = _value(raw, "seed", int, cfg.seed)
+    for name, keys in _SECTIONS.items():
+        section = raw.get(name) or {}
+        if name == "backend" and isinstance(section, str):
+            section = {"kind": section}
+        if not isinstance(section, Mapping):
+            raise ConfigError(f"{name} must be a mapping of settings")
+        _check_keys(section, set(keys), name)
+        _read(section, keys, cfg, base_dir)
+    _read(raw, _TOP_LEVEL, cfg, base_dir)
     return cfg
 
 

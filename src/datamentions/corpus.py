@@ -42,6 +42,7 @@ from .records import (  # noqa: F401
     DocumentRecord,
     PageRecord,
     _coerce_int,
+    _text,
     _write_all,
     dumps_line,
     read_jsonl,
@@ -209,8 +210,9 @@ def _decodes(line: bytes) -> bool:
 
 
 def _stored_key(row: dict[str, Any]) -> tuple[str, int]:
-    """A stored line's (doc_id, page), the page number read as :class:`PageRecord` reads it."""
-    return row["doc_id"], _coerce_int(row["page_number"], "page_number", "page record")
+    """A stored line's (doc_id, page), read as :class:`PageRecord` reads them."""
+    where = "page record"
+    return _text(row["doc_id"], "doc_id"), _coerce_int(row["page_number"], "page_number", where)
 
 
 class _PageAppend:

@@ -10,9 +10,9 @@ into typed fields.
 
 Each record shape has one parser and each field one rule: a mention or a
 block, from a model reply or a stored row, is read by
-:func:`parse_mention_block`; labels by :func:`_label`, flags by
-:func:`_coerce_bool`, page numbers by :func:`_coerce_int` and name lists
-by :func:`_names`.
+:func:`parse_mention_block`; text by :func:`_text`, labels by
+:func:`_label`, flags by :func:`_coerce_bool`, page numbers by
+:func:`_coerce_int` and name lists by :func:`_names`.
 
 The bytes of an encoding and the value of a decoding are those of the
 standard ``json`` module. A line is encoded by one C encoder, the one
@@ -73,19 +73,22 @@ def is_doc_id(value: Any) -> bool:
     return isinstance(value, str) and bool(_DOC_ID.match(value))
 
 
-def clean_optional(value: Any, key: str = "a text field") -> str | None:
-    """Normalize an optional text field: null-ish values become absent.
+def _text(value: Any, key: str) -> str:
+    """A text field's value: a number or a boolean becomes its ``str``; an object or
+    an array, which has no text form, raises :class:`InvalidRecord` naming ``key``."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (dict, list)):
+        kind = "an object" if isinstance(value, dict) else "an array"
+        raise InvalidRecord(f"{key} is {kind}, not text")
+    return str(value)
 
-    A number or a boolean becomes its ``str``; an object or an array, which
-    has no text form, raises :class:`InvalidRecord` naming ``key``.
-    """
+
+def clean_optional(value: Any, key: str = "a text field") -> str | None:
+    """Normalize an optional text field, read by :func:`_text`: null-ish values become absent."""
     if value is None:
         return None
-    if not isinstance(value, str):
-        if isinstance(value, (dict, list)):
-            kind = "an object" if isinstance(value, dict) else "an array"
-            raise InvalidRecord(f"{key} is {kind}, not text")
-        value = str(value)
+    value = _text(value, key)
     if value.strip().lower() in _ABSENT_STRINGS:
         return None
     return value
@@ -270,10 +273,9 @@ class PageRecord:
     def from_dict(cls, payload: dict[str, Any]) -> "PageRecord":
         where = "page record"
         return cls(
-            doc_id=_require(payload, "doc_id", where),
+            doc_id=_text(_require(payload, "doc_id", where), "doc_id"),
             page_number=_coerce_int(_require(payload, "page_number", where), "page_number", where),
-            text=str(payload["text"]) if "text" in payload and payload["text"] is not None
-            else _require(payload, "text", where),
+            text=_text(_require(payload, "text", where), "text"),
         )
 
 
@@ -388,7 +390,7 @@ def _parse_mention_payload(
     """A mention from a reply entry or a stored row; its own sentence wins over the block's."""
     if not isinstance(payload, dict):
         raise InvalidRecord(f"dataset entry must be an object, got {type(payload).__name__}")
-    raw_name = str(_require(payload, "raw_name", "dataset entry"))
+    raw_name = _text(_require(payload, "raw_name", "dataset entry"), "raw_name")
     mentioned_in = payload.get("mentioned_in") or block_sentence
     if mentioned_in is None:
         raise MissingField("mentioned_in", "dataset entry")
@@ -398,7 +400,7 @@ def _parse_mention_payload(
     get = payload.get
     return DatasetMention(
         raw_name,
-        str(mentioned_in),
+        _text(mentioned_in, "mentioned_in"),
         clean_optional(get("harmonized_name"), "harmonized_name"),
         clean_optional(get("acronym"), "acronym"),
         clean_optional(get("producer"), "producer"),
@@ -420,7 +422,7 @@ def parse_mention_block(payload: Any) -> tuple[MentionBlock, list[str]]:
     if not isinstance(payload, dict):
         raise InvalidRecord(f"mention block must be an object, got {type(payload).__name__}")
     warnings: list[str] = []
-    sentence = str(_require(payload, "mentioned_in", "mention block"))
+    sentence = _text(_require(payload, "mentioned_in", "mention block"), "mentioned_in")
     raw_datasets = _require(payload, "datasets", "mention block")
     if not isinstance(raw_datasets, list):
         raise InvalidRecord("mention block: 'datasets' must be a list")
@@ -433,7 +435,7 @@ def parse_mention_block(payload: Any) -> tuple[MentionBlock, list[str]]:
     block = MentionBlock(
         sentence,
         datasets,
-        str(_require(payload, "source", "mention block")),
+        _text(_require(payload, "source", "mention block"), "source"),
         _coerce_int(_require(payload, "page", "mention block"), "page", "mention block"),
     )
     return block, warnings
@@ -472,9 +474,9 @@ class JudgeVerdict:
     def from_dict(cls, payload: dict[str, Any]) -> "JudgeVerdict":
         where = "judge verdict"
         return cls(
-            raw_name=str(_require(payload, "raw_name", where)),
+            raw_name=_text(_require(payload, "raw_name", where), "raw_name"),
             valid=_coerce_bool(_require(payload, "valid", where), "valid", where),
-            reason=str(_require(payload, "reason", where)),
+            reason=_text(_require(payload, "reason", where), "reason"),
             inferred_year=clean_optional(payload.get("inferred_year"), "inferred_year"),
             inferred_producer=clean_optional(payload.get("inferred_producer"),
                                              "inferred_producer"),
@@ -498,20 +500,15 @@ class AgentAssessment:
     context: str | None = None
 
     def __post_init__(self) -> None:
+        name = self.mention.raw_name
         if self.valid:
             if self.specificity is None or self.context is None:
-                raise ValidityCouplingViolation(
-                    "valid assessment must carry specificity and context labels"
-                )
+                raise ValidityCouplingViolation(f"agent kept {name!r} valid without both labels")
         else:
             if self.specificity is not None or self.context is not None:
-                raise ValidityCouplingViolation(
-                    "invalid assessment must carry null specificity and context"
-                )
+                raise ValidityCouplingViolation(f"agent marked {name!r} invalid but kept labels")
             if not self.invalid_reason or not self.invalid_reason.strip():
-                raise ValidityCouplingViolation(
-                    "invalid assessment must carry a non-empty invalid_reason"
-                )
+                raise ValidityCouplingViolation(f"agent marked {name!r} invalid without a reason")
         if self.specificity is not None and self.specificity not in SPECIFICITY_VALUES:
             raise BadEnum("specificity", self.specificity)
         if self.context is not None and self.context not in CONTEXT_VALUES:
@@ -581,7 +578,7 @@ class GroundTruthRecord:
     def from_dict(cls, payload: dict[str, Any]) -> "GroundTruthRecord":
         where = "ground truth record"
         return cls(
-            doc_id=str(_require(payload, "doc_id", where)),
+            doc_id=_text(_require(payload, "doc_id", where), "doc_id"),
             page_number=_coerce_int(_require(payload, "page_number", where), "page_number", where),
             gold_names=_names(payload, "gold_names", where),
             labels=payload.get("labels"),
@@ -611,7 +608,7 @@ class PredictionRecord:
     def from_dict(cls, payload: dict[str, Any]) -> "PredictionRecord":
         where = "prediction record"
         return cls(
-            doc_id=str(_require(payload, "doc_id", where)),
+            doc_id=_text(_require(payload, "doc_id", where), "doc_id"),
             page_number=_coerce_int(_require(payload, "page_number", where), "page_number", where),
             predicted_names=_names(payload, "predicted_names", where),
         )

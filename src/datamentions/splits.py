@@ -26,6 +26,7 @@ from .records import (
     _coerce_int,
     _names,
     _require,
+    _text,
     read_rows,
 )
 from .textnorm import normalize_tokens
@@ -188,7 +189,7 @@ def _gold_from_row(
 def _gold_from_canonical(row: dict, warnings: list[str]) -> GroundTruthRecord:
     where = "ground truth record"
     return _gold_from_row(
-        str(_require(row, "doc_id", where)),
+        _text(_require(row, "doc_id", where), "doc_id"),
         _coerce_int(_require(row, "page_number", where), "page_number", where),
         _names(row, "gold_names", where),
         row.get("labels"),
@@ -206,7 +207,7 @@ def _gold_from_doccano(row: dict, warnings: list[str]) -> GroundTruthRecord:
     """
     text = _require(row, "text", "annotation record")
     meta = row.get("meta") or {}
-    doc_id = str(row.get("doc_id") or meta.get("doc_id") or "")
+    doc_id = _text(row.get("doc_id") or meta.get("doc_id") or "", "doc_id")
     page = next(p for p in (row.get("page_number"), meta.get("page_number"), 1) if p is not None)
     page_number = _coerce_int(page, "page_number", "annotation record")
     names: list[str] = []

@@ -128,6 +128,7 @@ from .records import (
     _coerce_int,
     _label,
     _require,
+    _text,
     _write_all,
     read_jsonl,  # noqa: F401 -- not called here, but perfbench/tracing.py patches it by this name
     read_rows,
@@ -235,7 +236,7 @@ def _blocks_from_extractor_payload(
     for item in payload:
         if not isinstance(item, dict):
             raise InvalidRecord("extractor reply entries must be objects")
-        sentence = str(item.get("mentioned_in") or "")
+        sentence = _text(item.get("mentioned_in") or "", "mentioned_in")
         entries = item["datasets"] if isinstance(item.get("datasets"), list) else [item]
         if not sentence:
             raise MissingField("mentioned_in", "extractor reply entry")
@@ -349,15 +350,15 @@ def judge_mentions(
         if not isinstance(entry, dict):
             raise InvalidRecord("judge verdict entries must be objects")
         valid = _coerce_bool(_require(entry, "valid", "judge verdict"), "valid", "judge verdict")
-        reason = entry.get("reason") or entry.get("explanation")
-        if not reason or not str(reason).strip():
+        reason = _text(entry.get("reason") or entry.get("explanation") or "", "reason")
+        if not reason.strip():
             raise MissingField("reason", "judge verdict")
         _warn_on_echo(entry, mention, "judge")
         verdicts.append(
             JudgeVerdict(
                 raw_name=mention.raw_name,
                 valid=valid,
-                reason=str(reason),
+                reason=reason,
                 inferred_year=clean_optional(
                     entry.get("inferred_year", entry.get("year")), "inferred_year"
                 ),
@@ -435,14 +436,6 @@ def reason_mentions(
             )
             specificity = None
             context = None
-        if not valid and invalid_reason is None:
-            raise ValidityCouplingViolation(
-                f"agent marked {mention.raw_name!r} invalid without a reason"
-            )
-        if valid and (specificity is None or context is None):
-            raise ValidityCouplingViolation(
-                f"agent kept {mention.raw_name!r} valid without both labels"
-            )
         if valid:
             invalid_reason = None
 

@@ -143,9 +143,12 @@ def test_a_pages_file_that_is_not_utf8_exits_3_and_changes_nothing(
 
 @pytest.mark.parametrize("command", ["generate", "ingest", "sample", "gate"])
 @pytest.mark.parametrize("line, complaint", [
-    ('{"doc_id": "x", page_number: 2}', "is not JSON"),
-    ('{"doc_id": "' + DOC + '", "page_number": 2, "text": "LSMS\\ud800"}', "holds a lone surrogate"),
-], ids=["not JSON", "lone surrogate"])
+    ('{"doc_id": "x", page_number: 2}', " is not JSON"),
+    ('{"doc_id": "' + DOC + '", "page_number": 2, "text": "LSMS\\ud800"}',
+     " holds a lone surrogate"),
+    ('{"doc_id": "' + DOC + '", "page_number": 2, "text": {"a": 1}}',
+     ": the row has a field of the wrong type or value: text is an object, not text"),
+], ids=["not JSON", "lone surrogate", "object text"])
 def test_a_bad_pages_line_exits_3_naming_it_and_changes_nothing(tmp_path, capsys, command,
                                                                 line, complaint) -> None:
     cfg = _mock_config(tmp_path, pipeline_script(_two_page_cases()))
@@ -160,7 +163,7 @@ def test_a_bad_pages_line_exits_3_naming_it_and_changes_nothing(tmp_path, capsys
     code = main(["--config", str(cfg), "--corpus-dir", str(store), command, "--pages", str(pages)]
                 + extra)
     assert code == 3
-    assert f"input error: {pages}: line 2 {complaint}" in capsys.readouterr().err
+    assert f"input error: {pages}: line 2{complaint}" in capsys.readouterr().err
     assert _tree(tmp_path) == before
 
 
@@ -260,12 +263,16 @@ def test_a_row_without_its_fields_exits_3_naming_the_file(tmp_path, capsys, dama
     ("script", '{"stage": "extractor", "digest": 5, "response": "r"}', "digest is not a string"),
     ("script", '{"stage": "extractor", "user_content": 5, "response": "r"}',
      "user_content is not a string"),
+    ("gold", '{"doc_id": {"a": 1}, "page_number": 1, "gold_names": ["LSMS"]}',
+     "doc_id is an object, not text"),
+    ("decisions", '{"doc_id": ["d"], "page_number": 1, "passed": true}',
+     "doc_id is an array, not text"),
 ], ids=["decisions array", "decisions page word", "gold array", "gold null", "gold page word",
         "gold names null", "script array", "decisions page float", "decisions passed word",
         "gold names string", "gold name null", "gold page float", "gold page bool",
         "gold labels list",
         "script stage number", "script response number", "script digest number",
-        "script content number"])
+        "script content number", "gold doc_id object", "decisions doc_id array"])
 def test_a_row_of_the_wrong_shape_exits_3_naming_the_file(tmp_path, capsys, damaged, line,
                                                          complaint) -> None:
     cases = _two_page_cases()
@@ -308,30 +315,45 @@ def test_a_stored_mention_with_an_unknown_label_exits_3_like_a_reply(tmp_path, c
     assert (tmp_path / "out" / "judged.jsonl").read_bytes() == b""
 
 
+_STORED_MENTION = '"raw_name": "LSMS", "mentioned_in": "We rely on the LSMS throughout."'
+_STORED_LABELS = [  # the file, a committed text in it, its hand edit, the complaint
+    # the labels of a reply that would be dead-lettered
+    ("out/extracted.jsonl", _STORED_MENTION,
+     '"raw_name": "LSMS", "producer": [[1]], "year": {"a": 1}, "n": ""',
+     "producer is an array, not text"),
+    ("out/extracted.jsonl", _STORED_MENTION, '"raw_name": {"a": 1}, "n": ""',
+     "raw_name is an object, not text"),
+    ("store/pages.jsonl", '"text": "We rely on the LSMS throughout."', '"text": {"a": 1}, "n": ""',
+     "text is an object, not text"),
+]
+
+
 def test_a_stored_label_that_is_an_object_or_an_array_exits_3_naming_the_line(
         tmp_path, capsys) -> None:
     cases = _two_page_cases()
-    cfg = _mock_config(tmp_path, pipeline_script(cases))
-    pages = _pages_file(tmp_path, [c[0] for c in cases])
-    argv = ["--config", str(cfg), "generate", "--pages", str(pages)]
-    assert main(argv + ["--stage", "extract"]) == 0
-    extracted = tmp_path / "out" / "extracted.jsonl"
-    text = extracted.read_text(encoding="utf-8")
-    # the labels of a reply that would be dead-lettered, in a hand edit of the same length
-    old = '"raw_name": "LSMS", "mentioned_in": "We rely on the LSMS throughout."'
-    new = '"raw_name": "LSMS", "producer": [[1]], "year": {"a": 1}, "n": ""'
-    new = new[:-1] + "x" * (len(old) - len(new)) + '"'  # an unknown field, ignored
-    assert len(old) == len(new) and text.count(old) == 1
-    extracted.write_text(text.replace(old, new), encoding="utf-8")
-    before = _tree(tmp_path)
-    capsys.readouterr()
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert f"input error: {extracted}: line 1: " in err
-    assert "producer is an array, not text" in err
-    after = _tree(tmp_path)  # the judge stage opened its files, then read its first row
-    assert after.pop("out/judged.jsonl") == after.pop("out/checkpoints/judge.ckpt") == b""
-    assert after == before  # no call logged, no byte changed
+    for n, (edited, old, new, complaint) in enumerate(_STORED_LABELS):
+        root = tmp_path / str(n)
+        root.mkdir()
+        cfg = _mock_config(root, pipeline_script(cases))
+        CorpusStore(root / "store").ingest_pages(c[0] for c in cases)
+        argv = ["--config", str(cfg), "--corpus-dir", str(root / "store"), "generate"]
+        assert main(argv + ["--stage", "extract"]) == 0
+        path = root / edited
+        text = path.read_text(encoding="utf-8")
+        # a hand edit of the same length, so a committed line is still read whole; the
+        # padding is an unknown field, ignored
+        new = new[:-1] + "x" * (len(old) - len(new)) + '"'
+        assert len(old) == len(new) and text.count(old) == 1
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        before = _tree(root)
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"input error: {path}: line 1: " in err and complaint in err
+        after = _tree(root)
+        if edited == "out/extracted.jsonl":  # the judge stage opened its files, then read a row
+            assert after.pop("out/judged.jsonl") == after.pop("out/checkpoints/judge.ckpt") == b""
+        assert after == before  # no call logged, no byte changed
 
 
 @pytest.mark.parametrize("side, line, complaint", [
@@ -347,10 +369,16 @@ def test_a_stored_label_that_is_an_object_or_an_array_exits_3_naming_the_line(
     ("nuextract", '{"doc_id": "d"}', "lacks 'data_mentions'"),
     ("doccano", '{"page_number": 1.9, "text": "LSMS", "label": [[0, 4, "x"]]}', "wrong type"),
     ("nuextract", '{"page_number": 1.9, "data_mentions": []}', "wrong type"),
+    ("nuextract", '{"data_mentions": [{"datasets": [{"raw_name": {"a": 1}}]}]}',
+     "raw_name is an object, not text"),
+    ("nuextract", '{"doc_id": ["d"], "data_mentions": []}', "doc_id is an array, not text"),
+    ("doccano", '{"doc_id": {"a": 1}, "text": "LSMS", "label": [[0, 4, "x"]]}',
+     "doc_id is an object, not text"),
 ], ids=["doccano page word", "doccano short span", "doccano span object", "doccano meta word",
         "doccano text number", "nuextract page word", "nuextract mention number",
         "nuextract mentions number", "nuextract dataset word", "nuextract no mentions",
-        "doccano page float", "nuextract page float"])
+        "doccano page float", "nuextract page float", "nuextract name object",
+        "nuextract doc_id array", "doccano doc_id object"])
 def test_a_non_canonical_row_of_the_wrong_shape_exits_3_naming_the_file(
     tmp_path, capsys, side, line, complaint
 ) -> None:

@@ -69,16 +69,99 @@ def test_backend_string_shorthand(tmp_path) -> None:
     assert load_config(config_path).backend == "remote"
 
 
+_UNKNOWN = [
+    ("endpoint:\n  modle: oops\n", "unknown endpoint setting(s): modle"),
+    ("backend:\n  scirpt: s.jsonl\n", "unknown backend setting(s): scirpt"),
+    ("execution:\n  workers: 2\n", "unknown execution setting(s): workers"),
+    ("gate:\n  treshold: 0.3\n", "unknown gate setting(s): treshold"),
+    ("match:\n  jacard_threshold: 0.3\n", "unknown match setting(s): jacard_threshold"),
+    ("metadata:\n  url: x\n", "unknown metadata setting(s): url"),
+    ("paths:\n  out: x\n", "unknown paths setting(s): out"),
+    ("surprises: true\n", "unknown top-level setting(s): surprises"),
+    ("endpoint: [model]\n", "endpoint must be a mapping of settings"),
+]
+
+
 def test_unknown_keys_are_rejected(tmp_path) -> None:
     config_path = tmp_path / "c.yaml"
-    config_path.write_text("endpoint:\n  modle: oops\n", encoding="utf-8")
-    with pytest.raises(ConfigError) as excinfo:
-        load_config(config_path)
-    assert "modle" in str(excinfo.value)
+    for text, message in _UNKNOWN:
+        config_path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(config_path)
+        assert str(excinfo.value) == message
 
-    config_path.write_text("surprises: true\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_config(config_path)
+
+def test_every_key_of_every_section_sets_its_field(tmp_path) -> None:
+    for name in ("script.jsonl", "triggers.txt"):
+        (tmp_path / name).write_text("", encoding="utf-8")
+    (tmp_path / "prompts").mkdir()
+    config_path = tmp_path / "every.yaml"
+    config_path.write_text(
+        """
+endpoint:
+  base_url: https://llm.example/v1
+  model: test-model
+  api_key_env: LLM_KEY
+  temperature: 0.3
+  max_output_tokens: 512
+backend:
+  kind: mock
+  script: script.jsonl
+  call_log: logs/calls.jsonl
+execution:
+  concurrency: 3
+  retry_attempts: 4
+  retry_base_delay: 0.25
+  retry_factor: 3
+  item_attempts: 2
+gate:
+  kind: remote
+  threshold: 0.7
+  triggers_file: triggers.txt
+  endpoint: http://gate.example/score
+match:
+  jaccard_threshold: 0.6
+  beta: 2
+metadata:
+  base_url: https://meta.example/v1
+  api_key_env: META_KEY
+paths:
+  corpus: store
+  output: runs/out
+  prompts: prompts
+seed: 21
+""",
+        encoding="utf-8",
+    )
+    cfg = load_config(config_path)
+    assert vars(cfg) == {
+        "base_url": "https://llm.example/v1",
+        "model_name": "test-model",
+        "api_key_env": "LLM_KEY",
+        "temperature": 0.3,
+        "max_output_tokens": 512,
+        "backend": "mock",
+        "mock_script": tmp_path / "script.jsonl",
+        "mock_call_log": tmp_path / "logs" / "calls.jsonl",
+        "concurrency": 3,
+        "retry_attempts": 4,
+        "retry_base_delay": 0.25,
+        "retry_factor": 3.0,
+        "item_attempts": 2,
+        "gate_kind": "remote",
+        "gate_threshold": 0.7,
+        "gate_triggers_file": tmp_path / "triggers.txt",
+        "gate_endpoint": "http://gate.example/score",
+        "jaccard_threshold": 0.6,
+        "beta": 2.0,
+        "metadata_base_url": "https://meta.example/v1",
+        "metadata_api_key_env": "META_KEY",
+        "corpus_dir": tmp_path / "store",
+        "output_dir": tmp_path / "runs" / "out",
+        "prompts_dir": tmp_path / "prompts",
+        "seed": 21,
+    }
+    assert type(cfg.retry_factor) is float and type(cfg.beta) is float
 
 
 def test_mock_backend_requires_existing_script(tmp_path) -> None:

@@ -72,6 +72,9 @@ def test_clean_optional_keeps_text_and_coerces() -> None:
     assert clean_optional(2020) == "2020"
     assert clean_optional("Nonexistent") == "Nonexistent"
     assert clean_optional(True) == "True" and clean_optional(1.5) == "1.5"
+    # a page's doc_id and text by the same rule, as gold and prediction doc ids are read
+    page = PageRecord.from_dict({"doc_id": 5, "page_number": 1, "text": 7})
+    assert page == PageRecord("5", 1, "7")
 
 
 @pytest.mark.parametrize("value, kind", [({"a": 1}, "an object"), ([[1]], "an array"),
@@ -79,9 +82,26 @@ def test_clean_optional_keeps_text_and_coerces() -> None:
 def test_clean_optional_refuses_an_object_or_an_array_naming_the_field(value, kind) -> None:
     with pytest.raises(InvalidRecord, match=f"^year is {kind}, not text$"):
         clean_optional(value, "year")
-    with pytest.raises(InvalidRecord, match=f"^producer is {kind}, not text$"):
-        parse_mention_block({"mentioned_in": "s", "source": "f" * 40, "page": 1,
-                             "datasets": [{"raw_name": "X", "producer": value}]})
+    block = {"mentioned_in": "s", "source": "f" * 40, "page": 1, "datasets": [{"raw_name": "X"}]}
+    for key, payload in [
+        ("producer", {**block, "datasets": [{"raw_name": "X", "producer": value}]}),
+        ("raw_name", {**block, "datasets": [{"raw_name": value}]}),
+        ("mentioned_in", {**block, "mentioned_in": value}),
+        ("source", {**block, "source": value}),
+    ]:
+        with pytest.raises(InvalidRecord, match=f"^{key} is {kind}, not text$"):
+            parse_mention_block(payload)
+    verdict = {"raw_name": "X", "valid": True, "reason": "named"}
+    for key in ("raw_name", "reason"):
+        with pytest.raises(InvalidRecord, match=f"^{key} is {kind}, not text$"):
+            JudgeVerdict.from_dict({**verdict, key: value})
+    page = {"doc_id": "d", "page_number": 1, "text": "t"}
+    for key in ("doc_id", "text"):
+        with pytest.raises(InvalidRecord, match=f"^{key} is {kind}, not text$"):
+            PageRecord.from_dict({**page, key: value})
+    for record, names in ((GroundTruthRecord, "gold_names"), (PredictionRecord, "predicted_names")):
+        with pytest.raises(InvalidRecord, match=f"^doc_id is {kind}, not text$"):
+            record.from_dict({"doc_id": value, "page_number": 1, names: []})
 
 
 # ---------------------------------------------------------------------------

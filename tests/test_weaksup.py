@@ -344,7 +344,8 @@ def test_reason_invalid_without_reason_is_rejected() -> None:
     block = _block_for(_page(1, "We use X."), ["X"])
     entry = {"raw_name": "X", "valid": False}
     response = f'<OUTPUTDATA>{json.dumps({"datasets": [entry]})}</OUTPUTDATA>'
-    with pytest.raises(ValidityCouplingViolation):
+    message = "^agent marked 'X' invalid without a reason$"
+    with pytest.raises(ValidityCouplingViolation, match=message):
         _reasoned(block, response)
 
 
@@ -352,7 +353,8 @@ def test_reason_valid_without_labels_is_rejected() -> None:
     block = _block_for(_page(1, "We use X."), ["X"])
     entry = {"raw_name": "X", "valid": True}
     response = f'<OUTPUTDATA>{json.dumps({"datasets": [entry]})}</OUTPUTDATA>'
-    with pytest.raises(ValidityCouplingViolation):
+    message = "^agent kept 'X' valid without both labels$"
+    with pytest.raises(ValidityCouplingViolation, match=message):
         _reasoned(block, response)
 
 
@@ -1725,26 +1727,46 @@ def test_a_reply_nested_past_the_recursion_limit_is_dead_lettered(tmp_path) -> N
     assert _outputs(tmp_path / "again") == _outputs(out)
 
 
-_OBJECT_LABELS = ('[{"mentioned_in": "deep page", "raw_name": "X", "producer": [[1]], '
-                  '"year": {"a": 1}}]')
+_GOOD_EXTRACTION = '[{"mentioned_in": "deep page", "raw_name": "X"}]'
+
+
+_GOOD_EXTRACTION = '[{"mentioned_in": "deep page", "raw_name": "X"}]'
+_OBJECT_LABELS = [  # the extractor's reply, the judge's (None: not reached), the dead letter
+    ('[{"mentioned_in": "deep page", "raw_name": "X", "producer": [[1]], "year": {"a": 1}}]',
+     None, "producer is an array, not text"),
+    ('[{"mentioned_in": "deep page", "raw_name": {"a": 1}}]', None,
+     "raw_name is an object, not text"),
+    ('[{"mentioned_in": ["uses LSMS"], "raw_name": "LSMS"}]', None,
+     "mentioned_in is an array, not text"),
+    ('{"mentioned_in": "deep page", "datasets": [{"raw_name": "X", "mentioned_in": [[1]]}]}',
+     None, "mentioned_in is an array, not text"),
+    (_GOOD_EXTRACTION, '[{"valid": true, "reason": {"why": 1}}]',
+     "reason is an object, not text"),
+    (_GOOD_EXTRACTION, '[{"valid": true, "reason": ["why"]}]', "reason is an array, not text"),
+]
 
 
 def test_a_reply_whose_label_is_an_object_or_an_array_is_dead_lettered(tmp_path) -> None:
     page = _page(1, "deep page")
-    script = {("extractor", request_digest("extractor", page.text)): _OBJECT_LABELS}
-    backend = MockChatBackend(script)
-    out = tmp_path / "out"
-    stats = run_pipeline([page], backend, output_dir=out, item_attempts=3)
-    assert len(backend.calls) == 3 and stats.pages_processed == 0
-    assert (out / "extracted.jsonl").read_bytes() == b""
-    assert [(line["n"], line["outcome"]) for line in _ledger(out)] == [
-        (0, "InvalidRecord"), (1, "InvalidRecord"), (2, "InvalidRecord")]
-    (dead,) = read_jsonl(out / "deadletter.jsonl")
-    assert (dead["stage"], dead["error"]) == ("extract", "InvalidRecord")
-    assert dead["detail"] == "producer is an array, not text"
-    again = MockChatBackend(script)
-    run_pipeline([page], again, output_dir=out, item_attempts=3)
-    assert again.calls == []
+    block = canonical_json(_block_for(page, ["X"]).to_dict())
+    for case, (extractor, judge, detail) in enumerate(_OBJECT_LABELS):
+        script = {("extractor", request_digest("extractor", page.text)): extractor}
+        stage, template = ("extract", "extractor") if judge is None else ("judge", "judge")
+        if judge is not None:
+            script[("judge", request_digest("judge", block))] = judge
+        backend = MockChatBackend(script)
+        out = tmp_path / str(case)
+        stats = run_pipeline([page], backend, output_dir=out, item_attempts=3)
+        assert [call[0] for call in backend.calls].count(template) == 3
+        assert stats.pages_processed == (judge is not None)
+        assert (out / "judged.jsonl").read_bytes() == b""
+        assert [(line["stage"], line["n"], line["outcome"]) for line in _ledger(out)][-3:] == [
+            (template, n, "InvalidRecord") for n in range(3)]
+        (dead,) = read_jsonl(out / "deadletter.jsonl")
+        assert (dead["stage"], dead["error"], dead["detail"]) == (stage, "InvalidRecord", detail)
+        again = MockChatBackend(script)
+        run_pipeline([page], again, output_dir=out, item_attempts=3)
+        assert again.calls == []
 
 
 @pytest.mark.parametrize("change", ["prompt", "temperature", "model", "max_output_tokens"])
