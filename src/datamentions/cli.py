@@ -42,7 +42,16 @@ from .gate import (
     filter_pages,
 )
 from .llm import ChatBackend, MockChatBackend, PromptTemplate, RemoteChatBackend, load_templates
-from .records import PageRecord, _coerce_bool, _coerce_int, _require, _text, read_rows, write_jsonl
+from .records import (
+    PageRecord,
+    PredictionRecord,
+    _coerce_bool,
+    _coerce_int,
+    _require,
+    _text,
+    read_rows,
+    write_jsonl,
+)
 from .retries import RetryPolicy
 from .splits import SplitSpec, import_annotations, sample_pages, split
 from .weaksup import (
@@ -381,9 +390,10 @@ def cmd_infer(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     names_by_page = dict(read_rows(infer_dir / "extracted.jsonl", _extracted_names))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_jsonl(out, ({"doc_id": page.doc_id, "page_number": page.page_number,
-                       "predicted_names": names_by_page.get((page.doc_id, page.page_number), [])}
-                      for page in pages))
+    predictions = (PredictionRecord(page.doc_id, page.page_number,
+                                    names_by_page.get((page.doc_id, page.page_number), ()))
+                   for page in pages)
+    write_jsonl(out, (prediction.to_dict() for prediction in predictions))
     if args.decisions_out:
         write_jsonl(args.decisions_out, (d.to_dict() for d in decisions))
     print(f"inferred predictions for {len(pages)} pages -> {out}")

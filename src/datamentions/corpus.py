@@ -324,8 +324,6 @@ class CorpusStore:
         batch: list[bytes] = []
         with _PageAppend(self.pages_path) as out:
             for page in pages:
-                if not isinstance(page, PageRecord):
-                    page = PageRecord.from_dict(page)
                 key = (page.doc_id, page.page_number)
                 if key in index or key in fresh:
                     skipped += 1

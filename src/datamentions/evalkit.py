@@ -23,6 +23,7 @@ from .records import (
     GroundTruthRecord,
     PredictionRecord,
     _coerce_int,
+    _first_given,
     _require,
     _text,
     frozen_record,
@@ -263,7 +264,7 @@ def _from_nuextract(row: dict[str, Any]) -> PredictionRecord:
     mentions = _require(row, "data_mentions", "prediction line")
     page = next(p for p in (row.get("page_number"), row.get("page"), 1) if p is not None)
     return PredictionRecord(
-        doc_id=_text(row.get("doc_id") or row.get("source") or "", "doc_id"),
+        doc_id=_text(_first_given(row.get("doc_id"), row.get("source"), ""), "doc_id"),
         page_number=_coerce_int(page, "page_number", "prediction line"),
         predicted_names=tuple(_text(dataset["raw_name"], "raw_name") for block in mentions
                               for dataset in block.get("datasets", []) if dataset.get("raw_name")),

@@ -48,6 +48,18 @@ def _line(entry: dict[str, Any]) -> bytes:
     return (json.dumps(entry, separators=(",", ":"), default=str) + "\n").encode("ascii")
 
 
+def _decoded(line: bytes) -> Any:
+    """The value of a ledger line: by orjson when installed, else, and for what orjson
+    refuses (the ``\\udXXX`` escape :func:`_line` writes for a lone surrogate), by ``json``."""
+    fast = _orjson()
+    if fast is not None:
+        try:
+            return fast.loads(line)
+        except fast.JSONDecodeError:
+            pass
+    return json.loads(line)
+
+
 class ReplyLedger:
     """``replies.jsonl``: a line for every reply the backend gave a stage attempt.
 
@@ -60,9 +72,11 @@ class ReplyLedger:
     and ``outcome`` (``ok``, or the class of the error the reply raised).
 
     :meth:`load` maps each (config, key, n) to the byte offset of its first
-    whole line, not to its reply, so the index holds no reply text. A line
-    that does not decode, or whose fields have the wrong types, is left
-    out and costs the call it would have saved. A torn last line, the
+    whole line, not to its reply, so the index holds no reply text. It and
+    :meth:`reply` decode a line by :func:`_decoded`, so every line
+    :meth:`record` writes is read back. A line that does not decode, or
+    whose fields have the wrong types, is left out and costs the call it
+    would have saved. A torn last line, the
     append of a kill, is not indexed, and :meth:`open` cuts it off before
     the first append.
     """
@@ -81,8 +95,6 @@ class ReplyLedger:
             fh = open(path, "rb")
         except FileNotFoundError:
             return ledger
-        fast = _orjson()
-        loads = json.loads if fast is None else fast.loads
         configs: dict[str, str] = {}  # one string per settings digest, for every line that holds it
         damaged = offset = 0
         with fh:
@@ -90,7 +102,7 @@ class ReplyLedger:
                 if line[-1:] != b"\n":
                     break
                 try:
-                    entry = loads(line)
+                    entry = _decoded(line)
                     config, key, n = entry["config"], entry["key"], entry["n"]
                     if not (type(config) is str and type(key) is str and type(n) is int
                             and type(entry["response"]) is str):
@@ -114,8 +126,7 @@ class ReplyLedger:
         with open(self.path, "rb") as fh:
             fh.seek(offset)
             line = fh.readline()
-        fast = _orjson()
-        return (json.loads if fast is None else fast.loads)(line)["response"]
+        return _decoded(line)["response"]
 
     def open(self) -> None:
         """Open the file for appends, first cutting off a torn last line."""

@@ -84,6 +84,17 @@ def _text(value: Any, key: str) -> str:
     return str(value)
 
 
+def _first_given(*values: Any) -> Any:
+    """The first of ``values`` that is neither null nor ``""``, else the last of them.
+
+    Unlike ``or``, it keeps ``0``, ``false`` and ``{}`` for :func:`_text` to read or refuse.
+    """
+    for value in values[:-1]:
+        if value is not None and value != "":
+            return value
+    return values[-1]
+
+
 def clean_optional(value: Any, key: str = "a text field") -> str | None:
     """Normalize an optional text field, read by :func:`_text`: null-ish values become absent."""
     if value is None:
@@ -101,10 +112,10 @@ def _require(payload: dict, key: str, where: str) -> Any:
 
 
 def _coerce_int(value: Any, key: str, where: str) -> int:
-    """An int, or a string of digits; a bool or a float is refused."""
+    """An int, or a string of decimal digits; a bool or a float is refused."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and value.strip().isdigit():
+    if isinstance(value, str) and value.strip().isdecimal():
         return int(value.strip())
     raise InvalidRecord(f"{where}: {key} is not an integer: {value!r}")
 
@@ -391,7 +402,7 @@ def _parse_mention_payload(
     if not isinstance(payload, dict):
         raise InvalidRecord(f"dataset entry must be an object, got {type(payload).__name__}")
     raw_name = _text(_require(payload, "raw_name", "dataset entry"), "raw_name")
-    mentioned_in = payload.get("mentioned_in") or block_sentence
+    mentioned_in = _first_given(payload.get("mentioned_in"), block_sentence)
     if mentioned_in is None:
         raise MissingField("mentioned_in", "dataset entry")
     for key in payload:

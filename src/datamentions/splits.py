@@ -24,6 +24,7 @@ from .records import (
     GroundTruthRecord,
     PageRecord,
     _coerce_int,
+    _first_given,
     _names,
     _require,
     _text,
@@ -207,7 +208,7 @@ def _gold_from_doccano(row: dict, warnings: list[str]) -> GroundTruthRecord:
     """
     text = _require(row, "text", "annotation record")
     meta = row.get("meta") or {}
-    doc_id = _text(row.get("doc_id") or meta.get("doc_id") or "", "doc_id")
+    doc_id = _text(_first_given(row.get("doc_id"), meta.get("doc_id"), ""), "doc_id")
     page = next(p for p in (row.get("page_number"), meta.get("page_number"), 1) if p is not None)
     page_number = _coerce_int(page, "page_number", "annotation record")
     names: list[str] = []

@@ -40,9 +40,9 @@ for anything.
 
 Each checkpoint line also carries the stage's running counters after its
 commit, so the statistics in ``stats.json`` are a sum over the three last
-lines, and no output row is decoded for them. ``stats.json`` is written
-only when its bytes change. Checkpoints written before lines carried
-counters are seeded once, as a run starts, from the stage outputs.
+lines, and no output row is decoded for them; a stage whose last line
+carries none has them recounted from its committed output, before any
+byte changes. ``stats.json`` is written only when its bytes change.
 
 Every reply the backend gives is recorded in the reply ledger
 (:mod:`datamentions.ledger`), and an attempt whose reply is there makes no
@@ -82,7 +82,8 @@ import logging
 import os
 import re
 from contextlib import ExitStack, closing
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
@@ -126,6 +127,7 @@ from .records import (
     _chunks,
     _coerce_bool,
     _coerce_int,
+    _first_given,
     _label,
     _require,
     _text,
@@ -236,7 +238,7 @@ def _blocks_from_extractor_payload(
     for item in payload:
         if not isinstance(item, dict):
             raise InvalidRecord("extractor reply entries must be objects")
-        sentence = _text(item.get("mentioned_in") or "", "mentioned_in")
+        sentence = _text(_first_given(item.get("mentioned_in"), ""), "mentioned_in")
         entries = item["datasets"] if isinstance(item.get("datasets"), list) else [item]
         if not sentence:
             raise MissingField("mentioned_in", "extractor reply entry")
@@ -350,7 +352,7 @@ def judge_mentions(
         if not isinstance(entry, dict):
             raise InvalidRecord("judge verdict entries must be objects")
         valid = _coerce_bool(_require(entry, "valid", "judge verdict"), "valid", "judge verdict")
-        reason = _text(entry.get("reason") or entry.get("explanation") or "", "reason")
+        reason = _text(_first_given(entry.get("reason"), entry.get("explanation"), ""), "reason")
         if not reason.strip():
             raise MissingField("reason", "judge verdict")
         _warn_on_echo(entry, mention, "judge")
@@ -482,8 +484,8 @@ class StageCheckpoint:
     ``size`` is the length of the checkpoint file up to the end of its last
     complete line, and ``digest`` the sha256 hex digest of those bytes. A
     last line without its newline is the torn tail of a commit that was cut
-    short; it is ignored, so that item runs again. ``counts`` is empty
-    before the first commit and None when the last line predates counters.
+    short; it is ignored, so that item runs again. ``counts`` is None when
+    the last line carries none; :func:`_resume_checkpoints` recounts them.
     A line of the wrong shape raises :class:`InvalidRecord` naming the file.
     """
 
@@ -491,7 +493,7 @@ class StageCheckpoint:
     deadletter_offset: int = 0
     size: int = 0
     digest: str = hashlib.sha256().hexdigest()
-    counts: list[int] | None = field(default_factory=list)
+    counts: list[int] | None = None
 
     @classmethod
     def load(cls, path: Path) -> "StageCheckpoint":
@@ -621,51 +623,34 @@ class PipelineStats:
     retention_after_agent: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "pages_processed": self.pages_processed,
-            "blocks_extracted": self.blocks_extracted,
-            "mentions_extracted": self.mentions_extracted,
-            "mentions_judged_valid": self.mentions_judged_valid,
-            "mentions_agent_valid": self.mentions_agent_valid,
-        }
-        if self.retention_after_agent is not None:
-            d["retention_after_agent"] = self.retention_after_agent
+        d = asdict(self)
+        if self.retention_after_agent is None:
+            del d["retention_after_agent"]
         return d
 
 
-def _counted_valid(entry: Mapping[str, Any]) -> bool:
-    """An output row's ``valid`` flag, read as every flag is; absent or null counts as false."""
-    value = entry.get("valid")
-    return value is not None and _coerce_bool(value, "valid", "stage output row")
+def _stats(counts: Iterable[tuple[_StageSpec, Sequence[int]]]) -> PipelineStats:
+    """The statistics of each stage's counters; retention is agent-valid over judge-valid."""
+    totals = {name: n for spec, stage_counts in counts
+              for name, n in zip(spec.counters, stage_counts)}
+    judged, agent = totals["mentions_judged_valid"], totals["mentions_agent_valid"]
+    return PipelineStats(**totals, retention_after_agent=agent / judged if judged else None)
 
 
-def _block_counts(row: Mapping[str, Any]) -> tuple[int, int]:
-    """An extraction row's blocks and mentions."""
-    blocks = row.get("blocks", [])
-    return len(blocks), sum(len(block.get("datasets", [])) for block in blocks)
+def _recount(spec: _StageSpec, output_dir: Path, size: int | None = None) -> list[int]:
+    """The sums of ``spec.count`` over the stage's complete output rows within ``size``
+    bytes (all when None); a missing output, or a ``size`` of 0, opens nothing."""
+    totals = [0] * len(spec.counters)
+    path = output_dir / spec.output_file
+    if size != 0 and path.exists():
+        for counts in read_rows(path, spec.count, size):
+            totals = [total + n for total, n in zip(totals, counts)]
+    return totals
 
 
 def compute_stats(output_dir: str | Path) -> PipelineStats:
     """Recompute statistics from whatever stage outputs exist on disk."""
-    output_dir = Path(output_dir)
-
-    def rows(name: str, parse: Callable[[dict[str, Any]], Any]) -> Iterable[Any]:
-        path = output_dir / name
-        return read_rows(path, parse) if path.exists() else ()
-
-    extracted = list(rows("extracted.jsonl", _block_counts))
-    judged_valid = sum(rows("judged.jsonl",
-                            lambda row: sum(map(_counted_valid, row.get("verdicts", [])))))
-    agent_valid = sum(rows("assessed.jsonl",
-                           lambda row: sum(map(_counted_valid, row.get("assessments", [])))))
-    return PipelineStats(
-        pages_processed=len(extracted),
-        blocks_extracted=sum(blocks for blocks, _ in extracted),
-        mentions_extracted=sum(mentions for _, mentions in extracted),
-        mentions_judged_valid=judged_valid,
-        mentions_agent_valid=agent_valid,
-        retention_after_agent=agent_valid / judged_valid if judged_valid > 0 else None,
-    )
+    return _stats((spec, _recount(spec, Path(output_dir))) for spec in _STAGE_SPECS)
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +768,19 @@ def _produce_reason(
     return line, [sum(a.valid for a in assessments)], None
 
 
+def _extracted_counts(row: Mapping[str, Any]) -> list[int]:
+    """An extraction row's page, blocks and mentions."""
+    blocks = row.get("blocks", [])
+    return [1, len(blocks), sum(len(block.get("datasets", [])) for block in blocks)]
+
+
+def _valid_count(key: str, row: Mapping[str, Any]) -> list[int]:
+    """How many of the row's ``key`` entries are ``valid``; absent or null counts as false."""
+    return [sum(entry.get("valid") is not None
+                and _coerce_bool(entry["valid"], "valid", "stage output row")
+                for entry in row.get(key, []))]
+
+
 @dataclass(frozen=True)
 class _StageSpec:
     """One stage of the pipeline: what it reads, what it writes, one item's work.
@@ -795,9 +793,10 @@ class _StageSpec:
     stage's ``parse`` makes of that line (None for the last stage), built
     from the records in hand by the rule that ``parse`` applies to the
     decoded row; ``user_content`` is
-    the text ``items`` yielded for the item's key. ``parse``, ``items`` and
-    ``produce`` reach the stage functions and record helpers through this
-    module's globals at call time, never through references taken at import.
+    the text ``items`` yielded for the item's key; ``count(row)`` reads back
+    what ``produce`` added for a committed output row. Each of them reaches the
+    stage functions and record helpers through this module's globals at
+    call time, never through references taken at import.
     """
 
     name: str
@@ -808,6 +807,7 @@ class _StageSpec:
     items: Callable[[Any], Iterator[tuple[str, int, str, Any]]]
     produce: Callable[[Any, str, ChatBackend, StageCall], tuple[str, list[int], Any]]
     counters: tuple[str, ...]
+    count: Callable[[dict[str, Any]], list[int]]
 
     @property
     def checkpoint_file(self) -> str:
@@ -821,11 +821,13 @@ class _StageSpec:
 _STAGE_SPECS = (
     _StageSpec("extract", _STAGE_ALIASES["extract"], None, "extracted.jsonl",
                None, _extract_items, _produce_extract,
-               ("pages_processed", "blocks_extracted", "mentions_extracted")),
+               ("pages_processed", "blocks_extracted", "mentions_extracted"), _extracted_counts),
     _StageSpec("judge", _STAGE_ALIASES["judge"], "extracted.jsonl", "judged.jsonl",
-               _extracted_blocks, _block_items, _produce_judge, ("mentions_judged_valid",)),
+               _extracted_blocks, _block_items, _produce_judge, ("mentions_judged_valid",),
+               partial(_valid_count, "verdicts")),
     _StageSpec("reason", _STAGE_ALIASES["reason"], "judged.jsonl", "assessed.jsonl",
-               _judged_survivors, _block_items, _produce_reason, ("mentions_agent_valid",)),
+               _judged_survivors, _block_items, _produce_reason, ("mentions_agent_valid",),
+               partial(_valid_count, "assessments")),
 )
 _WRITER_OF = {spec.output_file: spec.name for spec in _STAGE_SPECS}
 
@@ -844,8 +846,9 @@ def _resume_checkpoints(output_dir: Path) -> tuple[dict[str, StageCheckpoint], s
     A stage the module's redo rule hits comes back empty. So each offset
     returned lies within its file, and truncating to it only drops
     uncommitted bytes. Each checkpoint's ``counts`` is one per counter of
-    its stage, or None for lines from before counters. An offset that does
-    not end a line raises :class:`InvalidRecord` (:func:`_check_line_ends`).
+    its stage: its last line's, or else :func:`_recount`'s. An offset that
+    does not end a line (:func:`_check_line_ends`), or a recounted row of
+    the wrong shape, raises :class:`InvalidRecord`; nothing is written.
     """
     sizes = {_DEADLETTER_FILE: _size(output_dir / _DEADLETTER_FILE)}
     checkpoints: dict[str, StageCheckpoint] = {}
@@ -863,15 +866,17 @@ def _resume_checkpoints(output_dir: Path) -> tuple[dict[str, StageCheckpoint], s
                             "and every later one", spec.name, spec.output_file, _DEADLETTER_FILE)
             redone.add(spec.name)
             ckpt = StageCheckpoint()
-        if ckpt.counts == []:  # nothing committed yet
-            ckpt.counts = [0] * len(spec.counters)
-        elif ckpt.counts is not None and len(ckpt.counts) != len(spec.counters):
+        if ckpt.counts is not None and len(ckpt.counts) != len(spec.counters):
             raise InvalidRecord(f"{path}: damaged checkpoint line: {len(ckpt.counts)} "
                                 f"counters, the {spec.name} stage keeps {len(spec.counters)}")
         checkpoints[spec.name] = ckpt
     ends = {spec.output_file: checkpoints[spec.name].output_offset for spec in _STAGE_SPECS}
     ends[_DEADLETTER_FILE] = max(c.deadletter_offset for c in checkpoints.values())
     _check_line_ends(output_dir, ends, sizes)
+    for spec in _STAGE_SPECS:
+        ckpt = checkpoints[spec.name]
+        if ckpt.counts is None:
+            ckpt.counts = _recount(spec, output_dir, ckpt.output_offset)
     return checkpoints, redone
 
 
@@ -1135,11 +1140,6 @@ def run_pipeline(
         _truncate(output_dir / spec.checkpoint_file, checkpoints[spec.name].size)
     _truncate(output_dir / _DEADLETTER_FILE,
               max(c.deadletter_offset for c in checkpoints.values()))
-    if any(c.counts is None for c in checkpoints.values()):  # lines from before counters
-        stats = compute_stats(output_dir)
-        for spec in _STAGE_SPECS:
-            if checkpoints[spec.name].counts is None:
-                checkpoints[spec.name].counts = [getattr(stats, name) for name in spec.counters]
 
     sealed: set[str] = set()
     done: dict[str, frozenset[str]] | None = None
@@ -1189,10 +1189,7 @@ def run_pipeline(
             checkpoint.size, checkpoint.digest = _size(ckpt_path), _sha256(ckpt_path)
             seal_path.write_bytes(_seal(spec, input_digest, checkpoint))
 
-    totals = {name: n for spec in _STAGE_SPECS
-              for name, n in zip(spec.counters, checkpoints[spec.name].counts)}
-    judged, agent = totals["mentions_judged_valid"], totals["mentions_agent_valid"]
-    stats = PipelineStats(**totals, retention_after_agent=agent / judged if judged else None)
+    stats = _stats((spec, checkpoints[spec.name].counts) for spec in _STAGE_SPECS)
     data = (json.dumps(stats.to_dict(), ensure_ascii=False, indent=2) + "\n").encode("utf-8")
     if not _holds(output_dir / "stats.json", data):
         (output_dir / "stats.json").write_bytes(data)

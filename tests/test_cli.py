@@ -374,11 +374,17 @@ def test_a_stored_label_that_is_an_object_or_an_array_exits_3_naming_the_line(
     ("nuextract", '{"doc_id": ["d"], "data_mentions": []}', "doc_id is an array, not text"),
     ("doccano", '{"doc_id": {"a": 1}, "text": "LSMS", "label": [[0, 4, "x"]]}',
      "doc_id is an object, not text"),
+    # an empty object is refused too, not passed over for the other doc_id field
+    ("nuextract", '{"doc_id": {}, "source": "d", "data_mentions": []}',
+     "doc_id is an object, not text"),
+    ("doccano", '{"doc_id": {}, "meta": {"doc_id": "d"}, "text": "LSMS", "label": []}',
+     "doc_id is an object, not text"),
 ], ids=["doccano page word", "doccano short span", "doccano span object", "doccano meta word",
         "doccano text number", "nuextract page word", "nuextract mention number",
         "nuextract mentions number", "nuextract dataset word", "nuextract no mentions",
         "doccano page float", "nuextract page float", "nuextract name object",
-        "nuextract doc_id array", "doccano doc_id object"])
+        "nuextract doc_id array", "doccano doc_id object", "nuextract doc_id empty object",
+        "doccano doc_id empty object"])
 def test_a_non_canonical_row_of_the_wrong_shape_exits_3_naming_the_file(
     tmp_path, capsys, side, line, complaint
 ) -> None:

@@ -134,6 +134,7 @@ def test_title_match_http_error(monkeypatch) -> None:
 
 def test_store_round_trips_documents_and_pages(tmp_path) -> None:
     store = CorpusStore(tmp_path / "corpus")
+    assert store.iter_pages() == []  # no page file yet
     summary = store.ingest_pages(
         [
             PageRecord(doc_id=DOC, page_number=2, text="two"),

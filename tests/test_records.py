@@ -75,6 +75,11 @@ def test_clean_optional_keeps_text_and_coerces() -> None:
     # a page's doc_id and text by the same rule, as gold and prediction doc ids are read
     page = PageRecord.from_dict({"doc_id": 5, "page_number": 1, "text": 7})
     assert page == PageRecord("5", 1, "7")
+    # a page number may be a string of decimal digits; a superscript two is not one
+    page = PageRecord.from_dict({"doc_id": "d", "page_number": " 12 ", "text": "t"})
+    assert page.page_number == 12
+    with pytest.raises(InvalidRecord, match="^page record: page_number is not an integer: '²'$"):
+        PageRecord.from_dict({"doc_id": "d", "page_number": "²", "text": "t"})
 
 
 @pytest.mark.parametrize("value, kind", [({"a": 1}, "an object"), ([[1]], "an array"),
@@ -87,6 +92,7 @@ def test_clean_optional_refuses_an_object_or_an_array_naming_the_field(value, ki
         ("producer", {**block, "datasets": [{"raw_name": "X", "producer": value}]}),
         ("raw_name", {**block, "datasets": [{"raw_name": value}]}),
         ("mentioned_in", {**block, "mentioned_in": value}),
+        ("mentioned_in", {**block, "datasets": [{"raw_name": "X", "mentioned_in": value}]}),
         ("source", {**block, "source": value}),
     ]:
         with pytest.raises(InvalidRecord, match=f"^{key} is {kind}, not text$"):
@@ -235,6 +241,11 @@ def test_a_stored_mention_needs_its_own_sentence() -> None:
     block = MentionBlock.from_dict(
         {"mentioned_in": "We use X.", "datasets": [{"raw_name": "X"}], "source": DOC, "page": 1})
     assert block.datasets[0].mentioned_in == "We use X."
+    # only a null or empty sentence of its own falls back to the block's; 0 is read as text
+    for own, read in ((None, "We use X."), ("", "We use X."), (0, "0")):
+        block = MentionBlock.from_dict({"mentioned_in": "We use X.", "source": DOC, "page": 1,
+                                        "datasets": [{"raw_name": "X", "mentioned_in": own}]})
+        assert block.datasets[0].mentioned_in == read
 
 
 # ---------------------------------------------------------------------------

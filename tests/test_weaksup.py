@@ -56,7 +56,13 @@ from datamentions.records import (
     read_jsonl,
     write_jsonl,
 )
-from datamentions.weaksup import STAGES, StageCheckpoint, compute_stats, export_finetune_records
+from datamentions.weaksup import (
+    STAGES,
+    StageCheckpoint,
+    StagePlan,
+    compute_stats,
+    export_finetune_records,
+)
 from pipeline_fixtures import (
     block_for as _block_for,
     judge_response as _judge_response,
@@ -255,6 +261,10 @@ def test_judge_accepts_bare_list_and_string_booleans() -> None:
     verdicts = _judged(block, response)
     assert verdicts[0].valid is True
     assert verdicts[0].reason == "fine"
+    # a reason of 0 is given, read as text, and an empty one falls back to the explanation
+    for reason, read in ((0, "0"), (False, "False"), ("", "fine")):
+        response = json.dumps([{"valid": True, "reason": reason, "explanation": "fine"}])
+        assert _judged(block, response)[0].reason == read
 
 
 def test_judge_collects_inferred_metadata_aliases() -> None:
@@ -272,6 +282,9 @@ def test_judge_arity_mismatch() -> None:
     response = json.dumps([{"valid": True, "reason": "ok"}])
     with pytest.raises(ArityMismatch):
         _judged(block, response)
+    with pytest.raises(InvalidRecord, match="^judge stage requires a block with at least one "
+                                            "dataset$"):
+        judge_mentions(replace(block, datasets=()), MockChatBackend({}))
 
 
 def test_judge_requires_reason() -> None:
@@ -322,6 +335,8 @@ def test_reason_valid_ruling_carries_labels() -> None:
     assert assessments[0].specificity == "properly_named"
     assert assessments[0].context == "primary"
     assert assessments[0].invalid_reason is None
+    entries = json.dumps([{"valid": True, "specificity": "properly_named", "context": "primary"}])
+    assert _reasoned(block, f"<OUTPUTDATA>{entries}</OUTPUTDATA>") == assessments  # a bare list
 
 
 def test_reason_repairs_invalid_with_labels() -> None:
@@ -390,6 +405,9 @@ def test_reason_arity_mismatch() -> None:
     response = f'<OUTPUTDATA>{json.dumps({"datasets": [entry]})}</OUTPUTDATA>'
     with pytest.raises(ArityMismatch):
         _reasoned(block, response)
+    with pytest.raises(InvalidRecord, match="^reason stage requires a block with at least one "
+                                            "dataset$"):
+        reason_mentions(replace(block, datasets=()), MockChatBackend({}))
 
 
 def test_reason_keeps_harmonized_name_only_when_in_sentence() -> None:
@@ -582,11 +600,31 @@ def test_a_reply_holding_a_lone_surrogate_is_dead_lettered(tmp_path) -> None:
     assert rerun.calls == []
 
 
+def test_a_reply_holding_half_a_surrogate_pair_is_read_back_from_the_ledger(tmp_path,
+                                                                           caplog) -> None:
+    page = _page(1, "This page draws a reply holding half a surrogate pair.")
+    text = '[{"raw_name": "LSMS\ud800", "mentioned_in": "%s"}]' % page.text
+    script = {("extractor", request_digest("extractor", page.text)): text}
+    out = tmp_path / "out"
+    with pytest.raises(PipelineInterrupted):  # attempt 0 is recorded, attempt 1 meets an outage
+        run_pipeline([page], _FailsAfter(MockChatBackend(script), 1), output_dir=out)
+    resumed = MockChatBackend(script)
+    run_pipeline([page], resumed, output_dir=out)
+    assert len(resumed.calls) == 2  # attempts 1 and 2; attempt 0's reply is in the ledger
+    assert "damaged" not in caplog.text
+    (dead,) = read_jsonl(out / "deadletter.jsonl")
+    assert (dead["page_number"], dead["error"]) == (1, "ParseError")
+    replies = ledger.ReplyLedger.load(out / "replies.jsonl")
+    assert [replies.reply(*attempt) for attempt in sorted(replies.index)] == [text] * 3
+
+
 def test_stage_barriers_require_prior_outputs(tmp_path) -> None:
     from datamentions.errors import InvalidRecord
 
     with pytest.raises(InvalidRecord):
         run_pipeline([], MockChatBackend({}), output_dir=tmp_path / "out", stages=("judge",))
+    assert plan_pipeline([], output_dir=tmp_path / "out", stages=("judge",)) == [
+        StagePlan(stage="judge", pending=None, backend_calls=None)]  # its input is missing
 
 
 def test_a_stage_subset_refuses_an_input_its_writer_would_redo(tmp_path) -> None:
@@ -1410,7 +1448,8 @@ def _strip_counters_and_reseal(out, pages) -> None:
                                 for row in rows), encoding="utf-8")
     checkpoints, _ = weaksup._resume_checkpoints(out)
     for spec in weaksup._STAGE_SPECS:
-        assert checkpoints[spec.name].counts is None or checkpoints[spec.name].size == 0
+        assert StageCheckpoint.load(out / spec.checkpoint_file).counts is None
+        assert len(checkpoints[spec.name].counts) == len(spec.counters)  # recounted
         seal = out / spec.seal_file
         if seal.exists():
             _, input_digest = weaksup._stage_source(spec, pages, out, checkpoints)
@@ -1442,12 +1481,17 @@ def test_checkpoints_without_counters_resume_and_give_the_same_stats(tmp_path,
     _strip_counters_and_reseal(killed, pages)
 
     enumerated = _count_enumerations(monkeypatch)
+    computed: list[Path] = []
+    stats_of = weaksup.compute_stats
+    monkeypatch.setattr(weaksup, "compute_stats",
+                        lambda directory: computed.append(directory) or stats_of(directory))
     finished_rerun = MockChatBackend(script)
     assert run_pipeline(pages, finished_rerun, output_dir=finished) == stats
     assert finished_rerun.calls == [] and enumerated == []  # the seals still hold
     killed_rerun = MockChatBackend(script)
     assert run_pipeline(pages, killed_rerun, output_dir=killed) == stats
     assert killed_rerun.calls == full.calls[extract_calls + 1:]
+    assert computed == []  # the recounted checkpoints give the statistics
     for out in (finished, killed):
         assert _read_bytes(out) == _read_bytes(fresh)
         assert (out / "stats.json").read_bytes() == (fresh / "stats.json").read_bytes()
@@ -1456,6 +1500,31 @@ def test_checkpoints_without_counters_resume_and_give_the_same_stats(tmp_path,
               for stage in ("judge", "reason")} for out in (killed, fresh)]
     assert ckpts[0]["judge"][1:] == ckpts[1]["judge"][1:]
     assert ckpts[0]["reason"] == ckpts[1]["reason"]
+
+
+def test_a_damaged_row_in_an_output_without_counters_stops_the_run_before_any_byte_changes(
+        tmp_path) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    _strip_counters_and_reseal(out, pages)
+    judged = out / "judged.jsonl"
+    data = judged.read_bytes()
+    line = data[: data.index(b'"valid": true')].count(b"\n") + 1
+    # an edit of the same length in a committed row, and a tail no checkpoint commits
+    judged.write_bytes(data.replace(b'"valid": true', b'"valid": "no"', 1) + b'{"block": ')
+    before = _tree(out)
+    backend = MockChatBackend(script)
+    for attempt in (lambda: run_pipeline(pages, backend, output_dir=out),
+                    lambda: plan_pipeline(pages, output_dir=out)):
+        with pytest.raises(InvalidRecord) as excinfo:
+            attempt()
+        assert str(excinfo.value).startswith(f"{judged}: line {line}: ")
+        assert str(excinfo.value).endswith("valid is not a boolean: 'no'")
+    assert backend.calls == []
+    assert _tree(out) == before
 
 
 def test_plan_counts_a_sealed_stage_as_done_and_writes_nothing(tmp_path, monkeypatch) -> None:
@@ -1728,42 +1797,62 @@ def test_a_reply_nested_past_the_recursion_limit_is_dead_lettered(tmp_path) -> N
 
 
 _GOOD_EXTRACTION = '[{"mentioned_in": "deep page", "raw_name": "X"}]'
-
-
-_GOOD_EXTRACTION = '[{"mentioned_in": "deep page", "raw_name": "X"}]'
-_OBJECT_LABELS = [  # the extractor's reply, the judge's (None: not reached), the dead letter
+_GOOD_VERDICT = '[{"valid": true, "reason": "names a survey"}]'
+_REFUSED_REPLIES = [  # the stage's reply and those before it (None: not reached), the dead letter
     ('[{"mentioned_in": "deep page", "raw_name": "X", "producer": [[1]], "year": {"a": 1}}]',
-     None, "producer is an array, not text"),
-    ('[{"mentioned_in": "deep page", "raw_name": {"a": 1}}]', None,
-     "raw_name is an object, not text"),
-    ('[{"mentioned_in": ["uses LSMS"], "raw_name": "LSMS"}]', None,
-     "mentioned_in is an array, not text"),
+     None, None, "InvalidRecord", "producer is an array, not text"),
+    ('[{"mentioned_in": "deep page", "raw_name": {"a": 1}}]', None, None,
+     "InvalidRecord", "raw_name is an object, not text"),
+    ('[{"mentioned_in": ["uses LSMS"], "raw_name": "LSMS"}]', None, None,
+     "InvalidRecord", "mentioned_in is an array, not text"),
+    ('[{"mentioned_in": {}, "raw_name": "LSMS"}]', None, None,
+     "InvalidRecord", "mentioned_in is an object, not text"),
     ('{"mentioned_in": "deep page", "datasets": [{"raw_name": "X", "mentioned_in": [[1]]}]}',
-     None, "mentioned_in is an array, not text"),
-    (_GOOD_EXTRACTION, '[{"valid": true, "reason": {"why": 1}}]',
-     "reason is an object, not text"),
-    (_GOOD_EXTRACTION, '[{"valid": true, "reason": ["why"]}]', "reason is an array, not text"),
+     None, None, "InvalidRecord", "mentioned_in is an array, not text"),
+    ('{"mentioned_in": "deep page", "datasets": [{"raw_name": "X", "mentioned_in": {}}]}',
+     None, None, "InvalidRecord", "mentioned_in is an object, not text"),
+    ('"X"', None, None, "InvalidRecord", "extractor reply is neither an object nor an array"),
+    ("[1]", None, None, "InvalidRecord", "extractor reply entries must be objects"),
+    (_GOOD_EXTRACTION, '[{"valid": true, "reason": {"why": 1}}]', None,
+     "InvalidRecord", "reason is an object, not text"),
+    (_GOOD_EXTRACTION, '[{"valid": true, "reason": ["why"]}]', None,
+     "InvalidRecord", "reason is an array, not text"),
+    (_GOOD_EXTRACTION, '[{"valid": true, "reason": {}, "explanation": "why"}]', None,
+     "InvalidRecord", "reason is an object, not text"),
+    (_GOOD_EXTRACTION, '{"valid": true}', None, "InvalidRecord",
+     "judge reply carries no verdict list"),
+    (_GOOD_EXTRACTION, '"no"', None, "InvalidRecord", "judge reply is not a verdict list"),
+    (_GOOD_EXTRACTION, "[1]", None, "InvalidRecord", "judge verdict entries must be objects"),
+    (_GOOD_EXTRACTION, _GOOD_VERDICT, '<OUTPUTDATA>{"verdicts": []}</OUTPUTDATA>',
+     "MissingField", "required field 'datasets' missing from agent reply"),
+    (_GOOD_EXTRACTION, _GOOD_VERDICT, '<OUTPUTDATA>{"datasets": 5}</OUTPUTDATA>',
+     "InvalidRecord", "agent reply carries no dataset list"),
+    (_GOOD_EXTRACTION, _GOOD_VERDICT, "<OUTPUTDATA>[1]</OUTPUTDATA>",  # a bare list
+     "InvalidRecord", "agent dataset entries must be objects"),
 ]
 
 
 def test_a_reply_whose_label_is_an_object_or_an_array_is_dead_lettered(tmp_path) -> None:
+    """And every other reply of the wrong shape, with the error and detail it leaves."""
     page = _page(1, "deep page")
     block = canonical_json(_block_for(page, ["X"]).to_dict())
-    for case, (extractor, judge, detail) in enumerate(_OBJECT_LABELS):
-        script = {("extractor", request_digest("extractor", page.text)): extractor}
-        stage, template = ("extract", "extractor") if judge is None else ("judge", "judge")
-        if judge is not None:
-            script[("judge", request_digest("judge", block))] = judge
+    for case, (extractor, judge, reasoner, error, detail) in enumerate(_REFUSED_REPLIES):
+        script = {key: reply for key, reply in [
+            (("extractor", request_digest("extractor", page.text)), extractor),
+            (("judge", request_digest("judge", block)), judge),
+            (("reasoner", request_digest("reasoner", block)), reasoner)] if reply is not None}
+        reached = 1 + (judge is not None) + (reasoner is not None)
+        spec = weaksup._STAGE_SPECS[reached - 1]
         backend = MockChatBackend(script)
         out = tmp_path / str(case)
         stats = run_pipeline([page], backend, output_dir=out, item_attempts=3)
-        assert [call[0] for call in backend.calls].count(template) == 3
-        assert stats.pages_processed == (judge is not None)
-        assert (out / "judged.jsonl").read_bytes() == b""
+        assert [call[0] for call in backend.calls].count(spec.template_id) == 3
+        assert stats.pages_processed == (reached > 1)
+        assert (out / spec.output_file).read_bytes() == b""
         assert [(line["stage"], line["n"], line["outcome"]) for line in _ledger(out)][-3:] == [
-            (template, n, "InvalidRecord") for n in range(3)]
+            (spec.template_id, n, error) for n in range(3)]
         (dead,) = read_jsonl(out / "deadletter.jsonl")
-        assert (dead["stage"], dead["error"], dead["detail"]) == (stage, "InvalidRecord", detail)
+        assert (dead["stage"], dead["error"], dead["detail"]) == (spec.name, error, detail)
         again = MockChatBackend(script)
         run_pipeline([page], again, output_dir=out, item_attempts=3)
         assert again.calls == []
