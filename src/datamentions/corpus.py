@@ -45,6 +45,7 @@ from .records import (  # noqa: F401
     _text,
     _write_all,
     dumps_line,
+    frozen_record,
     read_jsonl,
     read_rows,
 )
@@ -69,7 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class IngestSummary:
     """Pages added to the store by one ingest, and pages skipped as already stored."""
 
@@ -77,7 +78,7 @@ class IngestSummary:
     skipped: int
 
 
-@dataclass(frozen=True)
+@frozen_record
 class StoredFileReport:
     """A downloaded PDF: the document it belongs to, where it was saved and its size."""
 

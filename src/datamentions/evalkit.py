@@ -14,7 +14,6 @@ as heavily as recall).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -47,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class MatchConfig:
     """Matching and scoring parameters.
 
@@ -79,7 +78,7 @@ class MatchResult:
     pairs: tuple[tuple[int, int, float], ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ScoreReport:
     """Aggregated precision/recall/Fβ (fractions in [0, 1]) plus totals."""
 

@@ -294,7 +294,7 @@ def filter_pages(
     return passed, decisions
 
 
-@dataclass(frozen=True)
+@frozen_record
 class GateEvalReport:
     """Gate precision, recall and F1 on the has-mention class, with the confusion counts."""
 

@@ -88,7 +88,7 @@ class ChatResponse:
     retries: int = 0
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PromptTemplate:
     """The prompt text of one pipeline stage, named by its template id."""
 
@@ -278,11 +278,13 @@ class MockChatBackend:
         ``user_content`` (digested here for convenience), all strings. A
         digest on several lines is given their replies in file order, the
         last one repeating, so a pipeline's ``replies.jsonl`` is a script
-        that replays its run.
+        that replays its run. A ``response`` may hold a lone surrogate (the
+        ledger keeps such a reply as a ``\\udXXX`` escape, and the stage
+        that parses it refuses it); ``stage`` and ``digest`` may not.
         """
         templates = templates or load_templates()
         script: dict[tuple[str, str], list[str]] = {}
-        for scripted, response in read_rows(path, _script_entry):
+        for scripted, response in read_rows(path, _script_entry, surrogates_in=("response",)):
             script.setdefault(scripted, []).append(response)
         return cls({key: replies[0] if len(replies) == 1 else replies
                     for key, replies in script.items()}, templates=templates, call_log=call_log)

@@ -11,10 +11,10 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import RateLimited, RetriesExhausted, Timeout
+from .records import frozen_record
 
 if TYPE_CHECKING:
     import requests
@@ -22,7 +22,7 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RetryPolicy:
     """How many times to try a call, and the exponential backoff between tries."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
 from math import floor, isfinite
 from operator import attrgetter
 from pathlib import Path
@@ -28,6 +27,7 @@ from .records import (
     _names,
     _require,
     _text,
+    frozen_record,
     read_rows,
 )
 from .textnorm import normalize_tokens
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SplitSpec:
     """Partition sizes as explicit counts or ratios, plus the shuffle seed.
 
@@ -98,7 +98,7 @@ class SplitSpec:
         return base[0], base[1], base[2]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SplitResult:
     """The three partitions plus whatever the counts did not cover."""
 

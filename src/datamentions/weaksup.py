@@ -132,6 +132,7 @@ from .records import (
     _require,
     _text,
     _write_all,
+    frozen_record,
     read_jsonl,  # noqa: F401 -- not called here, but perfbench/tracing.py patches it by this name
     read_rows,
     validate_mention,
@@ -611,7 +612,7 @@ class _StageWriter:
 # pipeline statistics
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PipelineStats:
     """Counts of pages, blocks and mentions through the stages, from the outputs on disk."""
 
@@ -781,7 +782,7 @@ def _valid_count(key: str, row: Mapping[str, Any]) -> list[int]:
                 for entry in row.get(key, []))]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class _StageSpec:
     """One stage of the pipeline: what it reads, what it writes, one item's work.
 
@@ -1196,7 +1197,7 @@ def run_pipeline(
     return stats
 
 
-@dataclass(frozen=True)
+@frozen_record
 class StagePlan:
     """What one stage would do if run now."""
 

@@ -5,25 +5,34 @@ fields with ``@dataclass(frozen=True, slots=True)``. The two must agree on
 signature, fields, slots, equality, hashing, ``repr``,
 ``dataclasses.replace``, pickling, copying, immutability and the error each
 ``__post_init__`` raises, for hypothesis-drawn field values, valid and
-invalid alike.
+invalid alike. Guards count instead of time: making a record class compiles
+one source, and the package holds no other frozen dataclass.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib
 import inspect
+import json
+import os
 import pickle
+import pkgutil
+import subprocess
 import sys
 import types
 from dataclasses import FrozenInstanceError, dataclass, field
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
-from datamentions.evalkit import MatchResult
-from datamentions.gate import GateDecision
-from datamentions.llm import ChatRequest, ChatResponse
+import datamentions
+from datamentions.corpus import IngestSummary, StoredFileReport
+from datamentions.evalkit import MatchConfig, MatchResult, ScoreReport
+from datamentions.gate import GateDecision, GateEvalReport
+from datamentions.llm import TEMPLATE_IDS, ChatRequest, ChatResponse, PromptTemplate, StageCall
 from datamentions.records import (
     CONTEXT_VALUES,
     RELEVANCE_VALUES,
@@ -39,6 +48,9 @@ from datamentions.records import (
     PredictionRecord,
     frozen_record,
 )
+from datamentions.retries import RetryPolicy
+from datamentions.splits import SplitResult, SplitSpec
+from datamentions.weaksup import PipelineStats, StagePlan, _StageSpec
 
 
 @frozen_record
@@ -47,13 +59,28 @@ class Undocumented:
     count: int = 0
 
 
+@frozen_record
+class Single:
+    """One field: ``attrgetter`` of one name gives the bare value, not a tuple."""
+
+    value: int
+
+
+@frozen_record
+class Empty:
+    """No fields."""
+
+
 # every class in the package has a docstring of its own; Undocumented checks
 # the one the decorator writes in its place
 DECORATED = (
     DocumentRecord, PageRecord, DatasetMention, MentionBlock, JudgeVerdict, AgentAssessment,
-    GroundTruthRecord, PredictionRecord, ChatRequest, ChatResponse, GateDecision, MatchResult,
-    Undocumented,
+    GroundTruthRecord, PredictionRecord, ChatRequest, ChatResponse, PromptTemplate, StageCall,
+    GateDecision, GateEvalReport, MatchConfig, MatchResult, ScoreReport, IngestSummary,
+    StoredFileReport, RetryPolicy, SplitSpec, SplitResult, PipelineStats, _StageSpec, StagePlan,
+    Undocumented, Single,
 )
+_LOCAL = {Undocumented, Single}
 
 # what @dataclass writes into a class, besides one slot descriptor per
 # field; everything else is the class's own body
@@ -89,7 +116,7 @@ def _stock_twin(cls: type) -> type:
     return twin
 
 
-STOCK = {cls: _stock_twin(cls) for cls in DECORATED}
+STOCK = {cls: _stock_twin(cls) for cls in DECORATED + (Empty,)}
 
 _TEXT = st.text(max_size=6)
 _OPTIONAL = st.none() | _TEXT | st.sampled_from(
@@ -99,6 +126,13 @@ _DOC_ID = st.sampled_from(["f" * 40, "0123456789abcdef" * 2 + "01234567"]) | _TE
 _MENTIONS = st.builds(DatasetMention, raw_name=_TEXT, mentioned_in=_TEXT, year=_OPTIONAL)
 _NAMES = st.lists(_TEXT, max_size=3)
 _UNIT = st.floats(0, 1)
+_COUNT = st.integers(0, 9)
+_TEMPLATES = st.builds(PromptTemplate, template_id=st.sampled_from(TEMPLATE_IDS),
+                       body=st.text(min_size=1, max_size=6))
+_CALLABLE = st.sampled_from((len, repr, sorted))  # picklable by name
+_PARTITION = st.lists(_COUNT | _TEXT, max_size=3).map(tuple)
+_COUNTS = st.tuples(_COUNT, _COUNT, _COUNT)
+_RATIOS = st.tuples(_UNIT, _UNIT, _UNIT).map(lambda ratios: tuple(r / 3 for r in ratios))
 
 FIELD_VALUES = {
     "doc_id": _DOC_ID,
@@ -137,6 +171,50 @@ FIELD_VALUES = {
     "fn": st.integers(0, 5),
     "pairs": st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), _UNIT), max_size=2)
     .map(tuple),
+    "template_id": st.sampled_from(TEMPLATE_IDS + ("judges",)),
+    "body": _TEXT,
+    "template": _TEMPLATES,
+    "precision": _UNIT,
+    "recall": _UNIT,
+    "f_beta": _UNIT,
+    "f1": _UNIT,
+    "beta": st.floats(-1, 3),
+    "macro": st.booleans(),
+    "tn": st.integers(0, 5),
+    "jaccard_threshold": st.floats(-0.5, 1.5),
+    "added": _COUNT,
+    "skipped": _COUNT,
+    "path": _TEXT.map(Path),
+    "size_bytes": st.integers(0, 10**6),
+    "attempts": st.integers(0, 6),
+    "base_delay": st.floats(0, 2),
+    "factor": st.floats(1, 3),
+    "max_delay": st.floats(0, 60),
+    "seed": st.integers(-5, 2**40),
+    "counts": st.none() | _COUNTS | st.lists(st.integers(-1, 3), max_size=4).map(tuple),
+    "ratios": st.none() | _RATIOS | st.lists(st.floats(-0.5, 1.5), max_size=4).map(tuple)
+    | st.just((float("inf"), 0.0, 0.0)),
+    "train": _PARTITION,
+    "val": _PARTITION,
+    "test": _PARTITION,
+    "leftover": _PARTITION,
+    "pages_processed": _COUNT,
+    "blocks_extracted": _COUNT,
+    "mentions_extracted": _COUNT,
+    "mentions_judged_valid": _COUNT,
+    "mentions_agent_valid": _COUNT,
+    "retention_after_agent": st.none() | _UNIT,
+    "name": _TEXT,
+    "input_file": st.none() | _TEXT,
+    "output_file": _TEXT,
+    "parse": st.none() | _CALLABLE,
+    "items": _CALLABLE,
+    "produce": _CALLABLE,
+    "counters": _NAMES.map(tuple),
+    "count": _CALLABLE,
+    "stage": _TEXT,
+    "pending": st.none() | _COUNT,
+    "backend_calls": st.none() | _COUNT,
 }
 
 
@@ -150,7 +228,13 @@ def _kwargs(cls: type) -> st.SearchStrategy[dict]:
                 if f.default is dataclasses.MISSING}
     optional = {f.name: _values(f) for f in dataclasses.fields(cls)
                 if f.default is not dataclasses.MISSING}
-    return st.fixed_dictionaries(required, optional=optional)
+    kwargs = st.fixed_dictionaries(required, optional=optional)
+    if cls is SplitSpec:
+        # it takes exactly one of counts and ratios, which fields drawn apart seldom give
+        seed = FIELD_VALUES["seed"]
+        kwargs |= (st.fixed_dictionaries({"seed": seed, "counts": _COUNTS})
+                   | st.fixed_dictionaries({"seed": seed, "ratios": _RATIOS}))
+    return kwargs
 
 
 def _outcome(call, *args, **kwargs) -> tuple:
@@ -256,6 +340,47 @@ def test_post_init_errors_match_the_stock_dataclass(cls, kwargs) -> None:
     assert error == _outcome(STOCK[cls], **kwargs)
 
 
+@pytest.mark.parametrize("cls", DECORATED, ids=lambda cls: cls.__name__)
+def test_the_drawn_values_build_each_class(cls) -> None:
+    find(_kwargs(cls), lambda kwargs: _outcome(cls, **kwargs)[0] == "ok",
+         settings=settings(database=None, phases=[Phase.generate], max_examples=2000))
+
+
+@pytest.mark.parametrize("cls", (Undocumented, STOCK[Undocumented]), ids=["record", "stock"])
+def test_a_record_inside_itself_shows_as_dots(cls) -> None:
+    names: list = []
+    record = cls(names)
+    names.append(record)
+    assert repr(record) == "Undocumented(name=[...], count=0)"
+
+
+def test_an_attribute_that_is_not_a_field_is_refused_as_frozen() -> None:
+    # the stock slotted class raises TypeError here, from a super() bound to
+    # the class that dataclass replaced when it added the slots
+    record = Undocumented("a")
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'other'"):
+        record.other = 1
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'other'"):
+        del record.other
+
+
+def test_the_methods_are_shared_and_named_for_their_class() -> None:
+    for name in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
+                 "__getstate__", "__setstate__"):
+        method = vars(Undocumented)[name]
+        assert method.__code__ is vars(DocumentRecord)[name].__code__
+        assert method.__qualname__ == f"Undocumented.{name}"
+
+
+def test_a_record_without_fields_behaves_as_the_stock_dataclass() -> None:
+    record, twin = Empty(), STOCK[Empty]()
+    assert (record == Empty(), hash(record), repr(record)) == (twin == STOCK[Empty](), hash(twin),
+                                                               repr(twin))
+    assert record.__getstate__() == twin.__getstate__() == []
+    assert pickle.loads(pickle.dumps(record)) == record and copy.deepcopy(record) == record
+    assert _outcome(setattr, record, "x", 1)[:2] == ("raised", FrozenInstanceError)
+
+
 def test_a_block_built_from_a_list_holds_a_tuple() -> None:
     mention = DatasetMention("LSMS", "s")
     block = MentionBlock("s", [mention], "f" * 40, 1)
@@ -293,3 +418,77 @@ def test_the_decorator_refuses_an_init_false_field() -> None:
 
 def test_the_decorator_refuses_an_initvar() -> None:
     _refused({"__annotations__": {"a": dataclasses.InitVar[int]}})
+
+
+@pytest.mark.parametrize("option", [{"repr": False}, {"compare": False}, {"hash": True}])
+def test_the_decorator_refuses_a_field_left_out_of_a_method(option) -> None:
+    _refused({"__annotations__": {"a": "int"}, "a": field(default=0, **option)})
+
+
+@pytest.mark.parametrize("method", ["__eq__", "__repr__", "__setattr__", "__getstate__"])
+def test_the_decorator_refuses_a_class_that_defines_a_record_method(method) -> None:
+    _refused({"__annotations__": {"a": "int"}, method: lambda self, *args: None})
+
+
+_COUNT_COMPILES = """
+import json, sys
+from dataclasses import dataclass
+from datamentions.records import frozen_record
+
+sources = []
+
+def hook(event, args):
+    if event == "compile" and args[1] == "<string>":
+        source = args[0]
+        sources.append(source.decode() if isinstance(source, bytes) else source)
+
+sys.addaudithook(hook)
+
+def counted(decorate):
+    del sources[:]
+    decorate(type("Made", (), {"__annotations__": {"a": "int", "b": "str"}, "b": ""}))
+    return list(sources)
+
+print(json.dumps([counted(dataclass(init=False, repr=False, eq=False, slots=True)),
+                  counted(frozen_record)]))
+"""
+
+
+def test_making_a_record_class_compiles_one_source() -> None:
+    # in a fresh process, since an audit hook cannot be removed
+    proc = subprocess.run([sys.executable, "-c", _COUNT_COMPILES], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    fields_only, record = json.loads(proc.stdout)
+    # what dataclass compiles for fields, slots and __match_args__ alone: nothing
+    # before Python 3.13, which compiles one empty function builder
+    assert len(fields_only) <= (sys.version_info >= (3, 13))
+    added = [source for source in record if source not in fields_only]
+    assert len(record) == len(fields_only) + 1 and len(added) == 1
+    assert added[0].startswith("def __init__(self, a, b=__default_b__):")
+
+
+# the package's dataclasses that hold state they change, which stay stock
+_MUTABLE = ["config.PipelineConfig", "corpus.MetadataClient", "gate.RemoteGate",
+            "llm.RemoteChatBackend", "weaksup.StageCheckpoint"]
+
+
+def _package_dataclasses() -> list[type]:
+    modules = [importlib.import_module(f"datamentions.{info.name}")
+               for info in pkgutil.iter_modules(datamentions.__path__)]
+    return [cls for module in modules for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+            and dataclasses.is_dataclass(cls)]
+
+
+def test_every_frozen_dataclass_in_the_package_is_a_record_tested_here() -> None:
+    shared = vars(DocumentRecord)["__repr__"].__code__
+    found = _package_dataclasses()
+    records = [cls for cls in found
+               if getattr(vars(cls).get("__repr__"), "__code__", None) is shared]
+    stock = [cls for cls in found if cls not in records]
+    names = sorted(f"{cls.__module__.split('.')[-1]}.{cls.__qualname__}" for cls in stock)
+    assert names == _MUTABLE
+    assert not any(cls.__dataclass_params__.frozen for cls in stock)
+    assert set(records) == set(DECORATED) - _LOCAL

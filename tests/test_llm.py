@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from datamentions import ChatResponse, MockChatBackend, RemoteChatBackend, llm
 from datamentions.errors import (
     BackendError,
+    InvalidRecord,
     MalformedResponse,
     MultiplePayloads,
     NoPayloadFound,
@@ -261,6 +262,23 @@ def test_mock_backend_from_script_file_and_call_log(tmp_path) -> None:
     )
     logged = [json.loads(line) for line in log_path.read_text().splitlines()]
     assert [entry["stage"] for entry in logged] == ["extractor", "judge"]
+
+
+@pytest.mark.parametrize("line, refused", [
+    ('{"stage": "extract", "digest": "d", "response": "[\\"LSMS\\ud800\\"]"}', False),
+    ('{"stage": "extract\\ud800", "digest": "d", "response": "[]"}', True),
+    ('{"stage": "extract", "digest": "d\\udfff", "response": "[]"}', True),
+    ('{"stage": "extract", "digest": "d", "response": "[]", "\\ud800": "x"}', True),
+], ids=["response", "stage", "digest", "key"])
+def test_a_script_keeps_a_lone_surrogate_in_a_response_only(tmp_path, line, refused) -> None:
+    script_path = tmp_path / "script.jsonl"
+    script_path.write_text(line + "\n", encoding="utf-8")
+    if refused:
+        with pytest.raises(InvalidRecord, match=r"script\.jsonl: line 1 holds a lone surrogate"):
+            MockChatBackend.from_script_file(script_path)
+    else:
+        backend = MockChatBackend.from_script_file(script_path)
+        assert backend.script == {("extractor", "d"): '["LSMS\ud800"]'}
 
 
 def test_a_digest_on_several_script_lines_is_given_them_in_order(tmp_path) -> None:

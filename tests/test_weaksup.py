@@ -25,6 +25,7 @@ from datamentions import (
 from datamentions.errors import (
     ArityMismatch,
     BadEnum,
+    ConfigError,
     DataMentionsError,
     InvalidRecord,
     MissingField,
@@ -598,6 +599,28 @@ def test_a_reply_holding_a_lone_surrogate_is_dead_lettered(tmp_path) -> None:
     rerun = MockChatBackend(script)
     run_pipeline(pages, rerun, output_dir=out)
     assert rerun.calls == []
+
+
+@pytest.mark.parametrize("name", ["LSMS\ud800", "LSMS\\ud800"], ids=["character", "escape"])
+def test_a_run_whose_ledger_holds_a_lone_surrogate_replays_from_it(tmp_path, name) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    page = _page(9, "This page draws a reply no UTF-8 file can hold.")
+    script[("extractor", request_digest("extractor", page.text))] = (
+        '[{"raw_name": "%s", "mentioned_in": "%s"}]' % (name, page.text))
+    pages = [case[0] for case in cases] + [page]
+    run_pipeline(pages, MockChatBackend(script), output_dir=tmp_path / "run")
+    replies = (tmp_path / "run" / "replies.jsonl").read_text(encoding="utf-8")
+    assert "\\ud800" in replies
+
+    replay = MockChatBackend.from_script_file(tmp_path / "run" / "replies.jsonl")
+    run_pipeline(pages, replay, output_dir=tmp_path / "replay")
+    assert len(replay.calls) == len(replies.splitlines())
+    for name in ("extracted.jsonl", "judged.jsonl", "assessed.jsonl", "deadletter.jsonl",
+                 "stats.json"):
+        assert (tmp_path / "replay" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+    (dead,) = read_jsonl(tmp_path / "replay" / "deadletter.jsonl")
+    assert (dead["page_number"], dead["error"]) == (9, "ParseError")
 
 
 def test_a_reply_holding_half_a_surrogate_pair_is_read_back_from_the_ledger(tmp_path,
@@ -1606,6 +1629,34 @@ def test_short_file_without_the_ledger_asks_its_stage_and_every_later_one_again(
 def _tree(directory) -> dict[str, bytes]:
     return {str(p.relative_to(directory)): p.read_bytes()
             for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+# ROADMAP item 1 (a run manifest): item keys and seals cover neither the prompt
+# body nor the decoding settings, so today each of these reruns issues no call
+# and is accepted; the change that lands the manifest removes the marker
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("change", ["judge prompt", "temperature", "model"])
+def test_a_rerun_under_changed_settings_is_refused_before_any_call(tmp_path, change) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    before = _tree(out)
+    templates = load_templates()
+    settings = {}
+    if change == "judge prompt":  # one byte more
+        templates["judge"] = PromptTemplate("judge", templates["judge"].body + "\n")
+    elif change == "temperature":
+        settings["temperature"] = 0.7
+    else:
+        settings["model_name"] = "another-model"
+
+    backend = MockChatBackend(script, templates=templates)
+    with pytest.raises(ConfigError):
+        run_pipeline(pages, backend, output_dir=out, templates=templates, **settings)
+    assert backend.calls == []
+    assert _tree(out) == before
 
 
 def test_plan_after_a_deleted_output_counts_the_redone_stages(tmp_path) -> None:
