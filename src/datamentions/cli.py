@@ -17,7 +17,7 @@ import shlex
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .config import PipelineConfig, load_config
 from .corpus import CorpusStore, MetadataClient, convert_pdf_to_pages, search_paper_by_title
@@ -177,14 +177,15 @@ def _build_gate(cfg: PipelineConfig) -> PageGate:
 
 
 def _gate_pages(
-    cfg: PipelineConfig, pages: list[PageRecord]
+    cfg: PipelineConfig, pages: Iterable[PageRecord]
 ) -> tuple[list[PageRecord], list[GateDecision]]:
     """:func:`filter_pages` through the configured gate, whose connections are closed after."""
     with _closing_session(_build_gate(cfg)) as gate:
         return filter_pages(pages, gate, cfg.gate_threshold)
 
 
-def _load_pages(cfg: PipelineConfig, pages_file: str | None) -> list[PageRecord]:
+def _load_pages(cfg: PipelineConfig, pages_file: str | None) -> Collection[PageRecord]:
+    """The pages of ``pages_file`` in file order, or the store's listing in key order."""
     if pages_file is not None:
         path = Path(pages_file)
         if not path.exists():
@@ -194,7 +195,7 @@ def _load_pages(cfg: PipelineConfig, pages_file: str | None) -> list[PageRecord]
 
 
 def _run_locked(
-    cfg: PipelineConfig, pages: list[PageRecord], output_dir: Path, stages: Sequence[str]
+    cfg: PipelineConfig, pages: Iterable[PageRecord], output_dir: Path, stages: Sequence[str]
 ) -> PipelineStats:
     """Run ``stages`` on ``pages`` into ``output_dir`` under its advisory lock."""
     settings = _stage_settings(cfg)
@@ -212,7 +213,7 @@ def _decision(row: dict) -> tuple[tuple[str, int], bool]:
             _coerce_int(_require(row, "page_number", where), "page_number", where)), passed
 
 
-def _apply_decisions(pages: list[PageRecord], decisions_file: str) -> list[PageRecord]:
+def _apply_decisions(pages: Iterable[PageRecord], decisions_file: str) -> list[PageRecord]:
     path = Path(decisions_file)
     if not path.exists():
         raise InputError(f"decisions file {path} does not exist")
@@ -390,13 +391,14 @@ def cmd_infer(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     names_by_page = dict(read_rows(infer_dir / "extracted.jsonl", _extracted_names))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    predictions = (PredictionRecord(page.doc_id, page.page_number,
-                                    names_by_page.get((page.doc_id, page.page_number), ()))
-                   for page in pages)
+    # the decisions carry every page's key in page order, so the pages are not read again
+    predictions = (PredictionRecord(d.doc_id, d.page_number,
+                                    names_by_page.get((d.doc_id, d.page_number), ()))
+                   for d in decisions)
     write_jsonl(out, (prediction.to_dict() for prediction in predictions))
     if args.decisions_out:
         write_jsonl(args.decisions_out, (d.to_dict() for d in decisions))
-    print(f"inferred predictions for {len(pages)} pages -> {out}")
+    print(f"inferred predictions for {len(decisions)} pages -> {out}")
     return EXIT_OK
 
 

@@ -8,11 +8,10 @@ rejected so typos fail loudly at startup.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
-
-import yaml
 
 from .errors import ConfigError
 
@@ -158,7 +157,10 @@ def _from_mapping(raw: Mapping[str, Any], base_dir: Path) -> PipelineConfig:
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
-    """Read and validate a configuration file; None yields the defaults."""
+    """Read and validate a configuration file; None yields the defaults.
+
+    A file that is JSON is read by ``json``; any other is read as YAML.
+    """
     if path is None:
         cfg = PipelineConfig()
         cfg.validate()
@@ -166,10 +168,17 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"configuration file {path} does not exist")
+    text = path.read_text(encoding="utf-8")
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        raw = json.loads(text)
+    except json.JSONDecodeError:
+        # PyYAML is imported here, so a run with no file or a JSON one never loads it
+        import yaml
+
+        try:
+            raw = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if raw is None:
         raw = {}
     try:

@@ -20,9 +20,8 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     ConverterFailed,
@@ -37,11 +36,15 @@ from .errors import (
 # perfbench/tracing.py patches read_jsonl and dumps_line by these names: read_jsonl is
 # not called here, and dumps_line must stay the name the ingest encodes through
 from .records import (  # noqa: F401
+    _BLANK,
     _CHUNK,
     _LINE_BATCH,
     DocumentRecord,
     PageRecord,
     _coerce_int,
+    _decode_line,
+    _lines,
+    _loads_exact,
     _text,
     _write_all,
     dumps_line,
@@ -267,13 +270,68 @@ class _PageAppend:
             self._start, self._torn = head, last
 
 
+def _page_key(row: Any) -> tuple[str, int] | None:
+    """The (doc_id, page) of a decoded line whose page fields hold their own types,
+    which :meth:`PageRecord.from_dict` takes as they are; None for any other value."""
+    if type(row) is dict:
+        doc_id, number, text = row.get("doc_id"), row.get("page_number"), row.get("text")
+        if type(doc_id) is str and type(number) is int and number >= 1 and type(text) is str:
+            return doc_id, number
+    return None
+
+
+class _PageListing:
+    """A store's pages in (doc_id, page) order, each read from its line as it is iterated.
+
+    It holds each page's key and its line's number, byte offset and length,
+    never its text. Each iteration reads a page's line, decodes it and
+    builds its :class:`PageRecord` one page at a time, so a caller that
+    keeps only some pages holds only those. A line listed as a page's that
+    no longer decodes to that page's key raises :class:`InvalidRecord`
+    naming the file and the line.
+    """
+
+    __slots__ = ("path", "_entries")
+
+    def __init__(self, path: Path, entries: list[tuple[str, int, int, int, int]]):
+        self.path = path
+        self._entries = entries  # (doc_id, page_number, line number, offset, length)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[PageRecord]:
+        if not self._entries:
+            return
+        with open(self.path, "rb", buffering=0) as fh:
+            fd = fh.fileno()
+            for doc_id, page_number, number, offset, length in self._entries:
+                line = os.pread(fd, length, offset)
+                row = _loads_exact(line)
+                # the listing checked this line: if it still holds the page, it
+                # is built from the row as PageRecord.from_dict would build it
+                if _page_key(row) == (doc_id, page_number):
+                    yield PageRecord(doc_id, page_number, row["text"])
+                    continue
+                # a line the listing read through json, or one changed since
+                page = _decode_line(self.path, number, line, PageRecord.from_dict)
+                if page is _BLANK or (page.doc_id, page.page_number) != (doc_id, page_number):
+                    raise InvalidRecord(f"{self.path}: line {number} no longer holds page "
+                                        f"{page_number} of document {doc_id}")
+                yield page
+
+
 class CorpusStore:
     """Append-only page store with a (doc_id, page) uniqueness index.
 
-    Layout under ``root``: ``pages.jsonl``. Iteration order is always sorted
-    by doc_id then page number, so two stores with the same content behave
-    identically. The index is built from the file the first time
-    :meth:`ingest_pages` needs it, so listing the pages decodes it once.
+    Layout under ``root``: ``pages.jsonl``. :meth:`iter_pages` lists the
+    pages sorted by doc_id then page number, so two stores with the same
+    content behave identically. The listing holds each page's key and the
+    byte span of its line, not its text: it reads the file once and checks
+    every line as a page, so a damaged line is reported when the pages are
+    listed, before any is used, and each page is read again and built as
+    the listing is iterated. The index is built from the file the first
+    time :meth:`ingest_pages` needs it.
 
     :meth:`ingest_pages` streams: it appends the fresh pages in batches of
     64 lines as they come, so an ingest's memory is one batch, and it is
@@ -292,20 +350,21 @@ class CorpusStore:
         self.pages_path = self.root / "pages.jsonl"
         self._page_index: set[tuple[str, int]] | None = None
 
-    def _rows(self, parse: Callable[[dict[str, Any]], Any]) -> Iterator[Any]:
-        """``parse`` of each line of ``pages.jsonl``, less a torn tail (:func:`read_rows`)."""
+    def _readable_size(self) -> int | None:
+        """How much of ``pages.jsonl`` to read: all of it (None), or the bytes before a
+        torn last line, which is skipped with a warning."""
         tail = _unterminated_tail(self.pages_path)
         if tail is None or _decodes(tail[1]):
-            return read_rows(self.pages_path, parse)
+            return None
         log.warning("%s: skipping a torn last line of %d bytes", self.pages_path, len(tail[1]))
-        return read_rows(self.pages_path, parse, tail[0])
+        return tail[0]
 
     def _index(self) -> set[tuple[str, int]]:
         """The (doc_id, page) keys stored, read from the file the first time."""
         if self._page_index is None:
             index: set[tuple[str, int]] = set()
             if self.pages_path.exists():
-                index.update(self._rows(_stored_key))
+                index.update(read_rows(self.pages_path, _stored_key, self._readable_size()))
             self._page_index = index
         return self._page_index
 
@@ -344,10 +403,31 @@ class CorpusStore:
         index.update(fresh)
         return IngestSummary(added=len(fresh), skipped=skipped)
 
-    def iter_pages(self) -> list[PageRecord]:
-        if not self.pages_path.exists():
-            return []
-        return sorted(self._rows(PageRecord.from_dict), key=attrgetter("doc_id", "page_number"))
+    def iter_pages(self) -> Collection[PageRecord]:
+        """The stored pages in (doc_id, page) order, as a sized, re-iterable listing.
+
+        The file is read once, as :func:`read_rows` reads it with
+        :meth:`PageRecord.from_dict`, less a torn last line: a line that is
+        not a page raises :class:`InvalidRecord` here. The listing keeps
+        each page's key and line span; iterating it reads and builds one
+        page at a time.
+        """
+        entries: list[tuple[str, int, int, int, int]] = []
+        if self.pages_path.exists():
+            doc_ids: dict[str, str] = {}  # one string per document, shared by its pages
+            end = 0
+            for number, line in enumerate(_lines(self.pages_path, self._readable_size()), 1):
+                offset, end = end, end + len(line)
+                key = _page_key(_loads_exact(line))
+                if key is None:  # what read_rows would refuse, or read through json
+                    page = _decode_line(self.pages_path, number, line, PageRecord.from_dict)
+                    if page is _BLANK:
+                        continue
+                    key = page.doc_id, page.page_number
+                doc_id = doc_ids.setdefault(key[0], key[0])
+                entries.append((doc_id, key[1], number, offset, len(line)))
+            entries.sort()  # by key; the line number keeps a repeated key in file order
+        return _PageListing(self.pages_path, entries)
 
 
 def fetch_pdf(

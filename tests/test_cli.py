@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 import requests
 
+from datamentions import corpus
 from datamentions.cli import _advisory_lock, _apply_decisions, _load_pages, main
 from datamentions.corpus import CorpusStore
 from datamentions.errors import InputError, InvalidRecord
@@ -1285,6 +1286,58 @@ def test_infer_writes_predictions_for_every_page(tmp_path, capsys) -> None:
         (2, []),
     ]
     assert [r["passed"] for r in read_jsonl(decisions)] == [True, False]
+
+
+def test_infer_from_the_store_reads_the_pages_once_and_writes_what_infer_pages_does(
+    tmp_path, monkeypatch, capsys
+) -> None:
+    gated_in = _page(2, "We analyze the LSMS dataset here.")
+    gated_out = _page(1, "Completely unrelated prose.")
+    script = {key: response
+              for key, response in pipeline_script([(gated_in, ["LSMS"], [True], [True])]).items()
+              if key[0] == "extractor"}
+    script_path = write_script_file(tmp_path / "script.jsonl", script)
+    store = tmp_path / "corpus"
+    CorpusStore(store).ingest_pages([gated_in, gated_out])
+    reads: list[int] = []
+    listed = corpus._PageListing.__iter__
+
+    def counted(listing):
+        reads.append(len(listing))
+        return listed(listing)
+
+    monkeypatch.setattr(corpus._PageListing, "__iter__", counted)
+    outs = []
+    for way in ("store", "file"):
+        (tmp_path / way).mkdir()
+        cfg = _config_file(tmp_path / way, {"backend": {"kind": "mock", "script": str(script_path)},
+                                           "gate": {"kind": "keyword"},
+                                           "paths": {"output": str(tmp_path / way / "out")}})
+        argv = ["--config", str(cfg), "--corpus-dir", str(store), "infer",
+                "--out", str(tmp_path / way / "predictions.jsonl")]
+        if way == "file":  # the store's pages, in its key order
+            argv += ["--pages", str(_pages_file(tmp_path / way, [gated_out, gated_in]))]
+        assert main(argv) == 0
+        assert "inferred predictions for 2 pages" in capsys.readouterr().out
+        outs.append((tmp_path / way / "predictions.jsonl").read_bytes())
+    assert reads == [2]
+    assert outs[0] == outs[1]
+    assert [row["predicted_names"] for row in read_jsonl(tmp_path / "store" / "predictions.jsonl")
+            ] == [[], ["LSMS"]]
+
+
+def test_gate_on_a_store_with_a_damaged_line_exits_3_and_writes_no_decisions(tmp_path,
+                                                                             capsys) -> None:
+    store = CorpusStore(tmp_path / "store")
+    store.ingest_pages([_page(n, f"A census on page {n}.") for n in (1, 2, 3)])
+    data = store.pages_path.read_bytes()
+    store.pages_path.write_bytes(data.replace(b'"page_number": 2', b'"page_number": [2', 1))
+    cfg = _config_file(tmp_path, {"gate": {"kind": "keyword"}})
+    out = tmp_path / "decisions.jsonl"
+    argv = ["--config", str(cfg), "--corpus-dir", str(store.root), "gate", "--out", str(out)]
+    assert main(argv) == 3
+    assert f"input error: {store.pages_path}: line 2 is not JSON" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -218,6 +221,34 @@ def test_json_is_valid_config_syntax(tmp_path) -> None:
     cfg = load_config(config_path)
     assert cfg.seed == 7
     assert cfg.beta == 2.0
+
+
+_YAML_LOADED = """
+import sys
+
+import datamentions.cli
+from datamentions.config import load_config
+
+loaded = ["yaml" in sys.modules]
+load_config(None)
+json_cfg = load_config(sys.argv[2])
+loaded.append("yaml" in sys.modules)
+yaml_cfg = load_config(sys.argv[1])
+loaded.append("yaml" in sys.modules)
+print(loaded, json_cfg.seed, yaml_cfg.seed, yaml_cfg.beta)
+"""
+
+
+def test_pyyaml_is_loaded_only_for_a_yaml_config(tmp_path) -> None:
+    # in a fresh process, since this one has imported yaml already
+    yaml_path, json_path = tmp_path / "c.yaml", tmp_path / "c.json"
+    yaml_path.write_text("seed: 7\nmatch:\n  beta: 2.0\n", encoding="utf-8")
+    json_path.write_text('{"seed": 8}', encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", _YAML_LOADED, str(yaml_path), str(json_path)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[False,", "False,", "True]", "8", "7", "2.0"]
 
 
 def test_prompts_dir_must_exist(tmp_path) -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,8 @@ from datamentions.errors import (
     NonPdfContent,
     StoreWriteError,
 )
-from datamentions.records import DocumentRecord, PageRecord
+from datamentions.gate import KeywordGate, filter_pages
+from datamentions.records import DocumentRecord, PageRecord, read_rows
 from datamentions.retries import RetryPolicy
 
 from stubserver import StubServer
@@ -134,7 +136,7 @@ def test_title_match_http_error(monkeypatch) -> None:
 
 def test_store_round_trips_documents_and_pages(tmp_path) -> None:
     store = CorpusStore(tmp_path / "corpus")
-    assert store.iter_pages() == []  # no page file yet
+    assert list(store.iter_pages()) == []  # no page file yet
     summary = store.ingest_pages(
         [
             PageRecord(doc_id=DOC, page_number=2, text="two"),
@@ -158,13 +160,15 @@ def test_opening_a_store_and_listing_its_pages_reads_them_once(tmp_path, monkeyp
     root = tmp_path / "corpus"
     CorpusStore(root).ingest_pages([PageRecord(doc_id=DOC, page_number=1, text="x")])
     reads: list[str] = []
-    read = corpus.read_rows
+    lines = records._lines
 
     def counted(path, *args):
         reads.append(Path(path).name)
-        return read(path, *args)
+        return lines(path, *args)
 
-    monkeypatch.setattr(corpus, "read_rows", counted)
+    # the listing and read_rows, which builds the index, read the file through _lines
+    monkeypatch.setattr(corpus, "_lines", counted)
+    monkeypatch.setattr(records, "_lines", counted)
     store = CorpusStore(root)
     assert [p.text for p in store.iter_pages()] == ["x"]
     assert reads == ["pages.jsonl"]
@@ -359,6 +363,142 @@ def test_an_ingest_that_raises_leaves_the_store_and_its_index_as_they_were(
     assert store.ingest_pages(good + _numbered_pages(1)).added == 0
     keys = _stored_keys(store.pages_path)
     assert len(keys) == len(set(keys)) == len(index) + 99
+
+
+# ---------------------------------------------------------------------------
+# the listing
+
+
+def _page_line(number: int | str, text: str = "t", doc_id: object = DOC, **extra) -> bytes:
+    row = {"doc_id": doc_id, "page_number": number, "text": text, **extra}
+    return (json.dumps(row, ensure_ascii=False) + "\n").encode()
+
+
+class _CountingGate:
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def score_page(self, text: str) -> float:
+        self.calls += 1
+        return 1.0
+
+
+def test_listing_and_gating_rejected_pages_holds_one_page_at_a_time(tmp_path) -> None:
+    text = "plain prose " * (16384 // 12)  # 16 KiB, with no trigger word
+    root = tmp_path / "corpus"
+    CorpusStore(root).ingest_pages(PageRecord(DOC, n, text) for n in range(1, 301))
+    line_bytes = (root / "pages.jsonl").stat().st_size // 300
+    gate = KeywordGate()
+    warm = CorpusStore(tmp_path / "warm")
+    warm.ingest_pages([PageRecord(DOC, 1, text)])
+    filter_pages(warm.iter_pages(), gate)  # imports and compiles what the first page needs
+    tracemalloc.start()
+    try:
+        listing = CorpusStore(root).iter_pages()
+        listed = tracemalloc.get_traced_memory()[0]  # the keys and line spans
+        passed, decisions = filter_pages(listing, gate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (passed, len(decisions)) == ([], 300)
+    # the decisions take about 100 bytes a page; every page's text held at
+    # once would take 300 times line_bytes
+    assert listed < 200 * 300
+    assert peak < listed + 100 * 300 + 8 * line_bytes, (peak, listed, line_bytes)
+
+
+_DAMAGED = {
+    "not-json": b"{not json\n",
+    "not-utf8": b'{"doc_id": "' + DOC.encode() + b'", "page_number": 2, "text": "caf\xe9"}\n',
+    "lone-surrogate": _page_line(2).replace(b'"t"', b'"\\ud800"'),
+    "wrong-type": _page_line(2, text={"a": 1}),
+    "missing-key": b'{"doc_id": "' + DOC.encode() + b'", "page_number": 2}\n',
+    "not-an-object": b"[2]\n",
+    "refused-page": _page_line(0),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGED))
+def test_listing_a_store_with_a_damaged_line_raises_before_any_page_is_scored(
+        tmp_path, damage) -> None:
+    root = tmp_path / "corpus"
+    root.mkdir()
+    path = root / "pages.jsonl"
+    path.write_bytes(_page_line(1) + _DAMAGED[damage] + _page_line(3))
+    with pytest.raises(InvalidRecord) as expected:
+        list(read_rows(path, PageRecord.from_dict))
+    gate = _CountingGate()
+    with pytest.raises(InvalidRecord) as raised:
+        filter_pages(CorpusStore(root).iter_pages(), gate)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value).startswith(f"{path}: line 2")
+    assert gate.calls == 0
+
+
+def _rewrite_second_line(path: Path, how: str) -> None:
+    data = path.read_bytes()
+    start = data.index(b"\n") + 1
+    end = data.index(b"\n", start)
+    if how == "other-key":
+        line = data[start:end].replace(b'"page_number": 2', b'"page_number": 9')
+    elif how == "not-json":
+        line = b"x" * (end - start)
+    else:  # cut short in the middle of the line
+        path.write_bytes(data[:start + 5])
+        return
+    path.write_bytes(data[:start] + line + data[end:])
+
+
+@pytest.mark.parametrize("how, fault", [("other-key", f"no longer holds page 2 of document {DOC}"),
+                                        ("not-json", "is not JSON"),
+                                        ("cut-short", "is not JSON")])
+def test_a_line_rewritten_after_listing_raises_naming_the_file_and_the_line(
+        tmp_path, how, fault) -> None:
+    store = CorpusStore(tmp_path / "corpus")
+    store.ingest_pages(_numbered_pages(3))
+    listing = store.iter_pages()
+    _rewrite_second_line(store.pages_path, how)
+    pages = iter(listing)
+    assert next(pages).page_number == 1
+    with pytest.raises(InvalidRecord, match=re.escape(f"{store.pages_path}: line 2 {fault}")):
+        next(pages)
+
+
+_TORN = b'{"doc_id": "' + DOC.encode() + b'", "page_nu'
+
+_STORED = {
+    "missing": (None, []),
+    "empty": (b"", []),
+    "torn-tail": (_page_line(2) + _page_line(1) + _TORN, [(DOC, 1, "t"), (DOC, 2, "t")]),
+    "unterminated": (_page_line(2) + _page_line(1)[:-1], [(DOC, 1, "t"), (DOC, 2, "t")]),
+    # lines orjson refuses or decodes to other types than a page's, which
+    # the json path and PageRecord.from_dict read; a repeated key keeps file order
+    "read-by-json": (b"\n" + _page_line("3", "three") + _page_line(1, "big", big=2**70)
+                     + b"  \n" + _page_line(2, "nan", nan=float("nan"))
+                     + _page_line(1, "again") + _page_line(4, 4.5)
+                     + _page_line(1, "number id", doc_id=12),
+                     [("12", 1, "number id"), (DOC, 1, "big"), (DOC, 1, "again"),
+                      (DOC, 2, "nan"), (DOC, 3, "three"), (DOC, 4, "4.5")]),
+}
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["orjson", "json"])
+@pytest.mark.parametrize("stored", sorted(_STORED))
+def test_the_listing_reads_a_store_as_read_rows_does_and_iterates_again(
+        tmp_path, monkeypatch, caplog, stored, fast) -> None:
+    if not fast:
+        monkeypatch.setattr(records, "orjson", None)
+    root = tmp_path / "corpus"
+    root.mkdir()
+    data, expected = _STORED[stored]
+    if data is not None:
+        (root / "pages.jsonl").write_bytes(data)
+    listing = CorpusStore(root).iter_pages()
+    assert ("skipping a torn last line" in caplog.text) == (stored == "torn-tail")
+    expected = [PageRecord(*page) for page in expected]
+    assert len(listing) == len(expected)
+    assert list(listing) == expected
+    assert list(listing) == expected
 
 
 # ---------------------------------------------------------------------------

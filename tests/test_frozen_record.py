@@ -222,18 +222,51 @@ def _values(f: dataclasses.Field) -> st.SearchStrategy:
     return FIELD_VALUES.get(f.name, _OPTIONAL)
 
 
+def _fields(cls: type, **drawn: st.SearchStrategy) -> st.SearchStrategy[dict]:
+    """Every field without a default and every field in ``drawn``, and any of the rest.
+
+    A field in ``drawn`` takes its values from there, any other from
+    :data:`FIELD_VALUES`.
+    """
+    values = {f.name: drawn.get(f.name, _values(f)) for f in dataclasses.fields(cls)}
+    required = {f.name: values[f.name] for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING or f.name in drawn}
+    optional = {name: value for name, value in values.items() if name not in required}
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+_HEX_ID = st.text("0123456789abcdef", min_size=40, max_size=40)
+_FILLED = st.text(min_size=1, max_size=6).filter(str.strip)
+_PAGE = st.integers(1, 4)
+
+# Field values that pass the class's own checks, which values drawn field by
+# field seldom do all at once
+_BUILDING = {
+    AgentAssessment: _fields(AgentAssessment, valid=st.just(True),
+                             specificity=st.sampled_from(SPECIFICITY_VALUES),
+                             context=st.sampled_from(CONTEXT_VALUES))
+    | _fields(AgentAssessment, valid=st.just(False), invalid_reason=_FILLED,
+              specificity=st.none(), context=st.none()),
+    MentionBlock: _fields(MentionBlock, source=_HEX_ID, page=_PAGE),
+    DocumentRecord: _fields(DocumentRecord, doc_id=_HEX_ID, title=_FILLED,
+                            source_corpus=st.sampled_from(SOURCE_CORPUS_VALUES),
+                            citation_count=st.none() | st.integers(0, 9)),
+    PageRecord: _fields(PageRecord, page_number=_PAGE),
+    GateDecision: _fields(GateDecision).map(
+        lambda kwargs: {**kwargs, "passed": kwargs["score"] >= kwargs["threshold"]}),
+}
+
+
 def _kwargs(cls: type) -> st.SearchStrategy[dict]:
     """Every field without a default, and any of those with one."""
-    required = {f.name: _values(f) for f in dataclasses.fields(cls)
-                if f.default is dataclasses.MISSING}
-    optional = {f.name: _values(f) for f in dataclasses.fields(cls)
-                if f.default is not dataclasses.MISSING}
-    kwargs = st.fixed_dictionaries(required, optional=optional)
+    kwargs = _fields(cls)
     if cls is SplitSpec:
         # it takes exactly one of counts and ratios, which fields drawn apart seldom give
         seed = FIELD_VALUES["seed"]
         kwargs |= (st.fixed_dictionaries({"seed": seed, "counts": _COUNTS})
                    | st.fixed_dictionaries({"seed": seed, "ratios": _RATIOS}))
+    if cls in _BUILDING:
+        kwargs |= _BUILDING[cls]
     return kwargs
 
 
