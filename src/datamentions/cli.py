@@ -331,7 +331,8 @@ def cmd_split(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         text = records_path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"records file {records_path} is not UTF-8: {exc}") from None
-    lines = [line for line in text.splitlines() if line.strip()]
+    # "\n" ends a line, as for every reader here: a record may hold U+2028 or U+0085
+    lines = [line for line in text.split("\n") if line.strip()]
     if args.ratios is not None:
         try:  # a word, or other than three parts
             train, val, test = (float(x) for x in args.ratios.split(","))

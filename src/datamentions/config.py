@@ -9,11 +9,13 @@ rejected so typos fail loudly at startup.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidRecord
+from .records import _coerce_int, _text
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 DEFAULT_METADATA_URL = "https://api.semanticscholar.org/graph/v1"
@@ -89,61 +91,51 @@ class PipelineConfig:
             raise ConfigError(f"concurrency must be >= 1, got {self.concurrency}")
         if self.retry_attempts < 1:
             raise ConfigError(f"retry attempts must be >= 1, got {self.retry_attempts}")
+        if self.retry_base_delay < 0:
+            raise ConfigError(f"retry_base_delay must be >= 0, got {self.retry_base_delay}")
         if self.item_attempts < 1:
             raise ConfigError(f"item attempts must be >= 1, got {self.item_attempts}")
         if self.temperature < 0:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        if self.max_output_tokens < 1:
+            raise ConfigError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
         if self.gate_triggers_file is not None and not Path(self.gate_triggers_file).exists():
             raise ConfigError(f"gate triggers file {self.gate_triggers_file} does not exist")
         if self.prompts_dir is not None and not Path(self.prompts_dir).is_dir():
             raise ConfigError(f"prompts dir {self.prompts_dir} does not exist")
 
 
-def _path(value: Any) -> Path:
-    return Path(str(value))
-
-
-# section -> key -> (PipelineConfig field, conversion); a path that is not
-# absolute is read against the configuration file's directory
-_SECTIONS: dict[str, dict[str, tuple[str, Callable[[Any], Any]]]] = {
+# section -> key -> (PipelineConfig field, type). An int is read by records._coerce_int's
+# rule, text and a path by records._text's, and a float is a finite int or float, not a
+# bool; a path that is not absolute is read against the configuration file's directory.
+_SECTIONS: dict[str, dict[str, tuple[str, type]]] = {
     "endpoint": {"base_url": ("base_url", str), "model": ("model_name", str),
                  "api_key_env": ("api_key_env", str), "temperature": ("temperature", float),
                  "max_output_tokens": ("max_output_tokens", int)},
-    "backend": {"kind": ("backend", str), "script": ("mock_script", _path),
-                "call_log": ("mock_call_log", _path)},
+    "backend": {"kind": ("backend", str), "script": ("mock_script", Path),
+                "call_log": ("mock_call_log", Path)},
     "execution": {"concurrency": ("concurrency", int),
                   "retry_attempts": ("retry_attempts", int),
                   "retry_base_delay": ("retry_base_delay", float),
                   "retry_factor": ("retry_factor", float),
                   "item_attempts": ("item_attempts", int)},
     "gate": {"kind": ("gate_kind", str), "threshold": ("gate_threshold", float),
-             "triggers_file": ("gate_triggers_file", _path), "endpoint": ("gate_endpoint", str)},
+             "triggers_file": ("gate_triggers_file", Path), "endpoint": ("gate_endpoint", str)},
     "match": {"jaccard_threshold": ("jaccard_threshold", float), "beta": ("beta", float)},
     "metadata": {"base_url": ("metadata_base_url", str),
                  "api_key_env": ("metadata_api_key_env", str)},
-    "paths": {"corpus": ("corpus_dir", _path), "output": ("output_dir", _path),
-              "prompts": ("prompts_dir", _path)},
+    "paths": {"corpus": ("corpus_dir", Path), "output": ("output_dir", Path),
+              "prompts": ("prompts_dir", Path)},
 }
 _TOP_LEVEL = {"seed": ("seed", int)}
 
 
-def _read(section: Mapping[str, Any], keys: Mapping[str, tuple[str, Callable[[Any], Any]]],
-          cfg: PipelineConfig, base_dir: Path) -> None:
-    """Set each field whose key ``section`` holds; an absent or null key keeps the default."""
-    for key, (field, convert) in keys.items():
-        value = section.get(key)
-        if value is not None:
-            value = convert(value)
-            if isinstance(value, Path) and not value.is_absolute():
-                value = base_dir / value
-            setattr(cfg, field, value)
-
-
 def _from_mapping(raw: Mapping[str, Any], base_dir: Path) -> PipelineConfig:
+    """The settings ``raw`` holds; an absent or null key keeps the default."""
     if not isinstance(raw, Mapping):
         raise ConfigError("configuration root must be a mapping")
     _check_keys(raw, {*_SECTIONS, *_TOP_LEVEL}, "top-level")
-    cfg = PipelineConfig()
+    settings = [("top-level", key, raw.get(key), *spec) for key, spec in _TOP_LEVEL.items()]
     for name, keys in _SECTIONS.items():
         section = raw.get(name) or {}
         if name == "backend" and isinstance(section, str):
@@ -151,8 +143,22 @@ def _from_mapping(raw: Mapping[str, Any], base_dir: Path) -> PipelineConfig:
         if not isinstance(section, Mapping):
             raise ConfigError(f"{name} must be a mapping of settings")
         _check_keys(section, set(keys), name)
-        _read(section, keys, cfg, base_dir)
-    _read(raw, _TOP_LEVEL, cfg, base_dir)
+        settings += [(name, key, section.get(key), *spec) for key, spec in keys.items()]
+    cfg = PipelineConfig()
+    for where, key, value, field, kind in settings:
+        if value is None:
+            continue
+        if kind is int:
+            value = _coerce_int(value, key, where)
+        elif kind is float:  # the bound refuses NaN too
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise InvalidRecord(f"{where}: {key} is not a finite number: {value!r}")
+            value = float(value)
+        else:
+            value = kind(_text(value, f"{where}: {key}"))
+            if kind is Path and not value.is_absolute():
+                value = base_dir / value
+        setattr(cfg, field, value)
     return cfg
 
 
@@ -183,7 +189,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raw = {}
     try:
         cfg = _from_mapping(raw, path.parent.resolve())
-    except (TypeError, ValueError) as exc:
+    except (InvalidRecord, TypeError, ValueError) as exc:
         raise ConfigError(f"bad value in {path}: {exc}") from exc
     cfg.validate()
     return cfg

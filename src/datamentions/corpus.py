@@ -389,7 +389,7 @@ class CorpusStore:
                     skipped += 1
                     continue
                 try:
-                    batch.append((dumps_line(page.to_dict()) + "\n").encode())
+                    batch.append(dumps_line(page.to_dict()))
                 except UnicodeEncodeError:
                     raise InvalidRecord(
                         f"page {page.page_number} of document {page.doc_id} holds a lone "

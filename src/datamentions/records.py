@@ -15,17 +15,17 @@ block, from a model reply or a stored row, is read by
 :func:`_coerce_int` and name lists by :func:`_names`.
 
 The bytes of an encoding and the value of a decoding are those of the
-standard ``json`` module. A line is encoded by one C encoder, the one
-``json.dumps`` would build for the call, made once at import and shared by
-all threads, where ``json.dumps`` builds a new one for every call
-(:func:`dumps_line`). When the optional ``fast`` extra is installed, orjson
-writes the values it encodes identically: prompt records
-(:func:`canonical_json`) and flat record lines such as pages, exports and
-dead letters. It also decodes every line that :func:`read_rows` reads and
-every model reply payload, keeping its value only where ``json`` is known
-to give the same one; every other text is decoded, and refused, by
-``json`` as before. orjson is imported on the first value encoded or line
-decoded, never by importing the package.
+standard ``json`` module. :func:`dumps_line` gives a line's UTF-8 bytes,
+newline included, from one C encoder, the one ``json.dumps`` would build
+for the call, made once at import and shared by all threads, where
+``json.dumps`` builds a new one for every call. When the optional ``fast``
+extra is installed, orjson writes the values it encodes identically:
+prompt records (:func:`canonical_json`) and flat record lines such as
+pages, exports and dead letters. It also decodes every line that
+:func:`read_rows` reads and every model reply payload, keeping its value
+only where ``json`` is known to give the same one; every other text is
+decoded, and refused, by ``json`` as before. orjson is imported on the
+first value encoded or line decoded, never by importing the package.
 
 Records are frozen, slotted dataclasses made by :func:`frozen_record`, and
 so are the other values built once per page, item or call (chat requests
@@ -834,10 +834,10 @@ def _line_encoder() -> Callable[[Any, int], Sequence[str]] | None:
 _ENCODE_LINE = _line_encoder()
 
 
-def dumps_line(value: Any) -> str:
-    """Compact single-line JSON used for line-delimited record files.
+def dumps_line(value: Any) -> bytes:
+    """A line of a line-delimited record file: its UTF-8 bytes, newline included.
 
-    The text is ``json.dumps(value, ensure_ascii=False, separators=(", ", ": "))``.
+    They are ``(json.dumps(value, ensure_ascii=False, separators=(", ", ": ")) + "\\n").encode()``.
     A flat record (a dict with str keys and str, int, bool or None values,
     such as a page) is written by orjson when installed: each key and value
     is encoded on its own and joined with the same separators. orjson
@@ -846,11 +846,12 @@ def dumps_line(value: Any) -> str:
     one holding a lone surrogate or an int wider than 64 bits (which orjson
     refuses with a ``TypeError``), is written by the one C encoder
     :func:`_line_encoder` built at import, the encoder ``json.dumps`` would
-    build for the call, so the text and the errors are ``json``'s. One
-    exception: that encoder does not look for circular references, so a
-    value that holds itself raises :class:`RecursionError` where
-    ``json.dumps`` raises :class:`ValueError`. Without the C accelerator
-    the value goes to ``json.dumps`` itself.
+    build for the call, so the text and the errors are ``json``'s, and a lone
+    surrogate raises :class:`UnicodeEncodeError`. One exception: that encoder
+    does not look for circular references, so a value that holds itself
+    raises :class:`RecursionError` where ``json.dumps`` raises
+    :class:`ValueError`. Without the C accelerator the value goes to
+    ``json.dumps`` itself.
     """
     if _is_flat(value):
         fast = _orjson()
@@ -858,12 +859,12 @@ def dumps_line(value: Any) -> str:
             dumps = fast.dumps
             try:
                 return (b"{" + b", ".join([dumps(key) + b": " + dumps(item)
-                                           for key, item in value.items()]) + b"}").decode()
+                                           for key, item in value.items()]) + b"}\n")
             except TypeError:
                 pass
     if _ENCODE_LINE is None:
-        return json.dumps(value, ensure_ascii=False, separators=(", ", ": "))
-    return "".join(_ENCODE_LINE(value, 0))
+        return (json.dumps(value, ensure_ascii=False, separators=(", ", ": ")) + "\n").encode()
+    return ("".join(_ENCODE_LINE(value, 0)) + "\n").encode()
 
 
 # Line files are written this many lines at a time: one write per batch, and
@@ -874,19 +875,14 @@ _LINE_BATCH = 64
 def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]]) -> int:
     """Write ``rows`` as one JSON object per line; returns the row count.
 
-    Each line is encoded to UTF-8 once, and the lines are written
-    :data:`_LINE_BATCH` at a time through an unbuffered file.
+    The lines :func:`dumps_line` gives are written :data:`_LINE_BATCH` at
+    a time through an unbuffered file.
     """
-    count = 0
-    batch: list[bytes] = []
+    count, lines = 0, map(dumps_line, rows)
     with open(path, "wb", buffering=0) as fh:
-        for row in rows:
-            batch.append((dumps_line(row) + "\n").encode())
-            count += 1
-            if len(batch) == _LINE_BATCH:
-                _write_all(fh.write, b"".join(batch))
-                batch = []
-        _write_all(fh.write, b"".join(batch))
+        while batch := list(islice(lines, _LINE_BATCH)):
+            _write_all(fh.write, b"".join(batch))
+            count += len(batch)
     return count
 
 

@@ -573,17 +573,16 @@ class _StageWriter:
     def written(self) -> int:
         return self._out_end - self.opened_at
 
-    def commit(self, key: str, line: str, counts: Sequence[int] | None = None) -> None:
+    def commit(self, key: str, line: bytes, counts: Sequence[int] | None = None) -> None:
         """Add ``line`` to the output, or without ``counts`` to the dead-letter file, then
         checkpoint ``key`` with the stage's counters, ``counts`` added."""
-        data = (line + "\n").encode("utf-8")
         ckpt = self.checkpoint
         if counts is None:
-            self._dead_lines.append(data)
-            self._dead_end += len(data)
+            self._dead_lines.append(line)
+            self._dead_end += len(line)
         else:
-            self._out_lines.append(data)
-            self._out_end += len(data)
+            self._out_lines.append(line)
+            self._out_end += len(line)
             ckpt.counts = [total + n for total, n in zip(ckpt.counts, counts)]
         ckpt.output_offset, ckpt.deadletter_offset = self._out_end, self._dead_end
         # the bytes of json.dumps({"key": key, "out": ..., "dead": ..., "n": counts}) + "\n"
@@ -658,7 +657,7 @@ def compute_stats(output_dir: str | Path) -> PipelineStats:
 # pipeline orchestration
 
 
-def _dead_line(stage: str, key: str, doc_id: str, page_number: int, exc: Exception) -> str:
+def _dead_line(stage: str, key: str, doc_id: str, page_number: int, exc: Exception) -> bytes:
     return dumps_line(
         {
             "stage": stage,
@@ -687,8 +686,8 @@ def _enriched_mention(mention: DatasetMention, verdict: JudgeVerdict) -> Dataset
 # request's user content fixes the item's checkpoint key, and ``subject`` is
 # what the stage's ``produce`` takes: a page, or a block with the dict it was
 # encoded from. A block is turned into a dict and encoded here, once; the
-# stage's ``produce`` sends that same text and writes that same dict, so the
-# request, its key and the output line always agree.
+# stage's ``produce`` sends that same text and puts that same dict in its
+# row, so the request, its key and the output line always agree.
 
 
 def _extract_items(pages: Iterable[PageRecord]) -> Iterator[tuple[str, int, str, PageRecord]]:
@@ -738,35 +737,28 @@ def _block_items(
 
 def _produce_extract(
     page: PageRecord, user_content: str, backend: ChatBackend, call: StageCall
-) -> tuple[str, list[int], list[MentionBlock]]:
+) -> tuple[dict[str, Any], list[MentionBlock]]:
     blocks = extract_mentions(page, backend, call=call)  # user_content is page.text
-    line = dumps_line(
-        {
-            "doc_id": page.doc_id,
-            "page_number": page.page_number,
-            "blocks": [b.to_dict() for b in blocks],
-        }
-    )
-    counts = [1, len(blocks), sum(len(b.datasets) for b in blocks)]
-    return line, counts, _blocks_with_mentions(blocks)
+    row = {"doc_id": page.doc_id, "page_number": page.page_number,
+           "blocks": [b.to_dict() for b in blocks]}
+    return row, _blocks_with_mentions(blocks)
 
 
 def _produce_judge(
     subject: tuple[MentionBlock, dict], user_content: str, backend: ChatBackend, call: StageCall
-) -> tuple[str, list[int], list[MentionBlock]]:
+) -> tuple[dict[str, Any], list[MentionBlock]]:
     block, payload = subject
     verdicts = judge_mentions(block, backend, call=call, user_content=user_content)
-    line = dumps_line({"block": payload, "verdicts": [v.to_dict() for v in verdicts]})
-    return line, [sum(v.valid for v in verdicts)], _survivors(block, verdicts)
+    row = {"block": payload, "verdicts": [v.to_dict() for v in verdicts]}
+    return row, _survivors(block, verdicts)
 
 
 def _produce_reason(
     subject: tuple[MentionBlock, dict], user_content: str, backend: ChatBackend, call: StageCall
-) -> tuple[str, list[int], None]:
+) -> tuple[dict[str, Any], None]:
     block, payload = subject
     assessments = reason_mentions(block, backend, call=call, user_content=user_content)
-    line = dumps_line({"block": payload, "assessments": [a.to_dict() for a in assessments]})
-    return line, [sum(a.valid for a in assessments)], None
+    return {"block": payload, "assessments": [a.to_dict() for a in assessments]}, None
 
 
 def _extracted_counts(row: Mapping[str, Any]) -> list[int]:
@@ -789,13 +781,13 @@ class _StageSpec:
     ``parse`` reads one row of the input file, and ``items`` turns the
     pages, or what ``parse`` made of the rows, into items.
     ``produce(subject, user_content, backend, call)`` returns the
-    item's output line, what it adds to each of the stage's ``counters``,
-    the :class:`PipelineStats` fields the stage counts, and what the next
-    stage's ``parse`` makes of that line (None for the last stage), built
-    from the records in hand by the rule that ``parse`` applies to the
-    decoded row; ``user_content`` is
-    the text ``items`` yielded for the item's key; ``count(row)`` reads back
-    what ``produce`` added for a committed output row. Each of them reaches the
+    item's output row and what the next stage's ``parse`` makes of that row
+    (None for the last stage), built from the records in hand by the rule
+    that ``parse`` applies to the decoded row; ``user_content`` is the text
+    ``items`` yielded for the item's key. ``count(row)`` gives what an
+    output row adds to each of the stage's ``counters``, the
+    :class:`PipelineStats` fields the stage counts, both when the row is
+    committed and when it is read back. Each of them reaches the
     stage functions and record helpers through this module's globals at
     call time, never through references taken at import.
     """
@@ -806,7 +798,7 @@ class _StageSpec:
     output_file: str
     parse: Callable[[dict[str, Any]], Any] | None
     items: Callable[[Any], Iterator[tuple[str, int, str, Any]]]
-    produce: Callable[[Any, str, ChatBackend, StageCall], tuple[str, list[int], Any]]
+    produce: Callable[[Any, str, ChatBackend, StageCall], tuple[dict[str, Any], Any]]
     counters: tuple[str, ...]
     count: Callable[[dict[str, Any]], list[int]]
 
@@ -1074,7 +1066,7 @@ def _run_stage(
 
     def attempt(
         item: tuple[str, str, int, str, Any],
-    ) -> tuple[Any, tuple[str, list[int]] | None, Exception | None]:
+    ) -> tuple[Any, tuple[bytes, list[int], Any] | None, Exception | None]:
         key, last = item[0], None
         for n in range(item_attempts):
             via = LedgerBackend(backend, None if recorded is None else recorded(settings, key, n))
@@ -1086,7 +1078,8 @@ def _run_stage(
                 ledger.record(settings, key, n, spec.template_id, via.reply,
                               "ok" if produced else type(last).__name__)
             if produced:
-                return item, produced, None
+                row, value = produced
+                return item, (dumps_line(row), spec.count(row), value), None
         return item, None, last
 
     handoff: list[Any] | None = [] if keep else None

@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 import requests
 
-from datamentions import corpus
+from datamentions import cli, corpus
 from datamentions.cli import _advisory_lock, _apply_decisions, _load_pages, main
 from datamentions.corpus import CorpusStore
 from datamentions.errors import InputError, InvalidRecord
@@ -132,7 +133,7 @@ def test_a_pages_file_that_is_not_utf8_exits_3_and_changes_nothing(
     CorpusStore(store).ingest_pages([_page(3, "Stored before.")])
     pages = tmp_path / "latin1.jsonl"
     pages.write_bytes(
-        (dumps_line(_page(1, "We rely on the LSMS throughout.").to_dict()) + "\n").encode()
+        dumps_line(_page(1, "We rely on the LSMS throughout.").to_dict())
         + b'{"doc_id": "' + DOC.encode() + b'", "page_number": 2, "text": "caf\xe9"}\n'
     )
     before = _tree(tmp_path)
@@ -156,8 +157,8 @@ def test_a_bad_pages_line_exits_3_naming_it_and_changes_nothing(tmp_path, capsys
     store = tmp_path / "store"
     CorpusStore(store).ingest_pages([_page(3, "Stored before.")])
     pages = tmp_path / "bad.jsonl"
-    pages.write_text(dumps_line(_page(1, "We rely on the LSMS throughout.").to_dict()) + "\n"
-                     + line + "\n", encoding="utf-8")
+    pages.write_bytes(dumps_line(_page(1, "We rely on the LSMS throughout.").to_dict())
+                      + (line + "\n").encode("utf-8"))
     extra = {"sample": ["-n", "1", "--out", str(tmp_path / "sample.jsonl")],
              "gate": ["--out", str(tmp_path / "decisions.jsonl")]}.get(command, [])
     before = _tree(tmp_path)
@@ -175,8 +176,8 @@ def test_a_bad_pages_line_after_a_whole_batch_exits_3_and_changes_no_stored_byte
     CorpusStore(store).ingest_pages([_page(1, "Stored before.")])
     before = _tree(store)
     pages = tmp_path / "pages.jsonl"
-    pages.write_text("".join(dumps_line(_page(n, f"Page {n}.").to_dict()) + "\n"
-                             for n in range(2, 102)) + "{not json\n", encoding="utf-8")
+    pages.write_bytes(b"".join(dumps_line(_page(n, f"Page {n}.").to_dict())
+                               for n in range(2, 102)) + b"{not json\n")
     assert main(["--corpus-dir", str(store), "ingest", "--pages", str(pages)]) == 3
     assert f"input error: {pages}: line 101 is not JSON" in capsys.readouterr().err
     assert _tree(store) == before
@@ -407,7 +408,7 @@ def test_a_non_canonical_row_of_the_wrong_shape_exits_3_naming_the_file(
 
 def _row_file(path: Path, good: dict, bad: dict) -> Path:
     """A file whose line 1 is ``good``, line 2 blank and line 3 ``bad``."""
-    path.write_text(dumps_line(good) + "\n\n" + dumps_line(bad) + "\n", encoding="utf-8")
+    path.write_bytes(dumps_line(good) + b"\n" + dumps_line(bad))
     return path
 
 
@@ -417,9 +418,9 @@ def _bad_third_line(path: Path, bad: dict) -> Path:
     Every offset a checkpoint commits still ends a line, so a run reads the file.
     """
     first, second = path.read_bytes().splitlines()
-    room = len(second) - 1 - len(dumps_line({**bad, "pad": ""}))
+    room = len(second) - len(dumps_line({**bad, "pad": ""}))
     assert room >= 0
-    path.write_bytes(first + b"\n\n" + dumps_line({**bad, "pad": "x" * room}).encode() + b"\n")
+    path.write_bytes(first + b"\n\n" + dumps_line({**bad, "pad": "x" * room}))
     return path
 
 
@@ -919,8 +920,28 @@ def _planned_total(capsys) -> int:
     return int(out.rsplit("total backend calls: ", 1)[1].split()[0])
 
 
+class _HeldBack:
+    """A backend whose answer to ``held`` waits until it has answered a ``later`` text.
+
+    The run waits for its running attempts before it stops, so the later
+    item's reply reaches the ledger whatever the threads' timing.
+    """
+
+    def __init__(self, backend, held: str, later: set[str]):
+        self.backend, self.held, self.later = backend, held, later
+        self.answered_later = threading.Event()
+
+    def complete(self, request):
+        if request.user_content == self.held:
+            assert self.answered_later.wait(timeout=60)
+        reply = self.backend.complete(request)
+        if request.user_content in self.later:
+            self.answered_later.set()
+        return reply
+
+
 def test_dry_run_after_an_interrupted_run_counts_the_calls_its_resume_issues(
-    tmp_path, capsys
+    tmp_path, capsys, monkeypatch
 ) -> None:
     pages = [_page(n, f"Page {n} names no data.") for n in range(1, 41)]
     script = pipeline_script([(page, [], [], []) for page in pages])
@@ -933,7 +954,11 @@ def test_dry_run_after_an_interrupted_run_counts_the_calls_its_resume_issues(
     cfg.write_text(json.dumps(config), encoding="utf-8")
     argv = ["--config", str(cfg), "generate", "--pages", str(_pages_file(tmp_path, pages)),
             "--stage", "extract"]
+    build = cli._build_backend
+    monkeypatch.setattr(cli, "_build_backend", lambda *args: _HeldBack(
+        build(*args), pages[23].text, {page.text for page in pages[24:]}))
     assert main(argv) == 5
+    monkeypatch.undo()
     capsys.readouterr()
     recorded = len(list(read_jsonl(tmp_path / "out" / "replies.jsonl")))
     committed = len(list(read_jsonl(tmp_path / "out" / "extracted.jsonl")))
@@ -1124,6 +1149,22 @@ def test_split_by_ratios_covers_everything(tmp_path) -> None:
     ]
     assert sizes == [8, 1, 1]
     assert not (out_dir / "leftover.jsonl").exists()
+
+
+def test_split_keeps_a_record_that_holds_a_line_separator_whole(tmp_path, capsys) -> None:
+    rows = [{"id": 1, "text": "one\u2028two"}, {"id": 2, "text": "next\x85line"},
+            {"id": 3, "text": "para\u2029graph"}]
+    lines = [dumps_line(row) for row in rows]
+    records = tmp_path / "records.jsonl"
+    records.write_bytes(lines[0] + b"\n" + lines[1] + lines[2])  # a blank line is skipped
+    out_dir = tmp_path / "splits"
+    code = main(["split", "--records", str(records), "--train", "1", "--val", "1",
+                 "--test", "1", "--out-dir", str(out_dir)])
+    assert code == 0
+    assert "split 3 records -> train=1 val=1 test=1 leftover=0" in capsys.readouterr().out
+    written = [(out_dir / f"{name}.jsonl").read_bytes() for name in ("train", "val", "test")]
+    assert sorted(written) == sorted(lines)
+    assert sorted(json.loads(line)["id"] for line in written) == [1, 2, 3]
 
 
 def test_split_requires_counts_or_ratios(tmp_path, capsys) -> None:

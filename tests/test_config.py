@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from datamentions.cli import main
 from datamentions.config import PipelineConfig, load_config
 from datamentions.errors import ConfigError
 
@@ -272,3 +273,48 @@ def test_an_explicit_null_counts_as_an_absent_key(tmp_path) -> None:
     cfg = load_config(config_path)
     assert cfg == defaults
     assert (cfg.base_url, cfg.model_name) == (defaults.base_url, defaults.model_name)
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"execution": {"concurrency": 2.5}}', "concurrency"),
+    ('{"execution": {"item_attempts": true}}', "item_attempts"),
+    ('{"execution": {"retry_attempts": "2.0"}}', "retry_attempts"),
+    ('{"seed": 1.5}', "seed"),
+    ('{"endpoint": {"model": {"a": 1}}}', "model"),
+    ('{"backend": {"kind": ["mock"]}}', "kind"),
+    ('{"paths": {"output": ["runs"]}}', "output"),
+    ('{"endpoint": {"temperature": "nan"}}', "temperature"),
+    ('{"endpoint": {"temperature": NaN}}', "temperature"),
+    ('{"endpoint": {"temperature": "0.2"}}', "temperature"),
+    ('{"execution": {"retry_factor": Infinity}}', "retry_factor"),
+    ('{"match": {"beta": 1e999}}', "beta"),
+    ('{"match": {"beta": 1' + "0" * 400 + '}}', "beta"),
+    ('{"gate": {"threshold": true}}', "threshold"),
+    ('{"execution": {"retry_base_delay": -1}}', "retry_base_delay"),
+    ('{"endpoint": {"max_output_tokens": 0}}', "max_output_tokens"),
+], ids=["fractional int", "bool int", "text float as int", "fractional seed", "object text",
+        "array text", "array path", "nan text", "nan", "text float", "infinity",
+        "overflowing float", "int past the largest float", "bool float", "negative delay",
+        "no output tokens"])
+def test_a_value_that_breaks_its_keys_rule_is_a_config_error_naming_the_key(
+    tmp_path, capsys, text, key
+) -> None:
+    config_path = tmp_path / "c.json"
+    config_path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        load_config(config_path)
+    argv = ["--config", str(config_path), "generate", "--pages", str(tmp_path / "pages.jsonl")]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json"]  # no out/
+
+
+def test_integers_are_read_by_the_record_rule_and_text_by_the_text_rule(tmp_path) -> None:
+    config_path = tmp_path / "c.json"
+    config_path.write_text('{"execution": {"concurrency": " 3 ", "retry_base_delay": 0},'
+                           ' "endpoint": {"model": 5, "temperature": 1}, "seed": "8"}',
+                           encoding="utf-8")
+    cfg = load_config(config_path)
+    assert (cfg.concurrency, cfg.seed, cfg.model_name) == (3, 8, "5")
+    assert (cfg.retry_base_delay, cfg.temperature) == (0.0, 1.0)
+    assert type(cfg.retry_base_delay) is float and type(cfg.temperature) is float

@@ -375,8 +375,8 @@ def test_write_jsonl_writes_the_json_dumps_lines_a_batch_at_a_time(tmp_path, mon
 
 def test_dumps_line_is_single_line_utf8() -> None:
     line = dumps_line({"name": "Enquête", "n": 1})
-    assert "\n" not in line
-    assert "Enquête" in line
+    assert line.endswith(b"\n") and b"\n" not in line[:-1]
+    assert "Enquête".encode("utf-8") in line
 
 
 def test_read_jsonl_names_the_line_that_is_not_utf8(tmp_path) -> None:
@@ -474,7 +474,7 @@ def test_dumps_line_matches_json_dumps(monkeypatch, fast) -> None:
     @settings(max_examples=600, deadline=None)
     @given(st.one_of(_FLAT, _JSON_VALUES, _BLOCKS))
     def check(value) -> None:
-        assert dumps_line(value) == json.dumps(value, ensure_ascii=False, separators=(", ", ": "))
+        assert _encoded(dumps_line, value) == _encoded(_json_line, value)
 
     check()
 
@@ -492,12 +492,12 @@ def test_dumps_line_writes_flat_records_with_orjson(monkeypatch) -> None:
     monkeypatch.setattr(records, "orjson", SimpleNamespace(dumps=dumps))
     page = {"doc_id": DOC, "page_number": 3, "text": "Enquête\u2028\x7f\x1f\"\\", "ok": True,
             "note": None}
-    assert dumps_line(page) == json.dumps(page, ensure_ascii=False, separators=(", ", ": "))
+    assert dumps_line(page) == _json_line(page)
     assert encoded == [part for item in page.items() for part in item]
     encoded.clear()
     for value in ({**page, "score": 0.5}, {**page, "names": ["LSMS"]}, {1: "x"}, ["x"],
                   {"text": "\ud800"}, {"n": 2**64}):
-        assert dumps_line(value) == json.dumps(value, ensure_ascii=False, separators=(", ", ": "))
+        assert _encoded(dumps_line, value) == _encoded(_json_line, value)
     assert encoded == ["text", "\ud800", "n", 2**64]  # refused by orjson, then written by json
 
 
@@ -539,15 +539,16 @@ def _deep(draw) -> object:
 
 
 def _encoded(encode, value) -> tuple:
-    """``("ok", text)`` or ``("raised", error class)``."""
+    """``("ok", line)`` or ``("raised", error class)``."""
     try:
         return "ok", encode(value)
     except Exception as exc:
         return "raised", type(exc)
 
 
-def _json_line(value) -> str:
-    return json.dumps(value, ensure_ascii=False, separators=(", ", ": "))
+def _json_line(value) -> bytes:
+    """The line ``json.dumps`` gives, with its newline, in UTF-8; a lone surrogate raises."""
+    return (json.dumps(value, ensure_ascii=False, separators=(", ", ": ")) + "\n").encode()
 
 
 @pytest.mark.parametrize("mode", ["orjson", "json", "no-accelerator"])
@@ -567,6 +568,10 @@ def test_dumps_line_gives_json_dumps_text_or_error(monkeypatch, mode) -> None:
         assert _encoded(dumps_line, value) == _encoded(_json_line, value)
 
     check()
+    # a lone surrogate has no UTF-8 form, in a flat record or any other value
+    for value in ({"text": "LSMS\ud800"}, ["\udfff"], {"block": {"\ud83d": 1}}):
+        with pytest.raises(UnicodeEncodeError):
+            dumps_line(value)
 
 
 def test_threads_sharing_the_line_encoder_get_the_same_text() -> None:
@@ -574,7 +579,7 @@ def test_threads_sharing_the_line_encoder_get_the_same_text() -> None:
                "note": None if n % 2 else "Enquête \U0001d11e"} for n in range(300)]
     expected = [_json_line(value) for value in values]
     barrier = threading.Barrier(4)
-    results: list[list[str]] = []
+    results: list[list[bytes]] = []
 
     def encode() -> None:
         barrier.wait(timeout=30)

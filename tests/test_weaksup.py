@@ -1328,7 +1328,7 @@ def test_a_commit_writes_the_checkpoint_line_json_dumps_would(tmp_path) -> None:
         expected = []
         with weaksup._StageWriter(ckpt, tmp_path, spec) as writer:
             for item_key, line, added in commits:
-                writer.commit(item_key, line, added)
+                writer.commit(item_key, (line + "\n").encode("utf-8"), added)
                 expected.append(json.dumps({"key": item_key, "out": ckpt.output_offset,
                                             "dead": ckpt.deadletter_offset,
                                             "n": ckpt.counts}) + "\n")
@@ -1349,7 +1349,7 @@ def test_commit_offsets_are_the_file_sizes_across_a_resume(tmp_path) -> None:
         with weaksup._StageWriter(ckpt, tmp_path, spec) as writer:
             for key, line, kept in items:
                 sizes = (out.stat().st_size, dead.stat().st_size, ckpt_path.stat().st_size)
-                writer.commit(key, line, [1] if kept else None)
+                writer.commit(key, (line + "\n").encode("utf-8"), [1] if kept else None)
                 assert (out.stat().st_size, dead.stat().st_size,
                         ckpt_path.stat().st_size) == sizes  # held until the flush
                 writer.flush()
@@ -1753,7 +1753,7 @@ def test_a_writer_flushes_every_batch_and_on_every_exit(tmp_path) -> None:
     batch = weaksup._ENUMERATION_BATCH
     with weaksup._StageWriter(StageCheckpoint(counts=[0, 0, 0]), tmp_path, spec) as writer:
         for i in range(batch + 2):
-            writer.commit(f"k{i}", f'"{i}"', [1, 0, 0])
+            writer.commit(f"k{i}", f'"{i}"\n'.encode(), [1, 0, 0])
             flushed = (i + 1) // batch * batch
             assert (_lines(out), _lines(ckpt_path)) == (flushed, flushed)
     assert (_lines(out), _lines(ckpt_path)) == (batch + 2, batch + 2)
@@ -1761,7 +1761,7 @@ def test_a_writer_flushes_every_batch_and_on_every_exit(tmp_path) -> None:
     # an error on the way out: what was committed before it is written
     with pytest.raises(RuntimeError, match="stop"):
         with weaksup._StageWriter(StageCheckpoint.load(ckpt_path), tmp_path, spec) as writer:
-            writer.commit("last", '"last"', [1, 0, 0])
+            writer.commit("last", b'"last"\n', [1, 0, 0])
             raise RuntimeError("stop")
     assert all(fh.closed for fh in (writer._out, writer._dead, writer._ckpt))
     assert (_lines(out), _lines(ckpt_path)) == (batch + 3, batch + 3)
@@ -1776,7 +1776,7 @@ def test_a_writer_flushes_every_batch_and_on_every_exit(tmp_path) -> None:
     with pytest.raises(OSError):
         with weaksup._StageWriter(StageCheckpoint.load(ckpt_path), tmp_path, spec) as writer:
             ckpt_file, writer._ckpt = writer._ckpt, FullDisk()
-            writer.commit("lost", '"lost"', [1, 0, 0])
+            writer.commit("lost", b'"lost"\n', [1, 0, 0])
     assert ckpt_file.closed and writer._out.closed and writer._dead.closed
     assert out.stat().st_size > size and ckpt_path.stat().st_size == ckpt_size
     assert StageCheckpoint.load(ckpt_path).output_offset == size
@@ -2094,10 +2094,10 @@ def _committed_value(path: Path, writer, reader, subject, user_content, reply):
     item, which commits no line."""
     call = StageCall(load_templates()[writer.template_id])
     try:
-        line, _, value = writer.produce(subject, user_content, _Recording(reply), call)
+        row, value = writer.produce(subject, user_content, _Recording(reply), call)
     except weaksup._POISON_ERRORS:
         return None
-    path.write_bytes((line + "\n").encode("utf-8"))
+    path.write_bytes(weaksup.dumps_line(row))
     (parsed,) = weaksup.read_rows(path, reader.parse)
     return value, parsed
 
