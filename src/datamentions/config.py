@@ -25,8 +25,8 @@ __all__ = ["PipelineConfig", "load_config"]
 
 def _check_keys(section: Mapping[str, Any], allowed: set[str], where: str) -> None:
     unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} setting(s): {', '.join(sorted(unknown))}")
+    if unknown:  # a YAML key may be a number, a boolean or null: each is named by its str
+        raise ConfigError(f"unknown {where} setting(s): {', '.join(sorted(map(str, unknown)))}")
 
 
 @dataclass
@@ -106,8 +106,9 @@ class PipelineConfig:
 
 
 # section -> key -> (PipelineConfig field, type). An int is read by records._coerce_int's
-# rule, text and a path by records._text's, and a float is a finite int or float, not a
-# bool; a path that is not absolute is read against the configuration file's directory.
+# rule, text and a path by records._text's less booleans, and a float is a finite int or
+# float, not a bool; a path that is not absolute is read against the configuration
+# file's directory.
 _SECTIONS: dict[str, dict[str, tuple[str, type]]] = {
     "endpoint": {"base_url": ("base_url", str), "model": ("model_name", str),
                  "api_key_env": ("api_key_env", str), "temperature": ("temperature", float),
@@ -154,6 +155,8 @@ def _from_mapping(raw: Mapping[str, Any], base_dir: Path) -> PipelineConfig:
             if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                 raise InvalidRecord(f"{where}: {key} is not a finite number: {value!r}")
             value = float(value)
+        elif type(value) is bool:  # a YAML yes or no where text or a path was meant
+            raise InvalidRecord(f"{where}: {key} is not text: {value!r}")
         else:
             value = kind(_text(value, f"{where}: {key}"))
             if kind is Path and not value.is_absolute():

@@ -28,13 +28,14 @@ from .errors import (
     EmptyOutput,
     InvalidRecord,
     MalformedResponse,
+    MissingField,
     NetworkError,
     NoPdfUrl,
     NonPdfContent,
     StoreWriteError,
 )
-# perfbench/tracing.py patches read_jsonl and dumps_line by these names: read_jsonl is
-# not called here, and dumps_line must stay the name the ingest encodes through
+# perfbench/tracing.py patches read_jsonl and dumps_line by these names: neither is
+# called here, since pages are encoded by PageRecord.to_line, and both are kept for it
 from .records import (  # noqa: F401
     _BLANK,
     _CHUNK,
@@ -42,9 +43,9 @@ from .records import (  # noqa: F401
     DocumentRecord,
     PageRecord,
     _coerce_int,
-    _decode_line,
+    _first_given,
     _lines,
-    _loads_exact,
+    _page_fields,
     _text,
     _write_all,
     dumps_line,
@@ -151,27 +152,33 @@ def search_paper_by_title(
     client: MetadataClient,
     source_corpus: str = "other",
 ) -> DocumentRecord | None:
-    """Look up one title; return a DocumentRecord or None when unmatched."""
+    """Look up one title; return a DocumentRecord or None when unmatched.
+
+    The match is read by :meth:`DocumentRecord.from_dict`, one rule per
+    field; a match that breaks one, or whose ``openAccessPdf`` is neither
+    an object nor null, raises :class:`MalformedResponse`. A match without
+    a title keeps the title looked up.
+    """
     if not title or not title.strip():
         raise ValueError("title must be non-empty")
     match = client.match_title(title.strip())
     if match is None:
         return None
-    doc_id = match.get("paperId")
     open_access_pdf = match.get("openAccessPdf") or {}
+    if not isinstance(open_access_pdf, dict):
+        raise MalformedResponse(
+            f"metadata match's openAccessPdf is not an object: {open_access_pdf!r}")
     try:
-        return DocumentRecord(
-            doc_id=str(doc_id),
-            title=str(match.get("title") or title.strip()),
-            source_corpus=source_corpus,
-            year=int(match["year"]) if match.get("year") is not None else None,
-            is_open_access=bool(match.get("isOpenAccess", False)),
-            pdf_url=open_access_pdf.get("url"),
-            citation_count=(
-                int(match["citationCount"]) if match.get("citationCount") is not None else None
-            ),
-        )
-    except (InvalidRecord, TypeError, ValueError) as exc:
+        return DocumentRecord.from_dict({
+            "doc_id": match.get("paperId"),
+            "title": _first_given(match.get("title"), title.strip()),
+            "source_corpus": source_corpus,
+            "year": match.get("year"),
+            "is_open_access": match.get("isOpenAccess"),
+            "pdf_url": open_access_pdf.get("url"),
+            "citation_count": match.get("citationCount"),
+        })
+    except (InvalidRecord, MissingField) as exc:
         raise MalformedResponse(f"metadata match is not a usable document: {exc}") from exc
 
 
@@ -270,16 +277,6 @@ class _PageAppend:
             self._start, self._torn = head, last
 
 
-def _page_key(row: Any) -> tuple[str, int] | None:
-    """The (doc_id, page) of a decoded line whose page fields hold their own types,
-    which :meth:`PageRecord.from_dict` takes as they are; None for any other value."""
-    if type(row) is dict:
-        doc_id, number, text = row.get("doc_id"), row.get("page_number"), row.get("text")
-        if type(doc_id) is str and type(number) is int and number >= 1 and type(text) is str:
-            return doc_id, number
-    return None
-
-
 class _PageListing:
     """A store's pages in (doc_id, page) order, each read from its line as it is iterated.
 
@@ -306,25 +303,23 @@ class _PageListing:
         with open(self.path, "rb", buffering=0) as fh:
             fd = fh.fileno()
             for doc_id, page_number, number, offset, length in self._entries:
-                line = os.pread(fd, length, offset)
-                row = _loads_exact(line)
-                # the listing checked this line: if it still holds the page, it
-                # is built from the row as PageRecord.from_dict would build it
-                if _page_key(row) == (doc_id, page_number):
-                    yield PageRecord(doc_id, page_number, row["text"])
-                    continue
-                # a line the listing read through json, or one changed since
-                page = _decode_line(self.path, number, line, PageRecord.from_dict)
-                if page is _BLANK or (page.doc_id, page.page_number) != (doc_id, page_number):
+                page = _page_fields(self.path, number, os.pread(fd, length, offset))
+                if page is _BLANK or page[:2] != (doc_id, page_number):
                     raise InvalidRecord(f"{self.path}: line {number} no longer holds page "
                                         f"{page_number} of document {doc_id}")
-                yield page
+                yield PageRecord(doc_id, page_number, page[2])
 
 
 class CorpusStore:
     """Append-only page store with a (doc_id, page) uniqueness index.
 
-    Layout under ``root``: ``pages.jsonl``. :meth:`iter_pages` lists the
+    Layout under ``root``: ``pages.jsonl``, one page a line. A page's line
+    is what :func:`records.dumps_line` writes for its ``to_dict()``: ingest
+    writes it with :meth:`PageRecord.to_line`, and the listing and its
+    iteration read it back with :func:`records._page_fields`, by the rules
+    of :func:`read_rows` with :meth:`PageRecord.from_dict`. Both take a
+    shorter path for a page whose fields hold exactly a str, an int and a
+    str, as every line ingest writes does. :meth:`iter_pages` lists the
     pages sorted by doc_id then page number, so two stores with the same
     content behave identically. The listing holds each page's key and the
     byte span of its line, not its text: it reads the file once and checks
@@ -371,12 +366,12 @@ class CorpusStore:
     def ingest_pages(self, pages: Iterable[PageRecord]) -> IngestSummary:
         """Append fresh pages; duplicates are skipped and counted.
 
-        Each fresh page is encoded once to a UTF-8 line, and the lines are
-        appended ``records._LINE_BATCH`` at a time through
-        :class:`_PageAppend` as the pages come. A page whose text holds a
-        lone surrogate, which UTF-8 cannot store, raises
-        :class:`InvalidRecord`; like any other error, it leaves the store
-        and its index as they were.
+        Each fresh page is encoded once to a UTF-8 line by
+        :meth:`PageRecord.to_line`, and the lines are appended
+        ``records._LINE_BATCH`` at a time through :class:`_PageAppend` as
+        the pages come. A page whose doc_id or text holds a lone surrogate,
+        which UTF-8 cannot store, raises :class:`InvalidRecord`; like any
+        other error, it leaves the store and its index as they were.
         """
         index = self._index()
         fresh: set[tuple[str, int]] = set()
@@ -389,7 +384,7 @@ class CorpusStore:
                     skipped += 1
                     continue
                 try:
-                    batch.append(dumps_line(page.to_dict()))
+                    batch.append(page.to_line())
                 except UnicodeEncodeError:
                     raise InvalidRecord(
                         f"page {page.page_number} of document {page.doc_id} holds a lone "
@@ -406,7 +401,8 @@ class CorpusStore:
     def iter_pages(self) -> Collection[PageRecord]:
         """The stored pages in (doc_id, page) order, as a sized, re-iterable listing.
 
-        The file is read once, as :func:`read_rows` reads it with
+        The file is read once, each line by :func:`records._page_fields`,
+        which reads it as :func:`read_rows` does with
         :meth:`PageRecord.from_dict`, less a torn last line: a line that is
         not a page raises :class:`InvalidRecord` here. The listing keeps
         each page's key and line span; iterating it reads and builds one
@@ -418,14 +414,11 @@ class CorpusStore:
             end = 0
             for number, line in enumerate(_lines(self.pages_path, self._readable_size()), 1):
                 offset, end = end, end + len(line)
-                key = _page_key(_loads_exact(line))
-                if key is None:  # what read_rows would refuse, or read through json
-                    page = _decode_line(self.pages_path, number, line, PageRecord.from_dict)
-                    if page is _BLANK:
-                        continue
-                    key = page.doc_id, page.page_number
-                doc_id = doc_ids.setdefault(key[0], key[0])
-                entries.append((doc_id, key[1], number, offset, len(line)))
+                page = _page_fields(self.pages_path, number, line)
+                if page is _BLANK:
+                    continue
+                doc_id = doc_ids.setdefault(page[0], page[0])
+                entries.append((doc_id, page[1], number, offset, len(line)))
             entries.sort()  # by key; the line number keeps a repeated key in file order
         return _PageListing(self.pages_path, entries)
 

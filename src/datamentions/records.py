@@ -21,11 +21,18 @@ for the call, made once at import and shared by all threads, where
 ``json.dumps`` builds a new one for every call. When the optional ``fast``
 extra is installed, orjson writes the values it encodes identically:
 prompt records (:func:`canonical_json`) and flat record lines such as
-pages, exports and dead letters. It also decodes every line that
+exports and dead letters. It also decodes every line that
 :func:`read_rows` reads and every model reply payload, keeping its value
 only where ``json`` is known to give the same one; every other text is
 decoded, and refused, by ``json`` as before. orjson is imported on the
 first value encoded or line decoded, never by importing the package.
+
+Page lines, which the page store writes and reads back in bulk, have a
+codec of their own with the same bytes and rules: :meth:`PageRecord.to_line`
+fills one fixed template with orjson's encoding of ``doc_id`` and ``text``,
+and :func:`_page_fields` keeps orjson's decoding of a line when its three
+fields hold exactly their own types. Any other page or line takes
+:func:`dumps_line` or :func:`_decode_line`.
 
 Records are frozen, slotted dataclasses made by :func:`frozen_record`, and
 so are the other values built once per page, item or call (chat requests
@@ -352,21 +359,34 @@ class DocumentRecord:
     def from_dict(cls, payload: dict[str, Any]) -> "DocumentRecord":
         where = "document record"
         year = payload.get("year")
+        open_access = payload.get("is_open_access")
         citations = payload.get("citation_count")
         return cls(
-            doc_id=_require(payload, "doc_id", where),
-            title=_require(payload, "title", where),
+            doc_id=_text(_require(payload, "doc_id", where), "doc_id"),
+            title=_text(_require(payload, "title", where), "title"),
             source_corpus=payload.get("source_corpus") or "other",
             year=None if year is None else _coerce_int(year, "year", where),
-            is_open_access=_coerce_bool(payload.get("is_open_access", False), "is_open_access", where),
+            is_open_access=(False if open_access is None
+                            else _coerce_bool(open_access, "is_open_access", where)),
             pdf_url=clean_optional(payload.get("pdf_url"), "pdf_url"),
             citation_count=None if citations is None else _coerce_int(citations, "citation_count", where),
         )
 
 
+# A page's stored line, as dumps_line writes its to_dict(): the JSON texts of
+# doc_id and text, and page_number in decimal, go in the slots.
+_PAGE_LINE = b'{"doc_id": %b, "page_number": %d, "text": %b}\n'
+
+
 @frozen_record
 class PageRecord:
-    """One physical page of text from a document."""
+    """One physical page of text from a document.
+
+    A page is stored as one line, written by :meth:`to_line` and read back
+    by :func:`_page_fields`. Both keep to the bytes and the rules of
+    :func:`dumps_line` and of :func:`read_rows` with :meth:`from_dict`, and
+    take a shorter path for a page whose fields hold exactly their own types.
+    """
 
     doc_id: str
     page_number: int
@@ -387,6 +407,26 @@ class PageRecord:
             page_number=_coerce_int(_require(payload, "page_number", where), "page_number", where),
             text=_text(_require(payload, "text", where), "text"),
         )
+
+    def to_line(self) -> bytes:
+        """The page's line: the bytes of ``dumps_line(self.to_dict())``, errors included.
+
+        When orjson is installed and ``doc_id``, ``page_number`` and ``text``
+        are exactly a str, an int and a str, the line is :data:`_PAGE_LINE`
+        filled with orjson's encoding of the two strings, which is ``json``'s
+        without ``ensure_ascii``, and the number's digits, as ``json`` writes
+        an int. Any other page, and one holding a lone surrogate (which
+        orjson refuses with a ``TypeError``), goes to :func:`dumps_line`, so
+        a lone surrogate raises :class:`UnicodeEncodeError` there.
+        """
+        doc_id, number, text = self.doc_id, self.page_number, self.text
+        fast = _orjson()
+        if fast is not None and type(doc_id) is str and type(number) is int and type(text) is str:
+            try:
+                return _PAGE_LINE % (fast.dumps(doc_id), number, fast.dumps(text))
+            except TypeError:
+                pass
+        return dumps_line(self.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -950,6 +990,35 @@ def _loads_exact(text: str | bytes) -> Any:
     except fast.JSONDecodeError:
         return None
     return value if _orjson_safe(value) else None
+
+
+def _page_fields(path: str | Path, number: int, line: bytes) -> tuple[str, int, str] | Any:
+    """The doc_id, page_number and text of the page on line ``number`` of
+    ``path``, whose bytes are ``line``, as :func:`read_rows` reads the line
+    with :meth:`PageRecord.from_dict`; :data:`_BLANK` for a blank line. Faults
+    raise the :class:`InvalidRecord` that ``read_rows`` raises.
+
+    orjson decodes the line first. Its row is taken as it is when
+    :func:`_loads_exact` would keep it and its ``doc_id``, ``page_number``
+    and ``text`` are exactly a str, an int of at least 1 and a str, which is
+    what ``from_dict`` makes of them. A page's line holds only those three
+    keys, whose values :func:`_orjson_safe` accepts, so only a row with
+    other keys pays for that walk. Any other line is read by
+    :func:`_decode_line`.
+    """
+    fast = _orjson()
+    if fast is not None:
+        try:
+            row = fast.loads(line)
+        except fast.JSONDecodeError:
+            row = None
+        if type(row) is dict:
+            doc_id, page_number, text = row.get("doc_id"), row.get("page_number"), row.get("text")
+            if (type(doc_id) is str and type(page_number) is int and page_number >= 1
+                    and type(text) is str and (len(row) == 3 or _orjson_safe(row))):
+                return doc_id, page_number, text
+    page = _decode_line(path, number, line, PageRecord.from_dict)
+    return page if page is _BLANK else (page.doc_id, page.page_number, page.text)
 
 
 # What a row's ``parse`` may raise for a row of the wrong shape: a record's

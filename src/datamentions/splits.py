@@ -16,7 +16,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence, TypeVar
 
-from .errors import InvalidSpec, PopulationTooSmall, UnknownFormat
+from .errors import InvalidSpec, MissingField, PopulationTooSmall, UnknownFormat
 from .records import (
     CONTEXT_VALUES,
     SPECIFICITY_VALUES,
@@ -205,10 +205,16 @@ def _gold_from_doccano(row: dict, warnings: list[str]) -> GroundTruthRecord:
     ``[start, end, label]``; the spanned substrings become gold names.
     A span label matching a known context or specificity value is recorded
     as that per-name label; other labels are ignored with a warning.
+    The page is the row's ``doc_id`` and ``page_number``, each read from
+    the row's ``meta`` when the row lacks it; a row with no ``doc_id`` in
+    either raises :class:`MissingField`, and its page number defaults to 1.
     """
     text = _require(row, "text", "annotation record")
     meta = row.get("meta") or {}
-    doc_id = _text(_first_given(row.get("doc_id"), meta.get("doc_id"), ""), "doc_id")
+    doc_id = _first_given(row.get("doc_id"), meta.get("doc_id"), None)
+    if doc_id is None:
+        raise MissingField("doc_id", "annotation record")
+    doc_id = _text(doc_id, "doc_id")
     page = next(p for p in (row.get("page_number"), meta.get("page_number"), 1) if p is not None)
     page_number = _coerce_int(page, "page_number", "annotation record")
     names: list[str] = []

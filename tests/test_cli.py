@@ -359,17 +359,19 @@ def test_a_stored_label_that_is_an_object_or_an_array_exits_3_naming_the_line(
 
 
 @pytest.mark.parametrize("side, line, complaint", [
-    ("doccano", '{"page_number": "two", "text": "LSMS", "label": [[0, 4, "x"]]}', "wrong type"),
-    ("doccano", '{"text": "LSMS", "label": [[0]]}', "wrong type"),
-    ("doccano", '{"text": "LSMS", "label": [{"start": 0}]}', "wrong type"),
+    ("doccano", '{"doc_id": "d", "page_number": "two", "text": "LSMS", "label": [[0, 4, "x"]]}',
+     "wrong type"),
+    ("doccano", '{"doc_id": "d", "text": "LSMS", "label": [[0]]}', "wrong type"),
+    ("doccano", '{"doc_id": "d", "text": "LSMS", "label": [{"start": 0}]}', "wrong type"),
     ("doccano", '{"meta": "p1", "text": "LSMS"}', "wrong type"),
-    ("doccano", '{"text": 5, "label": [[0, 4, "x"]]}', "wrong type"),
+    ("doccano", '{"doc_id": "d", "text": 5, "label": [[0, 4, "x"]]}', "wrong type"),
     ("nuextract", '{"page_number": "two", "data_mentions": []}', "wrong type"),
     ("nuextract", '{"data_mentions": [5]}', "wrong type"),
     ("nuextract", '{"data_mentions": 5}', "wrong type"),
     ("nuextract", '{"data_mentions": [{"datasets": ["LSMS"]}]}', "wrong type"),
     ("nuextract", '{"doc_id": "d"}', "lacks 'data_mentions'"),
-    ("doccano", '{"page_number": 1.9, "text": "LSMS", "label": [[0, 4, "x"]]}', "wrong type"),
+    ("doccano", '{"doc_id": "d", "page_number": 1.9, "text": "LSMS", "label": [[0, 4, "x"]]}',
+     "wrong type"),
     ("nuextract", '{"page_number": 1.9, "data_mentions": []}', "wrong type"),
     ("nuextract", '{"data_mentions": [{"datasets": [{"raw_name": {"a": 1}}]}]}',
      "raw_name is an object, not text"),
@@ -472,7 +474,8 @@ def _reader_case(reader: str, tmp_path: Path, cfg: Path, pages: Path):
             "doc_id": DOC, "page_number": 1, "gold_names": "DHS survey"}
         fmt = "canonical"
         if reader == "doccano_export":
-            good, bad = {"text": "LSMS", "label": [[0, 4, "x"]]}, {"text": "LSMS", "label": [[0]]}
+            good, bad = ({"text": "LSMS", "label": [[0, 4, "x"]], "meta": {"doc_id": DOC}},
+                         {"text": "LSMS", "label": [[0]], "meta": {"doc_id": DOC}})
             fmt = reader
         path = _row_file(gold, good, bad)
         return path, [lambda: import_annotations(path, fmt)], [

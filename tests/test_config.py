@@ -292,10 +292,12 @@ def test_an_explicit_null_counts_as_an_absent_key(tmp_path) -> None:
     ('{"gate": {"threshold": true}}', "threshold"),
     ('{"execution": {"retry_base_delay": -1}}', "retry_base_delay"),
     ('{"endpoint": {"max_output_tokens": 0}}', "max_output_tokens"),
+    ('{"paths": {"output": true}}', "output"),
+    ('{"endpoint": {"api_key_env": false}}', "api_key_env"),
 ], ids=["fractional int", "bool int", "text float as int", "fractional seed", "object text",
         "array text", "array path", "nan text", "nan", "text float", "infinity",
         "overflowing float", "int past the largest float", "bool float", "negative delay",
-        "no output tokens"])
+        "no output tokens", "bool path", "bool text"])
 def test_a_value_that_breaks_its_keys_rule_is_a_config_error_naming_the_key(
     tmp_path, capsys, text, key
 ) -> None:
@@ -318,3 +320,17 @@ def test_integers_are_read_by_the_record_rule_and_text_by_the_text_rule(tmp_path
     assert (cfg.concurrency, cfg.seed, cfg.model_name) == (3, 8, "5")
     assert (cfg.retry_base_delay, cfg.temperature) == (0.0, 1.0)
     assert type(cfg.retry_base_delay) is float and type(cfg.temperature) is float
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1: x\n", "unknown top-level setting(s): 1"),
+    ("execution:\n  2: x\n  concurrency: 2\n", "unknown execution setting(s): 2"),
+    ("seed: 3\nnull: x\ntrue: y\nsurprise: z\n",
+     "unknown top-level setting(s): None, True, surprise"),
+], ids=["number", "number in a section", "null, boolean and text"])
+def test_a_key_that_is_not_text_is_named_as_an_unknown_setting(tmp_path, text, message) -> None:
+    config_path = tmp_path / "c.yaml"
+    config_path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as raised:
+        load_config(config_path)
+    assert str(raised.value) == message

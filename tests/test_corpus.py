@@ -123,6 +123,36 @@ def test_title_match_malformed_bodies(monkeypatch) -> None:
             search_paper_by_title("T", _client(server.url))
 
 
+@pytest.mark.parametrize("overrides", [
+    {"title": {"a": 1}},
+    {"title": ["Irrigation"]},
+    {"openAccessPdf": "https://example.org/paper.pdf"},
+    {"isOpenAccess": "maybe"},
+    {"year": 2020.5},
+    {"citationCount": -1},
+    {"paperId": None},
+], ids=["object title", "array title", "link as text", "unknown flag", "fractional year",
+        "negative citations", "no paperId"])
+def test_a_match_that_breaks_a_field_rule_is_a_malformed_response(monkeypatch, overrides) -> None:
+    monkeypatch.delenv("TEST_METADATA_KEY", raising=False)
+    with StubServer([{"body": _match_body(**overrides)}]) as server:
+        with pytest.raises(MalformedResponse):
+            search_paper_by_title("T", _client(server.url))
+
+
+def test_a_match_is_read_by_the_document_field_rules(monkeypatch) -> None:
+    monkeypatch.delenv("TEST_METADATA_KEY", raising=False)
+    bodies = [_match_body(isOpenAccess="false", year="2019", citationCount=None, title=None,
+                          openAccessPdf=None),
+              _match_body(isOpenAccess=None, openAccessPdf={"url": "null"})]
+    with StubServer([{"body": body} for body in bodies]) as server:
+        first = search_paper_by_title(" Looked-up Title ", _client(server.url))
+        second = search_paper_by_title("T", _client(server.url))
+    assert first == DocumentRecord(doc_id=PAPER_ID, title="Looked-up Title", year=2019,
+                                   is_open_access=False)
+    assert (second.is_open_access, second.pdf_url) == (False, None)
+
+
 def test_title_match_http_error(monkeypatch) -> None:
     monkeypatch.delenv("TEST_METADATA_KEY", raising=False)
     with StubServer([{"status": 403}]) as server:
@@ -499,6 +529,100 @@ def test_the_listing_reads_a_store_as_read_rows_does_and_iterates_again(
     assert len(listing) == len(expected)
     assert list(listing) == expected
     assert list(listing) == expected
+
+
+def _middle(line: bytes) -> bytes:
+    """A store whose second line is ``line``, between pages 1 and 3."""
+    return _page_line(1, "first") + line + _page_line(3, "last")
+
+
+_D = DOC.encode()
+# a store's second line, and the pages listed in key order or the fault of that line
+_SECOND_LINE = {
+    "extra-float": (_page_line(2, "f", score=0.5), [(DOC, 2, "f")]),
+    "extra-nan": (_page_line(2, "n", score=float("nan")), [(DOC, 2, "n")]),
+    "extra-deep": (_page_line(2, "deep", deep=json.loads("[" * 70 + "]" * 70)),
+                   [(DOC, 2, "deep")]),
+    "wide-number": (_page_line(2**70, "wide"), [(DOC, 2**70, "wide")]),
+    "digit-string-number": (_page_line(" 2", "digits"), [(DOC, 2, "digits")]),
+    "duplicate-keys": (b'{"doc_id": "x", "page_number": 9, "text": "first", "doc_id": "'
+                       + _D + b'", "text": "last", "page_number": 2}\n', [(DOC, 2, "last")]),
+    "duplicate-key-from-float": (b'{"doc_id": "' + _D + b'", "page_number": 2.5, "text": "t", '
+                                 b'"page_number": 2}\n', [(DOC, 2, "t")]),
+    "surrogate-pair-escape": (_page_line(2, "X").replace(b'"X"', b'"\\ud834\\udd1e"'),
+                              [(DOC, 2, "\U0001d11e")]),
+    "duplicate-key-to-float": (b'{"doc_id": "' + _D + b'", "page_number": 2, "text": "t", '
+                               b'"page_number": 2.0}\n',
+                               "line 2: the row has a field of the wrong type or value"),
+    "boolean-number": (_page_line(True), "line 2: the row has a field of the wrong type"),
+    "surrogate-escape": (_page_line(2, "X").replace(b'"X"', b'"\\ud800"'),
+                         "line 2 holds a lone surrogate"),
+    "not-utf8": (b'{"doc_id": "' + _D + b'", "page_number": 2, "text": "caf\xe9"}\n',
+                 "line 2 is not UTF-8"),
+    "damaged": (b'{"doc_id": "' + _D + b'", "page_number": [2, "text": "t"}\n',
+                "line 2 is not JSON"),
+}
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["orjson", "json"])
+@pytest.mark.parametrize("case", sorted(_SECOND_LINE))
+def test_a_stored_line_is_listed_and_iterated_as_read_rows_reads_it(
+        tmp_path, monkeypatch, case, fast) -> None:
+    if not fast:
+        monkeypatch.setattr(records, "orjson", None)
+    root = tmp_path / "corpus"
+    root.mkdir()
+    path = root / "pages.jsonl"
+    line, expected = _SECOND_LINE[case]
+    path.write_bytes(_middle(line))
+    try:
+        read = sorted(read_rows(path, PageRecord.from_dict),
+                      key=lambda page: (page.doc_id, page.page_number))
+    except InvalidRecord as exc:
+        read = exc
+    if isinstance(expected, str):
+        assert str(read).startswith(f"{path}: {expected}")
+        with pytest.raises(InvalidRecord) as raised:
+            CorpusStore(root).iter_pages()
+        assert str(raised.value) == str(read)
+        return
+    (middle,) = expected
+    expected = sorted([PageRecord(DOC, 1, "first"), PageRecord(*middle),
+                       PageRecord(DOC, 3, "last")], key=lambda page: (page.doc_id, page.page_number))
+    assert read == expected
+    listing = CorpusStore(root).iter_pages()
+    assert list(listing) == expected
+    # the line put in place of page 2's, of the same length, after the listing
+    # is read by the same rule as it is iterated
+    pad = len(line) - len(_page_line(2, ""))
+    assert pad >= 0
+    path.write_bytes(_middle(_page_line(2, "p" * pad)))
+    listing = CorpusStore(root).iter_pages()
+    path.write_bytes(_middle(line))
+    if middle[1] == 2:
+        assert list(listing) == expected
+    else:
+        with pytest.raises(InvalidRecord,
+                           match=re.escape(f"{path}: line 2 no longer holds page 2 of")):
+            list(listing)
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["orjson", "json"])
+@pytest.mark.parametrize("field", ["doc_id", "text"])
+def test_a_page_holding_a_lone_surrogate_fails_ingest_with_the_same_error(
+        tmp_path, monkeypatch, field, fast) -> None:
+    if not fast:
+        monkeypatch.setattr(records, "orjson", None)
+    store = CorpusStore(tmp_path)
+    store.ingest_pages([PageRecord(DOC, 1, "kept")])
+    before = store.pages_path.read_bytes()
+    page = PageRecord(**{"doc_id": DOC, "page_number": 2, "text": "t", field: "LSMS\ud800"})
+    with pytest.raises(InvalidRecord) as raised:
+        store.ingest_pages([PageRecord(DOC, 3, "three"), page])
+    assert str(raised.value) == (f"page 2 of document {page.doc_id} holds a lone surrogate, "
+                                 "which UTF-8 cannot store")
+    assert store.pages_path.read_bytes() == before
+    assert store.ingest_pages([PageRecord(DOC, 3, "three")]).added == 1
 
 
 # ---------------------------------------------------------------------------

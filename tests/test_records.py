@@ -611,6 +611,55 @@ def test_dumps_line_raises_recursion_error_on_a_list_holding_itself(monkeypatch)
         dumps_line(looped)
 
 
+# pages whose text holds what a JSON encoder escapes or writes raw, and, for
+# the fallback, fields that are not exactly a str, an int and a str
+_PAGE_TEXT = st.one_of(
+    _TEXT,
+    st.text(st.sampled_from(["a", "\u2028", "\u2029", "\x85", "\x00", "\x1f", "\x7f", '"',
+                             "\\", "/", "\n", "é", "\U0001d11e", "\ud800"])),
+)
+_PAGES = st.builds(
+    PageRecord,
+    st.one_of(_TEXT, _TEXT.map(_Str), st.integers(), st.none(), st.booleans()),
+    st.one_of(st.integers(min_value=1), st.sampled_from([2**63 - 1, 2**63, 2**64, 2**100]),
+              st.integers(min_value=1).map(_Int), st.just(True)),
+    st.one_of(_PAGE_TEXT, _PAGE_TEXT.map(_Str), st.integers()),
+)
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["orjson", "json"])
+def test_a_page_line_is_the_line_dumps_line_writes_for_the_page(monkeypatch, fast) -> None:
+    if fast and records.orjson is None:
+        pytest.skip("orjson is not installed")
+    if not fast:
+        monkeypatch.setattr(records, "orjson", None)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_PAGES)
+    def check(page) -> None:
+        line = _encoded(PageRecord.to_line, page)
+        assert line == _encoded(dumps_line, page.to_dict())
+        assert line == _encoded(_json_line, page.to_dict())
+
+    check()
+
+
+def test_a_plain_page_line_is_filled_in_without_dumps_line(monkeypatch) -> None:
+    if records.orjson is None:
+        pytest.skip("orjson is not installed")
+    page = PageRecord(DOC, 2**70, "Enquête\u2028\x85 \"q\" \\ \U0001d11e")
+    expected = _json_line(page.to_dict())
+
+    def refused(value):
+        raise AssertionError(f"dumps_line({value!r})")
+
+    monkeypatch.setattr(records, "dumps_line", refused)
+    assert page.to_line() == expected
+    for page in (PageRecord(12, 1, "x"), PageRecord(DOC, 1, "\ud800")):
+        with pytest.raises(AssertionError, match="dumps_line"):
+            page.to_line()
+
+
 _IMPORT_ALL = """
 import importlib, pkgutil, sys
 import datamentions

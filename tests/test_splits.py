@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from datamentions.errors import InvalidSpec, PopulationTooSmall, UnknownFormat
+from datamentions.cli import main
+from datamentions.errors import InvalidRecord, InvalidSpec, PopulationTooSmall, UnknownFormat
 from datamentions.records import PageRecord
 from datamentions.splits import SplitSpec, import_annotations, sample_pages, split
 
@@ -155,6 +156,28 @@ def test_import_doccano_spans_and_labels(tmp_path) -> None:
     assert record.labels["LSMS"] == {"specificity": "properly_named"}
     assert record.labels["2010 Census"] == {"context": "primary"}
     assert any("mystery_label" in w for w in warnings)
+
+
+@pytest.mark.parametrize("where", [{}, {"doc_id": None}, {"doc_id": "", "meta": {"doc_id": ""}},
+                                   {"meta": {"page_number": 2}}],
+                         ids=["absent", "null", "empty", "absent from meta"])
+def test_a_doccano_row_with_no_doc_id_is_refused_naming_the_file_and_line(
+        tmp_path, capsys, where) -> None:
+    rows = [{"text": "We use the LSMS.", "label": [[11, 15, "primary"]], "meta": {"doc_id": DOC}},
+            {"text": "We use the DHS.", "label": [[11, 14, "primary"]], **where}]
+    path = tmp_path / "annot.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    message = f"{path}: line 2: annotation record lacks 'doc_id'"
+    with pytest.raises(InvalidRecord) as raised:
+        import_annotations(path, "doccano_export")
+    assert str(raised.value) == message
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(json.dumps({"doc_id": DOC, "page_number": 1,
+                                       "predicted_names": ["LSMS"]}) + "\n", encoding="utf-8")
+    argv = ["score", "--predictions", str(predictions), "--gold", str(path),
+            "--gold-format", "doccano_export"]
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_import_unknown_format(tmp_path) -> None:
