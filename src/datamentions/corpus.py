@@ -140,6 +140,8 @@ class MetadataClient:
             if "error" in body:
                 return None
             raise MalformedResponse("metadata body carries neither 'data' nor 'error'")
+        if not isinstance(matches, list):
+            raise MalformedResponse("metadata 'data' is not a list of matches")
         if not matches:
             return None
         if not isinstance(matches[0], dict):

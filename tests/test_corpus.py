@@ -117,6 +117,10 @@ def test_title_match_malformed_bodies(monkeypatch) -> None:
     with StubServer([{"body": {"unexpected": 1}}]) as server:
         with pytest.raises(MalformedResponse):
             search_paper_by_title("T", _client(server.url))
+    # a "data" object is not a list of matches
+    with StubServer([{"body": {"data": {"paperId": PAPER_ID}}}]) as server:
+        with pytest.raises(MalformedResponse):
+            search_paper_by_title("T", _client(server.url))
     # a match whose paperId is not a doc_id cannot become a document
     with StubServer([{"body": _match_body(paperId="not-hex")}]) as server:
         with pytest.raises(MalformedResponse):
