@@ -21,7 +21,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     ConverterFailed,
@@ -42,16 +42,13 @@ from .records import (  # noqa: F401
     _LINE_BATCH,
     DocumentRecord,
     PageRecord,
-    _coerce_int,
     _first_given,
     _lines,
     _page_fields,
-    _text,
     _write_all,
     dumps_line,
     frozen_record,
     read_jsonl,
-    read_rows,
 )
 from .retries import RetryPolicy, send_with_retries
 
@@ -217,15 +214,9 @@ def _unterminated_tail(path: Path) -> tuple[int, bytes] | None:
 def _decodes(line: bytes) -> bool:
     try:
         json.loads(line.decode("utf-8"))
-    except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+    except (ValueError, RecursionError):  # bytes or JSON that json cannot read, or too deep
         return False
     return True
-
-
-def _stored_key(row: dict[str, Any]) -> tuple[str, int]:
-    """A stored line's (doc_id, page), read as :class:`PageRecord` reads them."""
-    where = "page record"
-    return _text(row["doc_id"], "doc_id"), _coerce_int(row["page_number"], "page_number", where)
 
 
 class _PageAppend:
@@ -327,8 +318,8 @@ class CorpusStore:
     byte span of its line, not its text: it reads the file once and checks
     every line as a page, so a damaged line is reported when the pages are
     listed, before any is used, and each page is read again and built as
-    the listing is iterated. The index is built from the file the first
-    time :meth:`ingest_pages` needs it.
+    the listing is iterated. The index is the keys of that same scan, made
+    the first time :meth:`ingest_pages` needs it.
 
     :meth:`ingest_pages` streams: it appends the fresh pages in batches of
     64 lines as they come, so an ingest's memory is one batch, and it is
@@ -356,13 +347,23 @@ class CorpusStore:
         log.warning("%s: skipping a torn last line of %d bytes", self.pages_path, len(tail[1]))
         return tail[0]
 
+    def _scan(self) -> Iterator[tuple[str, int, int, int, int]]:
+        """Each stored page's (doc_id, page_number, line number, offset, length), in file
+        order: each line read by :func:`records._page_fields`, less a torn last line."""
+        if not self.pages_path.exists():
+            return
+        doc_ids: dict[str, str] = {}  # one string per document, shared by its pages
+        end = 0
+        for number, line in enumerate(_lines(self.pages_path, self._readable_size()), 1):
+            offset, end = end, end + len(line)
+            page = _page_fields(self.pages_path, number, line)
+            if page is not _BLANK:
+                yield doc_ids.setdefault(page[0], page[0]), page[1], number, offset, len(line)
+
     def _index(self) -> set[tuple[str, int]]:
-        """The (doc_id, page) keys stored, read from the file the first time."""
+        """The (doc_id, page) keys stored, scanned from the file the first time."""
         if self._page_index is None:
-            index: set[tuple[str, int]] = set()
-            if self.pages_path.exists():
-                index.update(read_rows(self.pages_path, _stored_key, self._readable_size()))
-            self._page_index = index
+            self._page_index = {entry[:2] for entry in self._scan()}
         return self._page_index
 
     def ingest_pages(self, pages: Iterable[PageRecord]) -> IngestSummary:
@@ -410,19 +411,7 @@ class CorpusStore:
         each page's key and line span; iterating it reads and builds one
         page at a time.
         """
-        entries: list[tuple[str, int, int, int, int]] = []
-        if self.pages_path.exists():
-            doc_ids: dict[str, str] = {}  # one string per document, shared by its pages
-            end = 0
-            for number, line in enumerate(_lines(self.pages_path, self._readable_size()), 1):
-                offset, end = end, end + len(line)
-                page = _page_fields(self.pages_path, number, line)
-                if page is _BLANK:
-                    continue
-                doc_id = doc_ids.setdefault(page[0], page[0])
-                entries.append((doc_id, page[1], number, offset, len(line)))
-            entries.sort()  # by key; the line number keeps a repeated key in file order
-        return _PageListing(self.pages_path, entries)
+        return _PageListing(self.pages_path, sorted(self._scan()))  # a repeated key in line order
 
 
 def fetch_pdf(

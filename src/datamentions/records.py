@@ -1059,14 +1059,17 @@ def _decode_line(path: str | Path, number: int, line: bytes,
             if not text.isascii():
                 text.encode("utf-8")
             row = json.loads(text)
+            lone = _SURROGATE_ESCAPE.search(text) and _has_lone_surrogate(
+                {k: v for k, v in row.items() if k not in surrogates_in}
+                if surrogates_in and type(row) is dict else row)
         except UnicodeEncodeError:
             raise InvalidRecord(f"{path}: line {number} is not UTF-8") from None
         except json.JSONDecodeError as exc:
             raise InvalidRecord(f"{path}: line {number} is not JSON: {exc.msg} "
                                 f"(column {exc.colno})") from None
-        if _SURROGATE_ESCAPE.search(text) and _has_lone_surrogate(
-                {k: v for k, v in row.items() if k not in surrogates_in}
-                if surrogates_in and type(row) is dict else row):
+        except RecursionError:  # json's decoder, or its encoder in the surrogate check
+            raise InvalidRecord(f"{path}: line {number} is nested too deeply to read") from None
+        if lone:
             raise InvalidRecord(f"{path}: line {number} holds a lone surrogate")
     if type(row) is not dict:
         raise InvalidRecord(f"{path}: line {number} is not a JSON object")
@@ -1098,9 +1101,10 @@ def read_rows(
     decoded. Lines end at ``\\n`` alone, as byte offsets count them. Nothing
     is read before the first ``next``. Every fault of a line raises
     :class:`InvalidRecord` that reads ``<path>: line <n> ...``, ``n`` the
-    line's number in the file: a line that is not UTF-8, that is not JSON,
-    whose strings hold a lone surrogate (a ``\\ud800`` escape, which no
-    UTF-8 file can hold) or that is not an object, and any error in
+    line's number in the file: a line that is not UTF-8, that is not JSON
+    or is nested too deeply for ``json`` to decode, whose strings hold a
+    lone surrogate (a ``\\ud800`` escape, which no UTF-8 file can hold) or
+    that is not an object, and any error in
     :data:`_ROW_ERRORS` that ``parse`` raises. With ``parse`` None the rows
     themselves are yielded. A lone surrogate in the value of a top-level
     key named in ``surrogates_in`` is kept, for rows that record text no

@@ -60,15 +60,16 @@ def send_with_retries(
     caller decides what a definitive rejection means. When the budget runs
     out the last failure class picks the exception: :class:`Timeout`,
     :class:`RateLimited` (with the retry-after hint), or
-    :class:`RetriesExhausted`. No wait before a retry exceeds
+    :class:`RetriesExhausted`. A 429's Retry-After raises the wait after
+    that 429 alone, never a later one, and no wait before a retry exceeds
     ``policy.max_delay``, whatever Retry-After asks for.
     """
     import requests  # loaded by the first call, so processes that never send skip it
 
     last_kind = "network"
     last_detail = ""
-    retry_after: float | None = None
     for attempt in range(1, policy.attempts + 1):
+        retry_after: float | None = None
         try:
             response = send()
         except requests.Timeout as exc:

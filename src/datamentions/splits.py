@@ -16,7 +16,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence, TypeVar
 
-from .errors import InvalidSpec, MissingField, PopulationTooSmall, UnknownFormat
+from .errors import InvalidRecord, InvalidSpec, MissingField, PopulationTooSmall, UnknownFormat
 from .records import (
     CONTEXT_VALUES,
     SPECIFICITY_VALUES,
@@ -208,19 +208,27 @@ def _gold_from_doccano(row: dict, warnings: list[str]) -> GroundTruthRecord:
     The page is the row's ``doc_id`` and ``page_number``, each read from
     the row's ``meta`` when the row lacks it; a row with no ``doc_id`` in
     either raises :class:`MissingField`, and its page number defaults to 1.
+    The text and span labels are read by :func:`_text` and span bounds by
+    :func:`_coerce_int`; a span outside ``0 <= start <= end <= len(text)``
+    raises :class:`InvalidRecord`.
     """
-    text = _require(row, "text", "annotation record")
+    where = "annotation record"
+    text = _text(_require(row, "text", where), "text")
     meta = row.get("meta") or {}
     doc_id = _first_given(row.get("doc_id"), meta.get("doc_id"), None)
     if doc_id is None:
-        raise MissingField("doc_id", "annotation record")
+        raise MissingField("doc_id", where)
     doc_id = _text(doc_id, "doc_id")
     page = next(p for p in (row.get("page_number"), meta.get("page_number"), 1) if p is not None)
-    page_number = _coerce_int(page, "page_number", "annotation record")
+    page_number = _coerce_int(page, "page_number", where)
     names: list[str] = []
     labels: dict[str, dict[str, str]] = {}
     for span in row.get("label", []):
-        start, end, span_label = int(span[0]), int(span[1]), str(span[2])
+        start, end = _coerce_int(span[0], "start", where), _coerce_int(span[1], "end", where)
+        span_label = _text(span[2], "label")
+        if not 0 <= start <= end <= len(text):
+            raise InvalidRecord(f"{where}: span {start}:{end} lies outside the text, "
+                                f"which has {len(text)} characters")
         name = text[start:end]
         if not name.strip():
             warnings.append(f"{doc_id} p{page_number}: empty span {start}:{end} skipped")

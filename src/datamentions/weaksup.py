@@ -36,7 +36,7 @@ committed bytes for the seal check; a stage that ran hashes its checkpoint
 file again for its new seal. Before the first stage that is not sealed
 makes a call, the keys of every checkpoint no seal vouches for are read,
 up to its committed size, so a damaged line stops the run before it pays
-for anything.
+for anything. Both reads hold each line to one rule, :func:`_checkpoint_line`.
 
 Each checkpoint line also carries the stage's running counters after its
 commit, so the statistics in ``stats.json`` are a sum over the three last
@@ -86,7 +86,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -480,14 +480,15 @@ class StageCheckpoint:
     """Per-stage resume bookkeeping: file offsets, counters and committed bytes.
 
     The offsets and the stage's running ``counts`` are those of the last
-    committed line, the only line :meth:`load` decodes; the item keys are
-    read from the file, up to ``size``, only when a stage is not sealed.
-    ``size`` is the length of the checkpoint file up to the end of its last
-    complete line, and ``digest`` the sha256 hex digest of those bytes. A
-    last line without its newline is the torn tail of a commit that was cut
-    short; it is ignored, so that item runs again. ``counts`` is None when
-    the last line carries none; :func:`_resume_checkpoints` recounts them.
-    A line of the wrong shape raises :class:`InvalidRecord` naming the file.
+    committed line, the only line :meth:`load` decodes, by the one rule for
+    every checkpoint line, :func:`_checkpoint_line`; the item keys are read
+    from the file, up to ``size``, only when a stage is not sealed. ``size``
+    is the length of the checkpoint file up to the end of its last complete
+    line, and ``digest`` the sha256 hex digest of those bytes. A last line
+    without its newline is the torn tail of a commit that was cut short; it
+    is ignored, so that item runs again. ``counts`` is None when the last
+    line carries none; :func:`_resume_checkpoints` recounts them. A line that
+    breaks the rule raises :class:`InvalidRecord` naming the file and the line.
     """
 
     output_offset: int = 0
@@ -509,19 +510,30 @@ class StageCheckpoint:
             line = committed[start:end].strip()
             if line:
                 try:
-                    last = json.loads(line.decode("utf-8"))
-                    ckpt.output_offset, ckpt.deadletter_offset = int(last["out"]), int(last["dead"])
-                    ckpt.counts = last.get("n")
-                    if ckpt.counts is not None and not (
-                        isinstance(ckpt.counts, list) and ckpt.counts
-                        and all(type(n) is int for n in ckpt.counts)
-                    ):
-                        raise ValueError(f"counters {ckpt.counts!r} are not a list of integers")
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise InvalidRecord(f"{path}: damaged checkpoint line: {exc!r}") from exc
+                    _, ckpt.output_offset, ckpt.deadletter_offset, ckpt.counts = (
+                        _checkpoint_line(json.loads(line.decode("utf-8"))))
+                except (InvalidRecord, LookupError, TypeError, ValueError, RecursionError) as exc:
+                    number = committed.count(b"\n", 0, start) + 1
+                    raise InvalidRecord(
+                        f"{path}: line {number}: damaged checkpoint line: {exc!r}") from exc
                 break
             end = start
         return ckpt
+
+
+def _checkpoint_line(row: dict[str, Any]) -> tuple[str, int, int, list[int] | None]:
+    """The one rule for a checkpoint line: its text ``key``, its offsets ``out`` and
+    ``dead``, ints (not bools) of at least 0, and its counters ``n``, a non-empty list
+    of such ints, or None when absent or null. A line that breaks it raises."""
+    key, out, dead, counts = row["key"], row["out"], row["dead"], row.get("n")
+    if type(key) is not str:
+        raise InvalidRecord(f"key is not text: {key!r}")
+    if not (type(out) is int and out >= 0 and type(dead) is int and dead >= 0):
+        raise InvalidRecord(f"offsets {out!r} and {dead!r} are not both integers of at least 0")
+    if counts is not None and not (type(counts) is list and set(map(type, counts)) == {int}
+                                   and min(counts) >= 0):
+        raise InvalidRecord(f"counters {counts!r} are not a list of integers of at least 0")
+    return key, out, dead, counts
 
 
 def _size(path: Path) -> int:
@@ -922,16 +934,16 @@ def _committed_keys(
 ) -> dict[str, frozenset[str]]:
     """The item keys in the committed lines of each named stage's checkpoint.
 
-    A line that does not decode, or that carries no key, raises
-    :class:`InvalidRecord` naming the checkpoint.
+    Each line is read by :func:`_checkpoint_line`; one that does not decode
+    or breaks it raises :class:`InvalidRecord` naming the checkpoint and the line.
     """
     keys: dict[str, frozenset[str]] = {}
     for spec in _STAGE_SPECS:
         if spec.name not in names:
             continue
         path, size = output_dir / spec.checkpoint_file, checkpoints[spec.name].size
-        # with nothing committed it may be missing
-        keys[spec.name] = frozenset(read_rows(path, itemgetter("key"), size) if size else ())
+        rows = read_rows(path, _checkpoint_line, size) if size else ()  # else it may be missing
+        keys[spec.name] = frozenset(row[0] for row in rows)
     return keys
 
 
@@ -976,9 +988,7 @@ def _stage_source(
     if not path.exists():
         return None
     size = checkpoints[_WRITER_OF[spec.input_file]].output_offset
-    if handoff is None:
-        return read_rows(path, spec.parse, size), _sha256(path, size)
-    offset, values = handoff
+    offset, values = handoff or (size, [])
     return chain(read_rows(path, spec.parse, offset), _drained(values)), _sha256(path, size)
 
 

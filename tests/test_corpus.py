@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from datamentions import corpus, records
+from datamentions.cli import main
 from datamentions.corpus import (
     CorpusStore,
     MetadataClient,
@@ -627,6 +628,66 @@ def test_a_page_holding_a_lone_surrogate_fails_ingest_with_the_same_error(
                                  "which UTF-8 cannot store")
     assert store.pages_path.read_bytes() == before
     assert store.ingest_pages([PageRecord(DOC, 3, "three")]).added == 1
+
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGED))
+def test_ingest_into_a_store_with_a_damaged_line_is_refused_as_the_listing_refuses_it(
+        tmp_path, capsys, damage) -> None:
+    root = tmp_path / "corpus"
+    root.mkdir()
+    path = root / "pages.jsonl"
+    path.write_bytes(_page_line(1) + _DAMAGED[damage] + _page_line(3))
+    before = path.read_bytes()
+    with pytest.raises(InvalidRecord) as listed:
+        CorpusStore(root).iter_pages()
+    with pytest.raises(InvalidRecord) as raised:
+        CorpusStore(root).ingest_pages([PageRecord(DOC, 2, "two"), PageRecord(DOC, 4, "four")])
+    assert str(raised.value) == str(listed.value)
+    assert str(raised.value).startswith(f"{path}: line 2")
+    assert path.read_bytes() == before
+
+    pages = tmp_path / "new.jsonl"
+    pages.write_bytes(_page_line(2, "two") + _page_line(4, "four"))
+    capsys.readouterr()
+    assert main(["--corpus-dir", str(root), "ingest", "--pages", str(pages)]) == 3
+    assert f"input error: {path}: line 2" in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+def test_ingest_of_a_page_row_nested_too_deeply_exits_3_naming_the_line(tmp_path,
+                                                                         capsys) -> None:
+    pages = tmp_path / "pages.jsonl"
+    line = _page_line(1).replace(b"}\n", b', "x": ' + b"[" * 1000 + b"]" * 1000 + b"}\n")
+    pages.write_bytes(_page_line(2) + line)
+    root = tmp_path / "corpus"
+    assert main(["--corpus-dir", str(root), "ingest", "--pages", str(pages)]) == 3
+    assert f"input error: {pages}: line 2 is nested too deeply" in capsys.readouterr().err
+    assert not (root / "pages.jsonl").exists()
+
+
+def test_a_torn_tail_nested_too_deeply_is_skipped_and_then_cut_off(tmp_path, caplog,
+                                                                   capsys) -> None:
+    root = tmp_path / "corpus"
+    store = CorpusStore(root)
+    store.ingest_pages([PageRecord(DOC, 1, "A census underpins it.")])
+    whole = store.pages_path.read_bytes()
+    with open(store.pages_path, "ab") as fh:
+        fh.write(b'{"doc_id": "x", "page_number": 2, "text": "t", "y": ' + b"[" * 100_000)
+    pages = tmp_path / "new.jsonl"
+    pages.write_bytes(_page_line(1) + _page_line(2, "two"))
+    config = tmp_path / "keyword.json"
+    config.write_text('{"gate": {"kind": "keyword"}}', encoding="utf-8")
+
+    gate = ["--config", str(config), "--corpus-dir", str(root), "gate",
+            "--out", str(tmp_path / "decisions.jsonl")]
+    assert main(gate) == 0
+    assert "gate passed 1 of 1 pages" in capsys.readouterr().out
+    assert "skipping a torn last line of 100052 bytes" in caplog.text
+    assert main(["--corpus-dir", str(root), "ingest", "--pages", str(pages)]) == 0
+    assert "ingested 1 pages, skipped 1 duplicates" in capsys.readouterr().out
+    assert "cutting off a torn last line of 100052 bytes" in caplog.text
+    assert store.pages_path.read_bytes() == whole + PageRecord(DOC, 2, "two").to_line()
 
 
 # ---------------------------------------------------------------------------

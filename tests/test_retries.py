@@ -116,3 +116,15 @@ def test_retry_after_never_waits_past_max_delay(header, waited, hint) -> None:
             policy, sleep=lambda _: None,
         )
     assert excinfo.value.retry_after == hint
+
+
+def test_a_retry_after_hint_sets_only_the_wait_after_its_own_429() -> None:
+    sleeps: list[float] = []
+    response, retries = send_with_retries(
+        _scripted([_response(429, {"Retry-After": "30"}), _response(503), _response(503),
+                   _response(200)]),
+        RetryPolicy(attempts=5, base_delay=1.0, factor=2.0),
+        sleep=sleeps.append,
+    )
+    assert response.status_code == 200 and retries == 3
+    assert sleeps == [30.0, 2.0, 4.0]

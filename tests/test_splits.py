@@ -185,3 +185,46 @@ def test_import_unknown_format(tmp_path) -> None:
     path.write_text("{}\n", encoding="utf-8")
     with pytest.raises(UnknownFormat):
         import_annotations(path, "csv")
+
+
+@pytest.mark.parametrize("span, bounds", [
+    ([-4, 100, "primary"], "-4:100"),
+    ([11, 100, "primary"], "11:100"),
+    ([21, 11, "primary"], "21:11"),
+    ([11.9, 21, "primary"], "not an integer: 11.9"),
+    ([True, 5, "primary"], "not an integer: True"),
+    ([11, "21.0", "primary"], "not an integer: '21.0'"),
+    ([11, 21, {"a": 1}], "label is an object, not text"),
+], ids=["negative start", "end past the text", "end before start", "float start", "bool start",
+        "float text end", "label object"])
+def test_a_doccano_span_outside_its_text_or_of_the_wrong_type_is_refused(
+        tmp_path, capsys, span, bounds) -> None:
+    text = "We use the DHS survey data."
+    rows = [{"text": text, "label": [[11, 21, "primary"]], "meta": {"doc_id": DOC}},
+            {"text": text, "label": [[11, 14, "primary"], span], "meta": {"doc_id": DOC}}]
+    path = tmp_path / "annot.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(InvalidRecord) as raised:
+        import_annotations(path, "doccano_export")
+    assert str(raised.value).startswith(f"{path}: line 2: ") and bounds in str(raised.value)
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(json.dumps({"doc_id": DOC, "page_number": 1,
+                                       "predicted_names": ["DHS"]}) + "\n", encoding="utf-8")
+    argv = ["score", "--predictions", str(predictions), "--gold", str(path),
+            "--gold-format", "doccano_export"]
+    assert main(argv) == 3
+    assert f"{path}: line 2: " in capsys.readouterr().err
+
+
+def test_doccano_spans_read_by_the_field_rules_keep_their_names(tmp_path) -> None:
+    text = "We use the DHS survey data."
+    row = {"text": text, "meta": {"doc_id": DOC},
+           "label": [["11", 21, "primary"], [0, 0, "primary"], [27, 27, 7], [6, 7, "primary"]]}
+    path = tmp_path / "annot.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    records, warnings = import_annotations(path, "doccano_export")
+    assert records[0].gold_names == ("DHS survey",)
+    assert records[0].labels == {"DHS survey": {"context": "primary"}}
+    assert [w for w in warnings if "empty span" in w] == [
+        f"{DOC} p1: empty span 0:0 skipped", f"{DOC} p1: empty span 27:27 skipped",
+        f"{DOC} p1: empty span 6:7 skipped"]

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import shutil
 import sys
 import warnings
@@ -1459,6 +1460,68 @@ def test_a_checkpoint_line_of_the_wrong_shape_stops_the_run_before_any_call(tmp_
     pages_path = tmp_path / "pages.jsonl"
     write_jsonl(pages_path, (page.to_dict() for page in pages))
     assert cli.main(["--config", str(config), "generate", "--pages", str(pages_path)]) == 3
+    assert not calls.exists() or calls.read_bytes() == b""
+    assert _tree(out) == before
+
+
+# Each edit breaks one field of the one checkpoint-line rule, or nests the line too
+# deeply for json to read
+_DAMAGED_CHECKPOINT_FIELDS = {
+    "negative out": (rb'"out": \d+', b'"out": -4'),
+    "fractional out": (rb'"out": \d+', b'"out": 12.5'),
+    "out as text": (rb'"out": \d+', b'"out": "12"'),
+    "dead true": (rb'"dead": \d+', b'"dead": true'),
+    "numeric key": (rb'"key": "[^"]+"', b'"key": 7'),
+    "counter as text": (rb'"n": \[\d+', b'"n": [1, "2"'),
+    "negative counter": (rb'"n": \[\d+', b'"n": [-5'),
+    "nested too deeply": (rb'"n": ', b'"x": ' + b"[" * 1000 + b"]" * 1000 + b', "n": '),
+}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("where", ["middle", "last"])
+@pytest.mark.parametrize("damage", sorted(_DAMAGED_CHECKPOINT_FIELDS))
+def test_a_checkpoint_line_that_breaks_the_row_rule_is_refused_naming_its_line(
+        tmp_path, capsys, stage, where, damage) -> None:
+    cases = _standard_cases()
+    script = _pipeline_script(cases)
+    pages = [case[0] for case in cases]
+    out = tmp_path / "out"
+    run_pipeline(pages, MockChatBackend(script), output_dir=out)
+    ckpt = out / "checkpoints" / f"{stage}.ckpt"
+    lines = ckpt.read_bytes().splitlines(keepends=True)
+    number = 2 if where == "middle" else len(lines)
+    assert len(lines) >= 3
+    pattern, replacement = _DAMAGED_CHECKPOINT_FIELDS[damage]
+    lines[number - 1], edits = re.subn(pattern, replacement, lines[number - 1], count=1)
+    assert edits == 1
+    ckpt.write_bytes(b"".join(lines))
+    before = _tree(out)
+    named = re.escape(f"{ckpt}: line {number}") + r"\b"
+
+    backend = MockChatBackend(script)
+    with pytest.raises(InvalidRecord, match=named):
+        run_pipeline(pages, backend, output_dir=out)
+    assert backend.calls == []
+    with pytest.raises(InvalidRecord, match=named):
+        plan_pipeline(pages, output_dir=out)
+    assert _tree(out) == before
+
+    calls = tmp_path / "calls.jsonl"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "backend": {"kind": "mock", "script": str(write_script_file(tmp_path / "script.jsonl",
+                                                                    script)),
+                    "call_log": str(calls)},
+        "paths": {"output": str(out)},
+    }), encoding="utf-8")
+    pages_path = tmp_path / "pages.jsonl"
+    write_jsonl(pages_path, (page.to_dict() for page in pages))
+    capsys.readouterr()
+    for dry_run in ([], ["--dry-run"]):
+        argv = ["--config", str(config), "generate", "--pages", str(pages_path), *dry_run]
+        assert cli.main(argv) == 3
+        assert re.search(named, capsys.readouterr().err), dry_run
     assert not calls.exists() or calls.read_bytes() == b""
     assert _tree(out) == before
 
