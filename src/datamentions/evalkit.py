@@ -23,10 +23,10 @@ from .records import (
     PredictionRecord,
     _coerce_int,
     _first_given,
+    _read_pages_once,
     _require,
     _text,
     frozen_record,
-    read_rows,
 )
 from .textnorm import normalize_tokens
 
@@ -277,14 +277,18 @@ _ADAPTERS = {
 
 
 def import_predictions(path: str | Path, adapter: str = "canonical") -> list[PredictionRecord]:
-    """Load a prediction file through the named format adapter, one record per row."""
+    """Load a prediction file through the named format adapter, one record per row.
+
+    A second row for a page raises :class:`InvalidRecord` naming the file, its
+    line and the first row's line.
+    """
     try:
         parse = _ADAPTERS[adapter]
     except KeyError:
         raise UnknownAdapter(
             f"unknown adapter {adapter!r}; expected one of {sorted(_ADAPTERS)}"
         ) from None
-    return list(read_rows(path, parse))
+    return _read_pages_once(path, parse)
 
 
 # ---------------------------------------------------------------------------

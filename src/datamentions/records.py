@@ -32,7 +32,9 @@ codec of their own with the same bytes and rules: :meth:`PageRecord.to_line`
 fills one fixed template with orjson's encoding of ``doc_id`` and ``text``,
 and :func:`_page_fields` keeps orjson's decoding of a line when its three
 fields hold exactly their own types. Any other page or line takes
-:func:`dumps_line` or :func:`_decode_line`.
+:func:`dumps_line` or :func:`_decode_line`. That test of the types is
+one rule, :func:`_exact_page`, which :meth:`PageRecord.from_dict` applies
+to every row too.
 
 Records are frozen, slotted dataclasses made by :func:`frozen_record`, and
 so are the other values built once per page, item or call (chat requests
@@ -378,6 +380,16 @@ class DocumentRecord:
 _PAGE_LINE = b'{"doc_id": %b, "page_number": %d, "text": %b}\n'
 
 
+def _exact_page(row: dict[str, Any]) -> tuple[str, int, str] | None:
+    """The one rule for a page row: its ``doc_id``, ``page_number`` and ``text``
+    when they are exactly a str, an int and a str, which the field helpers
+    would return unchanged; else None, and the helpers read the row."""
+    doc_id, page_number, text = row.get("doc_id"), row.get("page_number"), row.get("text")
+    if type(doc_id) is str and type(page_number) is int and type(text) is str:
+        return doc_id, page_number, text
+    return None
+
+
 @frozen_record
 class PageRecord:
     """One physical page of text from a document.
@@ -401,6 +413,18 @@ class PageRecord:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "PageRecord":
+        """The page of a row, by the one page-row rule, :func:`_exact_page`.
+
+        A row whose ``doc_id``, ``page_number`` and ``text`` are exactly a
+        str, an int and a str is built as it is; any other row is read by
+        the field helpers, :func:`_require`, :func:`_text` and
+        :func:`_coerce_int`. Both give the same record, or the same error,
+        for every row: the helpers return such values unchanged, and a page
+        number below 1 is refused by the record itself.
+        """
+        page = _exact_page(payload)
+        if page is not None:
+            return cls(*page)
         where = "page record"
         return cls(
             doc_id=_text(_require(payload, "doc_id", where), "doc_id"),
@@ -693,7 +717,12 @@ class AgentAssessment:
 
 @frozen_record
 class GroundTruthRecord:
-    """Gold dataset names for one page, possibly with per-name labels."""
+    """Gold dataset names for one page, possibly with per-name labels.
+
+    No two names may have the same tokens after :func:`normalize_tokens`;
+    a record that breaks this raises :class:`InvalidRecord`. Checking it
+    tokenizes each name once, and a record of at most one name tokenizes none.
+    """
 
     doc_id: str
     page_number: int
@@ -705,6 +734,8 @@ class GroundTruthRecord:
             object.__setattr__(self, "gold_names", tuple(self.gold_names))
         if self.labels is not None and not isinstance(self.labels, dict):
             raise InvalidRecord(f"gold labels is not an object: {type(self.labels).__name__}")
+        if len(self.gold_names) < 2:  # no other name to repeat
+            return
         seen: set[frozenset[str]] = set()
         for name in self.gold_names:
             tokens = normalize_tokens(name)
@@ -999,9 +1030,9 @@ def _page_fields(path: str | Path, number: int, line: bytes) -> tuple[str, int, 
     raise the :class:`InvalidRecord` that ``read_rows`` raises.
 
     orjson decodes the line first. Its row is taken as it is when
-    :func:`_loads_exact` would keep it and its ``doc_id``, ``page_number``
-    and ``text`` are exactly a str, an int of at least 1 and a str, which is
-    what ``from_dict`` makes of them. A page's line holds only those three
+    :func:`_loads_exact` would keep it and the one page-row rule,
+    :func:`_exact_page`, holds with a page number of at least 1, which is
+    what ``from_dict`` makes of such a row. A page's line holds only those three
     keys, whose values :func:`_orjson_safe` accepts, so only a row with
     other keys pays for that walk. Any other line is read by
     :func:`_decode_line`.
@@ -1012,11 +1043,9 @@ def _page_fields(path: str | Path, number: int, line: bytes) -> tuple[str, int, 
             row = fast.loads(line)
         except fast.JSONDecodeError:
             row = None
-        if type(row) is dict:
-            doc_id, page_number, text = row.get("doc_id"), row.get("page_number"), row.get("text")
-            if (type(doc_id) is str and type(page_number) is int and page_number >= 1
-                    and type(text) is str and (len(row) == 3 or _orjson_safe(row))):
-                return doc_id, page_number, text
+        page = _exact_page(row) if type(row) is dict else None
+        if page is not None and page[1] >= 1 and (len(row) == 3 or _orjson_safe(row)):
+            return page
     page = _decode_line(path, number, line, PageRecord.from_dict)
     return page if page is _BLANK else (page.doc_id, page.page_number, page.text)
 
@@ -1079,6 +1108,25 @@ def _decode_line(path: str | Path, number: int, line: bytes,
         return parse(row)
     except _ROW_ERRORS as exc:
         raise InvalidRecord(f"{path}: line {number}: {_row_fault(exc)}") from exc
+
+
+def _read_pages_once(path: str | Path, parse: Callable[[dict[str, Any]], Any]) -> list[Any]:
+    """``list(read_rows(path, parse))`` for a ``parse`` that gives a record of one page,
+    with a ``doc_id`` and a ``page_number``. A second record for a page raises
+    :class:`InvalidRecord` naming the file, its line and the line of the first."""
+    records: list[Any] = []
+    first_line: dict[tuple[str, int], int] = {}
+    for number, line in enumerate(_lines(path), 1):
+        record = _decode_line(path, number, line, parse)
+        if record is _BLANK:
+            continue
+        key = (record.doc_id, record.page_number)
+        first = first_line.setdefault(key, number)
+        if first != number:
+            raise InvalidRecord(f"{path}: line {number}: a second record for page {key}, "
+                                f"whose first is on line {first}")
+        records.append(record)
+    return records
 
 
 def _lines(path: str | Path, size: int | None = None) -> Iterator[bytes]:

@@ -25,10 +25,10 @@ from .records import (
     _coerce_int,
     _first_given,
     _names,
+    _read_pages_once,
     _require,
     _text,
     frozen_record,
-    read_rows,
 )
 from .textnorm import normalize_tokens
 
@@ -162,29 +162,33 @@ def split(records: Sequence[T], spec: SplitSpec) -> SplitResult:
 def _gold_from_row(
     doc_id: str,
     page_number: int,
-    names: Iterable[str],
+    names: Sequence[str],
     labels: Any,
     warnings: list[str],
 ) -> GroundTruthRecord:
-    unique: list[str] = []
-    seen: set[frozenset[str]] = set()
-    for name in names:
-        tokens = normalize_tokens(name)
-        if tokens in seen:
-            warnings.append(
-                f"{doc_id} p{page_number}: gold name {name!r} duplicates another "
-                "after normalization; collapsed"
-            )
-            continue
-        seen.add(tokens)
-        unique.append(name)
-    return GroundTruthRecord(
-        doc_id=doc_id,
-        page_number=page_number,
-        gold_names=tuple(unique),
-        # an empty object means no labels; any other non-object is the record's to refuse
-        labels=(labels or None) if isinstance(labels, dict) else labels,
-    )
+    """The page's gold record. Only when the record refuses a name whose tokens
+    another before it has are the names tokenized here, and each such name is
+    collapsed into the first with a warning."""
+    # an empty object means no labels; any other non-object is the record's to refuse
+    labels = (labels or None) if isinstance(labels, dict) else labels
+    try:
+        return GroundTruthRecord(doc_id, page_number, tuple(names), labels)
+    except InvalidRecord:
+        unique: list[str] = []
+        seen: set[frozenset[str]] = set()
+        for name in names:
+            tokens = normalize_tokens(name)
+            if tokens in seen:
+                warnings.append(
+                    f"{doc_id} p{page_number}: gold name {name!r} duplicates another "
+                    "after normalization; collapsed"
+                )
+                continue
+            seen.add(tokens)
+            unique.append(name)
+        if len(unique) == len(names):  # refused for another fault
+            raise
+        return GroundTruthRecord(doc_id, page_number, tuple(unique), labels)
 
 
 def _gold_from_canonical(row: dict, warnings: list[str]) -> GroundTruthRecord:
@@ -256,7 +260,11 @@ def import_annotations(
     path: str | Path,
     fmt: str = "canonical",
 ) -> tuple[list[GroundTruthRecord], list[str]]:
-    """Load ground truth through the named format; returns (records, warnings)."""
+    """Load ground truth through the named format; returns (records, warnings).
+
+    Each row gives one page's record. A second row for a page raises
+    :class:`InvalidRecord` naming the file, its line and the first row's line.
+    """
     try:
         parse = _FORMATS[fmt]
     except KeyError:
@@ -264,7 +272,7 @@ def import_annotations(
             f"unknown annotation format {fmt!r}; expected one of {sorted(_FORMATS)}"
         ) from None
     warnings: list[str] = []
-    records = list(read_rows(path, lambda row: parse(row, warnings)))
+    records = _read_pages_once(path, lambda row: parse(row, warnings))
     for warning in warnings:
         log.warning("%s", warning)
     return records, warnings

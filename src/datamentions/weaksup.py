@@ -481,7 +481,8 @@ class StageCheckpoint:
 
     The offsets and the stage's running ``counts`` are those of the last
     committed line, the only line :meth:`load` decodes, by the one rule for
-    every checkpoint line, :func:`_checkpoint_line`; the item keys are read
+    every checkpoint line, :func:`_checkpoint_line`, given the number of
+    counters of the stage the file is named after; the item keys are read
     from the file, up to ``size``, only when a stage is not sealed. ``size``
     is the length of the checkpoint file up to the end of its last complete
     line, and ``digest`` the sha256 hex digest of those bytes. A last line
@@ -499,6 +500,7 @@ class StageCheckpoint:
 
     @classmethod
     def load(cls, path: Path) -> "StageCheckpoint":
+        counters = _COUNTERS_OF[path.name]  # the file is named after its stage
         ckpt = cls()
         data = path.read_bytes() if path.exists() else b""
         ckpt.size = data.rfind(b"\n") + 1
@@ -511,7 +513,7 @@ class StageCheckpoint:
             if line:
                 try:
                     _, ckpt.output_offset, ckpt.deadletter_offset, ckpt.counts = (
-                        _checkpoint_line(json.loads(line.decode("utf-8"))))
+                        _checkpoint_line(json.loads(line.decode("utf-8")), counters))
                 except (InvalidRecord, LookupError, TypeError, ValueError, RecursionError) as exc:
                     number = committed.count(b"\n", 0, start) + 1
                     raise InvalidRecord(
@@ -521,18 +523,21 @@ class StageCheckpoint:
         return ckpt
 
 
-def _checkpoint_line(row: dict[str, Any]) -> tuple[str, int, int, list[int] | None]:
-    """The one rule for a checkpoint line: its text ``key``, its offsets ``out`` and
-    ``dead``, ints (not bools) of at least 0, and its counters ``n``, a non-empty list
-    of such ints, or None when absent or null. A line that breaks it raises."""
+def _checkpoint_line(row: dict[str, Any],
+                     counters: int) -> tuple[str, int, int, list[int] | None]:
+    """The one rule for a line of a stage's checkpoint: its text ``key``, its offsets
+    ``out`` and ``dead``, ints (not bools) of at least 0, and its counters ``n``, a list
+    of ``counters`` such ints, the number the stage keeps, or None when absent or null.
+    A line that breaks it raises."""
     key, out, dead, counts = row["key"], row["out"], row["dead"], row.get("n")
     if type(key) is not str:
         raise InvalidRecord(f"key is not text: {key!r}")
     if not (type(out) is int and out >= 0 and type(dead) is int and dead >= 0):
         raise InvalidRecord(f"offsets {out!r} and {dead!r} are not both integers of at least 0")
-    if counts is not None and not (type(counts) is list and set(map(type, counts)) == {int}
-                                   and min(counts) >= 0):
-        raise InvalidRecord(f"counters {counts!r} are not a list of integers of at least 0")
+    if counts is not None and not (type(counts) is list and len(counts) == counters
+                                   and set(map(type, counts)) == {int} and min(counts) >= 0):
+        raise InvalidRecord(f"counters {counts!r} are not {counters} integers of at least 0, "
+                            "one for each counter of the stage")
     return key, out, dead, counts
 
 
@@ -835,6 +840,8 @@ _STAGE_SPECS = (
                partial(_valid_count, "assessments")),
 )
 _WRITER_OF = {spec.output_file: spec.name for spec in _STAGE_SPECS}
+# the number of counters each checkpoint file's stage keeps, by the file's name
+_COUNTERS_OF = {Path(spec.checkpoint_file).name: len(spec.counters) for spec in _STAGE_SPECS}
 
 
 def _selected_specs(stages: Sequence[str]) -> tuple[_StageSpec, ...]:
@@ -851,7 +858,8 @@ def _resume_checkpoints(output_dir: Path) -> tuple[dict[str, StageCheckpoint], s
     A stage the module's redo rule hits comes back empty. So each offset
     returned lies within its file, and truncating to it only drops
     uncommitted bytes. Each checkpoint's ``counts`` is one per counter of
-    its stage: its last line's, or else :func:`_recount`'s. An offset that
+    its stage: its last line's, which :func:`_checkpoint_line` holds to that
+    number, or else :func:`_recount`'s. An offset that
     does not end a line (:func:`_check_line_ends`), or a recounted row of
     the wrong shape, raises :class:`InvalidRecord`; nothing is written.
     """
@@ -859,8 +867,7 @@ def _resume_checkpoints(output_dir: Path) -> tuple[dict[str, StageCheckpoint], s
     checkpoints: dict[str, StageCheckpoint] = {}
     redone: set[str] = set()
     for spec in _STAGE_SPECS:
-        path = output_dir / spec.checkpoint_file
-        ckpt = StageCheckpoint.load(path)
+        ckpt = StageCheckpoint.load(output_dir / spec.checkpoint_file)
         sizes[spec.output_file] = _size(output_dir / spec.output_file)
         if redone or (
             sizes[spec.output_file] < ckpt.output_offset
@@ -871,9 +878,6 @@ def _resume_checkpoints(output_dir: Path) -> tuple[dict[str, StageCheckpoint], s
                             "and every later one", spec.name, spec.output_file, _DEADLETTER_FILE)
             redone.add(spec.name)
             ckpt = StageCheckpoint()
-        if ckpt.counts is not None and len(ckpt.counts) != len(spec.counters):
-            raise InvalidRecord(f"{path}: damaged checkpoint line: {len(ckpt.counts)} "
-                                f"counters, the {spec.name} stage keeps {len(spec.counters)}")
         checkpoints[spec.name] = ckpt
     ends = {spec.output_file: checkpoints[spec.name].output_offset for spec in _STAGE_SPECS}
     ends[_DEADLETTER_FILE] = max(c.deadletter_offset for c in checkpoints.values())
@@ -942,7 +946,8 @@ def _committed_keys(
         if spec.name not in names:
             continue
         path, size = output_dir / spec.checkpoint_file, checkpoints[spec.name].size
-        rows = read_rows(path, _checkpoint_line, size) if size else ()  # else it may be missing
+        rule = partial(_checkpoint_line, counters=len(spec.counters))
+        rows = read_rows(path, rule, size) if size else ()  # else it may be missing
         keys[spec.name] = frozenset(row[0] for row in rows)
     return keys
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from datamentions import evalkit, match_mentions, render_report, score
+from datamentions.cli import main
 from datamentions.errors import InvalidRecord, UnknownAdapter
 from datamentions.evalkit import (
     MatchConfig,
@@ -302,6 +303,32 @@ def test_import_predictions_nested_template_format(tmp_path) -> None:
     path.write_text(json.dumps(row) + "\n", encoding="utf-8")
     records = import_predictions(path, "nuextract_template")
     assert records[0].predicted_names == ("A", "B", "C")
+
+
+@pytest.mark.parametrize("adapter, rows", [
+    ("canonical", [{"doc_id": DOC, "page_number": 1, "predicted_names": ["X"]},
+                   {"doc_id": DOC, "page_number": 2, "predicted_names": []},
+                   {"doc_id": DOC, "page_number": "1", "predicted_names": ["Y"]}]),
+    ("nuextract_template", [{"source": DOC, "data_mentions": []},
+                            {"doc_id": DOC, "page": 2, "data_mentions": []},
+                            {"doc_id": DOC, "page_number": 1, "data_mentions": []}]),
+])
+def test_a_repeated_prediction_page_is_refused_naming_the_file_and_both_lines(
+        tmp_path, capsys, adapter, rows) -> None:
+    path = tmp_path / "preds.jsonl"
+    path.write_text(json.dumps(rows[0]) + "\n\n" + "".join(json.dumps(row) + "\n"
+                                                         for row in rows[1:]), encoding="utf-8")
+    message = f"{path}: line 4: a second record for page {(DOC, 1)!r}, whose first is on line 1"
+    with pytest.raises(InvalidRecord) as raised:
+        import_predictions(path, adapter)
+    assert str(raised.value) == message
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"doc_id": DOC, "page_number": 1, "gold_names": ["X"]}) + "\n",
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(["score", "--predictions", str(path), "--gold", str(gold),
+                 "--adapter", adapter]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_import_predictions_unknown_adapter(tmp_path) -> None:

@@ -644,6 +644,53 @@ def test_a_page_line_is_the_line_dumps_line_writes_for_the_page(monkeypatch, fas
     check()
 
 
+def _page_by_the_field_helpers(payload) -> PageRecord:
+    """What :meth:`PageRecord.from_dict` made of every row before it took exact rows as
+    they are: each field read by the helpers."""
+    where = "page record"
+    return PageRecord(
+        doc_id=records._text(records._require(payload, "doc_id", where), "doc_id"),
+        page_number=records._coerce_int(records._require(payload, "page_number", where),
+                                        "page_number", where),
+        text=records._text(records._require(payload, "text", where), "text"),
+    )
+
+
+def _built(build, payload) -> tuple:
+    """``("ok", record, field types)`` or ``("raised", error class, message)``."""
+    try:
+        record = build(payload)
+    except Exception as exc:  # noqa: BLE001 -- the error itself is compared
+        return "raised", type(exc), str(exc)
+    return "ok", record, tuple(type(getattr(record, name)) for name in record.__slots__)
+
+
+# every kind of value a page row's field may hold, exact types and the rest
+_PAGE_FIELD = st.one_of(
+    _TEXT, _TEXT.map(_Str), st.integers(min_value=-3), st.integers(min_value=1).map(_Int),
+    st.sampled_from([0, -1, _Int(0)]), st.booleans(), st.sampled_from(["7", " 12 ", "0", "-2",
+                                                                       "1.5", "x", ""]),
+    st.floats(allow_nan=False), st.none(), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_PAGE_ROWS = st.fixed_dictionaries(
+    {}, optional={"doc_id": _PAGE_FIELD, "page_number": _PAGE_FIELD, "text": _PAGE_FIELD,
+                  "extra": _PAGE_FIELD},
+)
+
+
+def test_from_dict_builds_the_record_or_raises_the_error_the_field_helpers_do() -> None:
+    exact = {"doc_id": DOC, "page_number": 3, "text": "Page text.", "note": None}
+    assert _built(PageRecord.from_dict, exact) == _built(_page_by_the_field_helpers, exact)
+
+    @settings(max_examples=800, deadline=None)
+    @given(_PAGE_ROWS)
+    def check(row) -> None:
+        assert _built(PageRecord.from_dict, row) == _built(_page_by_the_field_helpers, row)
+
+    check()
+
+
 def test_a_plain_page_line_is_filled_in_without_dumps_line(monkeypatch) -> None:
     if records.orjson is None:
         pytest.skip("orjson is not installed")

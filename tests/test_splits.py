@@ -136,6 +136,75 @@ def test_import_canonical_collapses_duplicates_with_warning(tmp_path) -> None:
     assert len(warnings) == 1 and "duplicates" in warnings[0]
 
 
+def test_import_doccano_collapses_duplicate_spans_with_their_labels_and_warnings(
+        tmp_path) -> None:
+    text = "Census Data, then census data! and the LSMS."
+    row = {"text": text, "meta": {"doc_id": DOC, "page_number": 2},
+           "label": [[0, 11, "primary"], [18, 30, "properly_named"], [39, 43, "mystery"]]}
+    path = tmp_path / "annot.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    records, warnings = import_annotations(path, "doccano_export")
+    assert records[0].gold_names == ("Census Data", "LSMS")
+    assert records[0].labels == {"Census Data": {"context": "primary"},
+                                 "census data!": {"specificity": "properly_named"}}
+    assert warnings == [
+        f"{DOC} p2: span label 'mystery' is not a context/specificity value; ignored",
+        f"{DOC} p2: gold name 'census data!' duplicates another after normalization; "
+        "collapsed"]
+
+
+def test_a_gold_record_tokenizes_each_name_once_and_a_lone_name_not_at_all(
+        tmp_path, monkeypatch) -> None:
+    from datamentions import records, splits
+    from datamentions.textnorm import normalize_tokens
+
+    tokenized: list[str] = []
+
+    def counted(name: str) -> frozenset[str]:
+        tokenized.append(name)
+        return normalize_tokens(name)
+
+    for module in (records, splits):
+        monkeypatch.setattr(module, "normalize_tokens", counted)
+    rows = [{"doc_id": DOC, "page_number": 1, "gold_names": []},
+            {"doc_id": DOC, "page_number": 2, "gold_names": ["Census"]},
+            {"doc_id": DOC, "page_number": 3, "gold_names": ["DHS survey", "LSMS"]},
+            {"doc_id": DOC, "page_number": 4, "gold_names": ["A", "B", "C"]}]
+    path = tmp_path / "gold.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    records_read, warnings = import_annotations(path)
+    assert [r.gold_names for r in records_read] == [tuple(r["gold_names"]) for r in rows]
+    assert warnings == []
+    assert sorted(tokenized) == ["A", "B", "C", "DHS survey", "LSMS"]
+
+
+@pytest.mark.parametrize("fmt, rows", [
+    ("canonical", [{"doc_id": DOC, "page_number": 3, "gold_names": ["DHS"]},
+                   {"doc_id": DOC, "page_number": 1, "gold_names": []},
+                   {"doc_id": DOC, "page_number": "3", "gold_names": ["LSMS"]}]),
+    ("doccano_export", [{"text": "The DHS.", "label": [[4, 7, "primary"]],
+                         "meta": {"doc_id": DOC, "page_number": 3}},
+                        {"text": "None.", "label": [], "meta": {"doc_id": DOC}},
+                        {"text": "The LSMS.", "label": [], "doc_id": DOC, "page_number": 3}]),
+])
+def test_a_repeated_gold_page_is_refused_naming_the_file_and_both_lines(
+        tmp_path, capsys, fmt, rows) -> None:
+    path = tmp_path / "gold.jsonl"
+    path.write_text(json.dumps(rows[0]) + "\n\n" + "".join(json.dumps(row) + "\n"
+                                                         for row in rows[1:]), encoding="utf-8")
+    message = f"{path}: line 4: a second record for page {(DOC, 3)!r}, whose first is on line 1"
+    with pytest.raises(InvalidRecord) as raised:
+        import_annotations(path, fmt)
+    assert str(raised.value) == message
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(json.dumps({"doc_id": DOC, "page_number": 3,
+                                       "predicted_names": ["DHS"]}) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["score", "--predictions", str(predictions), "--gold", str(path),
+                 "--gold-format", fmt]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_import_doccano_spans_and_labels(tmp_path) -> None:
     text = "We use the LSMS and the 2010 Census here."
     row = {

@@ -1474,6 +1474,7 @@ _DAMAGED_CHECKPOINT_FIELDS = {
     "numeric key": (rb'"key": "[^"]+"', b'"key": 7'),
     "counter as text": (rb'"n": \[\d+', b'"n": [1, "2"'),
     "negative counter": (rb'"n": \[\d+', b'"n": [-5'),
+    "one counter too many": (rb'"n": \[', b'"n": [1, '),
     "nested too deeply": (rb'"n": ', b'"x": ' + b"[" * 1000 + b"]" * 1000 + b', "n": '),
 }
 
