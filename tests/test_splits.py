@@ -8,6 +8,7 @@ from datamentions.cli import main
 from datamentions.errors import InvalidRecord, InvalidSpec, PopulationTooSmall, UnknownFormat
 from datamentions.records import PageRecord
 from datamentions.splits import SplitSpec, import_annotations, sample_pages, split
+from datamentions.textnorm import normalize_tokens
 
 DOC = "9" * 40
 
@@ -155,17 +156,14 @@ def test_import_doccano_collapses_duplicate_spans_with_their_labels_and_warnings
 
 def test_a_gold_record_tokenizes_each_name_once_and_a_lone_name_not_at_all(
         tmp_path, monkeypatch) -> None:
-    from datamentions import records, splits
-    from datamentions.textnorm import normalize_tokens
-
     tokenized: list[str] = []
 
     def counted(name: str) -> frozenset[str]:
         tokenized.append(name)
         return normalize_tokens(name)
 
-    for module in (records, splits):
-        monkeypatch.setattr(module, "normalize_tokens", counted)
+    for module in ("datamentions.records", "datamentions.splits"):
+        monkeypatch.setattr(f"{module}.normalize_tokens", counted)
     rows = [{"doc_id": DOC, "page_number": 1, "gold_names": []},
             {"doc_id": DOC, "page_number": 2, "gold_names": ["Census"]},
             {"doc_id": DOC, "page_number": 3, "gold_names": ["DHS survey", "LSMS"]},
